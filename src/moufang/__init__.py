@@ -3,7 +3,7 @@ groups, and the loop / 3-net / group-with-triality dictionary."""
 
 from . import cayley, cli, composition, fields, loops, orthogonal, paige, permgrp, triality
 from .composition import ZornMatrix, bilinear, cd_double, decompose_sum_two_units, zorn_mul, zorn_norm
-from .fields import GF, HalfInteger, field_make, is_square, primitive_element
+from .fields import GF, field_make, is_square, primitive_element
 from .loops import FiniteLoop, automorphism_count, closure, find_isomorphism, is_moufang, is_simple, mlt_group
 from .paige import paige_loop, paige_order_formula, standard_generators, unit_loop
 from .permgrp import Perm, PermGroup, schreier_sims

@@ -1,119 +1,103 @@
-"""Integral Cayley numbers: the classical real octonions at exact
-half-integer precision, the 240 units of norm one, and the isomorphism of
-their sign quotient with the Paige loop over GF(2).
+"""Integral Cayley numbers: the classical real octonions on the integral
+lattice, the 240 units of norm one, and the isomorphism of their sign
+quotient with the Paige loop over GF(2).
 
-The multiplication is the doubling construction applied three times from
-the rationals with parameter -1, over the basis (1, i, j, k, e, ie, je, ke);
-coordinates of stored elements are HalfInteger, all intermediate arithmetic
-is exact rational."""
+An element is a tuple of 8 ints, twice its coordinates over the basis
+(1, i, j, k, e, ie, je, ke), so the half-integers of the lattice are exact
+and the norm of x is sum(c*c for c in x) / 4.  The multiplication is the
+doubling construction applied three times from the rationals with parameter
+-1 (``cd_double`` over ``QQ``); its 64 nonzero structure constants are read
+off the basis products on first use and every product then runs on ints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .composition import QQ, cd_double, scalar_algebra
-from .fields import HalfInteger
-from .loops import ClosureCapExceeded, FiniteLoop, closure, find_isomorphism
+from .loops import ClosureCapExceeded, FiniteLoop, closure, closure_indices, find_isomorphism
 from . import paige
 
-OCTONIONS = cd_double(cd_double(cd_double(scalar_algebra(QQ), Fraction(-1)),
-                                Fraction(-1)), Fraction(-1))
+
+@lru_cache(maxsize=None)
+def _structure_constants():
+    """The triples (i, j, k, s) with e_i e_j = s e_k, s = +-1."""
+    algebra = scalar_algebra(QQ)
+    for _ in range(3):
+        algebra = cd_double(algebra, Fraction(-1))
+    basis = [tuple(Fraction(int(a == b)) for b in range(8)) for a in range(8)]
+    consts = tuple((i, j, k, int(c))
+                   for i in range(8) for j in range(8)
+                   for k, c in enumerate(algebra.mul(basis[i], basis[j])) if c)
+    if len(consts) != 64 or any(abs(s) != 1 for *_, s in consts):
+        raise AssertionError("octonion basis products are not signed basis units")
+    return consts
 
 
-@dataclass(frozen=True)
-class ClassicalOctonion:
-    coords: tuple  # 8 HalfInteger over (1, i, j, k, e, ie, je, ke)
-
-    @classmethod
-    def from_fractions(cls, fracs):
-        return cls(tuple(HalfInteger.from_fraction(Fraction(f)) for f in fracs))
-
-    @classmethod
-    def basis_unit(cls, index):
-        fr = [Fraction(0)] * 8
-        fr[index] = Fraction(1)
-        return cls.from_fractions(fr)
-
-    def fractions(self):
-        return tuple(c.to_fraction() for c in self.coords)
-
-    def __mul__(self, other):
-        prod = OCTONIONS.mul(self.fractions(), other.fractions())
-        return ClassicalOctonion.from_fractions(prod)
-
-    def __add__(self, other):
-        return ClassicalOctonion.from_fractions(
-            OCTONIONS.add(self.fractions(), other.fractions()))
-
-    def __sub__(self, other):
-        return ClassicalOctonion.from_fractions(
-            OCTONIONS.sub(self.fractions(), other.fractions()))
-
-    def __neg__(self):
-        return ClassicalOctonion(tuple(-c for c in self.coords))
-
-    def conjugate(self):
-        return ClassicalOctonion.from_fractions(OCTONIONS.conj(self.fractions()))
-
-    def norm(self):
-        return OCTONIONS.norm(self.fractions())
-
-    def trace(self):
-        """a + conj(a) as a rational (twice the real coordinate)."""
-        return 2 * self.coords[0].to_fraction()
-
-    def label(self):
-        return "(%s)" % ",".join(str(c) for c in self.coords)
-
-    def sort_key(self):
-        return self.fractions()
-
-    def __str__(self):
-        return self.label()
+def mul(x, y):
+    """Product of two doubled-coordinate octonions; ValueError when it
+    leaves the half-integer lattice."""
+    acc = [0] * 8
+    for i, j, k, s in _structure_constants():
+        acc[k] += s * x[i] * y[j]
+    # acc holds 4 * (xy); the doubled product is acc / 2
+    if any(c & 1 for c in acc):
+        raise ValueError("product %s/4 leaves the half-integers" % (tuple(acc),))
+    return tuple(c >> 1 for c in acc)
 
 
-ONE = ClassicalOctonion.basis_unit(0)
-I_UNIT = ClassicalOctonion.basis_unit(1)
-J_UNIT = ClassicalOctonion.basis_unit(2)
-K_UNIT = ClassicalOctonion.basis_unit(3)
-E_UNIT = ClassicalOctonion.basis_unit(4)
-H_UNIT = ClassicalOctonion.from_fractions(
-    [0, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0, 0, 0])
+def neg(x):
+    return tuple(-c for c in x)
 
 
-def classical_mul(x, y):
-    return x * y
+def conjugate(x):
+    return (x[0],) + neg(x[1:])
+
+
+def label(x):
+    """Coordinates as integers or n/2, e.g. (0,1/2,1/2,1/2,1/2,0,0,0)."""
+    return "(%s)" % ",".join(str(c >> 1) if c % 2 == 0 else "%d/2" % c for c in x)
+
+
+def _unit(index):
+    return tuple(2 if t == index else 0 for t in range(8))
+
+
+ONE = _unit(0)
+I_UNIT = _unit(1)
+J_UNIT = _unit(2)
+K_UNIT = _unit(3)
+E_UNIT = _unit(4)
+H_UNIT = (0, 1, 1, 1, 1, 0, 0, 0)
 
 
 def generate_unit_integrals():
     """Multiplicative closure of {+-1, +-i, +-j, h}; must come out at
-    exactly 240 elements, all of norm one with integral norm and trace."""
-    gens = [ONE, -ONE, I_UNIT, -I_UNIT, J_UNIT, -J_UNIT, H_UNIT]
+    exactly 240 elements, all of norm one."""
+    gens = [ONE, neg(ONE), I_UNIT, neg(I_UNIT), J_UNIT, neg(J_UNIT), H_UNIT]
     try:
-        elements, _ = closure(gens, lambda a, b: a * b, ONE, cap=241,
-                              sort_key=ClassicalOctonion.sort_key)
+        elements, _ = closure(gens, mul, ONE, cap=241)
     except ClosureCapExceeded:
         raise AssertionError("closure of the unit integrals exceeded 240; "
                              "arithmetic bug")
     if len(elements) != 240:
         raise AssertionError("expected 240 unit integrals, found %d" % len(elements))
     for x in elements:
-        if x.norm() != 1:
-            raise AssertionError("element %s has norm %s" % (x, x.norm()))
-        if x.trace().denominator != 1:
-            raise AssertionError("element %s has non-integral trace" % (x,))
+        if sum(c * c for c in x) != 4:
+            raise AssertionError("element %s does not have norm one" % label(x))
     return elements
 
 
 def _sign_canonical(x):
     """The representative of {x, -x} whose first nonzero coordinate is
     positive."""
-    for c in x.coords:
-        if c.numerator > 0:
+    for c in x:
+        if c > 0:
             return x
-        if c.numerator < 0:
-            return -x
+        if c < 0:
+            return neg(x)
     raise ValueError("zero octonion has no sign representative")
 
 
@@ -121,27 +105,13 @@ def quotient_mod_sign(elements=None):
     """The 120-element loop of +-classes of the unit integrals."""
     if elements is None:
         elements = generate_unit_integrals()
-    reps = []
-    seen = set()
-    for x in elements:
-        r = _sign_canonical(x)
-        if r.coords not in seen:
-            seen.add(r.coords)
-            reps.append(r)
-    reps.sort(key=ClassicalOctonion.sort_key)
+    reps = sorted({_sign_canonical(x) for x in elements})
     if len(reps) != 120:
         raise AssertionError("sign quotient has %d classes, expected 120" % len(reps))
-    index = {r.coords: i for i, r in enumerate(reps)}
-
-    def mult(i, j):
-        return index[_sign_canonical(reps[i] * reps[j]).coords]
-
-    import numpy as np
-    table = np.empty((120, 120), dtype=np.int32)
-    for i in range(120):
-        for j in range(120):
-            table[i, j] = mult(i, j)
-    loop = FiniteLoop(120, labels=[r.label() for r in reps], table=table)
+    index = {r: i for i, r in enumerate(reps)}
+    table = np.array([[index[_sign_canonical(mul(a, b))] for b in reps] for a in reps],
+                     dtype=np.int32)
+    loop = FiniteLoop(120, labels=[label(r) for r in reps], table=table)
     loop.reps = reps
     return loop
 
@@ -151,16 +121,11 @@ def certify_paige2_iso(quotient=None):
     that the classes of i, j, h generate the quotient."""
     if quotient is None:
         quotient = quotient_mod_sign()
-    from .loops import closure_indices
-    gen_idx = []
-    index = {r.coords: i for i, r in enumerate(quotient.reps)}
-    for g in (I_UNIT, J_UNIT, H_UNIT):
-        gen_idx.append(index[_sign_canonical(g).coords])
-    sub = closure_indices(quotient, gen_idx)
-    if len(sub) != quotient.n:
+    index = {r: i for i, r in enumerate(quotient.reps)}
+    gen_idx = [index[_sign_canonical(g)] for g in (I_UNIT, J_UNIT, H_UNIT)]
+    if len(closure_indices(quotient, gen_idx)) != quotient.n:
         raise AssertionError("i, j, h do not generate the sign quotient")
-    target = paige.paige_loop(2)
-    witness = find_isomorphism(quotient, target)
+    witness = find_isomorphism(quotient, paige.paige_loop(2))
     if witness is None:
         raise AssertionError("no isomorphism with M*(2); build falsified")
     return witness

@@ -12,9 +12,11 @@ import numpy as np
 
 from . import cayley, loops, paige, triality
 from .composition import ZornMatrix
-from .fields import field_make
+from .fields import field_make, field_of_order, parse_field_spec
 from .loops import SAMPLE_SEED
-from .orthogonal import is_rotation, mat_det, mult_operator_matrix, spinor_norm
+# mat_det is unused here but stays bound: perfbench/tests checks that the
+# tracer wraps this module's from-import bindings, mat_det among them.
+from .orthogonal import is_rotation, mat_det, mult_operator_matrix, spinor_norm  # noqa: F401
 
 
 @dataclass
@@ -141,7 +143,7 @@ def _cmd_paige_order(args, rep):
         if args.q > 5:
             raise ValueError("enumeration supported for q <= 5")
         _progress("enumerating norm-one matrices over GF(%d)..." % args.q)
-        field = paige._field_for(args.q)
+        field = field_of_order(args.q)
         coords = paige.enumerate_unit_coords(field)
         eng = paige.ZornEngine(field)
         keep = eng.pack(coords) <= eng.pack(eng.neg(coords))
@@ -254,10 +256,9 @@ def _iter_random_zorn(field, rng, count):
 
 def _cmd_decompose(args, rep):
     if args.field:
-        from .fields import parse_field_spec
         field = parse_field_spec(args.field)
     elif args.q is not None:
-        field = paige._field_for(args.q)
+        field = field_of_order(args.q)
     else:
         raise ValueError("need --q or --field")
     rep.add("q", field.q)
@@ -304,7 +305,7 @@ def _cmd_decompose(args, rep):
 def _cmd_spinor_check(args, rep):
     if args.q % 2 == 0:
         raise ValueError("spinor checks need odd q")
-    field = paige._field_for(args.q)
+    field = field_of_order(args.q)
     coords = paige.enumerate_unit_coords(field)
     rng = np.random.default_rng(args.seed)
     picks = rng.integers(len(coords), size=args.samples)
@@ -317,10 +318,6 @@ def _cmd_spinor_check(args, rep):
             if not is_rotation(field, M):
                 failures += 1
                 witness = (a, side, "not a rotation")
-                break
-            if mat_det(field, M) != field.one:
-                failures += 1
-                witness = (a, side, "det != 1")
                 break
             verdict = spinor_norm(field, M)
             if not verdict.in_omega:

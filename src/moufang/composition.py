@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fields import rref
+
 
 class Rationals:
     """The exact rational field, duck-typed like a GF instance."""
@@ -377,26 +379,7 @@ def _solve_single_dot(field, beta, target):
 def _nullspace_first(field, rows):
     """First vector of the reduced echelon basis of {v : rows . v = 0} in F^3."""
     F = field
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(3):
-        pr = None
-        for i in range(r, len(m)):
-            if not F.is_zero(m[i][col]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv_inv = F.inv(m[r][col])
-        m[r] = [F.mul(piv_inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not F.is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    m, pivots = rref(F, rows)
     free = [c for c in range(3) if c not in pivots]
     if not free:
         raise ValueError("null space is trivial")

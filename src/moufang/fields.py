@@ -1,5 +1,4 @@
-"""Exact scalar arithmetic: prime fields GF(p), extension fields GF(p^k),
-and half-integers for the integral octonion lattice.
+"""Exact scalar arithmetic: prime fields GF(p) and extension fields GF(p^k).
 
 Field elements are plain ints in ``range(q)`` encoding the residue
 polynomial c0 + c1*t + ... + c_{k-1}*t^{k-1} as c0 + c1*p + ... + c_{k-1}*p^{k-1}.
@@ -10,9 +9,6 @@ lexicographic on the coefficient vector (c0, c1, ...); it is exposed through
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -315,6 +311,20 @@ def field_make(p, k=1, modulus=None):
     return GF(p, k, modulus)
 
 
+def field_of_order(q):
+    """GF(q) with the builtin modulus; ValueError unless q is a prime power."""
+    for p in range(2, q + 1):
+        if q % p == 0:  # the least divisor p is prime
+            k, t = 0, q
+            while t % p == 0:
+                t //= p
+                k += 1
+            if t == 1:
+                return field_make(p, k)
+            break
+    raise ValueError("%r is not a prime power" % (q,))
+
+
 def parse_field_spec(text):
     """Parse the CLI field syntax gf(q) or gf(p,k,c0..ck).
 
@@ -327,17 +337,7 @@ def parse_field_spec(text):
     body = s[3:-1]
     parts = [t.strip() for t in body.split(",")]
     if len(parts) == 1:
-        q = int(parts[0])
-        for p in range(2, q + 1):
-            if is_prime(p):
-                k = 0
-                t = q
-                while t % p == 0:
-                    t //= p
-                    k += 1
-                if t == 1 and k >= 1:
-                    return field_make(p, k)
-        raise ValueError("%d is not a prime power" % q)
+        return field_of_order(int(parts[0]))
     if len(parts) == 3:
         p, k = int(parts[0]), int(parts[1])
         coeffs = tuple(int(c) for c in parts[2].split("."))
@@ -369,74 +369,28 @@ def is_square(field, x):
     return field.is_square(x)
 
 
-@dataclass(frozen=True)
-class HalfInteger:
-    """Exact rational with denominator 1 or 2.
-
-    The constructor normalizes; after reduction the denominator must be 1
-    or 2 (numerator odd in the latter case).  Products that would leave the
-    set raise ValueError, so arithmetic chains that need scratch rationals
-    should work over Fraction and convert at the end.
-    """
-
-    numerator: int
-    denominator: int = 1
-
-    def __post_init__(self):
-        num, den = self.numerator, self.denominator
-        if den not in (1, 2, -1, -2):
-            f = Fraction(num, den)
-            num, den = f.numerator, f.denominator
-        if den < 0:
-            num, den = -num, -den
-        if den == 2 and num % 2 == 0:
-            num, den = num // 2, 1
-        if den not in (1, 2):
-            raise ValueError("%r/%r is not a half-integer" % (self.numerator, self.denominator))
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @classmethod
-    def from_fraction(cls, f):
-        if f.denominator not in (1, 2):
-            raise ValueError("%s is not a half-integer" % (f,))
-        return cls(f.numerator, f.denominator)
-
-    def to_fraction(self):
-        return Fraction(self.numerator, self.denominator)
-
-    def __add__(self, other):
-        return HalfInteger.from_fraction(self.to_fraction() + other.to_fraction())
-
-    def __sub__(self, other):
-        return HalfInteger.from_fraction(self.to_fraction() - other.to_fraction())
-
-    def __neg__(self):
-        return HalfInteger(-self.numerator, self.denominator)
-
-    def __mul__(self, other):
-        f = self.to_fraction() * other.to_fraction()
-        if f.denominator not in (1, 2):
-            raise ValueError("product %s leaves the half-integers" % (f,))
-        return HalfInteger.from_fraction(f)
-
-    def inverse(self):
-        f = 1 / self.to_fraction()
-        if f.denominator not in (1, 2):
-            raise ValueError("inverse %s leaves the half-integers" % (f,))
-        return HalfInteger.from_fraction(f)
-
-    def is_integer(self):
-        return self.denominator == 1
-
-    zero = None  # filled in below
-    one = None
-
-    def __str__(self):
-        if self.denominator == 1:
-            return str(self.numerator)
-        return "%d/2" % self.numerator
-
-
-HalfInteger.zero = HalfInteger(0)
-HalfInteger.one = HalfInteger(1)
+def rref(field, rows):
+    """Reduced row echelon form over field; returns (nonzero rows, pivot
+    column list)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(m)):
+            if not field.is_zero(m[i][col]):
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][col])
+        m[r] = [field.mul(inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r and not field.is_zero(m[i][col]):
+                f = m[i][col]
+                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m[:r], pivots

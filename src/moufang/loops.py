@@ -3,9 +3,9 @@ mapping groups, characteristic subloops, normality and simplicity tests,
 Moufang/autotopism checks, and isomorphism search.
 
 Loops at or below _TABLE_LIMIT elements carry a full numpy Cayley table plus
-left/right division tables; larger loops run off a multiplication oracle
-(optionally batched) and memoize products.  Element indices are the only
-currency here; labels are carried for printing and file round-trips.
+left/right division tables; larger loops run off a batched multiplication
+oracle.  Element indices are the only currency here; labels are carried for
+printing and file round-trips.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ class ClosureCapExceeded(RuntimeError):
 class FiniteLoop:
     """A finite loop on indices 0..n-1."""
 
-    def __init__(self, n, labels=None, table=None, mult_fn=None, batch_fn=None,
+    def __init__(self, n, labels=None, table=None, batch_fn=None,
                  neutral=None, ldiv_fn=None, rdiv_fn=None, validate=True):
         self.n = n
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("need %d labels" % n)
-        self._memo = {}
-        self._mult_fn = mult_fn
         self._batch_fn = batch_fn
         self._ldiv_fn = ldiv_fn
         self._rdiv_fn = rdiv_fn
@@ -47,7 +45,7 @@ class FiniteLoop:
         elif n <= _TABLE_LIMIT:
             self.table = self._build_table()
         else:
-            if mult_fn is None and batch_fn is None:
+            if batch_fn is None:
                 raise ValueError("loops above %d elements need a multiplication oracle"
                                  % _TABLE_LIMIT)
             self.table = None
@@ -75,10 +73,7 @@ class FiniteLoop:
         return np.asarray(rows, dtype=np.int32)
 
     def _raw_batch(self, I, J):
-        if self._batch_fn is not None:
-            return np.asarray(self._batch_fn(I, J), dtype=np.int32)
-        return np.array([self._mult_fn(int(i), int(j)) for i, j in zip(I, J)],
-                        dtype=np.int32)
+        return np.asarray(self._batch_fn(I, J), dtype=np.int32)
 
     def _validate_table(self):
         n = self.n
@@ -107,15 +102,7 @@ class FiniteLoop:
     def mult(self, i, j):
         if self.table is not None:
             return int(self.table[i, j])
-        key = (i, j)
-        v = self._memo.get(key)
-        if v is None:
-            if self._mult_fn is not None:
-                v = int(self._mult_fn(i, j))
-            else:
-                v = int(self._raw_batch(np.array([i]), np.array([j]))[0])
-            self._memo[key] = v
-        return v
+        return int(self._raw_batch(np.array([i]), np.array([j]))[0])
 
     def mult_batch(self, I, J):
         I = np.asarray(I, dtype=np.int64)
@@ -262,19 +249,20 @@ def closure(generators, mult, one, cap=100000, sort_key=None):
 
 
 def loop_from_closure(generators, mult, one, cap=100000, sort_key=None, label=str):
-    """Run closure and wrap the result as a FiniteLoop."""
-    elements, products = closure(generators, mult, one, cap=cap, sort_key=sort_key)
+    """Run closure and wrap the result as a table-mode FiniteLoop; a closure
+    that grows past _TABLE_LIMIT elements raises ValueError."""
+    limit = min(cap, _TABLE_LIMIT)
+    try:
+        elements, products = closure(generators, mult, one, cap=limit, sort_key=sort_key)
+    except ClosureCapExceeded:
+        if limit == cap:
+            raise
+        raise ValueError("closure grows past the table limit %d" % _TABLE_LIMIT) from None
     n = len(elements)
-    index = {g: i for i, g in enumerate(elements)}
-    if n <= _TABLE_LIMIT:
-        table = np.empty((n, n), dtype=np.int32)
-        for (i, j), k in products.items():
-            table[i, j] = k
-        return FiniteLoop(n, labels=[label(g) for g in elements], table=table), elements
-    def mult_fn(i, j):
-        return index[mult(elements[i], elements[j])]
-    return FiniteLoop(n, labels=[label(g) for g in elements], mult_fn=mult_fn,
-                      neutral=index[one]), elements
+    table = np.empty((n, n), dtype=np.int32)
+    for (i, j), k in products.items():
+        table[i, j] = k
+    return FiniteLoop(n, labels=[label(g) for g in elements], table=table), elements
 
 
 def closure_indices(loop, seed):

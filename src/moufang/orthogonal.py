@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import ZornMatrix
+from .fields import rref
 
 
 def j_matrix(field):
@@ -103,37 +104,11 @@ def format_matrix(field, M):
                      for row in M)
 
 
-def _rref(field, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(map(int, r)) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][col])
-        m[r] = [field.mul(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    return m[:r], pivots
-
-
 def solve_linear(field, A, b):
     """One solution of A x = b (free variables zero); None if inconsistent."""
     n, m = A.shape
     aug = [[int(A[i, j]) for j in range(m)] + [int(b[i])] for i in range(n)]
-    rows, pivots = _rref(field, aug)
+    rows, pivots = rref(field, aug)
     x = [field.zero] * m
     for row, pc in zip(rows, pivots):
         if pc == m:
@@ -144,7 +119,7 @@ def solve_linear(field, A, b):
 
 def column_space_basis(field, A):
     """Echelon basis of the column space (row-reduce the transpose)."""
-    rows, _ = _rref(field, [list(map(int, A[:, j])) for j in range(A.shape[1])])
+    rows, _ = rref(field, [list(map(int, A[:, j])) for j in range(A.shape[1])])
     return [np.array(r, dtype=np.int64) for r in rows]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import ZornMatrix
-from .fields import field_make, primitive_element
+from .fields import field_of_order, primitive_element
 from .loops import FiniteLoop, ClosureCapExceeded, _TABLE_LIMIT
 
 _EXHAUSTIVE_Q = 5
@@ -183,19 +183,8 @@ class ZornEngine:
 
 
 def engine_for(q):
-    fs = _field_for(q)
+    fs = field_of_order(q)
     return ZornEngine(fs)
-
-
-def _field_for(q):
-    for p in range(2, q + 1):
-        k, t = 0, q
-        while t % p == 0:
-            t //= p
-            k += 1
-        if t == 1 and k >= 1:
-            return field_make(p, k)
-    raise ValueError("%r is not a prime power" % (q,))
 
 
 def paige_order_formula(q):
@@ -346,7 +335,7 @@ def unit_loop(q):
     """M(q): all norm-one Zorn matrices under the Zorn product."""
     if q > _EXHAUSTIVE_Q:
         raise ValueError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
-    field = _field_for(q)
+    field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     backend = _PaigeBackend(field, coords, quotient=False)
     n = len(coords)
@@ -365,7 +354,7 @@ def paige_loop(q):
     """M*(q): M(q) modulo {e, -e}, on canonical +- representatives."""
     if q > _EXHAUSTIVE_Q:
         raise ValueError("use paige_oracle for q > %d" % _EXHAUSTIVE_Q)
-    field = _field_for(q)
+    field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     eng = ZornEngine(field)
     keep = eng.pack(coords) <= eng.pack(eng.neg(coords))
@@ -387,7 +376,7 @@ class PaigeOracle:
     canonical representatives without materializing the element set."""
 
     def __init__(self, q):
-        self.field = _field_for(q)
+        self.field = field_of_order(q)
         self.engine = ZornEngine(self.field)
         self.q = q
 
@@ -415,7 +404,7 @@ def standard_generators(q):
     group.  The third generator is replaced by the unipotent e3-block
     [1|e3|0|1]; the closure of the repaired triple is all of M*(3).
     """
-    field = _field_for(q)
+    field = field_of_order(q)
     z, o = field.zero, field.one
     if q == 2:
         gens = [ZornMatrix(field, o, (o, z, z), (o, z, z), z),
@@ -483,7 +472,7 @@ def closure_packed(q, generator_matrices, cap=_CLOSURE_ASSERT_LIMIT, quotient=Tr
 
     Returns the packed element array in discovery order.
     """
-    field = _field_for(q)
+    field = field_of_order(q)
     eng = ZornEngine(field)
     space = field.q ** 8
     if space > 2 ** 26:
@@ -558,7 +547,7 @@ def reachability_closure_certified(q, generator_matrices, quotient=True):
     (packed elements, certified: bool).  When the certificate fails the
     caller must fall back to the exhaustive pairwise closure.
     """
-    field = _field_for(q)
+    field = field_of_order(q)
     eng = ZornEngine(field)
 
     def canon_rows(rows):

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .loops import FiniteLoop
+from .loops import SAMPLE_SEED, FiniteLoop
 from .permgrp import Perm, PermGroup
 
 VERTICAL, HORIZONTAL, TRANSVERSAL = 1, 2, 3
 EXHAUSTIVE_LIMIT = 10000
-SAMPLE_SEED = 0x5EED
 
 
 class NetAxiomError(RuntimeError):

@@ -1,14 +1,39 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from moufang import cayley, loops, paige
+import moufang
+from moufang import cayley, loops
 from moufang.cayley import (E_UNIT, H_UNIT, I_UNIT, J_UNIT, K_UNIT, ONE,
-                            ClassicalOctonion, certify_paige2_iso,
-                            classical_mul, generate_unit_integrals,
-                            quotient_mod_sign)
-from moufang.loops import closure, closure_indices, find_isomorphism
+                            certify_paige2_iso, conjugate, generate_unit_integrals,
+                            label, mul, neg, quotient_mod_sign)
+from moufang.composition import QQ, cd_double, scalar_algebra
+from moufang.loops import closure, closure_indices
+
+# The product oracle: the rationals doubled three times with parameter -1.
+OCT = scalar_algebra(QQ)
+for _ in range(3):
+    OCT = cd_double(OCT, Fraction(-1))
+
+
+def frac(x):
+    """Doubled coordinates -> exact rational coordinates."""
+    return tuple(Fraction(c, 2) for c in x)
+
+
+def norm(x):
+    return OCT.norm(frac(x))
+
+
+def trace(x):
+    t = OCT.add(frac(x), OCT.conj(frac(x)))
+    assert t[1:] == (0,) * 7
+    return t[0]
 
 
 @pytest.fixture(scope="module")
@@ -22,15 +47,48 @@ def quotient(units):
 
 
 def test_quaternion_relations():
-    assert classical_mul(I_UNIT, I_UNIT) == -ONE
-    assert classical_mul(I_UNIT, J_UNIT) == K_UNIT
-    assert classical_mul(J_UNIT, I_UNIT) == -K_UNIT
-    assert classical_mul(E_UNIT, E_UNIT) == -ONE
+    assert mul(I_UNIT, I_UNIT) == neg(ONE)
+    assert mul(I_UNIT, J_UNIT) == K_UNIT
+    assert mul(J_UNIT, I_UNIT) == neg(K_UNIT)
+    assert mul(E_UNIT, E_UNIT) == neg(ONE)
 
 
 def test_h_has_norm_one():
-    assert H_UNIT.norm() == 1
-    assert classical_mul(H_UNIT, H_UNIT.conjugate()) == ONE
+    assert norm(H_UNIT) == 1
+    assert mul(H_UNIT, conjugate(H_UNIT)) == ONE
+
+
+def test_basis_products_match_cd_double():
+    for a in range(8):
+        for b in range(8):
+            x, y = [tuple(2 if t == i else 0 for t in range(8)) for i in (a, b)]
+            assert frac(mul(x, y)) == OCT.mul(frac(x), frac(y))
+
+
+def test_product_matches_cd_double_on_random_pairs(units, rng):
+    # units, then random half-integer vectors; a product that leaves the
+    # half-integers (some coordinate with denominator 4) must be refused
+    pairs = [(units[int(rng.integers(240))], units[int(rng.integers(240))])
+             for _ in range(200)]
+    pairs += [tuple(tuple(int(c) for c in rng.integers(-5, 6, size=8)) for _ in "xy")
+              for _ in range(300)]
+    refused = 0
+    for x, y in pairs:
+        want = OCT.mul(frac(x), frac(y))
+        if all((2 * c).denominator == 1 for c in want):
+            assert frac(mul(x, y)) == want
+        else:
+            refused += 1
+            with pytest.raises(ValueError):
+                mul(x, y)
+        assert frac(conjugate(x)) == OCT.conj(frac(x))
+    assert 0 < refused < 300
+
+
+def test_half_times_half_is_refused():
+    half = (1, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        mul(half, half)
 
 
 def test_unit_count(units):
@@ -39,15 +97,16 @@ def test_unit_count(units):
 
 def test_unit_norms_and_traces(units):
     for x in units:
-        assert x.norm() == 1
-        assert x.norm().denominator == 1
-        assert x.trace().denominator == 1
+        assert sum(c * c for c in x) == 4
+        assert norm(x) == 1
+        assert norm(x).denominator == 1
+        assert trace(x).denominator == 1
 
 
 def test_conjugation_closes(units):
-    pool = {x.coords for x in units}
+    pool = set(units)
     for x in units:
-        assert x.conjugate().coords in pool
+        assert conjugate(x) in pool
 
 
 def test_subtraction_stays_integral(units, rng):
@@ -55,19 +114,31 @@ def test_subtraction_stays_integral(units, rng):
     for _ in range(300):
         a = units[int(rng.integers(240))]
         b = units[int(rng.integers(240))]
-        d = a - b
-        assert d.norm().denominator == 1
-        assert d.trace().denominator == 1
+        d = tuple(u - v for u, v in zip(a, b))
+        assert norm(d).denominator == 1
+        assert trace(d).denominator == 1
 
 
 def test_closure_of_i_j_h_alone_is_240():
-    els, _ = closure([I_UNIT, J_UNIT, H_UNIT], classical_mul, ONE, cap=241,
-                     sort_key=ClassicalOctonion.sort_key)
+    els, _ = closure([I_UNIT, J_UNIT, H_UNIT], mul, ONE, cap=241)
     assert len(els) == 240
+
+
+def test_unit_numbering_is_pinned(units):
+    joined = "\n".join(label(x) for x in units).encode()
+    assert hashlib.sha256(joined).hexdigest() == \
+        "3d7f76f34653837c13ef91fe31ad8a898e2b98dcbab2eb5088a500643eff7632"
 
 
 def test_quotient_size(quotient):
     assert quotient.n == 120
+
+
+def test_quotient_table_and_labels_are_pinned(quotient):
+    assert hashlib.sha256(quotient.table.tobytes()).hexdigest() == \
+        "700fd89794629d5a63aaa312ac9a34cc9ca3a494478940738aba7d856d0a9b0a"
+    assert hashlib.sha256("\n".join(quotient.labels).encode()).hexdigest() == \
+        "d7bea71e9144a3c0f2a514603ad8536f61f1d0a2eeb4ea374ab2b653a786ce00"
 
 
 def test_quotient_is_moufang_nonassociative_simple(quotient):
@@ -83,9 +154,8 @@ def test_iso_certificate(quotient):
 
 
 def test_ijh_generate_quotient(quotient):
-    idx = {r.coords: i for i, r in enumerate(quotient.reps)}
-    gens = [idx[cayley._sign_canonical(g).coords]
-            for g in (I_UNIT, J_UNIT, H_UNIT)]
+    idx = {r: i for i, r in enumerate(quotient.reps)}
+    gens = [idx[cayley._sign_canonical(g)] for g in (I_UNIT, J_UNIT, H_UNIT)]
     assert len(closure_indices(quotient, gens)) == 120
 
 
@@ -93,4 +163,16 @@ def test_element_labels(quotient):
     assert all(lbl.startswith("(") and lbl.endswith(")")
                for lbl in quotient.labels)
     h = cayley._sign_canonical(H_UNIT)
-    assert h.label() == "(0,1/2,1/2,1/2,1/2,0,0,0)"
+    assert label(h) == "(0,1/2,1/2,1/2,1/2,0,0,0)"
+    assert label(neg(h)) == "(0,-1/2,-1/2,-1/2,-1/2,0,0,0)"
+
+
+def test_cli_import_does_not_build_structure_constants():
+    src = str(Path(moufang.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import moufang.cli, moufang.cayley as c; "
+            "print(c._structure_constants.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"

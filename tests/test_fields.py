@@ -1,11 +1,10 @@
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from moufang.fields import (GF, HalfInteger, field_make, inv, is_square,
-                            parse_field_spec, primitive_element)
+from moufang.fields import (GF, field_make, field_of_order, inv, is_square,
+                            parse_field_spec, primitive_element, rref)
 
 
 def brute_irreducible(coeffs, p):
@@ -176,43 +175,23 @@ def test_parse_field_spec():
         parse_field_spec("zz(4)")
 
 
+def test_field_of_order():
+    for q, (p, k) in {2: (2, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2), 7: (7, 1)}.items():
+        f = field_of_order(q)
+        assert (f.p, f.k, f.q) == (p, k, q)
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="not a prime power"):
+            field_of_order(q)
+
+
+def test_rref_over_gf5():
+    f = field_make(5)
+    rows, pivots = rref(f, [[0, 2, 4, 1], [0, 1, 2, 0], [1, 1, 1, 1]])
+    assert pivots == [0, 1, 3]
+    assert rows == [[1, 0, 4, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+    assert rref(f, [[0, 0], [0, 0]]) == ([], [])
+
+
 def test_format_parse_roundtrip(gf4):
     for x in range(4):
         assert gf4.parse_element(gf4.format_element(x)) == x
-
-
-# ---------------------------------------------------------------------------
-# half-integers
-
-
-def test_halfinteger_invariant():
-    h = HalfInteger(3, 2)
-    assert h.numerator == 3 and h.denominator == 2
-    assert HalfInteger(4, 2) == HalfInteger(2, 1)
-    with pytest.raises(ValueError):
-        HalfInteger(1, 3)
-
-
-def test_halfinteger_matches_rationals_exhaustively():
-    vals = [HalfInteger(n, d) for n in range(-8, 9) for d in (1, 2)]
-    for a in vals:
-        for b in vals:
-            fa, fb = a.to_fraction(), b.to_fraction()
-            assert (a + b).to_fraction() == fa + fb
-            assert (a - b).to_fraction() == fa - fb
-            assert (-a).to_fraction() == -fa
-            prod = fa * fb
-            if prod.denominator in (1, 2):
-                assert (a * b).to_fraction() == prod
-            else:
-                with pytest.raises(ValueError):
-                    a * b
-
-
-def test_halfinteger_inverse():
-    assert HalfInteger(2).inverse() == HalfInteger(1, 2)
-    assert HalfInteger(1, 2).inverse() == HalfInteger(2)
-    with pytest.raises(ValueError):
-        HalfInteger(3).inverse()
-    assert HalfInteger.one * HalfInteger(5, 2) == HalfInteger(5, 2)
-    assert HalfInteger.zero + HalfInteger(5, 2) == HalfInteger(5, 2)

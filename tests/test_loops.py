@@ -46,6 +46,14 @@ def test_closure_cap():
         closure([1], lambda a, b: (a + b) % 1000, 0, cap=10)
 
 
+def test_loop_from_closure_refuses_past_table_size():
+    # (Z/2)^12 has 4096 elements, above the 2048-element table limit
+    with pytest.raises(ValueError, match="table limit"):
+        loop_from_closure([1 << b for b in range(12)], lambda a, b: a ^ b, 0)
+    with pytest.raises(ClosureCapExceeded):
+        loop_from_closure([1 << b for b in range(12)], lambda a, b: a ^ b, 0, cap=10)
+
+
 def test_closure_paige2_generators_mod_sign(m2):
     """The q=2 triple closes to all 120 classes; generic closure agrees
     with the packed engine element by element."""

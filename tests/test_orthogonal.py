@@ -3,7 +3,7 @@ import pytest
 
 from moufang import paige
 from moufang.composition import ZornMatrix, bilinear
-from moufang.fields import field_make
+from moufang.fields import field_make, field_of_order
 from moufang.orthogonal import (SpinorVerdict, column_space_basis,
                                 conjugation_matrix, left_matrix_closed_form,
                                 identity_matrix, is_orthogonal, is_rotation,
@@ -14,7 +14,7 @@ from moufang.orthogonal import (SpinorVerdict, column_space_basis,
 
 def random_unit(q, rng, loop_cache={}):
     if q not in loop_cache:
-        field = paige._field_for(q)
+        field = field_of_order(q)
         loop_cache[q] = (field, paige.enumerate_unit_coords(field))
     field, coords = loop_cache[q]
     row = coords[int(rng.integers(len(coords)))]
@@ -51,7 +51,7 @@ def test_mult_operator_identity(gf3):
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_left_operator_matches_closed_form(q, rng):
-    field = paige._field_for(q)
+    field = field_of_order(q)
     for _ in range(40):
         a = ZornMatrix.from_coords(field, [int(rng.integers(q)) for _ in range(8)])
         assert np.array_equal(mult_operator_matrix(a, "left"),
@@ -68,7 +68,7 @@ def test_closed_form_matrix_entries(gf7, rng):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_det_of_translation_is_fourth_power(q, rng):
-    field = paige._field_for(q)
+    field = field_of_order(q)
     for _ in range(25):
         a = ZornMatrix.from_coords(field, [int(rng.integers(q)) for _ in range(8)])
         M = mult_operator_matrix(a, "left")
@@ -95,7 +95,7 @@ def test_spinor_identity(gf3):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_spinor_translations_square(q, rng):
-    field = paige._field_for(q)
+    field = field_of_order(q)
     for _ in range(40):
         a = random_unit(q, rng)
         for side in ("left", "right"):
@@ -174,7 +174,7 @@ def test_involution_eigenspaces_orthogonal(gf5, rng):
 @pytest.mark.parametrize("q", [3, 5])
 def test_conjugation_factorization(q, rng):
     # iota L_a^-1 iota L_a = R_a L_a, i.e. C M_L^-1 C = M_R as matrices
-    field = paige._field_for(q)
+    field = field_of_order(q)
     C = conjugation_matrix(field)
     for _ in range(20):
         a = random_unit(q, rng)

@@ -3,7 +3,7 @@ import pytest
 
 from moufang import loops, paige
 from moufang.composition import ZornMatrix
-from moufang.fields import field_make
+from moufang.fields import field_make, field_of_order
 
 
 def test_order_formulas():
@@ -42,7 +42,7 @@ def test_conjugate_is_inverse_exhaustive():
 
 def test_quotient_ratio():
     for q in (2, 3, 4, 5):
-        field = paige._field_for(q)
+        field = field_of_order(q)
         coords = paige.enumerate_unit_coords(field)
         eng = paige.ZornEngine(field)
         reps = int((eng.pack(coords) <= eng.pack(eng.neg(coords))).sum())
