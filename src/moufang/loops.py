@@ -1,6 +1,6 @@
 """Finite loop engine: Cayley tables, translations, multiplication and inner
 mapping groups, characteristic subloops, normality and simplicity tests,
-Moufang/autotopism checks, and isomorphism search.
+Moufang/autotopism checks, isomorphism search and automorphism groups.
 
 Loops at or below _TABLE_LIMIT elements carry a full numpy Cayley table plus
 left/right division tables; larger loops run off a batched multiplication
@@ -623,41 +623,29 @@ def _derivation_schedules(loop, gens, levels):
     return schedules
 
 
-def _iso_search(L1, L2, count_all, collector=None):
-    n = L1.n
-    if n != L2.n:
-        return (None, 0)
-    if n > _IDENTITY_SAMPLE_LIMIT:
-        raise ValueError("isomorphism search capped at %d elements"
-                         % _IDENTITY_SAMPLE_LIMIT)
-    o1, s1 = _invariant_vector(L1)
-    o2, s2 = _invariant_vector(L2)
-    if sorted(zip(map(int, o1), map(int, s1))) != sorted(zip(map(int, o2), map(int, s2))):
-        return (None, 0)
+def _invariant_candidates(o1, s1, o2, s2, gens):
+    """For each generator, the targets whose invariants match its own."""
+    return [[h for h in range(len(o2)) if o2[h] == o1[g] and s2[h] == s1[g]]
+            for g in gens]
 
-    gens, levels = generating_sequence(L1)
+
+def _extender(L1, L2, gens, levels, candidates):
+    """First-found backtracking over generator images.
+
+    extend(level, trial, images) tries each h of images (default: the
+    candidates of that level) as the image of gens[level], completes the map
+    on the level's subloop through its derivation schedule, checks that it
+    is injective and a homomorphism there, recurses, and at the leaf checks
+    the whole table.  Returns the first complete map, or None."""
     T1, T2 = L1.table, L2.table
     schedules = _derivation_schedules(L1, gens, levels)
-    candidates = [[h for h in range(n) if o2[h] == o1[g] and s2[h] == s1[g]]
-                  for g in gens]
 
-    found = []
-    count = [0]
-
-    def extend(level, trial):
+    def extend(level, trial, images=None):
         if level == len(gens):
-            m = trial
-            if (T2[np.ix_(m, m)] == m[T1]).all():
-                count[0] += 1
-                if not found:
-                    found.append(m.copy())
-                if collector is not None:
-                    collector.append(m.astype(np.int32).copy())
-                return not count_all
-            return False
+            return trial if (T2[np.ix_(trial, trial)] == trial[T1]).all() else None
         g = gens[level]
         steps, sub = schedules[level]
-        for h in candidates[level]:
+        for h in candidates[level] if images is None else images:
             if (trial == h).any():
                 continue
             t = trial.copy()
@@ -678,37 +666,99 @@ def _iso_search(L1, L2, count_all, collector=None):
                 continue
             if not (T2[np.ix_(msub, msub)] == t[T1[np.ix_(sub, sub)]]).all():
                 continue
-            if extend(level + 1, t):
-                return True
-        return False
+            m = extend(level + 1, t)
+            if m is not None:
+                return m
+        return None
 
-    start = np.full(n, -1, dtype=np.int64)
-    start[L1.neutral] = L2.neutral
-    extend(0, start)
-    witness = None
-    if found:
-        witness = LoopMorphismWitness(L1, L2, found[0].astype(np.int32))
-        assert witness.verify()
-    return (witness, count[0])
+    return extend
 
 
 def find_isomorphism(L1, L2):
     """A verified isomorphism witness, or None after exhausting the search."""
-    witness, _ = _iso_search(L1, L2, count_all=False)
+    n = L1.n
+    if n != L2.n:
+        return None
+    if n > _IDENTITY_SAMPLE_LIMIT:
+        raise ValueError("isomorphism search capped at %d elements"
+                         % _IDENTITY_SAMPLE_LIMIT)
+    o1, s1 = _invariant_vector(L1)
+    o2, s2 = _invariant_vector(L2)
+    if sorted(zip(map(int, o1), map(int, s1))) != sorted(zip(map(int, o2), map(int, s2))):
+        return None
+    gens, levels = generating_sequence(L1)
+    extend = _extender(L1, L2, gens, levels,
+                       _invariant_candidates(o1, s1, o2, s2, gens))
+    start = np.full(n, -1, dtype=np.int64)
+    start[L1.neutral] = L2.neutral
+    m = extend(0, start)
+    if m is None:
+        return None
+    witness = LoopMorphismWitness(L1, L2, m.astype(np.int32))
+    assert witness.verify()
     return witness
 
 
-def automorphism_count(loop):
-    """Number of self-isomorphisms, by the same backtracking engine."""
-    _, count = _iso_search(loop, loop, count_all=True)
-    return count
+def _orbit(point, perms):
+    orbit = {point}
+    todo = [point]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            y = int(p.a[x])
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def automorphisms(loop):
-    """All automorphisms as index arrays (exhaustive backtracking)."""
-    maps = []
-    _iso_search(loop, loop, count_all=True, collector=maps)
-    return maps
+    """Aut(loop) as a PermGroup on the element indices (table mode).
+
+    The base is the generating sequence g_0..g_{k-1}.  From the deepest
+    level up, level i fixes the subloop <g_0..g_{i-1}> pointwise and tries
+    each invariant-matching image h of g_i outside the orbit of g_i under
+    the generators found so far; the automorphism with g_i -> h that the
+    backtracking of find_isomorphism finds first becomes a strong generator.
+    When no automorphism reaches h, none reaches the orbit of h either.
+    |Aut| is the product of the basic orbit lengths; Schreier-Sims on the
+    strong generators must give the same order."""
+    if loop.table is None:
+        raise ValueError("automorphism search needs a table-mode loop "
+                         "(at most %d elements)" % _TABLE_LIMIT)
+    n = loop.n
+    gens, levels = generating_sequence(loop)
+    orders, sizes = _invariant_vector(loop)
+    candidates = _invariant_candidates(orders, sizes, orders, sizes, gens)
+    extend = _extender(loop, loop, gens, levels, candidates)
+    strong = []
+    order = 1
+    for i in reversed(range(len(gens))):
+        fixed = levels[i - 1] if i else [loop.neutral]
+        trial = np.full(n, -1, dtype=np.int64)
+        trial[fixed] = fixed
+        orbit = _orbit(gens[i], strong)
+        dead = set()
+        for h in candidates[i]:
+            if h in orbit or h in dead:
+                continue
+            m = extend(i, trial, [h])
+            if m is None:
+                dead |= _orbit(h, strong)
+                continue
+            strong.append(Perm(m))
+            orbit = _orbit(gens[i], strong)
+        order *= len(orbit)
+    group = PermGroup(n, strong)
+    if group.order() != order:
+        raise AssertionError("Schreier-Sims order %d != product of basic "
+                             "orbit lengths %d" % (group.order(), order))
+    return group
+
+
+def automorphism_count(loop):
+    """|Aut(loop)|, certified by Schreier-Sims."""
+    return automorphisms(loop).order()
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,7 @@ def test_criterion_11_automorphisms():
     d = ok(run(["aut-count", "--loop", "M*(2)"]))
     assert int(d["aut"]) == 12096
     assert d["collineation_check"] == "pass"
+    assert d["mode"] == "certified"
     assert time.time() - t0 <= 600
     announce(11, "|Aut(M*(2))| = 12096 = |G2(2)|; every automorphism is a "
                  "direction-preserving collineation")

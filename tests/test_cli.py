@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moufang
 from moufang.cli import run
 
 
@@ -113,6 +117,31 @@ def test_aut_count_small():
     d = lines_dict(rep)
     assert rep.status == 0 and d["aut"] == "4"
     assert d["collineation_check"] == "pass"
+    assert d["mode"] == "certified"
+
+
+def test_aut_count_m3():
+    # |Aut(M*(3))| = |G2(3)|
+    rep = run(["aut-count", "--loop", "M*(3)"])
+    d = lines_dict(rep)
+    assert rep.status == 0 and d["aut"] == "4245696"
+    assert d["collineation_check"] == "pass" and d["mode"] == "certified"
+
+
+def test_aut_count_refuses_oracle_loop():
+    # M*(4) has 16320 elements, past table size: multiplication oracle only
+    assert run(["aut-count", "--loop", "M*(4)"]).status == 2
+
+
+def test_module_entry_point_is_quiet():
+    src = str(Path(moufang.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "moufang.cli", "aut-count",
+                          "--loop", "Z(5)"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    assert "aut=4" in out.stdout.splitlines()
 
 
 def test_reports_are_deterministic():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -279,8 +281,46 @@ def test_automorphism_counts_small(s3_loop):
     assert automorphism_count(cyclic_loop(3)) == 2
     assert automorphism_count(s3_loop) == 6
     assert automorphism_count(klein_loop()) == 6
-    auts = automorphisms(cyclic_loop(3))
+    auts = automorphisms(cyclic_loop(3)).elements()
     assert len(auts) == 2
+
+
+def brute_force_automorphisms(loop):
+    """Every permutation fixing the neutral element that is a homomorphism."""
+    T = loop.table
+    rest = [x for x in range(loop.n) if x != loop.neutral]
+    out = set()
+    for images in itertools.permutations(rest):
+        m = np.empty(loop.n, dtype=np.int64)
+        m[loop.neutral] = loop.neutral
+        m[rest] = images
+        if (T[np.ix_(m, m)] == m[T]).all():
+            out.add(tuple(int(v) for v in m))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8",
+                                  "S3", "klein"])
+def test_automorphisms_match_brute_force(name, s3_loop):
+    loop = {"S3": s3_loop, "klein": klein_loop()}.get(name)
+    if loop is None:
+        loop = cyclic_loop(int(name[1:]))
+    group = automorphisms(loop)
+    found = {tuple(int(v) for v in p.a) for p in group.elements()}
+    assert found == brute_force_automorphisms(loop)
+    assert group.order() == len(found)
+
+
+def test_automorphisms_of_m2_are_pinned(m2):
+    # SHA-256 of the 12096 automorphism arrays (int32 little-endian, rows in
+    # lexicographic order) as the exhaustive enumeration listed them
+    group = automorphisms(m2)
+    assert group.order() == 12096
+    rows = np.array(sorted(tuple(int(v) for v in p.a) for p in group.elements()),
+                    dtype="<i4")
+    assert rows.shape == (12096, 120)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "42fe510149777d5e21a7ba5f3c0b29f81b38b4964e83d1b8c26a6486c07e7cc5")
 
 
 def test_isomorphism_between_relabeled_copies(m2, rng):

@@ -211,8 +211,8 @@ def test_autotopism_triples_from_reflection_products(m2, rng):
 
 def test_automorphisms_are_direction_preserving_collineations(s3_loop):
     net = LoopNet3(s3_loop)
-    for alpha in loops.automorphisms(s3_loop):
-        img = diagonal_point_map(net, alpha)
+    for alpha in loops.automorphisms(s3_loop).elements():
+        img = diagonal_point_map(net, alpha.a)
         coll = collineation_from_point_map(net, img)
         assert coll.is_direction_preserving()
 
@@ -232,7 +232,8 @@ def test_direction_preserving_origin_fixers_are_automorphisms(s3_loop):
     origin = net.origin()
     n = s3_loop.n
     auts = {a.tobytes(): a for a in
-            (np.asarray(m, dtype=np.int64) for m in loops.automorphisms(s3_loop))}
+            (np.asarray(m.a, dtype=np.int64)
+             for m in loops.automorphisms(s3_loop).elements())}
     found = 0
     for g in w.group.elements(limit=20000):
         if g(origin) != origin:
