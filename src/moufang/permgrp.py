@@ -143,6 +143,7 @@ class PermGroup:
         self.degree = degree
         self.gens = gens
         self._levels = None
+        self._gen_inverses = None
         if build:
             self._chain()
 
@@ -280,12 +281,12 @@ class PermGroup:
         for a seeded rng.  Used for sampling checks, never for orders."""
         if not self.gens:
             return Perm.identity(self.degree)
+        if self._gen_inverses is None:
+            self._gen_inverses = [g.inverse() for g in self.gens]
         p = Perm.identity(self.degree)
         for _ in range(word_length):
-            g = self.gens[int(rng.integers(len(self.gens)))]
-            if int(rng.integers(2)):
-                g = g.inverse()
-            p = p * g
+            i = int(rng.integers(len(self.gens)))
+            p = p * (self._gen_inverses[i] if int(rng.integers(2)) else self.gens[i])
         return p
 
     def elements(self, limit=200000):

@@ -2,10 +2,12 @@
 
 A loop L gives a 3-net on L x L with point id x*n + y and three line
 classes: vertical (X = c, class 1), horizontal (Y = c, class 2) and
-transversal (XY = c, class 3).  Bol reflections are built from the
-coordinate formulas, verified to be involutive collineations swapping the
-other two classes, and the group they generate carries the triality
-structure: sigma and rho act on the direction-preserving part by
+transversal (XY = c, class 3); line c of class cls has id (cls-1)*n + c.
+Bol reflections are built from the coordinate formulas and verified on
+points to be involutive collineations swapping the other two classes.  The
+group they generate acts faithfully on the 3n lines (every point is the
+meet of its vertical and horizontal lines), is computed there, and carries
+the triality structure: sigma and rho act on the direction-preserving part by
 conjugation and satisfy [g,s][g,s]^r[g,s]^r2 = 1.
 
 The reverse construction takes such a group and rebuilds a net whose lines
@@ -15,6 +17,7 @@ generating a copy of S3."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +127,14 @@ class Collineation:
     def is_direction_preserving(self):
         return all(self.class_action[c] == c for c in (1, 2, 3))
 
+    @cached_property
+    def line_perm(self):
+        """The action on the 3n lines, line c of class cls being
+        (cls-1)*n + c; faithful, and a homomorphism of collineations."""
+        n = len(self.line_maps[VERTICAL])
+        return Perm(np.concatenate([(self.class_action[c] - 1) * n + self.line_maps[c]
+                                    for c in (1, 2, 3)]), _checked=True)
+
 
 def _analyze_point_map(net, img):
     """Classify the image of every line of every class; raise if some line
@@ -137,16 +148,17 @@ def _analyze_point_map(net, img):
     line_maps = {}
 
     def classify(rows_x, rows_y, rows_c, cls_name):
-        # rows_*: (n_lines, n_points_on_line) coordinate arrays of images
+        # rows_*: (n_lines, n_points_on_line) coordinate arrays of images;
+        # the line map is copied so it does not keep the n x n arrays alive
         const_x = (rows_x == rows_x[:, :1]).all(axis=1)
         const_y = (rows_y == rows_y[:, :1]).all(axis=1)
         const_c = (rows_c == rows_c[:, :1]).all(axis=1)
         if const_x.all():
-            return VERTICAL, rows_x[:, 0]
+            return VERTICAL, rows_x[:, 0].copy()
         if const_y.all():
-            return HORIZONTAL, rows_y[:, 0]
+            return HORIZONTAL, rows_y[:, 0].copy()
         if const_c.all():
-            return TRANSVERSAL, rows_c[:, 0]
+            return TRANSVERSAL, rows_c[:, 0].copy()
         raise NotACollineationError("a %s line maps to a non-line" % cls_name)
 
     # vertical lines are the rows of the (x, y) grid
@@ -259,7 +271,7 @@ class TrialityWitness:
     sigma: Perm
     rho: Perm
     sigmas: tuple              # (sigma1, sigma2, sigma3) involutions
-    log: list = dc_field(default_factory=list)
+    details: dict = dc_field(default_factory=dict)  # of its triality_check
     origin_net: object = None  # the source net when built from a loop
     full_group: object = None  # reflection group M when built from a loop
 
@@ -412,6 +424,18 @@ def triality_check(G, sigma, rho, mode="auto", samples=1000, seed=SAMPLE_SEED,
     return (ok_a and ok_b), details
 
 
+def _checked_witness(witness, what, mode, seed, samples=1000):
+    """Run triality_check once on the witness and keep its details; raise
+    AssertionError if the identity fails."""
+    ok, witness.details = triality_check(witness.group, witness.sigma,
+                                         witness.rho, mode=mode,
+                                         samples=samples, seed=seed)
+    if not ok:
+        raise AssertionError("%s failed the triality identity: %r"
+                             % (what, witness.details))
+    return witness
+
+
 def triality_group_from_loop(loop, cap=128, mode="auto", samples=1000,
                              seed=SAMPLE_SEED):
     """Bol-reflection group of the net of a Moufang loop, split into the
@@ -420,34 +444,23 @@ def triality_group_from_loop(loop, cap=128, mode="auto", samples=1000,
     The direction-preserving part is generated by the products
     sigma_m sigma_e taken within each class (the same Schreier generators
     the class-action kernel construction would produce, already reduced).
+    Every group here acts on the 3n lines of the net.
     """
     net = LoopNet3(loop, cap=cap)
-    refl = all_bol_reflections(loop, net=net)
+    refl = {key: coll.line_perm
+            for key, coll in all_bol_reflections(loop, net=net).items()}
     e = loop.neutral
-    s1 = refl[(VERTICAL, e)].point_map
-    s2 = refl[(HORIZONTAL, e)].point_map
-    s3 = refl[(TRANSVERSAL, e)].point_map
+    s1, s2, s3 = (refl[(cls, e)] for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL))
     if not (s1 * s2 * s1 == s3 and (s2 * s1 * s2) == s3):
         raise AssertionError("origin reflections do not close into S3")
-    sigma = s1
-    rho = s1 * s2
     origin_sigma = {VERTICAL: s1, HORIZONTAL: s2, TRANSVERSAL: s3}
-    m0_gens = []
-    for (cls, m), coll in refl.items():
-        if m == e:
-            continue
-        m0_gens.append(coll.point_map * origin_sigma[cls])
-    M = PermGroup(net.n_points, [c.point_map for c in refl.values()])
-    M0 = PermGroup(net.n_points, m0_gens)
-    witness = TrialityWitness(M0, sigma, rho, (s1, s2, s3),
+    m0_gens = [p * origin_sigma[cls] for (cls, m), p in refl.items() if m != e]
+    M = PermGroup(net.n_lines(), list(refl.values()))
+    M0 = PermGroup(net.n_lines(), m0_gens)
+    witness = TrialityWitness(M0, s1, s1 * s2, (s1, s2, s3),
                               origin_net=net, full_group=M)
-    ok, details = triality_check(M0, sigma, rho, mode=mode, samples=samples,
-                                 seed=seed)
-    witness.log.append("triality=%s %r" % ("PASS" if ok else "FAIL", details))
-    if not ok:
-        raise AssertionError("triality identity failed on the net of a "
-                             "purported Moufang loop: %r" % (details,))
-    return witness
+    return _checked_witness(witness, "the net of a purported Moufang loop",
+                            mode, seed, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +626,7 @@ def example_wreath(A, mode="auto", seed=SAMPLE_SEED):
     rho = Perm(rho_img)
 
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    ok, details = triality_check(G, sigma, rho, mode=mode, seed=seed)
-    witness.log.append("triality=%s %r" % ("PASS" if ok else "FAIL", details))
-    if not ok:
-        raise AssertionError("wreath construction failed the triality identity")
-    return witness
+    return _checked_witness(witness, "the wreath construction", mode, seed)
 
 
 def example_phi(A, phi, mode="auto", seed=SAMPLE_SEED):
@@ -652,11 +661,7 @@ def example_phi(A, phi, mode="auto", seed=SAMPLE_SEED):
     sigma = Perm(swap)
     rho = Perm(np.concatenate([phi.a, phi_inv.a + n]))
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    ok, details = triality_check(G, sigma, rho, mode=mode, seed=seed)
-    witness.log.append("triality=%s %r" % ("PASS" if ok else "FAIL", details))
-    if not ok:
-        raise AssertionError("phi construction failed the triality identity")
-    return witness
+    return _checked_witness(witness, "the phi construction", mode, seed)
 
 
 def example_vector(field, mode="auto", seed=SAMPLE_SEED):
@@ -696,8 +701,4 @@ def example_vector(field, mode="auto", seed=SAMPLE_SEED):
     if not (rho * rho * rho).is_identity():
         raise AssertionError("rho does not have order 3")
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    ok, details = triality_check(G, sigma, rho, mode=mode, seed=seed)
-    witness.log.append("triality=%s %r" % ("PASS" if ok else "FAIL", details))
-    if not ok:
-        raise AssertionError("vector construction failed the triality identity")
-    return witness
+    return _checked_witness(witness, "the vector construction", mode, seed)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import moufang
-from moufang.cli import run
+from moufang.cli import main, run
 
 
 def lines_dict(rep):
@@ -128,9 +128,48 @@ def test_aut_count_m3():
     assert d["collineation_check"] == "pass" and d["mode"] == "certified"
 
 
-def test_aut_count_refuses_oracle_loop():
+def test_aut_count_refuses_oracle_loop(capsys):
     # M*(4) has 16320 elements, past table size: multiplication oracle only
-    assert run(["aut-count", "--loop", "M*(4)"]).status == 2
+    assert main(["aut-count", "--loop", "M*(4)"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _triality_stdout(case, checked, pairs, mode="exhaustive"):
+    return ("case=%s\nmode=%s\nidentity=PASS\nidentity_checked=%d\n"
+            "reformulation=PASS\npairs_checked=%d\nroutes_agree=yes\n"
+            "triality=pass\n" % (case, mode, checked, pairs))
+
+
+def _bol_stdout(loop, reflections):
+    return ("loop=%s\nreflections=%d\ninvolutions=ok\ncollineations=ok\n"
+            "s3_origin=ok\nconcurrent_points=50\nconcurrent_pairs=ok\n"
+            % (loop, reflections))
+
+
+# Full stdout of the commands whose groups act on the net's lines, as
+# printed when those groups acted on its n^2 points; the same at both seeds.
+PINNED_STDOUT = [
+    (["triality-check", "--case", "wreath-s3"], _triality_stdout("wreath-s3", 216, 216)),
+    (["triality-check", "--case", "vector-gf5"], _triality_stdout("vector-gf5", 25, 150)),
+    (["triality-check", "--case", "vector-gf2"], _triality_stdout("vector-gf2", 4, 24)),
+    (["triality-check", "--case", "phi-z3z3"], _triality_stdout("phi-z3z3", 81, 486)),
+    (["triality-check", "--case", "net-z3"], _triality_stdout("net-z3", 3, 54)),
+    (["triality-check", "--case", "net-s3"], _triality_stdout("net-s3", 108, 216)),
+    (["triality-check", "--case", "net-paige2"],
+     _triality_stdout("net-paige2", 1357, 1000, mode="sampled")),
+    (["bol-check", "--loop", "Z(3)"], _bol_stdout("Z(3)", 9)),
+    (["bol-check", "--loop", "S3"], _bol_stdout("S3", 18)),
+    (["bol-check", "--loop", "M*(2)"], _bol_stdout("M*(2)", 360)),
+]
+
+
+@pytest.mark.parametrize("seed", [None, 24301])
+@pytest.mark.parametrize("argv,stdout", PINNED_STDOUT,
+                         ids=[" ".join(a[1:]) for a, _ in PINNED_STDOUT])
+def test_line_action_output_is_pinned(argv, stdout, seed, capsys):
+    extra = [] if seed is None else ["--seed", str(seed)]
+    assert main(argv + extra) == 0
+    assert capsys.readouterr().out == stdout
 
 
 def test_module_entry_point_is_quiet():

@@ -65,6 +65,21 @@ def test_random_words_are_members(name, gens, order, rng):
 
 
 @pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
+def test_random_element_draws_the_seeded_words(name, gens, order):
+    # reference: the word drawn generator by generator, inverting on the spot
+    G = PermGroup(gens[0].degree, gens)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        want = Perm.identity(G.degree)
+        for _ in range(20):
+            g = G.gens[int(ref_rng.integers(len(G.gens)))]
+            if int(ref_rng.integers(2)):
+                g = g.inverse()
+            want = want * g
+        assert G.random_element(rng) == want
+
+
+@pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
 def test_order_independent_of_generator_order(name, gens, order):
     assert PermGroup(gens[0].degree, list(reversed(gens))).order() == order
 

@@ -206,6 +206,51 @@ def test_autotopism_triples_from_reflection_products(m2, rng):
 
 
 # ---------------------------------------------------------------------------
+# the action on lines
+
+
+@pytest.mark.parametrize("loop_name", ["z3", "s3"])
+def test_line_perm_is_a_homomorphism(loop_name, s3_loop):
+    L = {"z3": cyclic_loop(3), "s3": s3_loop}[loop_name]
+    net = LoopNet3(L)
+    refl = list(all_bol_reflections(L, net=net).values())
+    for a in refl:
+        for b in refl:
+            prod = collineation_from_point_map(net, (a.point_map * b.point_map).a)
+            assert prod.line_perm == a.line_perm * b.line_perm
+    a, b, c = refl[1], refl[-1], refl[len(refl) // 2]
+    word = collineation_from_point_map(
+        net, (a.point_map * b.point_map * c.point_map).a)
+    assert word.line_perm == a.line_perm * b.line_perm * c.line_perm
+
+
+@pytest.mark.parametrize("loop_name", ["z3", "s3"])
+def test_line_action_is_faithful(loop_name, s3_loop):
+    # M and M0 on the 3n lines have the orders of the same groups on points
+    L = {"z3": cyclic_loop(3), "s3": s3_loop}[loop_name]
+    w = triality_group_from_loop(L)
+    net = w.origin_net
+    refl = all_bol_reflections(L, net=net)
+    e = L.neutral
+    M = PermGroup(net.n_points, [c.point_map for c in refl.values()])
+    M0 = PermGroup(net.n_points, [c.point_map * refl[(cls, e)].point_map
+                                  for (cls, m), c in refl.items() if m != e])
+    assert w.full_group.degree == w.group.degree == 3 * L.n
+    assert w.full_group.order() == M.order()
+    assert w.group.order() == M0.order()
+    assert len(w.group.gens) == len(M0.gens)
+
+
+def test_line_maps_own_their_memory(m2):
+    # a view would keep the n x n image arrays of every reflection alive
+    net = LoopNet3(m2)
+    for cls in (1, 2, 3):
+        coll = bol_reflection(m2, cls, 5, net=net)
+        for lm in coll.line_maps.values():
+            assert lm.base is None and lm.shape == (m2.n,)
+
+
+# ---------------------------------------------------------------------------
 # automorphisms as collineations (both directions)
 
 
@@ -225,25 +270,27 @@ def test_non_automorphism_diagonal_fails(s3_loop):
 
 
 def test_direction_preserving_origin_fixers_are_automorphisms(s3_loop):
-    # enumerate M0 of the S3 net; every element fixing the origin and the
-    # directions must be the diagonal map of an automorphism
+    # enumerate M0 of the S3 net on its lines; every element fixing the
+    # origin and the directions must be the diagonal map of an automorphism
     w = triality_group_from_loop(s3_loop)
     net = w.origin_net
-    origin = net.origin()
     n = s3_loop.n
+    e = s3_loop.neutral
     auts = {a.tobytes(): a for a in
             (np.asarray(m.a, dtype=np.int64)
              for m in loops.automorphisms(s3_loop).elements())}
     found = 0
     for g in w.group.elements(limit=20000):
-        if g(origin) != origin:
+        # direction preserving holds inside M0 by construction, so g fixes
+        # the origin exactly when it fixes its vertical and horizontal lines
+        if g(e) != e or g(n + e) != n + e:
             continue
-        # direction preserving holds inside M0 by construction
-        alpha = g.a[np.arange(n, dtype=np.int64) * n + s3_loop.neutral] // n
-        beta = g.a[s3_loop.neutral * n + np.arange(n, dtype=np.int64)] % n
+        alpha = g.a[:n].astype(np.int64)      # vertical line x -> x alpha
+        beta = g.a[n:2 * n].astype(np.int64) - n  # horizontal y -> y beta
         assert (alpha == beta).all()
-        assert (g.a == diagonal_point_map(net, alpha)).all()
-        assert np.asarray(alpha, dtype=np.int64).tobytes() in auts
+        coll = collineation_from_point_map(net, diagonal_point_map(net, alpha))
+        assert g == coll.line_perm
+        assert alpha.tobytes() in auts
         found += 1
     assert found >= 1
 
@@ -256,6 +303,7 @@ def test_triality_group_z3_exhaustive():
     w = triality_group_from_loop(cyclic_loop(3))
     ok, details = triality_check(w.group, w.sigma, w.rho, mode="exhaustive")
     assert ok and details["routes_agree"]
+    assert w.details == details  # the check the constructor ran, kept
 
 
 def test_triality_group_s3_exhaustive(s3_loop):
@@ -269,11 +317,9 @@ def test_triality_m0_is_class_action_kernel(s3_loop):
     from moufang.permgrp import homomorphism_kernel
     w = triality_group_from_loop(s3_loop)
     M = w.full_group
-    net = w.origin_net
-    images = []
-    for g in M.gens:
-        coll = collineation_from_point_map(net, g.a)
-        images.append(Perm([coll.class_action[c] - 1 for c in (1, 2, 3)]))
+    n = w.origin_net.n
+    # line (cls-1)*n + c lands in class (image // n) + 1
+    images = [Perm([int(g.a[c * n]) // n for c in range(3)]) for g in M.gens]
     K = homomorphism_kernel(M, images, verify=True)
     assert K.order() == w.group.order()
     assert K.is_subgroup(w.group) and w.group.is_subgroup(K)
