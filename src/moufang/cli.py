@@ -1,6 +1,7 @@
 """Command-line surface.  Every check prints stable key=value lines on
 stdout (diagnostics go to stderr) and exits 0 when the property holds,
-1 when it is falsified (with a witness line), 2 on usage errors."""
+1 when it is falsified (with a witness line), 2 on usage errors and
+refused requests, 3 on internal faults."""
 
 from __future__ import annotations
 
@@ -160,8 +161,6 @@ def _cmd_paige_build(args, rep):
     rep.add("size", loop.n)
     rep.add("neutral", loop.labels[loop.neutral])
     if args.out:
-        if loop.table is None:
-            raise ValueError("loop too large for a table export")
         loops.write_table(loop, args.out)
         rep.add("written", args.out)
 
@@ -219,9 +218,7 @@ def _cmd_moufang_check(args, rep):
     viol = loops.moufang_violation(loop, samples=args.samples, seed=args.seed)
     if viol is None:
         rep.add("moufang", "yes")
-        mode = "exhaustive" if (loop.table is not None and loop.n <= 512) else \
-            "sampled:%d" % args.samples
-        rep.add("mode", mode)
+        rep.add("mode", loops.moufang_mode(loop, args.samples))
     else:
         rep.fail("moufang", "no")
         rep.add("witness", "(%s,%s,%s)" % tuple(loop.labels[i] for i in viol))
@@ -338,7 +335,7 @@ def _cmd_spinor_check(args, rep):
 
 def _cmd_net_build(args, rep):
     loop = _parse_loop(args.loop)
-    net = triality.LoopNet3(loop, cap=loop.n)
+    net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
     rep.add("points", net.n_points)
     rep.add("lines", net.n_lines())
@@ -347,9 +344,15 @@ def _cmd_net_build(args, rep):
 
 def _cmd_bol_check(args, rep):
     loop = _parse_loop(args.loop)
-    net = triality.LoopNet3(loop, cap=loop.n)
-    refl = triality.all_bol_reflections(loop, net=net, cap=loop.n)
+    net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
+    try:
+        refl = triality.all_bol_reflections(loop, net=net)
+    except triality.NotACollineationError as e:
+        # by the Bol criterion, exactly the non-Moufang loops get here
+        rep.fail("collineations", "fail")
+        rep.add("witness", str(e))
+        return
     rep.add("reflections", len(refl))
     rep.add("involutions", "ok")
     rep.add("collineations", "ok")
@@ -467,7 +470,7 @@ def _cmd_aut_count(args, rep):
     # alpha -> (x, y) -> (x alpha, y alpha) is a homomorphism Aut -> Coll and
     # direction-preserving collineations form a group, so the strong
     # generators carry the check for all of Aut.
-    net = triality.LoopNet3(loop, cap=loop.n)
+    net = triality.LoopNet3(loop)
     passed = True
     for alpha in group.gens:
         img = triality.diagonal_point_map(net, alpha.a)
@@ -515,7 +518,8 @@ _HANDLERS = {
 
 def run(argv):
     """Execute one command line; returns a CommandReport (status 2 on
-    usage errors)."""
+    usage errors and refused requests, 3 on internal faults).  Either way
+    stdout stays empty."""
     rep = CommandReport(command="moufang " + " ".join(argv))
     parser = _build_parser()
     try:
@@ -529,6 +533,12 @@ def run(argv):
         print("error: %s" % (e,), file=sys.stderr)
         rep.lines.clear()  # a refused request prints nothing on stdout
         rep.status = 2
+    except Exception as e:
+        import traceback  # only on this path: the import adds 3 MB of peak RSS
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        rep.lines.clear()
+        rep.status = 3
     return rep
 
 

@@ -2,23 +2,40 @@
 mapping groups, characteristic subloops, normality and simplicity tests,
 Moufang/autotopism checks, isomorphism search and automorphism groups.
 
-Loops at or below _TABLE_LIMIT elements carry a full numpy Cayley table plus
-left/right division tables; larger loops run off a batched multiplication
-oracle.  Element indices are the only currency here; labels are carried for
+A loop whose Cayley table and two division tables fit MEMORY_BUDGET is in
+table mode; a larger loop runs off a batched multiplication oracle and
+serves only batched products, the sampled Moufang check and its size.
+Every other routine reads the table through FiniteLoop.require_table.
+Element indices are the only currency here; labels are carried for
 printing and file round-trips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .permgrp import Perm, PermGroup
 
-_TABLE_LIMIT = 2048
+# Bytes a single loop structure may hold.  Fixed rather than read from the
+# machine, so every verdict and every refusal is the same everywhere.
+MEMORY_BUDGET = 2 ** 27
 SAMPLE_SEED = 0x5EED
 _IDENTITY_SAMPLE_LIMIT = 512  # exhaustive identity checks up to this size
+
+
+def table_fits(n):
+    """Whether a Cayley table and its two division tables, 3 n^2 int32
+    cells, fit MEMORY_BUDGET (n <= 3344)."""
+    return 12 * n * n <= MEMORY_BUDGET
+
+
+def _past_budget(n):
+    return ValueError("needs table mode: the tables of a %d-element loop take "
+                      "%d bytes, past the %d-byte memory budget"
+                      % (n, 12 * n * n, MEMORY_BUDGET))
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -28,39 +45,30 @@ class ClosureCapExceeded(RuntimeError):
 class FiniteLoop:
     """A finite loop on indices 0..n-1."""
 
-    def __init__(self, n, labels=None, table=None, batch_fn=None,
-                 neutral=None, ldiv_fn=None, rdiv_fn=None, validate=True):
+    def __init__(self, n, labels=None, table=None, batch_fn=None, neutral=None):
         self.n = n
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("need %d labels" % n)
         self._batch_fn = batch_fn
-        self._ldiv_fn = ldiv_fn
-        self._rdiv_fn = rdiv_fn
         self._orders = None
-        if table is not None:
-            self.table = np.asarray(table, dtype=np.int32)
-            if self.table.shape != (n, n):
-                raise ValueError("table shape mismatch")
-        elif n <= _TABLE_LIMIT:
-            self.table = self._build_table()
-        else:
-            if batch_fn is None:
-                raise ValueError("loops above %d elements need a multiplication oracle"
-                                 % _TABLE_LIMIT)
-            self.table = None
-        if self.table is not None:
-            self._ldiv = None
-            self._rdiv = None
-            if validate:
-                self._validate_table()
-            if neutral is None:
-                neutral = self._find_neutral_table()
-        else:
+        self._ldiv = None
+        self._rdiv = None
+        self.table = None
+        if not table_fits(n):
+            if table is not None or batch_fn is None:
+                raise _past_budget(n)
             if neutral is None:
                 raise ValueError("oracle-backed loops must name their neutral element")
-            if validate:
-                self._validate_neutral_oracle(neutral)
+            self._validate_neutral_oracle(neutral)
+        else:
+            self.table = (self._build_table() if table is None
+                          else np.asarray(table, dtype=np.int32))
+            if self.table.shape != (n, n):
+                raise ValueError("table shape mismatch")
+            self._validate_table()
+            if neutral is None:
+                neutral = self._find_neutral_table()
         self.neutral = int(neutral)
 
     # -- construction helpers ------------------------------------------------
@@ -97,6 +105,12 @@ class FiniteLoop:
         if not ((left == idx).all() and (right == idx).all()):
             raise ValueError("declared neutral element is not neutral")
 
+    def require_table(self):
+        """The Cayley table; ValueError on an oracle-mode loop."""
+        if self.table is None:
+            raise _past_budget(self.n)
+        return self.table
+
     # -- multiplication and division ------------------------------------------
 
     def mult(self, i, j):
@@ -114,58 +128,38 @@ class FiniteLoop:
     @property
     def ldiv(self):
         """Table of x \\ y (solution of x*c = y)."""
-        if self.table is None:
-            raise ValueError("division tables need table mode")
         if self._ldiv is None:
+            T = self.require_table()
             n = self.n
             d = np.empty((n, n), dtype=np.int32)
-            d[np.arange(n)[:, None], self.table] = np.arange(n, dtype=np.int32)[None, :]
+            d[np.arange(n)[:, None], T] = np.arange(n, dtype=np.int32)[None, :]
             self._ldiv = d
         return self._ldiv
 
     @property
     def rdiv(self):
         """Table of x / y (solution of c*y = x)."""
-        if self.table is None:
-            raise ValueError("division tables need table mode")
         if self._rdiv is None:
+            T = self.require_table()
             n = self.n
             d = np.empty((n, n), dtype=np.int32)
-            d[self.table, np.arange(n, dtype=np.int32)[None, :]] = \
+            d[T, np.arange(n, dtype=np.int32)[None, :]] = \
                 np.arange(n, dtype=np.int32)[:, None]
             self._rdiv = d
         return self._rdiv
 
     def left_div(self, i, j):
-        if self.table is not None:
-            return int(self.ldiv[i, j])
-        if self._ldiv_fn is not None:
-            return int(self._ldiv_fn(i, j))
-        raise ValueError("no division oracle")
+        return int(self.ldiv[i, j])
 
     def right_div(self, i, j):
-        if self.table is not None:
-            return int(self.rdiv[i, j])
-        if self._rdiv_fn is not None:
-            return int(self._rdiv_fn(i, j))
-        raise ValueError("no division oracle")
-
-    def right_inverse(self, i):
-        return self.left_div(i, self.neutral)
-
-    def left_inverse(self, i):
-        return self.right_div(self.neutral, i)
+        return int(self.rdiv[i, j])
 
     def two_sided_inverses(self):
         """Array inv with x*inv[x] = inv[x]*x = e, or None if some element
         has distinct one-sided inverses."""
-        n = self.n
-        inv = np.empty(n, dtype=np.int32)
-        for x in range(n):
-            r = self.right_inverse(x)
-            if self.left_inverse(x) != r:
-                return None
-            inv[x] = r
+        inv = self.ldiv[:, self.neutral].copy()       # x \ e
+        if not (self.rdiv[self.neutral, :] == inv).all():  # e / x
+            return None
         return inv
 
     def power_order(self, x):
@@ -224,7 +218,7 @@ def closure(generators, mult, one, cap=100000, sort_key=None):
     frontier_start = 0
     while frontier_start < len(elements):
         frontier_end = len(elements)
-        if keep_products and frontier_end > _TABLE_LIMIT:
+        if keep_products and not table_fits(frontier_end):
             keep_products = False
             raw_products.clear()
         new = []
@@ -250,14 +244,15 @@ def closure(generators, mult, one, cap=100000, sort_key=None):
 
 def loop_from_closure(generators, mult, one, cap=100000, sort_key=None, label=str):
     """Run closure and wrap the result as a table-mode FiniteLoop; a closure
-    that grows past _TABLE_LIMIT elements raises ValueError."""
-    limit = min(cap, _TABLE_LIMIT)
+    that grows past table mode raises ValueError."""
+    limit = min(cap, isqrt(MEMORY_BUDGET // 12) + 1)  # closure keeps < cap
     try:
         elements, products = closure(generators, mult, one, cap=limit, sort_key=sort_key)
     except ClosureCapExceeded:
         if limit == cap:
             raise
-        raise ValueError("closure grows past the table limit %d" % _TABLE_LIMIT) from None
+        raise ValueError("closure grows past the table limit of the %d-byte "
+                         "memory budget" % MEMORY_BUDGET) from None
     n = len(elements)
     table = np.empty((n, n), dtype=np.int32)
     for (i, j), k in products.items():
@@ -267,9 +262,7 @@ def loop_from_closure(generators, mult, one, cap=100000, sort_key=None, label=st
 
 def closure_indices(loop, seed):
     """Subloop generated by the given indices (table mode)."""
-    T = loop.table
-    if T is None:
-        raise ValueError("closure_indices needs table mode")
+    T = loop.require_table()
     member = np.zeros(loop.n, dtype=bool)
     todo = set(int(s) for s in seed)
     todo.add(loop.neutral)
@@ -313,18 +306,12 @@ def generating_sequence(loop):
 
 def left_translation(loop, x):
     """Permutation y -> x*y."""
-    if loop.table is not None:
-        return Perm(loop.table[x, :], _checked=True)
-    idx = np.arange(loop.n, dtype=np.int64)
-    return Perm(loop.mult_batch(np.full(loop.n, x, dtype=np.int64), idx))
+    return Perm(loop.require_table()[x, :], _checked=True)
 
 
 def right_translation(loop, x):
     """Permutation y -> y*x."""
-    if loop.table is not None:
-        return Perm(loop.table[:, x], _checked=True)
-    idx = np.arange(loop.n, dtype=np.int64)
-    return Perm(loop.mult_batch(idx, np.full(loop.n, x, dtype=np.int64)))
+    return Perm(loop.require_table()[:, x], _checked=True)
 
 
 def mlt_group(loop):
@@ -337,7 +324,7 @@ def mlt_group(loop):
 def inner_generators(loop):
     """The standard generators of the inner mapping group as permutations:
     L_x L_y L_{yx}^-1, R_x R_y R_{xy}^-1 and R_x L_x^-1, for all x, y."""
-    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
+    T, LD, RD = loop.require_table(), loop.ldiv, loop.rdiv
     n = loop.n
     for x in range(n):
         yield Perm(LD[x, T[:, x]], _checked=True)  # R_x L_x^-1 : s -> x \ (s x)
@@ -370,44 +357,15 @@ def inner_mapping_group(loop):
 
 def commutant(loop):
     """Elements commuting with everything."""
-    if loop.table is not None:
-        T = loop.table
-        return [x for x in range(loop.n) if (T[x, :] == T[:, x]).all()]
-    out = []
-    idx = np.arange(loop.n, dtype=np.int64)
-    for x in range(loop.n):
-        xs = loop.mult_batch(np.full(loop.n, x, dtype=np.int64), idx)
-        sx = loop.mult_batch(idx, np.full(loop.n, x, dtype=np.int64))
-        if (xs == sx).all():
-            out.append(x)
-    return out
+    T = loop.require_table()
+    return [x for x in range(loop.n) if (T[x, :] == T[:, x]).all()]
 
 
 def _nucleus_exact_one(loop, x):
-    if loop.table is not None:
-        T = loop.table
-        if not (T[T[x, :], :] == T[x, T]).all():
-            return False
-        if not (T[T[:, x], :] == T[:, T[x, :]]).all():
-            return False
-        if not (T[T, x] == T[:, T[:, x]]).all():
-            return False
-        return True
-    n = loop.n
-    idx = np.arange(n, dtype=np.int64)
-    Y, Z = np.meshgrid(idx, idx, indexing="ij")
-    Yf, Zf = Y.ravel(), Z.ravel()
-    X = np.full(len(Yf), x, dtype=np.int64)
-    if not (loop.mult_batch(loop.mult_batch(X, Yf), Zf)
-            == loop.mult_batch(X, loop.mult_batch(Yf, Zf))).all():
-        return False
-    if not (loop.mult_batch(loop.mult_batch(Yf, X), Zf)
-            == loop.mult_batch(Yf, loop.mult_batch(X, Zf))).all():
-        return False
-    if not (loop.mult_batch(loop.mult_batch(Yf, Zf), X)
-            == loop.mult_batch(Yf, loop.mult_batch(Zf, X))).all():
-        return False
-    return True
+    T = loop.require_table()
+    return bool((T[T[x, :], :] == T[x, T]).all()
+                and (T[T[:, x], :] == T[:, T[x, :]]).all()
+                and (T[T, x] == T[:, T[:, x]]).all())
 
 
 def nucleus(loop, candidates=None, prefilter=64, seed=SAMPLE_SEED):
@@ -452,7 +410,7 @@ def center(loop):
 def _apply_inner_images(loop, sub):
     """One sweep of all inner-map images of the index set sub; returns any
     indices found outside it (table mode, vectorized per x)."""
-    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
+    T, LD, RD = loop.require_table(), loop.ldiv, loop.rdiv
     n = loop.n
     member = np.zeros(n, dtype=bool)
     member[sub] = True
@@ -508,13 +466,18 @@ def is_simple(loop, sample=None, seed=SAMPLE_SEED):
 # identities
 
 
-def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
-    """First violation of ((xy)x)z = x(y(xz)) or None.
+def moufang_mode(loop, samples):
+    """How moufang_violation checks the loop: "exhaustive" for table-mode
+    loops of at most _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
+    if loop.table is not None and loop.n <= _IDENTITY_SAMPLE_LIMIT:
+        return "exhaustive"
+    return "sampled:%d" % samples
 
-    Exhaustive at or below 512 elements, seeded samples above.
-    """
+
+def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
+    """First violation of ((xy)x)z = x(y(xz)) or None, in moufang_mode."""
     n = loop.n
-    if loop.table is not None and n <= _IDENTITY_SAMPLE_LIMIT:
+    if moufang_mode(loop, samples) == "exhaustive":
         T = loop.table
         for x in range(n):
             lhs = T[T[T[x, :], x], :]          # [y, z] -> ((xy)x)z
@@ -543,9 +506,7 @@ def is_moufang(loop, samples=100000, seed=SAMPLE_SEED):
 
 def associativity_violation(loop):
     """Some triple with (xy)z != x(yz), or None (table mode)."""
-    T = loop.table
-    if T is None:
-        raise ValueError("needs table mode")
+    T = loop.require_table()
     for x in range(loop.n):
         lhs = T[T[x, :], :]
         rhs = T[x, T]
@@ -558,15 +519,8 @@ def associativity_violation(loop):
 
 def autotopism_check(loop, alpha, beta, gamma):
     """Whether x^alpha * y^beta = (xy)^gamma for all pairs."""
-    a, b, g = alpha.a, beta.a, gamma.a
-    if loop.table is not None:
-        T = loop.table
-        return bool((T[np.ix_(a, b)] == g[T]).all())
-    n = loop.n
-    idx = np.arange(n, dtype=np.int64)
-    X, Y = np.meshgrid(idx, idx, indexing="ij")
-    Xf, Yf = X.ravel(), Y.ravel()
-    return bool((loop.mult_batch(a[Xf], b[Yf]) == g[loop.mult_batch(Xf, Yf)]).all())
+    T = loop.require_table()
+    return bool((T[np.ix_(alpha.a, beta.a)] == gamma.a[T]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +633,8 @@ def find_isomorphism(L1, L2):
     n = L1.n
     if n != L2.n:
         return None
-    if n > _IDENTITY_SAMPLE_LIMIT:
-        raise ValueError("isomorphism search capped at %d elements"
-                         % _IDENTITY_SAMPLE_LIMIT)
+    L1.require_table()
+    L2.require_table()
     o1, s1 = _invariant_vector(L1)
     o2, s2 = _invariant_vector(L2)
     if sorted(zip(map(int, o1), map(int, s1))) != sorted(zip(map(int, o2), map(int, s2))):
@@ -723,9 +676,7 @@ def automorphisms(loop):
     When no automorphism reaches h, none reaches the orbit of h either.
     |Aut| is the product of the basic orbit lengths; Schreier-Sims on the
     strong generators must give the same order."""
-    if loop.table is None:
-        raise ValueError("automorphism search needs a table-mode loop "
-                         "(at most %d elements)" % _TABLE_LIMIT)
+    loop.require_table()
     n = loop.n
     gens, levels = generating_sequence(loop)
     orders, sizes = _invariant_vector(loop)
@@ -776,12 +727,15 @@ def cyclic_loop(n):
 
 def direct_product(L1, L2):
     n1, n2 = L1.n, L2.n
+    T1, T2 = L1.require_table(), L2.require_table()
+    if not table_fits(n1 * n2):
+        raise _past_budget(n1 * n2)
     T = np.empty((n1 * n2, n1 * n2), dtype=np.int32)
     for a in range(n1):
         for b in range(n2):
             i = a * n2 + b
-            T[i, :] = (np.repeat(L1.table[a, :], n2) * n2
-                       + np.tile(L2.table[b, :], n1))
+            T[i, :] = (np.repeat(T1[a, :], n2) * n2
+                       + np.tile(T2[b, :], n1))
     labels = ["(%s,%s)" % (x, y) for x in L1.labels for y in L2.labels]
     return FiniteLoop(n1 * n2, labels=labels, table=T)
 
@@ -800,18 +754,19 @@ def loop_from_perm_group(group, limit=5000):
 
 def write_table(loop, path):
     """Cayley table file: n, labels, then n rows of indices."""
-    if loop.table is None:
-        raise ValueError("export needs table mode")
+    T = loop.require_table()
     with open(path, "w") as fh:
         fh.write("%d\n" % loop.n)
         fh.write(" ".join(loop.labels) + "\n")
-        for row in loop.table:
+        for row in T:
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
 def read_table(path):
     with open(path) as fh:
         n = int(fh.readline())
+        if not table_fits(n):
+            raise _past_budget(n)
         labels = fh.readline().split()
         rows = [[int(v) for v in fh.readline().split()] for _ in range(n)]
     return FiniteLoop(n, labels=labels, table=np.array(rows, dtype=np.int32))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .composition import ZornMatrix
 from .fields import field_of_order, primitive_element
-from .loops import FiniteLoop, ClosureCapExceeded, _TABLE_LIMIT
+from .loops import FiniteLoop, ClosureCapExceeded
 
 _EXHAUSTIVE_Q = 5
 _CLOSURE_ASSERT_LIMIT = 100000
@@ -288,7 +288,7 @@ class _PaigeBackend:
             pos = np.clip(pos, 0, len(self.packed) - 1)
             idx = np.where(self.packed[pos] == packed, pos, -1).astype(np.int32)
         if np.any(idx < 0):
-            raise KeyError("product left the element set; arithmetic bug")
+            raise AssertionError("product left the element set; arithmetic bug")
         return idx
 
     def mul_idx(self, I, J):
@@ -296,19 +296,6 @@ class _PaigeBackend:
         if self.quotient:
             Z = self.engine.canon(Z)
         return self.lookup(self.engine.pack(Z))
-
-    def ldiv_idx(self, i, j):
-        # x \ y = conj(x) * y, valid since inverses are conjugates here
-        Z = self.engine.mul(self.engine.conj(self.coords[[i]]), self.coords[[j]])
-        if self.quotient:
-            Z = self.engine.canon(Z)
-        return int(self.lookup(self.engine.pack(Z))[0])
-
-    def rdiv_idx(self, i, j):
-        Z = self.engine.mul(self.coords[[i]], self.engine.conj(self.coords[[j]]))
-        if self.quotient:
-            Z = self.engine.canon(Z)
-        return int(self.lookup(self.engine.pack(Z))[0])
 
     def labels(self):
         f = self.field.format_element
@@ -340,8 +327,7 @@ def unit_loop(q):
     backend = _PaigeBackend(field, coords, quotient=False)
     n = len(coords)
     loop = FiniteLoop(n, labels=backend.labels(), batch_fn=backend.mul_idx,
-                      neutral=backend.neutral_index(),
-                      ldiv_fn=backend.ldiv_idx, rdiv_fn=backend.rdiv_idx)
+                      neutral=backend.neutral_index())
     # inverse = conjugate; spot-verified here for the whole loop
     eng = backend.engine
     prods = eng.mul(coords, eng.conj(coords))
@@ -353,7 +339,7 @@ def unit_loop(q):
 def paige_loop(q):
     """M*(q): M(q) modulo {e, -e}, on canonical +- representatives."""
     if q > _EXHAUSTIVE_Q:
-        raise ValueError("use paige_oracle for q > %d" % _EXHAUSTIVE_Q)
+        raise ValueError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
     field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     eng = ZornEngine(field)
@@ -366,32 +352,8 @@ def paige_loop(q):
         raise AssertionError("|M*(%d)| = %d but the order formula gives %d"
                              % (q, n, expected))
     loop = FiniteLoop(n, labels=backend.labels(), batch_fn=backend.mul_idx,
-                      neutral=backend.neutral_index(),
-                      ldiv_fn=backend.ldiv_idx, rdiv_fn=backend.rdiv_idx)
+                      neutral=backend.neutral_index())
     return _attach_backend(loop, backend)
-
-
-class PaigeOracle:
-    """Lazy M*(q) for q beyond the enumeration bound: multiplication of
-    canonical representatives without materializing the element set."""
-
-    def __init__(self, q):
-        self.field = field_of_order(q)
-        self.engine = ZornEngine(self.field)
-        self.q = q
-
-    def canonical(self, matrix):
-        row = np.asarray([matrix.coords()], dtype=np.int64)
-        rep = self.engine.canon(row)[0]
-        return ZornMatrix.from_coords(self.field, [int(c) for c in rep])
-
-    def mult(self, x, y):
-        z = self.canonical(x * y)
-        return z
-
-
-def paige_oracle(q):
-    return PaigeOracle(q)
 
 
 def standard_generators(q):

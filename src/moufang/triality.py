@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loops import SAMPLE_SEED, FiniteLoop
+from .loops import MEMORY_BUDGET, SAMPLE_SEED, FiniteLoop
 from .permgrp import Perm, PermGroup
 
 VERTICAL, HORIZONTAL, TRANSVERSAL = 1, 2, 3
@@ -39,12 +39,8 @@ class NotACollineationError(RuntimeError):
 class LoopNet3:
     """3-net of a loop, materialized as index arithmetic on n^2 points."""
 
-    def __init__(self, loop, cap=128):
-        if loop.n > cap:
-            raise ValueError("net materialization capped at %d loop elements "
-                             "(pass cap=... to raise)" % cap)
-        if loop.table is None:
-            raise ValueError("net construction needs a table-mode loop")
+    def __init__(self, loop):
+        loop.require_table()
         self.loop = loop
         self.n = loop.n
         self.n_points = loop.n * loop.n
@@ -216,7 +212,7 @@ def bol_reflection(loop, cls, m, net=None):
     if net is None:
         net = LoopNet3(loop)
     n = loop.n
-    T = loop.table
+    T = loop.require_table()
     inv = loop.two_sided_inverses()
     if inv is None:
         raise NotACollineationError("loop has one-sided inverses only; "
@@ -251,9 +247,17 @@ def bol_reflection(loop, cls, m, net=None):
     return coll
 
 
-def all_bol_reflections(loop, net=None, cap=128):
+def all_bol_reflections(loop, net=None):
+    """The 3n Bol reflections, keyed (class, axis).  Their point maps, 3n
+    int32 permutations of the n^2 points, must fit MEMORY_BUDGET (n <= 223);
+    a larger loop is refused before any reflection is built."""
+    need = 12 * loop.n ** 3
+    if need > MEMORY_BUDGET:
+        raise ValueError("the Bol reflections of a %d-element loop take %d "
+                         "bytes, past the %d-byte memory budget"
+                         % (loop.n, need, MEMORY_BUDGET))
     if net is None:
-        net = LoopNet3(loop, cap=cap)
+        net = LoopNet3(loop)
     out = {}
     for cls in (1, 2, 3):
         for m in range(loop.n):
@@ -436,8 +440,7 @@ def _checked_witness(witness, what, mode, seed, samples=1000):
     return witness
 
 
-def triality_group_from_loop(loop, cap=128, mode="auto", samples=1000,
-                             seed=SAMPLE_SEED):
+def triality_group_from_loop(loop, mode="auto", samples=1000, seed=SAMPLE_SEED):
     """Bol-reflection group of the net of a Moufang loop, split into the
     direction-preserving part plus the S3 of reflections through the origin.
 
@@ -446,7 +449,7 @@ def triality_group_from_loop(loop, cap=128, mode="auto", samples=1000,
     the class-action kernel construction would produce, already reduced).
     Every group here acts on the 3n lines of the net.
     """
-    net = LoopNet3(loop, cap=cap)
+    net = LoopNet3(loop)
     refl = {key: coll.line_perm
             for key, coll in all_bol_reflections(loop, net=net).items()}
     e = loop.neutral

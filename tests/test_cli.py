@@ -1,11 +1,15 @@
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moufang
+from moufang import cli, loops
 from moufang.cli import main, run
 
 
@@ -134,6 +138,71 @@ def test_aut_count_refuses_oracle_loop(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _module_env():
+    src = str(Path(moufang.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _cap_address_space():
+    limit = 1536 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+# Requests whose tables or reflections exceed the memory budget: refused
+# with exit 2 before they allocate, so a 1.5 GB address-space cap holds.
+OVERSIZED = [
+    ["bol-check", "--loop", "M*(3)"],
+    ["mlt-order", "--loop", "M*(4)"],
+    ["mlt-order", "--loop", "M*(5)"],
+    ["export-table", "--loop", "M*(4)", "--out", os.devnull],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=[" ".join(a[:3]) for a in OVERSIZED])
+def test_oversized_requests_are_refused(argv):
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "moufang.cli"] + argv,
+                         env=_module_env(), capture_output=True, text=True,
+                         timeout=120, preexec_fn=_cap_address_space)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "memory budget" in out.stderr
+    assert time.monotonic() - t0 < 10
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    def broken(args, rep):
+        rep.add("partial", "line")
+        raise AssertionError("engine disagreement")
+    monkeypatch.setitem(cli._HANDLERS, "net-build", broken)
+    assert main(["net-build", "--loop", "Z(3)"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("Traceback")
+    assert out.err.endswith("\ninternal error: AssertionError: engine disagreement\n")
+
+
+def test_bol_check_non_moufang_is_falsified(tmp_path, non_moufang_loop):
+    path = os.fspath(tmp_path / "nm5.tbl")
+    loops.write_table(non_moufang_loop, path)
+    rep = run(["bol-check", "--loop", "file:" + path])
+    d = lines_dict(rep)
+    assert rep.status == 1 and d["collineations"] == "fail" and "witness" in d
+
+
+def test_iso_check_m3_against_seeded_relabelling(tmp_path, m3):
+    new_of_old = np.random.default_rng(0x5EED).permutation(m3.n)
+    old_of_new = np.argsort(new_of_old)
+    T = new_of_old[m3.table[np.ix_(old_of_new, old_of_new)]]
+    path = os.fspath(tmp_path / "m3.tbl")
+    loops.write_table(loops.FiniteLoop(m3.n, labels=[m3.labels[i] for i in old_of_new],
+                                       table=T), path)
+    rep = run(["iso-check", "--left", "M*(3)", "--right", "file:" + path])
+    d = lines_dict(rep)
+    assert rep.status == 0 and d["isomorphic"] == "yes" and d["verified"] == "yes"
+
+
 def _triality_stdout(case, checked, pairs, mode="exhaustive"):
     return ("case=%s\nmode=%s\nidentity=PASS\nidentity_checked=%d\n"
             "reformulation=PASS\npairs_checked=%d\nroutes_agree=yes\n"
@@ -173,11 +242,8 @@ def test_line_action_output_is_pinned(argv, stdout, seed, capsys):
 
 
 def test_module_entry_point_is_quiet():
-    src = str(Path(moufang.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-m", "moufang.cli", "aut-count",
-                          "--loop", "Z(5)"], env=env, capture_output=True,
+                          "--loop", "Z(5)"], env=_module_env(), capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0 and out.stderr == ""
     assert "aut=4" in out.stdout.splitlines()

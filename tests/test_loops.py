@@ -49,7 +49,8 @@ def test_closure_cap():
 
 
 def test_loop_from_closure_refuses_past_table_size():
-    # (Z/2)^12 has 4096 elements, above the 2048-element table limit
+    # (Z/2)^12 has 4096 elements; table mode under the memory budget
+    # stops at 3344
     with pytest.raises(ValueError, match="table limit"):
         loop_from_closure([1 << b for b in range(12)], lambda a, b: a ^ b, 0)
     with pytest.raises(ClosureCapExceeded):
@@ -250,6 +251,77 @@ def test_inverse_antiautomorphism_moufang(m2, rng):
     for _ in range(300):
         x, y = int(rng.integers(120)), int(rng.integers(120))
         assert inv[T[x, y]] == T[inv[y], inv[x]]
+
+
+# 5-element loop where 2 has right inverse 3 (2*3 = 0) but left inverse 4
+# (4*2 = 0); found by scanning reduced 5x5 Latin squares, frozen here
+ONE_SIDED_5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+], dtype=np.int32)
+
+
+def _inverses_by_scan(loop):
+    T, e = loop.table, loop.neutral
+    right = [int(np.flatnonzero(T[x, :] == e)[0]) for x in range(loop.n)]
+    left = [int(np.flatnonzero(T[:, x] == e)[0]) for x in range(loop.n)]
+    return right if right == left else None
+
+
+@pytest.mark.parametrize("name", ["m2", "S3", "non-moufang-5", "one-sided-5"])
+def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loop):
+    loop = {"m2": m2, "S3": s3_loop, "non-moufang-5": non_moufang_loop,
+            "one-sided-5": FiniteLoop(5, table=ONE_SIDED_5)}[name]
+    want = _inverses_by_scan(loop)
+    got = loop.two_sided_inverses()
+    if name == "one-sided-5":
+        assert want is None and got is None
+    else:
+        assert want is not None and got.tolist() == want
+
+
+def _cyclic_oracle(n):
+    return FiniteLoop(n, batch_fn=lambda I, J: (np.asarray(I) + np.asarray(J)) % n,
+                      neutral=0)
+
+
+def test_memory_budget_decides_table_mode():
+    assert loops.MEMORY_BUDGET == 2 ** 27
+    assert loops.table_fits(3344) and not loops.table_fits(3345)
+    # built through the oracle, kept as a table while it fits
+    assert _cyclic_oracle(3344).table is not None
+    L = _cyclic_oracle(3345)
+    assert L.table is None
+    with pytest.raises(ValueError, match="needs table mode"):
+        FiniteLoop(3345, table=np.zeros((1, 1), dtype=np.int32))
+
+
+def test_oracle_loop_serves_batched_products_only():
+    L = _cyclic_oracle(3345)
+    assert L.mult(3000, 400) == 55
+    assert L.mult_batch([1, 2], [3344, 3344]).tolist() == [0, 1]
+    assert loops.moufang_mode(L, 1000) == "sampled:1000"
+    assert loops.moufang_violation(L, samples=1000) is None
+    refusals = [lambda: L.ldiv, lambda: L.rdiv, lambda: L.left_div(0, 1),
+                L.two_sided_inverses, lambda: left_translation(L, 1),
+                lambda: right_translation(L, 1), lambda: commutant(L),
+                lambda: center(L), lambda: closure_indices(L, [1]),
+                lambda: associativity_violation(L), lambda: mlt_group(L),
+                lambda: autotopism_check(L, *[Perm.identity(L.n)] * 3),
+                lambda: find_isomorphism(L, L), lambda: automorphisms(L),
+                lambda: direct_product(L, cyclic_loop(2)),
+                lambda: write_table(L, os.devnull)]
+    for call in refusals:
+        with pytest.raises(ValueError, match="needs table mode"):
+            call()
+
+
+def test_moufang_mode():
+    assert loops.moufang_mode(cyclic_loop(512), 7) == "exhaustive"
+    assert loops.moufang_mode(cyclic_loop(513), 7) == "sampled:7"
 
 
 def test_two_generated_subloops_associative(m2, rng):

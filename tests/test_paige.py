@@ -116,23 +116,26 @@ def test_frobenius_map_elementwise(gf4):
     assert y.coords() == tuple(gf4.frobenius(c) for c in x.coords())
 
 
-def test_paige_oracle_lazy_q7():
-    orc = paige.paige_oracle(7)
-    g1, g2, g3 = (g.matrix for g in paige.standard_generators(7))
-    z = orc.mult(g1, g2)
-    assert z.det() == orc.field.one
-    # canonical representative: first against its negative
-    eng = orc.engine
-    row = np.asarray([z.coords()], dtype=np.int64)
-    assert (eng.pack(row) <= eng.pack(eng.neg(row))).all()
-
-
 def test_labels_roundtrip(m2):
     be = m2.zorn
     for i in (0, 7, 56, 119):
         mat = ZornMatrix.parse(be.field, m2.labels[i])
         row = np.asarray([mat.coords()], dtype=np.int64)
         assert int(be.lookup(be.engine.pack(row))[0]) == i
+
+
+def test_lookup_outside_the_element_set_is_an_internal_fault(m2):
+    # the zero matrix has norm 0: no product of units can land there
+    be = m2.zorn
+    forged = be.engine.pack(np.zeros((1, 8), dtype=np.int64))
+    with pytest.raises(AssertionError, match="arithmetic bug"):
+        be.lookup(forged)
+
+
+def test_unit_loop_q3_is_table_mode(u3):
+    # 12 * 2160^2 bytes of tables fit the memory budget
+    assert u3.table is not None and u3.table.shape == (2160, 2160)
+    assert loops.right_translation(u3, 5).a.tolist() == u3.table[:, 5].tolist()
 
 
 def test_division_hooks(m3, rng):

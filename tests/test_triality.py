@@ -45,10 +45,17 @@ def test_net_z3_counts_and_axioms():
             assert net.line_through(p, 2) == c2
 
 
-def test_net_cap():
-    with pytest.raises(ValueError):
-        LoopNet3(cyclic_loop(200))
-    LoopNet3(cyclic_loop(200), cap=200)
+def test_net_cap(monkeypatch):
+    # a net needs only its loop's tables, so no knob limits it
+    assert LoopNet3(cyclic_loop(200)).n_points == 40000
+
+    # 3 * 224 reflections of 224^2 int32 points exceed the memory budget,
+    # and the refusal comes before the first reflection is built
+    def build(*args, **kwargs):
+        raise AssertionError("a reflection was built")
+    monkeypatch.setattr(triality, "bol_reflection", build)
+    with pytest.raises(ValueError, match="memory budget"):
+        all_bol_reflections(cyclic_loop(224))
 
 
 def test_coordinate_loop_round_trip_is_identity_on_labels():
