@@ -78,7 +78,7 @@ def generate_unit_integrals():
     exactly 240 elements, all of norm one."""
     gens = [ONE, neg(ONE), I_UNIT, neg(I_UNIT), J_UNIT, neg(J_UNIT), H_UNIT]
     try:
-        elements, _ = closure(gens, mul, ONE, cap=241)
+        elements = closure(gens, mul, ONE, cap=241)
     except ClosureCapExceeded:
         raise AssertionError("closure of the unit integrals exceeded 240; "
                              "arithmetic bug")

@@ -1,7 +1,7 @@
 """Command-line surface.  Every check prints stable key=value lines on
 stdout (diagnostics go to stderr) and exits 0 when the property holds,
-1 when it is falsified (with a witness line), 2 on usage errors and
-refused requests, 3 on internal faults."""
+1 when it is falsified (with a witness line), 2 on a UsageError (malformed
+or refused requests), 3 on internal faults."""
 
 from __future__ import annotations
 
@@ -12,12 +12,15 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import cayley, loops, paige, triality
-from .composition import ZornMatrix
-from .fields import field_make, field_of_order, parse_field_spec
+from .composition import ZornMatrix, decompose_sum_two_units
+from .fields import UsageError, field_make, field_of_order, parse_field_spec
 from .loops import SAMPLE_SEED
 # mat_det is unused here but stays bound: perfbench/tests checks that the
 # tracer wraps this module's from-import bindings, mat_det among them.
 from .orthogonal import is_rotation, mat_det, mult_operator_matrix, spinor_norm  # noqa: F401
+from .permgrp import Perm, PermGroup
+
+_S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
 
 
 @dataclass
@@ -38,30 +41,50 @@ def _progress(msg):
     print(msg, file=sys.stderr)
 
 
-def _parse_loop(spec):
+def _parse_spec(spec):
+    """(kind, argument) of a loop spec, read without building anything:
+    ("M*", q), ("M", q), ("Z", n), ("S3", None), ("integral", None) or
+    ("file", path)."""
     spec = spec.strip()
-    if spec.startswith("M*(") and spec.endswith(")"):
-        return paige.paige_loop(int(spec[3:-1]))
-    if spec.startswith("M(") and spec.endswith(")"):
-        return paige.unit_loop(int(spec[2:-1]))
-    if spec.startswith("Z(") and spec.endswith(")"):
-        return loops.cyclic_loop(int(spec[2:-1]))
-    if spec == "S3":
-        from .permgrp import Perm, PermGroup
-        return loops.loop_from_perm_group(
-            PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])]))
-    if spec == "integral":
-        return cayley.quotient_mod_sign()
+    for kind in ("M*", "M", "Z"):
+        arg = spec[len(kind) + 1:-1]
+        if (spec.startswith(kind + "(") and spec.endswith(")") and arg.isdigit()
+                and int(arg) > 0):
+            return kind, int(arg)
+    if spec in ("S3", "integral"):
+        return spec, None
     if spec.startswith("file:"):
-        return loops.read_table(spec[5:])
-    raise ValueError("unknown loop spec %r; use M(q), M*(q), Z(n), S3, "
+        return "file", spec[5:]
+    raise UsageError("unknown loop spec %r; use M(q), M*(q), Z(n), S3, "
                      "integral or file:PATH" % (spec,))
 
 
-def _paige_q(spec):
-    if spec.startswith("M*(") and spec.endswith(")"):
-        return int(spec[3:-1])
-    return None
+def _build_loop(kind, arg):
+    """The loop of a parsed spec; M(q) and M*(q) past the memory budget come
+    back as multiplication oracles."""
+    if kind == "M*":
+        return paige.paige_loop(arg)
+    if kind == "M":
+        return paige.unit_loop(arg)
+    if kind == "Z":
+        return loops.cyclic_loop(arg)
+    if kind == "S3":
+        return loops.loop_from_perm_group(_S3)
+    if kind == "integral":
+        return cayley.quotient_mod_sign()
+    return loops.read_table(arg)
+
+
+def _table_spec(spec):
+    """_parse_spec for the commands that read the Cayley table: an M(q) or
+    M*(q) whose tables would not fit the memory budget is refused by its
+    name, from the order formula, before anything is enumerated."""
+    kind, arg = _parse_spec(spec)
+    if kind == "M*":
+        loops.require_table_fits(paige.paige_order_formula(arg))
+    elif kind == "M":
+        loops.require_table_fits(paige.unit_loop_size_formula(arg))
+    return kind, arg
 
 
 def _build_parser():
@@ -140,10 +163,8 @@ def _cmd_paige_order(args, rep):
     rep.add("q", args.q)
     rep.add("order", order)
     if not args.skip_enumeration:
-        if args.q > 5:
-            raise ValueError("enumeration supported for q <= 5")
-        _progress("enumerating norm-one matrices over GF(%d)..." % args.q)
         field = field_of_order(args.q)
+        _progress("enumerating norm-one matrices over GF(%d)..." % args.q)
         coords = paige.enumerate_unit_coords(field)
         eng = paige.ZornEngine(field)
         keep = eng.pack(coords) <= eng.pack(eng.neg(coords))
@@ -166,14 +187,14 @@ def _cmd_paige_build(args, rep):
 
 
 def _cmd_mlt_order(args, rep):
-    loop = _parse_loop(args.loop)
+    kind, q = _table_spec(args.loop)
+    loop = _build_loop(kind, q)
     _progress("building translation generators and the stabilizer chain...")
     G = loops.mlt_group(loop)
     order = G.order()
     rep.add("loop", args.loop)
     rep.add("order", order)
-    q = _paige_q(args.loop)
-    if q is not None:
+    if kind == "M*":
         expected = paige.mlt_paige_order_formula(q)
         rep.add("expected", expected)
         if order != expected:
@@ -189,10 +210,16 @@ def _cmd_mlt_order(args, rep):
 
 
 def _cmd_simple_check(args, rep):
-    loop = _parse_loop(args.loop)
+    sample = args.elements != "all"
+    if sample and not args.elements.isdigit():
+        raise UsageError("--elements takes 'all' or a count, not %r" % (args.elements,))
+    loop = _build_loop(*_table_spec(args.loop))
     others = [x for x in range(loop.n) if x != loop.neutral]
-    if args.elements != "all":
+    if sample:
         k = int(args.elements)
+        if k > len(others):
+            raise UsageError("--elements %d exceeds the %d non-neutral elements"
+                             % (k, len(others)))
         rng = np.random.default_rng(args.seed)
         others = [others[int(i)] for i in rng.choice(len(others), size=k,
                                                      replace=False)]
@@ -213,7 +240,7 @@ def _cmd_simple_check(args, rep):
 
 
 def _cmd_moufang_check(args, rep):
-    loop = _parse_loop(args.loop)
+    loop = _build_loop(*_parse_spec(args.loop))
     rep.add("loop", args.loop)
     viol = loops.moufang_violation(loop, samples=args.samples, seed=args.seed)
     if viol is None:
@@ -256,11 +283,10 @@ def _cmd_decompose(args, rep):
     elif args.q is not None:
         field = field_of_order(args.q)
     else:
-        raise ValueError("need --q or --field")
+        raise UsageError("need --q or --field")
     rep.add("q", field.q)
     if args.x:
         x = ZornMatrix.parse(field, args.x)
-        from .composition import decompose_sum_two_units
         u, v = decompose_sum_two_units(x)
         rep.add("u", u.text())
         rep.add("v", v.text())
@@ -271,7 +297,6 @@ def _cmd_decompose(args, rep):
         else:
             rep.fail("ok", "no")
         return
-    from .composition import decompose_sum_two_units
     if args.exhaustive:
         import itertools
         pool = (ZornMatrix.from_coords(field, c)
@@ -300,7 +325,7 @@ def _cmd_decompose(args, rep):
 
 def _cmd_spinor_check(args, rep):
     if args.q % 2 == 0:
-        raise ValueError("spinor checks need odd q")
+        raise UsageError("spinor checks need odd q")
     field = field_of_order(args.q)
     coords = paige.enumerate_unit_coords(field)
     rng = np.random.default_rng(args.seed)
@@ -334,7 +359,7 @@ def _cmd_spinor_check(args, rep):
 
 
 def _cmd_net_build(args, rep):
-    loop = _parse_loop(args.loop)
+    loop = _build_loop(*_table_spec(args.loop))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
     rep.add("points", net.n_points)
@@ -343,7 +368,7 @@ def _cmd_net_build(args, rep):
 
 
 def _cmd_bol_check(args, rep):
-    loop = _parse_loop(args.loop)
+    loop = _build_loop(*_table_spec(args.loop))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
     try:
@@ -385,10 +410,8 @@ def _cmd_bol_check(args, rep):
 def _cmd_triality_check(args, rep):
     case = args.case
     rep.add("case", case)
-    from .permgrp import Perm, PermGroup
     if case == "wreath-s3":
-        A = PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
-        w = triality.example_wreath(A, seed=args.seed)
+        w = triality.example_wreath(_S3, seed=args.seed)
     elif case == "vector-gf5":
         w = triality.example_vector(field_make(5), seed=args.seed)
     elif case == "vector-gf2":
@@ -408,18 +431,13 @@ def _cmd_triality_check(args, rep):
             gens.append(Perm(t))
         w = triality.example_phi(PermGroup(9, gens), Perm(img), seed=args.seed)
     elif case in ("net-z3", "net-s3", "net-paige2"):
-        if case == "net-z3":
-            loop = loops.cyclic_loop(3)
-        elif case == "net-s3":
-            loop = loops.loop_from_perm_group(
-                PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])]))
-        else:
-            loop = paige.paige_loop(2)
+        loop = _build_loop(*{"net-z3": ("Z", 3), "net-s3": ("S3", None),
+                             "net-paige2": ("M*", 2)}[case])
         _progress("building the net and its reflections...")
         w = triality.triality_group_from_loop(loop, samples=args.samples,
                                               seed=args.seed)
     else:
-        raise ValueError("unknown case %r" % (case,))
+        raise UsageError("unknown case %r" % (case,))
     details = w.details
     rep.add("mode", details["mode"])
     rep.add("identity", "PASS" if details["identity_ok"] else "FAIL")
@@ -448,8 +466,8 @@ def _cmd_cayley_units(args, rep):
 
 
 def _cmd_iso_check(args, rep):
-    left = _parse_loop(args.left)
-    right = _parse_loop(args.right)
+    left, right = [_table_spec(spec) for spec in (args.left, args.right)]
+    left, right = _build_loop(*left), _build_loop(*right)
     rep.add("left", args.left)
     rep.add("right", args.right)
     w = loops.find_isomorphism(left, right)
@@ -463,7 +481,7 @@ def _cmd_iso_check(args, rep):
 
 
 def _cmd_aut_count(args, rep):
-    loop = _parse_loop(args.loop)
+    loop = _build_loop(*_table_spec(args.loop))
     rep.add("loop", args.loop)
     group = loops.automorphisms(loop)
     rep.add("aut", group.order())
@@ -490,7 +508,7 @@ def _cmd_aut_count(args, rep):
 
 
 def _cmd_export_table(args, rep):
-    loop = _parse_loop(args.loop)
+    loop = _build_loop(*_table_spec(args.loop))
     loops.write_table(loop, args.out)
     rep.add("loop", args.loop)
     rep.add("n", loop.n)
@@ -517,9 +535,10 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Execute one command line; returns a CommandReport (status 2 on
-    usage errors and refused requests, 3 on internal faults).  Either way
-    stdout stays empty."""
+    """Execute one command line; returns a CommandReport.  Status 2 means a
+    usage error: argparse rejected the line, a handler raised UsageError, or
+    a user path does not exist.  Any other exception is an internal fault,
+    status 3.  Either way stdout stays empty."""
     rep = CommandReport(command="moufang " + " ".join(argv))
     parser = _build_parser()
     try:
@@ -529,7 +548,7 @@ def run(argv):
         return rep
     try:
         _HANDLERS[args.cmd](args, rep)
-    except (ValueError, KeyError, FileNotFoundError) as e:
+    except (UsageError, FileNotFoundError) as e:
         print("error: %s" % (e,), file=sys.stderr)
         rep.lines.clear()  # a refused request prints nothing on stdout
         rep.status = 2

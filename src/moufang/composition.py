@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import rref
+from .fields import UsageError, rref
 
 
 class Rationals:
@@ -197,18 +197,19 @@ class ZornMatrix:
 
     @classmethod
     def parse(cls, field, s):
+        """Read [a|a1,a2,a3|b1,b2,b3|b]; malformed text raises UsageError."""
         body = s.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError("bad Zorn matrix text %r" % (s,))
         parts = body[1:-1].split("|")
-        if len(parts) != 4:
-            raise ValueError("bad Zorn matrix text %r" % (s,))
-        pe = field.parse_element
-        alpha = tuple(pe(c) for c in parts[1].split(","))
-        beta = tuple(pe(c) for c in parts[2].split(","))
-        if len(alpha) != 3 or len(beta) != 3:
-            raise ValueError("bad Zorn matrix text %r" % (s,))
-        return cls(field, pe(parts[0]), alpha, beta, pe(parts[3]))
+        if body.startswith("[") and body.endswith("]") and len(parts) == 4:
+            pe = field.parse_element
+            try:
+                alpha = tuple(pe(c) for c in parts[1].split(","))
+                beta = tuple(pe(c) for c in parts[2].split(","))
+                if len(alpha) == 3 and len(beta) == 3:
+                    return cls(field, pe(parts[0]), alpha, beta, pe(parts[3]))
+            except ValueError:
+                pass
+        raise UsageError("bad Zorn matrix text %r" % (s,))
 
     @classmethod
     def from_coords(cls, field, c):

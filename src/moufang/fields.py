@@ -28,6 +28,11 @@ BUILTIN_MODULI = {
 _TABLE_LIMIT = 1024  # build q x q lookup tables up to this size
 
 
+class UsageError(ValueError):
+    """A malformed request, an unknown name or a size past a fixed limit:
+    the one cause of the command line's exit status 2."""
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -312,7 +317,7 @@ def field_make(p, k=1, modulus=None):
 
 
 def field_of_order(q):
-    """GF(q) with the builtin modulus; ValueError unless q is a prime power."""
+    """GF(q) with the builtin modulus; UsageError for any other q."""
     for p in range(2, q + 1):
         if q % p == 0:  # the least divisor p is prime
             k, t = 0, q
@@ -320,9 +325,12 @@ def field_of_order(q):
                 t //= p
                 k += 1
             if t == 1:
-                return field_make(p, k)
+                try:
+                    return field_make(p, k)
+                except ValueError as e:
+                    raise UsageError(str(e)) from None
             break
-    raise ValueError("%r is not a prime power" % (q,))
+    raise UsageError("%r is not a prime power" % (q,))
 
 
 def parse_field_spec(text):
@@ -332,17 +340,16 @@ def parse_field_spec(text):
     first, separated by dots, e.g. gf(2,2,1.1.1) for GF(4) mod x^2+x+1.
     """
     s = text.strip().lower()
-    if not (s.startswith("gf(") and s.endswith(")")):
-        raise ValueError("bad field spec %r; expected gf(q) or gf(p,k,c0..ck)" % (text,))
-    body = s[3:-1]
-    parts = [t.strip() for t in body.split(",")]
-    if len(parts) == 1:
-        return field_of_order(int(parts[0]))
-    if len(parts) == 3:
-        p, k = int(parts[0]), int(parts[1])
-        coeffs = tuple(int(c) for c in parts[2].split("."))
-        return field_make(p, k, coeffs)
-    raise ValueError("bad field spec %r" % (text,))
+    parts = [t.strip() for t in s[3:-1].split(",")]
+    if s.startswith("gf(") and s.endswith(")") and len(parts) in (1, 3):
+        try:
+            if len(parts) == 1:
+                return field_of_order(int(parts[0]))
+            p, k = int(parts[0]), int(parts[1])
+            return field_make(p, k, tuple(int(c) for c in parts[2].split(".")))
+        except ValueError as e:
+            raise UsageError("bad field spec %r: %s" % (text, e)) from None
+    raise UsageError("bad field spec %r; expected gf(q) or gf(p,k,c0..ck)" % (text,))
 
 
 def primitive_element(field):

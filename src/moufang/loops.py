@@ -13,10 +13,10 @@ printing and file round-trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
+from .fields import UsageError
 from .permgrp import Perm, PermGroup
 
 # Bytes a single loop structure may hold.  Fixed rather than read from the
@@ -32,10 +32,12 @@ def table_fits(n):
     return 12 * n * n <= MEMORY_BUDGET
 
 
-def _past_budget(n):
-    return ValueError("needs table mode: the tables of a %d-element loop take "
-                      "%d bytes, past the %d-byte memory budget"
-                      % (n, 12 * n * n, MEMORY_BUDGET))
+def require_table_fits(n):
+    """Refuse, with UsageError, an n-element loop whose tables do not fit."""
+    if not table_fits(n):
+        raise UsageError("needs table mode: the tables of a %d-element loop "
+                         "take %d bytes, past the %d-byte memory budget"
+                         % (n, 12 * n * n, MEMORY_BUDGET))
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -55,9 +57,9 @@ class FiniteLoop:
         self._ldiv = None
         self._rdiv = None
         self.table = None
+        if table is not None or batch_fn is None:
+            require_table_fits(n)
         if not table_fits(n):
-            if table is not None or batch_fn is None:
-                raise _past_budget(n)
             if neutral is None:
                 raise ValueError("oracle-backed loops must name their neutral element")
             self._validate_neutral_oracle(neutral)
@@ -106,9 +108,9 @@ class FiniteLoop:
             raise ValueError("declared neutral element is not neutral")
 
     def require_table(self):
-        """The Cayley table; ValueError on an oracle-mode loop."""
+        """The Cayley table; UsageError on an oracle-mode loop."""
         if self.table is None:
-            raise _past_budget(self.n)
+            require_table_fits(self.n)  # an oracle loop is past the budget
         return self.table
 
     # -- multiplication and division ------------------------------------------
@@ -198,9 +200,7 @@ def closure(generators, mult, one, cap=100000, sort_key=None):
     breadth first: level 0 is the deduplicated generators plus the neutral
     element, each later level is sorted by sort_key (default: the element
     itself), so the numbering is reproducible.  Raises ClosureCapExceeded
-    past cap elements.  Returns (elements, products) where products maps
-    index pairs to indices for every pair inspected; the product record is
-    dropped once the result outgrows table size.
+    past cap elements.  Returns the element list.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -212,52 +212,23 @@ def closure(generators, mult, one, cap=100000, sort_key=None):
             seen.add(g)
             seed.append(g)
     elements = list(seed)
-    index = {g: i for i, g in enumerate(elements)}
-    raw_products = {}
-    keep_products = True
     frontier_start = 0
     while frontier_start < len(elements):
         frontier_end = len(elements)
-        if keep_products and not table_fits(frontier_end):
-            keep_products = False
-            raw_products.clear()
         new = []
         for i in range(frontier_end):
             j_lo = frontier_start if i < frontier_start else 0
             for j in range(j_lo, frontier_end):
                 z = mult(elements[i], elements[j])
-                if keep_products:
-                    raw_products[(i, j)] = z
                 if z not in seen:
                     if len(elements) + len(new) >= cap:
                         raise ClosureCapExceeded("closure exceeded cap %d" % cap)
                     seen.add(z)
                     new.append(z)
         new.sort(key=key)
-        for z in new:
-            index[z] = len(elements)
-            elements.append(z)
+        elements.extend(new)
         frontier_start = frontier_end
-    products = {ij: index[z] for ij, z in raw_products.items()}
-    return elements, products
-
-
-def loop_from_closure(generators, mult, one, cap=100000, sort_key=None, label=str):
-    """Run closure and wrap the result as a table-mode FiniteLoop; a closure
-    that grows past table mode raises ValueError."""
-    limit = min(cap, isqrt(MEMORY_BUDGET // 12) + 1)  # closure keeps < cap
-    try:
-        elements, products = closure(generators, mult, one, cap=limit, sort_key=sort_key)
-    except ClosureCapExceeded:
-        if limit == cap:
-            raise
-        raise ValueError("closure grows past the table limit of the %d-byte "
-                         "memory budget" % MEMORY_BUDGET) from None
-    n = len(elements)
-    table = np.empty((n, n), dtype=np.int32)
-    for (i, j), k in products.items():
-        table[i, j] = k
-    return FiniteLoop(n, labels=[label(g) for g in elements], table=table), elements
+    return elements
 
 
 def closure_indices(loop, seed):
@@ -368,20 +339,21 @@ def _nucleus_exact_one(loop, x):
                 and (T[T, x] == T[:, T[:, x]]).all())
 
 
-def nucleus(loop, candidates=None, prefilter=64, seed=SAMPLE_SEED):
+def nucleus(loop, candidates=None):
     """Elements associating with all pairs in every position.
 
-    A cheap random prefilter cuts the candidate list, then every survivor is
-    checked exactly against all n^2 pairs, so the result is exact.
+    A cheap prefilter on 64 seeded random pairs cuts the candidate list, then
+    every survivor is checked exactly against all n^2 pairs, so the result
+    is exact.
     """
     n = loop.n
     if candidates is None:
         candidates = np.arange(n, dtype=np.int64)
     else:
         candidates = np.asarray(sorted(candidates), dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     alive = candidates
-    for _ in range(prefilter):
+    for _ in range(64):
         if len(alive) == 0:
             return []
         y = int(rng.integers(n))
@@ -716,11 +688,8 @@ def automorphism_count(loop):
 # small constructors and file format
 
 
-def loop_from_table(labels, table):
-    return FiniteLoop(len(labels), labels=labels, table=table)
-
-
 def cyclic_loop(n):
+    require_table_fits(n)
     idx = np.arange(n, dtype=np.int32)
     return FiniteLoop(n, table=(idx[:, None] + idx[None, :]) % n)
 
@@ -728,8 +697,7 @@ def cyclic_loop(n):
 def direct_product(L1, L2):
     n1, n2 = L1.n, L2.n
     T1, T2 = L1.require_table(), L2.require_table()
-    if not table_fits(n1 * n2):
-        raise _past_budget(n1 * n2)
+    require_table_fits(n1 * n2)
     T = np.empty((n1 * n2, n1 * n2), dtype=np.int32)
     for a in range(n1):
         for b in range(n2):
@@ -740,9 +708,9 @@ def direct_product(L1, L2):
     return FiniteLoop(n1 * n2, labels=labels, table=T)
 
 
-def loop_from_perm_group(group, limit=5000):
+def loop_from_perm_group(group):
     """The underlying loop (group) of a permutation group, by enumeration."""
-    elems = group.elements(limit=limit)
+    elems = group.elements(limit=5000)
     index = {p: i for i, p in enumerate(elems)}
     n = len(elems)
     T = np.empty((n, n), dtype=np.int32)
@@ -763,10 +731,16 @@ def write_table(loop, path):
 
 
 def read_table(path):
+    """The loop of a write_table file; UsageError on a malformed file, on rows
+    that are no loop table, or on a size past the budget (before any row)."""
     with open(path) as fh:
-        n = int(fh.readline())
-        if not table_fits(n):
-            raise _past_budget(n)
-        labels = fh.readline().split()
-        rows = [[int(v) for v in fh.readline().split()] for _ in range(n)]
-    return FiniteLoop(n, labels=labels, table=np.array(rows, dtype=np.int32))
+        try:
+            n = int(fh.readline())
+            require_table_fits(n)
+            labels = fh.readline().split()
+            rows = [[int(v) for v in fh.readline().split()] for _ in range(n)]
+            return FiniteLoop(n, labels=labels, table=np.array(rows, dtype=np.int32))
+        except UsageError:
+            raise
+        except (ValueError, OverflowError) as e:  # undecodable text included
+            raise UsageError("%s is not a loop table: %s" % (path, e)) from None

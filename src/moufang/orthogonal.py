@@ -98,12 +98,6 @@ def mat_det(field, A):
     return det
 
 
-def format_matrix(field, M):
-    """Row-major text form, one row per line."""
-    return "\n".join(" ".join(field.format_element(int(v)) for v in row)
-                     for row in M)
-
-
 def solve_linear(field, A, b):
     """One solution of A x = b (free variables zero); None if inconsistent."""
     n, m = A.shape
@@ -129,10 +123,6 @@ def norm_coords(field, v):
     for i in (1, 2, 3):
         s = field.sub(s, field.mul(int(v[i]), int(v[i + 3])))
     return s
-
-
-def bilinear_coords(field, u, v):
-    return _bil(field, u, v)
 
 
 def _bil(field, u, v):

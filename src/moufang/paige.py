@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import ZornMatrix
-from .fields import field_of_order, primitive_element
+from .fields import UsageError, field_of_order, primitive_element
 from .loops import FiniteLoop, ClosureCapExceeded
 
 _EXHAUSTIVE_Q = 5
@@ -182,11 +182,6 @@ class ZornEngine:
         return row
 
 
-def engine_for(q):
-    fs = field_of_order(q)
-    return ZornEngine(fs)
-
-
 def paige_order_formula(q):
     """(1/d) q^3 (q^4 - 1) with d = gcd(2, q-1)."""
     d = 2 if q % 2 == 1 else 1
@@ -205,9 +200,11 @@ def mlt_paige_order_formula(q):
 
 def enumerate_unit_coords(field):
     """All norm-one Zorn matrices over the field, in ascending canonical
-    (packed) order.  Size q^3(q^4-1)."""
+    (packed) order.  Size q^3(q^4-1); UsageError past q = _EXHAUSTIVE_Q,
+    before anything is allocated."""
+    if field.q > _EXHAUSTIVE_Q:
+        raise UsageError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
     eng = ZornEngine(field)
-    q = field.q
     elems_canonical = np.array(field.elements(), dtype=np.int64)
     # all (alpha, beta) combos in canonical-lex order
     grids = np.meshgrid(*([elems_canonical] * 6), indexing="ij")
@@ -320,8 +317,6 @@ def _attach_backend(loop, backend):
 
 def unit_loop(q):
     """M(q): all norm-one Zorn matrices under the Zorn product."""
-    if q > _EXHAUSTIVE_Q:
-        raise ValueError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
     field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     backend = _PaigeBackend(field, coords, quotient=False)
@@ -338,8 +333,6 @@ def unit_loop(q):
 
 def paige_loop(q):
     """M*(q): M(q) modulo {e, -e}, on canonical +- representatives."""
-    if q > _EXHAUSTIVE_Q:
-        raise ValueError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
     field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     eng = ZornEngine(field)
@@ -426,11 +419,10 @@ def frobenius_perm(loop):
 # vectorized generator closure
 
 
-def closure_packed(q, generator_matrices, cap=_CLOSURE_ASSERT_LIMIT, quotient=True,
-                   chunk=2_000_000):
-    """Breadth-first multiplicative closure of Zorn matrices over GF(q),
-    modulo {e,-e} when quotient is set.  Same round structure and intra-level
-    canonical ordering as loops.closure, but batched.
+def closure_packed(q, generator_matrices):
+    """Breadth-first multiplicative closure of Zorn matrices over GF(q)
+    modulo {e,-e}.  Same round structure and intra-level canonical ordering
+    as loops.closure, but batched.
 
     Returns the packed element array in discovery order.
     """
@@ -438,25 +430,19 @@ def closure_packed(q, generator_matrices, cap=_CLOSURE_ASSERT_LIMIT, quotient=Tr
     eng = ZornEngine(field)
     space = field.q ** 8
     if space > 2 ** 26:
-        raise ValueError("packed closure is limited to q <= 7")
-    # membership is sign-insensitive in quotient mode (both packs marked),
-    # so pair products skip the canonicalization entirely
+        raise UsageError("packed closure is limited to q <= 9")
+    # membership is sign-insensitive (both packs marked), so pair products
+    # skip the canonicalization entirely
     member = np.zeros(space, dtype=bool)
 
     def mark(rows):
         member[eng.pack(rows)] = True
-        if quotient:
-            member[eng.pack(eng.neg(rows))] = True
-
-    def canon_rows(rows):
-        return eng.canon(rows) if quotient else np.asarray(rows)
+        member[eng.pack(eng.neg(rows))] = True
 
     seed_rows = [np.asarray(g.matrix.coords() if isinstance(g, UnitLoopElement)
                             else g.coords(), dtype=np.int64)
                  for g in generator_matrices]
-    seed = canon_rows(np.stack(seed_rows))
-    unit = canon_rows(eng.unit_row()[None, :])
-    seed = np.concatenate([seed, unit], axis=0)
+    seed = eng.canon(np.stack(seed_rows + [eng.unit_row()]))
     packs = eng.pack(seed)
     _, first = np.unique(packs, return_index=True)
     packs = packs[np.sort(first)]
@@ -475,7 +461,7 @@ def closure_packed(q, generator_matrices, cap=_CLOSURE_ASSERT_LIMIT, quotient=Tr
                 continue
             rowsA = eng.unpack(A)
             rowsB = eng.unpack(B)
-            step = max(1, chunk // max(1, len(B)))
+            step = max(1, 2_000_000 // len(B))  # products per batch
             for lo in range(0, len(A), step):
                 take = min(step, len(A) - lo)
                 X = np.repeat(rowsA[lo:lo + take], len(B), axis=0)
@@ -484,46 +470,39 @@ def closure_packed(q, generator_matrices, cap=_CLOSURE_ASSERT_LIMIT, quotient=Tr
                 P = eng.pack(Z)
                 fresh_mask = ~member[P]
                 if fresh_mask.any():
-                    Zf = canon_rows(Z[fresh_mask])
-                    Pf = np.unique(eng.pack(Zf))
+                    Pf = np.unique(eng.pack(eng.canon(Z[fresh_mask])))
                     mark(eng.unpack(Pf))
                     found.append(Pf)
         if found:
             fresh_all = np.unique(np.concatenate(found))
-            if len(elements) + len(fresh_all) > cap:
-                raise ClosureCapExceeded("closure exceeded cap %d" % cap)
+            if len(elements) + len(fresh_all) > _CLOSURE_ASSERT_LIMIT:
+                raise ClosureCapExceeded("closure exceeded cap %d" % _CLOSURE_ASSERT_LIMIT)
             elements = np.concatenate([elements, fresh_all])
         frontier_start = frontier_end
     return elements
 
 
-def reachability_closure_certified(q, generator_matrices, quotient=True):
-    """Subloop generated by the given matrices, via translation
+def reachability_closure_certified(q, generator_matrices):
+    """Subloop of M*(q) generated by the given matrices, via translation
     reachability plus a cardinality certificate.
 
     The reachable set R (products by generators on either side, from the
     generators and e) is contained in the generated subloop H.  Every
-    element of R is checked to have norm one, so R is inside the norm-one
-    loop; if |R| equals the independently enumerated number of norm-one
-    (+-classes of) matrices, then R = H = M*(q) resp. M(q).  Returns
-    (packed elements, certified: bool).  When the certificate fails the
-    caller must fall back to the exhaustive pairwise closure.
+    element of R is checked to have norm one, so R is inside M*(q); if |R|
+    equals the independently counted number of +-classes of norm-one
+    matrices, then R = H = M*(q).  Returns (packed elements, certified:
+    bool).  When the certificate fails the caller must fall back to the
+    exhaustive pairwise closure.
     """
     field = field_of_order(q)
     eng = ZornEngine(field)
-
-    def canon_rows(rows):
-        return eng.canon(rows) if quotient else np.asarray(rows)
-
     gen_rows = np.stack([np.asarray(g.matrix.coords() if isinstance(g, UnitLoopElement)
                                     else g.coords(), dtype=np.int64)
                          for g in generator_matrices])
     if not (eng.norm(gen_rows) == field.one).all():
         raise ValueError("generators must have norm one")
-    seed = np.concatenate([canon_rows(gen_rows),
-                           canon_rows(eng.unit_row()[None, :])], axis=0)
-    space = field.q ** 8
-    member = np.zeros(space, dtype=bool)
+    seed = eng.canon(np.concatenate([gen_rows, eng.unit_row()[None, :]], axis=0))
+    member = np.zeros(field.q ** 8, dtype=bool)
     packs = np.unique(eng.pack(seed))
     member[packs] = True
     frontier = seed
@@ -533,7 +512,7 @@ def reachability_closure_certified(q, generator_matrices, quotient=True):
         g = len(gen_rows)
         left = eng.mul(np.repeat(gen_rows, m, axis=0), np.tile(frontier, (g, 1)))
         right = eng.mul(np.tile(frontier, (g, 1)), np.repeat(gen_rows, m, axis=0))
-        prods = canon_rows(np.concatenate([left, right], axis=0))
+        prods = eng.canon(np.concatenate([left, right], axis=0))
         P = eng.pack(prods)
         fresh = np.unique(P[~member[P]])
         member[fresh] = True
@@ -543,24 +522,23 @@ def reachability_closure_certified(q, generator_matrices, quotient=True):
     rows = eng.unpack(elements)
     if not (eng.norm(rows) == field.one).all():
         raise AssertionError("reachable set left the norm-one loop")
-    expected = paige_order_formula(q) if quotient else unit_loop_size_formula(q)
-    enumerated = _count_norm_one(field, quotient)
-    if expected != enumerated:
+    enumerated = _count_norm_one(field)
+    if paige_order_formula(q) != enumerated:
         raise AssertionError("order formula disagrees with enumeration")
     return elements, total == enumerated
 
 
-def _count_norm_one(field, quotient):
-    """Number of norm-one matrices (or +-classes), counted directly from
-    the solution structure of ab - alpha.beta = 1, without the formula."""
+def _count_norm_one(field):
+    """Number of +-classes of norm-one matrices, counted directly from the
+    solution structure of ab - alpha.beta = 1, without the formula."""
     q = field.q
     count = (q - 1) * q ** 6 + (q ** 3 - 1) * q ** 3
-    if quotient and field.p != 2:
+    if field.p != 2:
         count //= 2
     return count
 
 
-def generator_closure_size(q, cap=_CLOSURE_ASSERT_LIMIT):
+def generator_closure_size(q):
     """Size of the subloop of M*(q) generated by the standard triple.
 
     Small fields run the exhaustive pairwise closure; larger ones first try
@@ -569,8 +547,8 @@ def generator_closure_size(q, cap=_CLOSURE_ASSERT_LIMIT):
     """
     gens = standard_generators(q)
     if q <= 3:
-        return len(closure_packed(q, gens, cap=cap, quotient=True))
-    elements, certified = reachability_closure_certified(q, gens, quotient=True)
+        return len(closure_packed(q, gens))
+    elements, certified = reachability_closure_certified(q, gens)
     if certified:
         return len(elements)
-    return len(closure_packed(q, gens, cap=cap, quotient=True))
+    return len(closure_packed(q, gens))

@@ -129,7 +129,7 @@ class IncompleteChainError(RuntimeError):
 class PermGroup:
     """Group generated by a list of permutations of one degree."""
 
-    def __init__(self, degree, generators, build=False):
+    def __init__(self, degree, generators):
         gens = []
         seen = set()
         for g in generators:
@@ -144,8 +144,6 @@ class PermGroup:
         self.gens = gens
         self._levels = None
         self._gen_inverses = None
-        if build:
-            self._chain()
 
     # -- stabilizer chain ---------------------------------------------------
 
@@ -276,15 +274,15 @@ class PermGroup:
     def base(self):
         return [lv.base for lv in self._chain()]
 
-    def random_element(self, rng, word_length=20):
-        """Product of uniformly chosen generators/inverses; deterministic
+    def random_element(self, rng):
+        """Product of 20 uniformly chosen generators/inverses; deterministic
         for a seeded rng.  Used for sampling checks, never for orders."""
         if not self.gens:
             return Perm.identity(self.degree)
         if self._gen_inverses is None:
             self._gen_inverses = [g.inverse() for g in self.gens]
         p = Perm.identity(self.degree)
-        for _ in range(word_length):
+        for _ in range(20):
             i = int(rng.integers(len(self.gens)))
             p = p * (self._gen_inverses[i] if int(rng.integers(2)) else self.gens[i])
         return p
@@ -322,41 +320,27 @@ def schreier_sims(generators):
     return grp
 
 
-def group_order(generators):
-    return schreier_sims(list(generators)).order()
-
-
-def homomorphism_kernel(group, images, verify=None):
+def homomorphism_kernel(group, images):
     """Kernel of the homomorphism sending group.gens[i] -> images[i].
 
     The images live in a small symmetric group (degree 3 for line-class
     actions).  Kernel generators come from the Schreier construction on the
-    coset action of the image group on itself.
-
-    verify=None checks the assignment exactly (order of the diagonal
-    embedding) when the degree is small enough for a second chain;
-    verify=True forces the check, verify=False skips it for callers whose
-    assignment is a genuine action read off the geometry.
+    coset action of the image group on itself.  The assignment is checked
+    exactly first: the diagonal embedding must have the order of the group.
     """
     gens = group.gens
     if len(images) != len(gens):
         raise ValueError("need one image per generator")
-    if verify is None:
-        verify = group.degree <= 2048
-    if verify and gens:
-        n, m = group.degree, images[0].degree
-        combined = []
-        for g, h in zip(gens, images):
-            arr = np.concatenate([g.a, h.a + n])
-            combined.append(Perm(arr, _checked=True))
-        diag = PermGroup(n + m, combined)
-        if diag.order() != group.order():
-            raise ValueError("generator images do not define a homomorphism")
-
-    ident_g = Perm.identity(group.degree)
     if not gens:
         return PermGroup(group.degree, [])
-    ident_h = Perm.identity(images[0].degree)
+    n, m = group.degree, images[0].degree
+    diag = PermGroup(n + m, [Perm(np.concatenate([g.a, h.a + n]), _checked=True)
+                             for g, h in zip(gens, images)])
+    if diag.order() != group.order():
+        raise ValueError("generator images do not define a homomorphism")
+
+    ident_g = Perm.identity(n)
+    ident_h = Perm.identity(m)
 
     # BFS over the image subgroup; transversal element t_h satisfies img(t_h) = h
     transversal = {ident_h: ident_g}

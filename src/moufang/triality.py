@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .fields import UsageError
 from .loops import MEMORY_BUDGET, SAMPLE_SEED, FiniteLoop
 from .permgrp import Perm, PermGroup
 
@@ -253,7 +254,7 @@ def all_bol_reflections(loop, net=None):
     a larger loop is refused before any reflection is built."""
     need = 12 * loop.n ** 3
     if need > MEMORY_BUDGET:
-        raise ValueError("the Bol reflections of a %d-element loop take %d "
+        raise UsageError("the Bol reflections of a %d-element loop take %d "
                          "bytes, past the %d-byte memory budget"
                          % (loop.n, need, MEMORY_BUDGET))
     if net is None:
@@ -324,30 +325,24 @@ def conjugacy_class(G, rep, limit=200000):
     return sorted(seen, key=lambda p: p.a.tobytes())
 
 
-def triality_check(G, sigma, rho, mode="auto", samples=1000, seed=SAMPLE_SEED,
-                   exhaustive_limit=EXHAUSTIVE_LIMIT):
+def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
     """Verify the triality identity along two routes and insist they agree.
 
     Route A is the commutator identity [g,s][g,s]^r[g,s]^r2 = 1; route B is
     the reformulation (tau_i tau_j)^3 = 1 on the conjugacy classes of the
-    three involutions.  mode "exhaustive" enumerates G and the classes;
-    "sampled" draws seeded random elements; "auto" picks exhaustive when the
-    group is small enough.  Returns (ok, details)."""
+    three involutions.  The check is exhaustive over G and the classes when
+    G acts on at most 2048 points and lists in at most EXHAUSTIVE_LIMIT
+    elements; otherwise it draws seeded random elements.  Returns
+    (ok, details), details["mode"] naming which."""
     if not _s3_relations_hold(G, sigma, rho):
         raise ValueError("sigma, rho do not satisfy the S3 relations as actions")
     sigmas = (sigma, sigma * rho, rho * sigma)
-    if mode == "auto":
-        exhaustive = G.degree <= 2048
-        if exhaustive:
-            try:
-                elements = G.elements(limit=exhaustive_limit)
-            except ValueError:
-                exhaustive = False
-    elif mode == "exhaustive":
-        exhaustive = True
-        elements = G.elements(limit=10 ** 7)
-    else:
-        exhaustive = False
+    exhaustive = G.degree <= 2048
+    if exhaustive:
+        try:
+            elements = G.elements(limit=EXHAUSTIVE_LIMIT)
+        except ValueError:
+            exhaustive = False
 
     details = {"mode": "exhaustive" if exhaustive else "sampled"}
     ok_a = True
@@ -428,19 +423,18 @@ def triality_check(G, sigma, rho, mode="auto", samples=1000, seed=SAMPLE_SEED,
     return (ok_a and ok_b), details
 
 
-def _checked_witness(witness, what, mode, seed, samples=1000):
+def _checked_witness(witness, what, seed, samples=1000):
     """Run triality_check once on the witness and keep its details; raise
     AssertionError if the identity fails."""
     ok, witness.details = triality_check(witness.group, witness.sigma,
-                                         witness.rho, mode=mode,
-                                         samples=samples, seed=seed)
+                                         witness.rho, samples=samples, seed=seed)
     if not ok:
         raise AssertionError("%s failed the triality identity: %r"
                              % (what, witness.details))
     return witness
 
 
-def triality_group_from_loop(loop, mode="auto", samples=1000, seed=SAMPLE_SEED):
+def triality_group_from_loop(loop, samples=1000, seed=SAMPLE_SEED):
     """Bol-reflection group of the net of a Moufang loop, split into the
     direction-preserving part plus the S3 of reflections through the origin.
 
@@ -463,7 +457,7 @@ def triality_group_from_loop(loop, mode="auto", samples=1000, seed=SAMPLE_SEED):
     witness = TrialityWitness(M0, s1, s1 * s2, (s1, s2, s3),
                               origin_net=net, full_group=M)
     return _checked_witness(witness, "the net of a purported Moufang loop",
-                            mode, seed, samples)
+                            seed, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +469,10 @@ class TrialityNet3:
     three conjugacy classes of involutions, points the S3-generating
     triples.  Point ids index the triple list."""
 
-    def __init__(self, witness, class_limit=EXHAUSTIVE_LIMIT):
+    def __init__(self, witness):
         G = witness.group
         sigmas = witness.sigmas
-        self.classes = [conjugacy_class(G, s, limit=class_limit) for s in sigmas]
+        self.classes = [conjugacy_class(G, s, limit=EXHAUSTIVE_LIMIT) for s in sigmas]
         self.class_index = [
             {p: i for i, p in enumerate(cls)} for cls in self.classes
         ]
@@ -541,8 +535,8 @@ class TrialityNet3:
         return sum(len(c) for c in self.classes)
 
 
-def net_from_triality(witness, class_limit=EXHAUSTIVE_LIMIT):
-    return TrialityNet3(witness, class_limit=class_limit)
+def net_from_triality(witness):
+    return TrialityNet3(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +589,7 @@ def _regular_blocks(A, copies, limit=200000):
     return elems, index, len(elems) * copies
 
 
-def example_wreath(A, mode="auto", seed=SAMPLE_SEED):
+def example_wreath(A, seed=SAMPLE_SEED):
     """G = A^3 with sigma swapping the first two coordinates and rho cycling
     them; acts on three regular blocks."""
     elems, index, degree = _regular_blocks(A, 3)
@@ -629,10 +623,10 @@ def example_wreath(A, mode="auto", seed=SAMPLE_SEED):
     rho = Perm(rho_img)
 
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    return _checked_witness(witness, "the wreath construction", mode, seed)
+    return _checked_witness(witness, "the wreath construction", seed)
 
 
-def example_phi(A, phi, mode="auto", seed=SAMPLE_SEED):
+def example_phi(A, phi, seed=SAMPLE_SEED):
     """G = A x A with sigma the swap and rho = (phi, phi^-1); phi must be a
     nontrivial automorphism with x x^phi x^phi2 = 1, checked up front.
     A trivial group passes degenerately with phi = id."""
@@ -664,10 +658,10 @@ def example_phi(A, phi, mode="auto", seed=SAMPLE_SEED):
     sigma = Perm(swap)
     rho = Perm(np.concatenate([phi.a, phi_inv.a + n]))
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    return _checked_witness(witness, "the phi construction", mode, seed)
+    return _checked_witness(witness, "the phi construction", seed)
 
 
-def example_vector(field, mode="auto", seed=SAMPLE_SEED):
+def example_vector(field, seed=SAMPLE_SEED):
     """Additive group of F^2 with the rotation rho = [[-1,-1],[1,0]] and the
     swap sigma; needs characteristic != 3."""
     if field.p == 3:
@@ -704,4 +698,4 @@ def example_vector(field, mode="auto", seed=SAMPLE_SEED):
     if not (rho * rho * rho).is_identity():
         raise AssertionError("rho does not have order 3")
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    return _checked_witness(witness, "the vector construction", mode, seed)
+    return _checked_witness(witness, "the vector construction", seed)

@@ -120,7 +120,7 @@ def test_subtraction_stays_integral(units, rng):
 
 
 def test_closure_of_i_j_h_alone_is_240():
-    els, _ = closure([I_UNIT, J_UNIT, H_UNIT], mul, ONE, cap=241)
+    els = closure([I_UNIT, J_UNIT, H_UNIT], mul, ONE, cap=241)
     assert len(els) == 240
 
 

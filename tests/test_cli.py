@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import moufang
-from moufang import cli, loops
+from moufang import cli, loops, paige
 from moufang.cli import main, run
 
 
@@ -34,11 +34,26 @@ def test_paige_order_formula_only():
     assert lines_dict(rep)["order"] == str(11 ** 3 * (11 ** 4 - 1) // 2)
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run(["nonsense"]).status == 2
     assert run(["paige-order"]).status == 2
     assert run(["paige-order", "--q", "7"]).status == 2  # enumeration cap
     assert run(["decompose", "--q", "4", "--x", "[zz]"]).status == 2
+    capsys.readouterr()
+    for argv in (["simple-check", "--loop", "M*(2)", "--elements", "500"],
+                 ["simple-check", "--loop", "M*(2)", "--elements", "ten"],
+                 ["spinor-check", "--q", "7"],
+                 ["spinor-check", "--q", "4"],
+                 ["moufang-check", "--loop", "M*(7)"],
+                 ["mlt-order", "--loop", "Q(3)"],
+                 ["mlt-order", "--loop", "Z(0)"],
+                 ["triality-check", "--case", "net-z5"],
+                 ["decompose", "--field", "gf(2,2,1.0.1)"],
+                 ["decompose", "--q", "5", "--x", "[1|0,0,0|0,0,0|9]"],
+                 ["paige-order", "--q", "6"]):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.splitlines()[-1].startswith("error: ")
 
 
 def test_moufang_check_group():
@@ -171,16 +186,61 @@ def test_oversized_requests_are_refused(argv):
     assert time.monotonic() - t0 < 10
 
 
-def test_internal_fault_exits_3(monkeypatch, capsys):
-    def broken(args, rep):
-        rep.add("partial", "line")
-        raise AssertionError("engine disagreement")
-    monkeypatch.setitem(cli._HANDLERS, "net-build", broken)
-    assert main(["net-build", "--loop", "Z(3)"]) == 3
+# Every command that reads the Cayley table, on a loop spec whose tables
+# would not fit the memory budget: M*(4) and M(4) have 16320 elements,
+# M*(5) has 39000.
+TABLE_COMMANDS = [
+    ["mlt-order", "--loop"],
+    ["simple-check", "--loop"],
+    ["net-build", "--loop"],
+    ["bol-check", "--loop"],
+    ["iso-check", "--left", "M*(2)", "--right"],
+    ["aut-count", "--loop"],
+    ["export-table", "--out", "table.out", "--loop"],
+]
+
+
+@pytest.mark.parametrize("spec", ["M*(4)", "M*(5)", "M(4)"])
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=[a[0] for a in TABLE_COMMANDS])
+def test_table_commands_refuse_by_name(argv, spec, monkeypatch, capsys, tmp_path):
+    # nothing is enumerated, not even the table-sized M*(2) of iso-check:
+    # a call would raise AssertionError, an internal fault with exit 3
+    def no_enumeration(field):
+        raise AssertionError("enumerated GF(%d)" % field.q)
+    monkeypatch.setattr(paige, "enumerate_unit_coords", no_enumeration)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [spec]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("Traceback")
-    assert out.err.endswith("\ninternal error: AssertionError: engine disagreement\n")
+    assert out.err.startswith("error: needs table mode")
+    assert "memory budget" in out.err and out.err.count("\n") == 1  # no progress line
+    assert not (tmp_path / "table.out").exists()
+
+
+@pytest.mark.parametrize("body", ["2\na b\n0 1\n1 x\n",   # non-integer cell
+                                  "2\na b\n0 1\n0 1\n"],  # columns not Latin
+                         ids=["non-integer", "not-latin"])
+def test_malformed_table_file_is_a_usage_error(body, tmp_path, capsys):
+    path = tmp_path / "bad.tbl"
+    path.write_text(body)
+    assert main(["net-build", "--loop", "file:%s" % path]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: %s" % path)
+
+
+def test_internal_fault_exits_3(monkeypatch, capsys):
+    # only a UsageError means exit 2; a stray ValueError is a fault too
+    for error in (AssertionError, ValueError):
+        def broken(args, rep):
+            rep.add("partial", "line")
+            raise error("engine disagreement")
+        monkeypatch.setitem(cli._HANDLERS, "net-build", broken)
+        assert main(["net-build", "--loop", "Z(3)"]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("Traceback")
+        assert out.err.endswith("\ninternal error: %s: engine disagreement\n"
+                                % error.__name__)
 
 
 def test_bol_check_non_moufang_is_falsified(tmp_path, non_moufang_loop):

@@ -7,7 +7,7 @@ import pytest
 from moufang.composition import (QQ, ZornMatrix, bilinear, bilinear_polarization,
                                  cd_double, conjugate, decompose_sum_two_units,
                                  scalar_algebra, zorn_mul, zorn_norm)
-from moufang.fields import field_make
+from moufang.fields import UsageError, field_make
 
 
 def zorn_mul_oracle(x, y):
@@ -160,6 +160,10 @@ def test_text_roundtrip(gf3, rng):
     for _ in range(20):
         x = random_zorn(gf3, rng)
         assert ZornMatrix.parse(gf3, x.text()) == x
+    for bad in ("[zz]", "1|0,0,0|0,0,0|1", "[1|0,0|0,0,0|1]", "[1|0,0,0|0,0,0|3]",
+                "[1|0,0,0|0,0,x|1]"):
+        with pytest.raises(UsageError):
+            ZornMatrix.parse(gf3, bad)
 
 
 # ---------------------------------------------------------------------------

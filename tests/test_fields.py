@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from moufang.fields import (GF, field_make, field_of_order, inv, is_square,
+from moufang.fields import (GF, UsageError, field_make, field_of_order, inv, is_square,
                             parse_field_spec, primitive_element, rref)
 
 
@@ -169,10 +169,9 @@ def test_parse_field_spec():
     assert parse_field_spec("gf(9)").q == 9
     assert parse_field_spec("gf(2,2,1.1.1)").q == 4
     assert parse_field_spec("GF(25)").q == 25
-    with pytest.raises(ValueError):
-        parse_field_spec("gf(6)")
-    with pytest.raises(ValueError):
-        parse_field_spec("zz(4)")
+    for bad in ("gf(6)", "zz(4)", "gf(2,2,1.0.1)", "gf(2,x,1.1.1)", "gf(2,2)"):
+        with pytest.raises(UsageError):
+            parse_field_spec(bad)
 
 
 def test_field_of_order():
@@ -180,7 +179,7 @@ def test_field_of_order():
         f = field_of_order(q)
         assert (f.p, f.k, f.q) == (p, k, q)
     for q in (-4, 0, 1, 6, 12, 100):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(UsageError, match="not a prime power"):
             field_of_order(q)
 
 

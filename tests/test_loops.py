@@ -11,9 +11,10 @@ from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violati
                            center, closure, closure_indices, commutant, cyclic_loop,
                            direct_product, find_isomorphism, inner_mapping_group,
                            is_moufang, is_normal, is_simple, left_translation,
-                           loop_from_closure, loop_from_perm_group, mlt_group,
+                           loop_from_perm_group, mlt_group,
                            normal_closure, nucleus, read_table, right_translation,
                            write_table)
+from moufang.fields import UsageError
 from moufang.permgrp import Perm, PermGroup
 
 
@@ -31,30 +32,20 @@ def test_latin_validation_rejects_bad_table():
 
 
 def test_closure_single_neutral():
-    els, _ = closure([0], lambda a, b: (a + b) % 1, 0)
-    assert els == [0]
+    assert closure([0], lambda a, b: (a + b) % 1, 0) == [0]
 
 
 def test_closure_of_generator_in_z6():
     mult = lambda a, b: (a + b) % 6
-    els, prods = closure([2], mult, 0)
-    assert sorted(els) == [0, 2, 4]
-    loop, elements = loop_from_closure([1], mult, 0)
-    assert loop.n == 6
+    assert sorted(closure([2], mult, 0)) == [0, 2, 4]
+    # level 0 is the generator and the neutral element, each later level
+    # is sorted
+    assert closure([1], mult, 0) == [1, 0, 2, 3, 4, 5]
 
 
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         closure([1], lambda a, b: (a + b) % 1000, 0, cap=10)
-
-
-def test_loop_from_closure_refuses_past_table_size():
-    # (Z/2)^12 has 4096 elements; table mode under the memory budget
-    # stops at 3344
-    with pytest.raises(ValueError, match="table limit"):
-        loop_from_closure([1 << b for b in range(12)], lambda a, b: a ^ b, 0)
-    with pytest.raises(ClosureCapExceeded):
-        loop_from_closure([1 << b for b in range(12)], lambda a, b: a ^ b, 0, cap=10)
 
 
 def test_closure_paige2_generators_mod_sign(m2):
@@ -71,10 +62,10 @@ def test_closure_paige2_generators_mod_sign(m2):
 
     one = tuple(int(v) for v in eng.unit_row())
     gen_keys = [tuple(int(v) for v in g.matrix.coords()) for g in gens]
-    els, _ = closure(gen_keys, lambda a, b: canon_mult(a, b), one,
-                     sort_key=lambda t: eng.pack(np.asarray([t]))[0])
+    els = closure(gen_keys, lambda a, b: canon_mult(a, b), one,
+                  sort_key=lambda t: eng.pack(np.asarray([t]))[0])
     assert len(els) == 120
-    packed = paige.closure_packed(2, gens, quotient=True)
+    packed = paige.closure_packed(2, gens)
     assert [int(eng.pack(np.asarray([t]))[0]) for t in els] == [int(p) for p in packed]
 
 
@@ -149,7 +140,7 @@ def test_inner_maps_fix_neutral(m2, rng):
     for g in inn.gens:
         assert g(e) == e
     for _ in range(1000):
-        w = inn.random_element(rng, word_length=6)
+        w = inn.random_element(rng)
         assert w(e) == e
 
 
@@ -295,8 +286,10 @@ def test_memory_budget_decides_table_mode():
     assert _cyclic_oracle(3344).table is not None
     L = _cyclic_oracle(3345)
     assert L.table is None
-    with pytest.raises(ValueError, match="needs table mode"):
+    with pytest.raises(UsageError, match="needs table mode"):
         FiniteLoop(3345, table=np.zeros((1, 1), dtype=np.int32))
+    with pytest.raises(UsageError, match="needs table mode"):
+        cyclic_loop(3345)
 
 
 def test_oracle_loop_serves_batched_products_only():
@@ -315,7 +308,7 @@ def test_oracle_loop_serves_batched_products_only():
                 lambda: direct_product(L, cyclic_loop(2)),
                 lambda: write_table(L, os.devnull)]
     for call in refusals:
-        with pytest.raises(ValueError, match="needs table mode"):
+        with pytest.raises(UsageError, match="needs table mode"):
             call()
 
 
@@ -419,3 +412,22 @@ def test_table_roundtrip(tmp_path, s3_loop):
     # byte-exact round trip
     write_table(L, path + "2")
     assert open(path).read() == open(path + "2").read()
+
+
+def test_read_table_refuses_malformed_files(tmp_path):
+    path = tmp_path / "t.tbl"
+    write_table(cyclic_loop(3), path)
+    good = path.read_text()
+    assert read_table(path).table.tolist() == cyclic_loop(3).table.tolist()
+    for bad in (good.replace("2 0 1", "2 0 x"),  # non-integer cell
+                good.replace("2 0 1", "2 0 0"),  # not Latin
+                good.replace("1 2 0", "1 2"),    # ragged row
+                "x\n" + good,                   # no element count
+                "-2\n" + good[2:],              # negative element count
+                "4000\n"):                      # past the memory budget
+        path.write_text(bad)
+        with pytest.raises(UsageError):
+            read_table(path)
+    path.write_bytes(b"3\n\xff\xfe\n")  # not text
+    with pytest.raises(UsageError):
+        read_table(path)

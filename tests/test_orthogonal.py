@@ -186,15 +186,6 @@ def test_conjugation_factorization(q, rng):
         assert np.array_equal(mat_mul(field, mat_mul(field, C, ML_inv), C), MR)
 
 
-def test_matrix_text_form(gf3):
-    from moufang.orthogonal import format_matrix
-    txt = format_matrix(gf3, j_matrix(gf3))
-    rows = txt.split("\n")
-    assert len(rows) == 8
-    assert rows[0] == "0 0 0 0 0 0 0 1"
-    assert rows[1] == "0 0 0 0 2 0 0 0"
-
-
 def test_solve_and_column_space(gf7, rng):
     for _ in range(30):
         A = np.array([[int(rng.integers(7)) for _ in range(8)] for _ in range(8)])

@@ -3,7 +3,7 @@ import pytest
 
 from moufang import loops, paige
 from moufang.composition import ZornMatrix
-from moufang.fields import field_make, field_of_order
+from moufang.fields import UsageError, field_make, field_of_order
 
 
 def test_order_formulas():
@@ -26,9 +26,16 @@ def test_unit_loop_neutral_is_diag(u3):
     assert u3.labels[u3.neutral] == "[1|0,0,0|0,0,0|1]"
 
 
-def test_unit_loop_rejects_large_q():
-    with pytest.raises(ValueError):
-        paige.unit_loop(7)
+def test_unit_loop_rejects_large_q(monkeypatch):
+    # one bound, in enumerate_unit_coords, checked before the engine is built
+    def no_engine(field):
+        raise AssertionError("built an engine over GF(%d)" % field.q)
+    monkeypatch.setattr(paige, "ZornEngine", no_engine)
+    for build in (paige.unit_loop, paige.paige_loop,
+                  lambda q: paige.enumerate_unit_coords(field_of_order(q))):
+        for q in (7, 9):
+            with pytest.raises(UsageError, match="limited to q <= 5"):
+                build(q)
 
 
 def test_conjugate_is_inverse_exhaustive():

@@ -3,7 +3,7 @@ import pytest
 
 from moufang import loops
 from moufang.permgrp import (IncompleteChainError, Perm, PermGroup,
-                             group_order, homomorphism_kernel, schreier_sims)
+                             homomorphism_kernel, schreier_sims)
 
 
 def test_perm_basics():
@@ -113,5 +113,12 @@ def test_kernel_rejects_non_homomorphism():
         homomorphism_kernel(s4, [Perm([0, 2, 1]), Perm([1, 2, 0])])
 
 
-def test_group_order_util():
-    assert group_order([Perm([1, 0, 2]), Perm([0, 2, 1])]) == 6
+def test_kernel_checks_the_assignment_at_any_degree():
+    # two commuting transpositions on 2100 points; sending the first to a
+    # 3-cycle is no homomorphism, and the check runs past degree 2048 too
+    a = Perm.from_cycles(2100, [[0, 1]])
+    b = Perm.from_cycles(2100, [[2, 3]])
+    G = PermGroup(2100, [a, b])
+    with pytest.raises(ValueError, match="homomorphism"):
+        homomorphism_kernel(G, [Perm([1, 2, 0]), Perm.identity(3)])
+    assert homomorphism_kernel(G, [Perm([1, 0, 2]), Perm.identity(3)]).order() == 2

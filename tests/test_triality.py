@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moufang import loops, paige, triality
-from moufang.fields import field_make
+from moufang.fields import UsageError, field_make
 from moufang.loops import cyclic_loop, find_isomorphism
 from moufang.permgrp import Perm, PermGroup
 from moufang.triality import (HORIZONTAL, TRANSVERSAL, VERTICAL, LoopNet3,
@@ -54,7 +54,7 @@ def test_net_cap(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("a reflection was built")
     monkeypatch.setattr(triality, "bol_reflection", build)
-    with pytest.raises(ValueError, match="memory budget"):
+    with pytest.raises(UsageError, match="memory budget"):
         all_bol_reflections(cyclic_loop(224))
 
 
@@ -308,15 +308,16 @@ def test_direction_preserving_origin_fixers_are_automorphisms(s3_loop):
 
 def test_triality_group_z3_exhaustive():
     w = triality_group_from_loop(cyclic_loop(3))
-    ok, details = triality_check(w.group, w.sigma, w.rho, mode="exhaustive")
-    assert ok and details["routes_agree"]
+    ok, details = triality_check(w.group, w.sigma, w.rho)
+    assert ok and details["routes_agree"] and details["mode"] == "exhaustive"
     assert w.details == details  # the check the constructor ran, kept
 
 
 def test_triality_group_s3_exhaustive(s3_loop):
     w = triality_group_from_loop(s3_loop)
-    ok, details = triality_check(w.group, w.sigma, w.rho, mode="exhaustive")
+    ok, details = triality_check(w.group, w.sigma, w.rho)
     assert ok and details["identity_checked"] == w.group.order()
+    assert details["mode"] == "exhaustive"
 
 
 def test_triality_m0_is_class_action_kernel(s3_loop):
@@ -327,7 +328,7 @@ def test_triality_m0_is_class_action_kernel(s3_loop):
     n = w.origin_net.n
     # line (cls-1)*n + c lands in class (image // n) + 1
     images = [Perm([int(g.a[c * n]) // n for c in range(3)]) for g in M.gens]
-    K = homomorphism_kernel(M, images, verify=True)
+    K = homomorphism_kernel(M, images)
     assert K.order() == w.group.order()
     assert K.is_subgroup(w.group) and w.group.is_subgroup(K)
 
@@ -381,8 +382,8 @@ def test_triality_violation_detected_and_net_fails():
     assert rho * rho * rho == id16 and rho != id16
     sr = sigma * rho
     assert sr * sr == id16
-    ok, details = triality_check(G, sigma, rho, mode="exhaustive")
-    assert not ok and details["routes_agree"]
+    ok, details = triality_check(G, sigma, rho)
+    assert not ok and details["routes_agree"] and details["mode"] == "exhaustive"
     w = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
     with pytest.raises(NetAxiomError):
         net_from_triality(w)
@@ -469,8 +470,9 @@ def test_example_phi_trivial_group_degenerate():
 def test_example_vector():
     for q in (5, 2):
         w = example_vector(field_make(q))
-        ok, details = triality_check(w.group, w.sigma, w.rho, mode="exhaustive")
+        ok, details = triality_check(w.group, w.sigma, w.rho)
         assert ok and details["identity_checked"] == q * q
+        assert details["mode"] == "exhaustive"
     with pytest.raises(ValueError):
         example_vector(field_make(3))
     with pytest.raises(ValueError):
