@@ -17,7 +17,9 @@ from .fields import UsageError, field_make, field_of_order, parse_field_spec
 from .loops import SAMPLE_SEED
 # mat_det is unused here but stays bound: perfbench/tests checks that the
 # tracer wraps this module's from-import bindings, mat_det among them.
-from .orthogonal import is_rotation, mat_det, mult_operator_matrix, spinor_norm  # noqa: F401
+from .orthogonal import (UNIT_BYTES, is_rotation, mat_det,  # noqa: F401
+                         mult_operator_matrix, operator_matrices, spinor_norm,
+                         spinor_verdicts)
 from .permgrp import Perm, PermGroup
 
 _S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
@@ -39,6 +41,14 @@ class CommandReport:
 
 def _progress(msg):
     print(msg, file=sys.stderr)
+
+
+def positive_count(text):
+    """The argparse type of every sample and point count: an integer >= 1,
+    since a count of 0 would pass a verdict that checked nothing."""
+    if not text.isdigit() or int(text) == 0:
+        raise UsageError("%r is not a positive count" % (text,))
+    return int(text)
 
 
 def _parse_spec(spec):
@@ -113,7 +123,7 @@ def _build_parser():
 
     p = add("moufang-check", help="Moufang identity and associativity witness")
     p.add_argument("--loop", required=True)
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=positive_count, default=100000)
 
     p = add("generators-check", help="closure size of the standard generators")
     p.add_argument("--q", type=int, required=True)
@@ -123,24 +133,25 @@ def _build_parser():
     p.add_argument("--field", help="gf(q) or gf(p,k,c0.c1..ck), constant term first")
     p.add_argument("--x", help="Zorn matrix text [a|a1,a2,a3|b1,b2,b3|b]")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=positive_count, default=10000)
 
     p = add("spinor-check", help="rotation and spinor checks for translation operators")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--samples", type=positive_count, default=1000)
 
     p = add("net-build", help="materialize the 3-net of a loop")
     p.add_argument("--loop", required=True)
 
     p = add("bol-check", help="Bol reflections: involutions, collineations, S3")
     p.add_argument("--loop", required=True)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--points", type=positive_count, default=50)
 
     p = add("triality-check", help="triality identity for a named case")
     p.add_argument("--case", required=True,
                    help="wreath-s3 | vector-gf5 | vector-gf2 | phi-z3z3 | "
                         "net-z3 | net-s3 | net-paige2")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=positive_count, default=1000)
 
     p = add("cayley-units", help="integral Cayley units and the M*(2) certificate")
 
@@ -210,13 +221,10 @@ def _cmd_mlt_order(args, rep):
 
 
 def _cmd_simple_check(args, rep):
-    sample = args.elements != "all"
-    if sample and not args.elements.isdigit():
-        raise UsageError("--elements takes 'all' or a count, not %r" % (args.elements,))
+    k = None if args.elements == "all" else positive_count(args.elements)
     loop = _build_loop(*_table_spec(args.loop))
     others = [x for x in range(loop.n) if x != loop.neutral]
-    if sample:
-        k = int(args.elements)
+    if k is not None:
         if k > len(others):
             raise UsageError("--elements %d exceeds the %d non-neutral elements"
                              % (k, len(others)))
@@ -328,32 +336,43 @@ def _cmd_spinor_check(args, rep):
         raise UsageError("spinor checks need odd q")
     field = field_of_order(args.q)
     coords = paige.enumerate_unit_coords(field)
-    rng = np.random.default_rng(args.seed)
-    picks = rng.integers(len(coords), size=args.samples)
-    failures = 0
+    if args.exhaustive:
+        picks, mode = np.arange(len(coords)), "exhaustive"
+    else:
+        rng = np.random.default_rng(args.seed)
+        picks = rng.integers(len(coords), size=args.samples)
+        mode = "sampled:%d" % args.samples
+    chunk = loops.MEMORY_BUDGET // UNIT_BYTES
     witness = None
-    for t, i in enumerate(picks):
-        a = ZornMatrix.from_coords(field, [int(c) for c in coords[int(i)]])
+    for start in range(0, len(picks), chunk):
+        units = coords[picks[start:start + chunk]]
+        verdicts = {}
         for side in ("left", "right"):
-            M = mult_operator_matrix(a, side)
-            if not is_rotation(field, M):
-                failures += 1
-                witness = (a, side, "not a rotation")
-                break
-            verdict = spinor_norm(field, M)
-            if not verdict.in_omega:
-                failures += 1
-                witness = (a, side, "spinor class " + verdict.discriminant_square_class)
-                break
-        if failures:
+            M = operator_matrices(field, units, side)
+            _, rotation, square = verdicts[side] = spinor_verdicts(field, M)
+            if start == 0:  # the first unit once more, on the scalar path
+                S = mult_operator_matrix(ZornMatrix.from_coords(
+                    field, [int(c) for c in units[0]]), side)
+                rot = is_rotation(field, S)
+                if not (np.array_equal(S, M[0]) and rot == rotation[0] and
+                        (rot and spinor_norm(field, S).in_omega) == square[0]):
+                    raise AssertionError("batched and scalar spinor verdicts "
+                                         "disagree on the %s operator" % side)
+        bad = ~(verdicts["left"][2] & verdicts["right"][2])
+        if bad.any():
+            t = int(bad.argmax())
+            side = "left" if not verdicts["left"][2][t] else "right"
+            a = ZornMatrix.from_coords(field, [int(c) for c in units[t]])
+            witness = "%s %s %s" % (a.text(), side, "spinor class non-square"
+                                    if verdicts[side][1][t] else "not a rotation")
             break
-        if (t + 1) % 250 == 0:
-            _progress("checked %d/%d operators" % (t + 1, args.samples))
+        _progress("checked %d/%d operators" % (start + len(units), len(picks)))
     rep.add("q", args.q)
-    rep.add("checked", args.samples if witness is None else -1)
-    if failures:
-        rep.fail("failures", failures)
-        rep.add("witness", "%s %s %s" % (witness[0].text(), witness[1], witness[2]))
+    rep.add("mode", mode)
+    rep.add("checked", len(picks) if witness is None else -1)
+    if witness:
+        rep.fail("failures", 1)
+        rep.add("witness", witness)
     else:
         rep.add("failures", 0)
 

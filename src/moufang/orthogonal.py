@@ -4,9 +4,10 @@ orthogonality and rotation tests, and the spinor-norm criterion that decides
 membership in the commutator subgroup Omega.
 
 Matrices act on column vectors (y = M x) in the coordinate order
-(x0..x7) = (a, alpha, beta, b).  Entries are field codes; all arithmetic
-routes through the field object, so everything works verbatim over any
-GF(p^k)."""
+(x0..x7) = (a, alpha, beta, b).  Entries are field codes; the scalar
+routines route all arithmetic through the field object, so they work over
+any GF(p^k), and are the reference for the batched verdicts over prime
+fields (operator_matrices, spinor_verdicts)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import paige
 from .composition import ZornMatrix
 from .fields import rref
 
@@ -250,3 +252,77 @@ def spinor_norm(field, M):
         raise AssertionError("chi_g is degenerate; input was not a rotation?")
     cls = "square" if field.is_square(d) else "non-square"
     return SpinorVerdict(True, cls, cls == "square")
+
+
+# Bytes per unit for operator_matrices plus spinor_verdicts on both of its
+# operators (3.3 KB peak measured at q = 5): callers size chunks from it.
+UNIT_BYTES = 8192
+
+
+def operator_matrices(field, coords, side="left"):
+    """(N, 8, 8) stack of the matrices of mult_operator_matrix for the (N, 8)
+    Zorn coordinates: column j holds a e_j (left) or e_j a (right)."""
+    eng = paige.ZornEngine(field)
+    X = np.repeat(np.asarray(coords)[:, None, :], 8, axis=1)  # row j: a
+    E = np.broadcast_to(field.one * np.eye(8, dtype=np.int64), X.shape)
+    prods = eng.mul(X, E) if side == "left" else eng.mul(E, X)  # row j: a e_j
+    return prods.transpose(0, 2, 1).astype(np.int64)
+
+
+def _eliminate(M, p):
+    """Row echelon form mod p of each matrix of an (N, n, n) stack: the
+    pivot-column mask (N, n) and the determinant (N,).  The pivot columns of
+    a matrix index a basis of its column space.  Entries are int32, exact
+    for p < 46341."""
+    A = np.array(M, dtype=np.int32) % p
+    N, n, _ = A.shape
+    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int32)
+    at, rows = np.arange(N), np.arange(n)
+    pivots = np.zeros((N, n), dtype=bool)
+    rank = np.zeros(N, dtype=np.int64)
+    det = np.ones(N, dtype=np.int64)
+    for c in range(n):
+        below = (A[:, :, c] != 0) & (rows >= rank[:, None])
+        has = below.any(axis=1)
+        piv = below.argmax(axis=1)
+        det[has & (piv != rank)] *= -1
+        top = A[at, piv]
+        A[at[has], piv[has]] = A[at[has], rank[has]]
+        A[at[has], rank[has]] = top[has]
+        lead = np.where(has, top[:, c], 1)
+        det = det * lead % p
+        f = A[:, :, c] * inv[lead][:, None] % p
+        f[~has[:, None] | (rows <= rank[:, None])] = 0
+        A[:, :, c:] -= f[:, :, None] * top[:, None, c:]
+        A[:, :, c:] %= p
+        pivots[:, c] = has
+        rank += has
+    return pivots, np.where(rank == n, det, 0)
+
+
+def spinor_verdicts(field, M):
+    """Batched is_rotation and spinor_norm over an (N, 8, 8) stack mod p:
+    boolean arrays (orthogonal, rotation, square), square being False off
+    the rotations.
+
+    The Wall form on V(1-g) in the basis A e_c, c a pivot column of
+    A = I - M, has the preimages e_c, so its Gram matrix is (A^t J)[P, P].
+    Padded with the identity outside P x P, every matrix shares one 8x8
+    determinant; the identity map gets the empty product, a square.  Prime
+    fields of odd characteristic only."""
+    if field.k > 1 or field.p == 2:
+        raise ValueError("batched spinor verdicts need an odd prime field")
+    p, I, J = field.p, np.eye(8, dtype=np.int64), j_matrix(field)
+    M = np.asarray(M, dtype=np.int64) % p
+    gram_ok = ((M.transpose(0, 2, 1) @ J @ M) % p == J).all(axis=(1, 2))
+    norms = M[:, 0] * M[:, 7] - (M[:, 1:4] * M[:, 4:7]).sum(axis=1)
+    orthogonal = gram_ok & (norms % p == 0).all(axis=1)
+    rotation = orthogonal & (_eliminate(M, p)[1] == 1)
+    A = (I - M) % p
+    P = _eliminate(A, p)[0]
+    d = _eliminate(np.where(P[:, :, None] & P[:, None, :],
+                            A.transpose(0, 2, 1) @ J, I), p)[1]
+    if (rotation & (d == 0)).any():
+        raise AssertionError("chi_g is degenerate on a rotation")
+    legendre = np.array([pow(x, (p - 1) // 2, p) for x in range(p)])
+    return orthogonal, rotation, rotation & (legendre[d] == 1)

@@ -11,6 +11,10 @@ import pytest
 import moufang
 from moufang import cli, loops, paige
 from moufang.cli import main, run
+from moufang.composition import ZornMatrix
+from moufang.fields import field_of_order
+from moufang.orthogonal import (UNIT_BYTES, is_rotation, mult_operator_matrix,
+                                spinor_norm)
 
 
 def lines_dict(rep):
@@ -313,6 +317,96 @@ def test_reports_are_deterministic():
     a = run(["spinor-check", "--q", "3", "--samples", "20"])
     b = run(["spinor-check", "--q", "3", "--samples", "20"])
     assert a.lines == b.lines and a.status == b.status == 0
+
+
+# Counts of 0 or less would pass a verdict that checked nothing.
+NOT_POSITIVE = [
+    ["spinor-check", "--q", "3", "--samples", "0"],
+    ["spinor-check", "--q", "3", "--samples", "-3"],
+    ["moufang-check", "--loop", "M*(2)", "--samples", "0"],
+    ["moufang-check", "--loop", "M*(5)", "--samples", "-1"],
+    ["decompose", "--q", "3", "--samples", "0"],
+    ["decompose", "--q", "3", "--samples", "-2"],
+    ["simple-check", "--loop", "M*(2)", "--elements", "0"],
+    ["simple-check", "--loop", "M*(2)", "--elements", "-4"],
+    ["bol-check", "--loop", "Z(3)", "--points", "0"],
+    ["bol-check", "--loop", "Z(3)", "--points", "-1"],
+    ["triality-check", "--case", "net-z3", "--samples", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", NOT_POSITIVE, ids=[" ".join(a[::2]) + " " + a[-1]
+                                                   for a in NOT_POSITIVE])
+def test_counts_must_be_positive(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "positive" in out.err
+
+
+def test_spinor_check_exhaustive_q3():
+    d = lines_dict(run(["spinor-check", "--q", "3", "--exhaustive"]))
+    assert d == {"q": "3", "mode": "exhaustive", "checked": "2160", "failures": "0"}
+
+
+def scalar_spinor_witness(field, coords, picks):
+    """The witness the per-operator scalar loop reports, or None."""
+    for i in picks:
+        a = ZornMatrix.from_coords(field, [int(c) for c in coords[i]])
+        for side in ("left", "right"):
+            M = mult_operator_matrix(a, side)
+            if not is_rotation(field, M):
+                return "%s %s not a rotation" % (a.text(), side)
+            verdict = spinor_norm(field, M)
+            if not verdict.in_omega:
+                return "%s %s spinor class %s" % (
+                    a.text(), side, verdict.discriminant_square_class)
+    return None
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_spinor_check_reports_the_scalar_witness(chunk, monkeypatch, capsys):
+    # a norm-2 element among the units of GF(3) scales the form, so its
+    # operators are not rotations; it is the 11th pick, in the second chunk
+    # of 7 units
+    field = field_of_order(3)
+    coords = paige.enumerate_unit_coords(field).copy()
+    picks = np.random.default_rng(loops.SAMPLE_SEED).integers(len(coords), size=20)
+    assert picks[10] not in picks[:10]
+    coords[picks[10]] = [2, 0, 0, 0, 0, 0, 0, 1]
+    monkeypatch.setattr(paige, "enumerate_unit_coords", lambda field: coords)
+    if chunk:
+        monkeypatch.setattr(loops, "MEMORY_BUDGET", chunk * UNIT_BYTES)
+    assert main(["spinor-check", "--q", "3", "--samples", "20"]) == 1
+    out = capsys.readouterr()
+    witness = scalar_spinor_witness(field, coords, picks)
+    assert witness == "[2|0,0,0|0,0,0|1] left not a rotation"
+    assert out.out == ("q=3\nmode=sampled:20\nchecked=-1\nfailures=1\n"
+                       "witness=%s\n" % witness)
+
+
+def test_spinor_check_chunks_agree(monkeypatch, capsys):
+    argv = ["spinor-check", "--q", "5", "--samples", "40"]
+    assert main(argv) == 0
+    whole = capsys.readouterr()
+    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * UNIT_BYTES)
+    assert main(argv) == 0
+    chunked = capsys.readouterr()
+    assert chunked.out == whole.out
+    assert chunked.err.splitlines() == ["checked %d/40 operators" % k
+                                        for k in (16, 32, 40)]
+
+
+def test_spinor_check_scalar_disagreement_exits_3(monkeypatch, capsys):
+    batched = cli.spinor_verdicts
+
+    def flipped(field, M):
+        orthogonal, rotation, square = batched(field, M)
+        return orthogonal, rotation, ~square
+    monkeypatch.setattr(cli, "spinor_verdicts", flipped)
+    assert main(["spinor-check", "--q", "3", "--samples", "5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "batched and scalar spinor verdicts disagree" in out.err
 
 
 def test_simple_check_sampled():

@@ -4,12 +4,14 @@ import pytest
 from moufang import paige
 from moufang.composition import ZornMatrix, bilinear
 from moufang.fields import field_make, field_of_order
-from moufang.orthogonal import (SpinorVerdict, column_space_basis,
+from moufang.fields import rref
+from moufang.orthogonal import (SpinorVerdict, _eliminate, column_space_basis,
                                 conjugation_matrix, left_matrix_closed_form,
                                 identity_matrix, is_orthogonal, is_rotation,
                                 j_matrix, mat_det, mat_mul, mat_sub, mat_vec,
                                 mult_operator_matrix, neg_conjugation_matrix,
-                                norm_coords, solve_linear, spinor_norm)
+                                norm_coords, operator_matrices, solve_linear,
+                                spinor_norm, spinor_verdicts)
 
 
 def random_unit(q, rng, loop_cache={}):
@@ -194,3 +196,91 @@ def test_solve_and_column_space(gf7, rng):
             w = solve_linear(gf7, A, v)
             assert w is not None
             assert np.array_equal(mat_vec(gf7, A, w), v)
+
+
+def seeded_units(field, count=100):
+    coords = paige.enumerate_unit_coords(field)
+    rng = np.random.default_rng(0x5EED)
+    return coords[rng.integers(len(coords), size=count)]
+
+
+def scalar_verdict(field, M):
+    """(orthogonal, rotation, square) of one matrix on the scalar path."""
+    rotation = is_rotation(field, M)
+    return (is_orthogonal(field, M), rotation,
+            rotation and spinor_norm(field, M).in_omega)
+
+
+def assert_verdicts_match_scalar(field, stack):
+    got = spinor_verdicts(field, stack)
+    want = np.array([scalar_verdict(field, M) for M in stack]).T
+    assert np.array_equal(np.array(got), want)
+    return got
+
+
+def reflection(field, v):
+    """x -> x - <x,v> N(v)^-1 v, the symmetry in the non-isotropic v."""
+    p = field.p
+    Jv = j_matrix(field) @ v
+    c = field.inv(norm_coords(field, v))
+    return (np.eye(8, dtype=np.int64) - c * np.outer(v, Jv)) % p
+
+
+def reflection_pairs(field, count, rng):
+    out = []
+    while len(out) < count:
+        u, v = rng.integers(field.p, size=(2, 8))
+        if norm_coords(field, u) and norm_coords(field, v):
+            out.append(reflection(field, u) @ reflection(field, v) % field.p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_batched_elimination_matches_scalar(q, rng):
+    # determinant against mat_det, pivot columns against rref's, with a
+    # third of the stack singular
+    field = field_of_order(q)
+    stack = rng.integers(q, size=(150, 8, 8))
+    stack[:50, :, 7] = (stack[:50, :, 0] + 2 * stack[:50, :, 3]) % q
+    pivots, det = _eliminate(stack, q)
+    for P, d, A in zip(pivots, det, stack):
+        assert d == mat_det(field, A)
+        assert list(np.flatnonzero(P)) == rref(field, A.tolist())[1]
+    assert (det[:50] == 0).all()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_operator_matrices_match_scalar(q, side):
+    field = field_of_order(q)
+    units = seeded_units(field)
+    stack = operator_matrices(field, units, side)
+    for M, row in zip(stack, units):
+        a = ZornMatrix.from_coords(field, [int(c) for c in row])
+        assert np.array_equal(M, mult_operator_matrix(a, side))
+    orthogonal, rotation, square = assert_verdicts_match_scalar(field, stack)
+    assert orthogonal.all() and rotation.all() and square.all()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_spinor_verdicts_match_scalar_on_reflection_pairs(q, rng):
+    field = field_of_order(q)
+    orthogonal, rotation, square = assert_verdicts_match_scalar(
+        field, reflection_pairs(field, 60, rng))
+    assert rotation.all()
+    assert 0 < int((~square).sum()) < 60  # both classes occur
+
+
+def test_spinor_verdicts_edge_cases(gf3):
+    stack = np.array([identity_matrix(gf3), neg_conjugation_matrix(gf3),
+                      identity_matrix(gf3)])
+    stack[2, 0, 0] = 2  # x0 -> 2 x0 scales the form: not orthogonal
+    orthogonal, rotation, square = assert_verdicts_match_scalar(gf3, stack)
+    assert orthogonal.tolist() == [True, True, False]
+    assert rotation.tolist() == square.tolist() == [True, False, False]
+
+
+def test_spinor_verdicts_need_odd_prime_field(gf2):
+    for field in (field_make(3, 2), gf2):
+        with pytest.raises(ValueError):
+            spinor_verdicts(field, identity_matrix(field)[None])
