@@ -132,13 +132,15 @@ def _build_parser():
     p.add_argument("--q", type=int)
     p.add_argument("--field", help="gf(q) or gf(p,k,c0.c1..ck), constant term first")
     p.add_argument("--x", help="Zorn matrix text [a|a1,a2,a3|b1,b2,b3|b]")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=positive_count, default=10000)
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exhaustive", action="store_true")
+    how.add_argument("--samples", type=positive_count, default=10000)
 
     p = add("spinor-check", help="rotation and spinor checks for translation operators")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=positive_count, default=1000)
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exhaustive", action="store_true")
+    how.add_argument("--samples", type=positive_count, default=1000)
 
     p = add("net-build", help="materialize the 3-net of a loop")
     p.add_argument("--loop", required=True)
@@ -218,6 +220,7 @@ def _cmd_mlt_order(args, rep):
         rep.add("bound_ok", "yes")
     else:
         rep.fail("bound_ok", "no")
+    rep.add("mode", "certified")
 
 
 def _cmd_simple_check(args, rep):
@@ -245,6 +248,7 @@ def _cmd_simple_check(args, rep):
     else:
         rep.fail("simple", "no")
         rep.add("witness", loop.labels[bad])
+    rep.add("mode", "exhaustive" if k is None else "sampled:%d" % k)
 
 
 def _cmd_moufang_check(args, rep):

@@ -239,13 +239,14 @@ def closure_indices(loop, seed):
     todo.add(loop.neutral)
     cur = np.array(sorted(todo), dtype=np.int64)
     member[cur] = True
-    while True:
+    while len(cur) < loop.n:
         prods = T[np.ix_(cur, cur)].ravel()
         fresh = np.unique(prods[~member[prods]])
         if len(fresh) == 0:
-            return np.flatnonzero(member)
+            break
         member[fresh] = True
         cur = np.flatnonzero(member)
+    return cur
 
 
 def generating_sequence(loop):

@@ -3,9 +3,10 @@
 Maps act on the right and compose left to right: (p * q)(i) = q(p(i)).
 A PermGroup keeps its generators and builds a base/strong-generating-set
 stabilizer chain on first use; orders and membership tests are exact, never
-probabilistic.  The chain construction processes every Schreier generator
-and the verification pass re-sifts all of them, so a completed chain is a
-certificate, not a heuristic.
+probabilistic.  Generators enter the chain one at a time, and only those
+that fail to sift through the chain built so far; the construction then
+processes every Schreier generator and the verification pass re-sifts all
+of them, so a completed chain is a certificate, not a heuristic.
 """
 
 from __future__ import annotations
@@ -194,6 +195,9 @@ class PermGroup:
             lv.stale = True
 
     def _chain(self):
+        """Incremental Schreier-Sims (Seress, Permutation Group Algorithms,
+        sec. 4.2): the chain is complete for the generators admitted so far,
+        and a new generator enters it only if it fails to sift."""
         if self._levels is not None:
             return self._levels
         self._levels = []
@@ -201,7 +205,14 @@ class PermGroup:
             r, idx = self._sift(g)
             if not r.is_identity():
                 self._insert(r, idx)
-        ptr = len(self._levels) - 1
+                self._complete(idx)
+        self._verify()
+        return self._levels
+
+    def _complete(self, top):
+        """Sift Schreier generators from level top down to 0, inserting every
+        residue that fails and descending to the level it was inserted at."""
+        ptr = top
         while ptr >= 0:
             lv = self._levels[ptr]
             if lv.stale:
@@ -231,8 +242,6 @@ class PermGroup:
             if descended:
                 continue
             ptr -= 1
-        self._verify()
-        return self._levels
 
     def _verify(self):
         """Re-sift every Schreier generator and every input generator."""

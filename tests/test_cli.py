@@ -413,3 +413,35 @@ def test_simple_check_sampled():
     rep = run(["simple-check", "--loop", "M*(2)", "--elements", "10"])
     d = lines_dict(rep)
     assert rep.status == 0 and d["simple"] == "yes"
+
+
+def test_mlt_order_m3_settles_the_bound_at_q3():
+    d = lines_dict(run(["mlt-order", "--loop", "M*(3)"]))
+    assert d == {"loop": "M*(3)", "order": "4952179814400",
+                 "expected": "4952179814400", "match": "yes",
+                 "bound4n4": str(4 * 1080 ** 4), "bound_ok": "yes",
+                 "mode": "certified"}
+
+
+def test_mlt_order_and_simple_check_name_their_mode(capsys):
+    # the lines printed before the mode was added come first, unchanged
+    assert main(["mlt-order", "--loop", "M*(2)"]) == 0
+    assert capsys.readouterr().out == (
+        "loop=M*(2)\norder=174182400\nexpected=174182400\nmatch=yes\n"
+        "bound4n4=829440000\nbound_ok=yes\nmode=certified\n")
+    assert main(["simple-check", "--loop", "M*(2)"]) == 0
+    assert capsys.readouterr().out == (
+        "loop=M*(2)\nclosures_checked=119\nsimple=yes\nmode=exhaustive\n")
+    assert main(["simple-check", "--loop", "M*(2)", "--elements", "7"]) == 0
+    assert capsys.readouterr().out == (
+        "loop=M*(2)\nclosures_checked=7\nsimple=yes\nmode=sampled:7\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--q", "2", "--exhaustive", "--samples", "5"],
+    ["spinor-check", "--q", "3", "--exhaustive", "--samples", "5"],
+])
+def test_exhaustive_and_samples_exclude_each_other(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err

@@ -9,9 +9,9 @@ from moufang import loops, paige
 from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violation,
                            automorphism_count, automorphisms, autotopism_check,
                            center, closure, closure_indices, commutant, cyclic_loop,
-                           direct_product, find_isomorphism, inner_mapping_group,
-                           is_moufang, is_normal, is_simple, left_translation,
-                           loop_from_perm_group, mlt_group,
+                           direct_product, find_isomorphism, generating_sequence,
+                           inner_mapping_group, is_moufang, is_normal, is_simple,
+                           left_translation, loop_from_perm_group, mlt_group,
                            normal_closure, nucleus, read_table, right_translation,
                            write_table)
 from moufang.fields import UsageError
@@ -315,6 +315,49 @@ def test_oracle_loop_serves_batched_products_only():
 def test_moufang_mode():
     assert loops.moufang_mode(cyclic_loop(512), 7) == "exhaustive"
     assert loops.moufang_mode(cyclic_loop(513), 7) == "sampled:7"
+
+
+def _closure_indices_reference(loop, seed):
+    # the loop body that ran one more full round after reaching the whole loop
+    T = loop.table
+    member = np.zeros(loop.n, dtype=bool)
+    todo = set(int(s) for s in seed)
+    todo.add(loop.neutral)
+    cur = np.array(sorted(todo), dtype=np.int64)
+    member[cur] = True
+    while True:
+        prods = T[np.ix_(cur, cur)].ravel()
+        fresh = np.unique(prods[~member[prods]])
+        if len(fresh) == 0:
+            return np.flatnonzero(member)
+        member[fresh] = True
+        cur = np.flatnonzero(member)
+
+
+@pytest.mark.parametrize("name", ["m3", "u3"])
+def test_closure_indices_matches_reference(name, request):
+    L = request.getfixturevalue(name)
+    gens, levels = generating_sequence(L)
+    seeds = [gens[:i + 1] for i in range(len(gens))] + [[], [L.neutral]]
+    if name == "u3":
+        seeds.append(center(L))  # {e, -e}
+    sizes = set()
+    for seed in seeds:
+        got = closure_indices(L, seed)
+        assert np.array_equal(got, _closure_indices_reference(L, seed)), seed
+        sizes.add(len(got))
+    assert L.n in sizes and 1 in sizes and len(sizes) > 2  # whole, trivial, proper
+    if name == "u3":
+        assert len(closure_indices(L, center(L))) == 2
+
+
+def test_closure_indices_on_cyclic_subgroups():
+    L = cyclic_loop(12)
+    for seed, size in (([], 1), ([0], 1), ([6], 2), ([3], 4), ([4], 3),
+                       ([4, 6], 6), ([8, 9], 12), ([5], 12), ([2, 3], 12)):
+        got = closure_indices(L, seed)
+        assert np.array_equal(got, _closure_indices_reference(L, seed)), seed
+        assert len(got) == size, seed
 
 
 def test_two_generated_subloops_associative(m2, rng):

@@ -122,3 +122,52 @@ def test_kernel_checks_the_assignment_at_any_degree():
     with pytest.raises(ValueError, match="homomorphism"):
         homomorphism_kernel(G, [Perm([1, 2, 0]), Perm.identity(3)])
     assert homomorphism_kernel(G, [Perm([1, 0, 2]), Perm.identity(3)]).order() == 2
+
+
+def _strong_generator_count(G):
+    G.order()
+    return len(G._strong_gens(0))
+
+
+def test_late_generator_that_enlarges_the_group_is_kept():
+    # A6 = <(0 1 2), (1 2 3 4 5)>, then words in them that sift to the
+    # identity, then a transposition that doubles the group
+    a = Perm.from_cycles(6, [[0, 1, 2]])
+    b = Perm.from_cycles(6, [[1, 2, 3, 4, 5]])
+    redundant = [a * b, b * a * b, a.inverse(), b ** 3 * a]
+    A6 = PermGroup(6, [a, b] + redundant)
+    assert A6.order() == 360
+    assert _strong_generator_count(A6) < len(A6.gens)
+    t = Perm.from_cycles(6, [[0, 1]])
+    assert not A6.contains(t)
+    S6 = PermGroup(6, [a, b] + redundant + [t])
+    assert S6.order() == 720
+    assert S6.contains(t) and S6.is_subgroup(A6)
+
+
+def test_mlt_chain_of_m2_drops_redundant_translations(m2):
+    G = loops.mlt_group(m2)
+    assert len(G.gens) == 238  # 240 translations, L_e = R_e = identity
+    assert G.order() == 174182400
+    assert _strong_generator_count(G) < 238
+    for x in range(m2.n):
+        assert G.contains(loops.left_translation(m2, x))
+        assert G.contains(loops.right_translation(m2, x))
+
+
+def _orbits_only(self, top):
+    for idx in range(top, -1, -1):
+        self._recompute_orbit(idx)
+
+
+@pytest.mark.parametrize("complete,reason", [
+    (lambda self, top: None, "input generator"),
+    (_orbits_only, "Schreier generator"),
+])
+def test_sabotaged_chain_is_refused(complete, reason, monkeypatch):
+    # S4 from (0 1) and (0 1 2 3) needs a Schreier generator for (2 3);
+    # a chain that skips them (or does no completion at all) fails _verify
+    monkeypatch.setattr(PermGroup, "_complete", complete)
+    G = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
+    with pytest.raises(IncompleteChainError, match=reason):
+        G.order()
