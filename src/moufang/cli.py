@@ -43,12 +43,25 @@ def _progress(msg):
     print(msg, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses by UsageError, so argparse rejections
+    take the one exit-2 path of run()."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def positive_count(text):
     """The argparse type of every sample and point count: an integer >= 1,
     since a count of 0 would pass a verdict that checked nothing."""
     if not text.isdigit() or int(text) == 0:
-        raise UsageError("%r is not a positive count" % (text,))
+        raise argparse.ArgumentTypeError("%r is not a positive count" % (text,))
     return int(text)
+
+
+def all_or_positive_count(text):
+    """The argparse type of simple-check --elements: None for 'all'."""
+    return None if text == "all" else positive_count(text)
 
 
 def _parse_spec(spec):
@@ -98,7 +111,7 @@ def _table_spec(spec):
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(prog="moufang", description=__doc__)
+    top = _Parser(prog="moufang", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def add(name, **kw):
@@ -119,7 +132,8 @@ def _build_parser():
 
     p = add("simple-check", help="normal closures of non-neutral elements")
     p.add_argument("--loop", required=True)
-    p.add_argument("--elements", default="all", help="'all' or a sample count")
+    p.add_argument("--elements", type=all_or_positive_count, default="all",
+                   help="'all' or a sample count")
 
     p = add("moufang-check", help="Moufang identity and associativity witness")
     p.add_argument("--loop", required=True)
@@ -224,7 +238,7 @@ def _cmd_mlt_order(args, rep):
 
 
 def _cmd_simple_check(args, rep):
-    k = None if args.elements == "all" else positive_count(args.elements)
+    k = args.elements
     loop = _build_loop(*_table_spec(args.loop))
     others = [x for x in range(loop.n) if x != loop.neutral]
     if k is not None:
@@ -560,17 +574,15 @@ _HANDLERS = {
 def run(argv):
     """Execute one command line; returns a CommandReport.  Status 2 means a
     usage error: argparse rejected the line, a handler raised UsageError, or
-    a user path does not exist.  Any other exception is an internal fault,
-    status 3.  Either way stdout stays empty."""
+    a user path does not exist; stderr then gets one "error: " line.  Any
+    other exception is an internal fault, status 3.  Either way stdout stays
+    empty."""
     rep = CommandReport(command="moufang " + " ".join(argv))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        rep.status = 2 if e.code not in (0,) else 0
-        return rep
-    try:
+        args = _build_parser().parse_args(argv)
         _HANDLERS[args.cmd](args, rep)
+    except SystemExit:  # --help: argparse printed the text, status 0
+        pass
     except (UsageError, FileNotFoundError) as e:
         print("error: %s" % (e,), file=sys.stderr)
         rep.lines.clear()  # a refused request prints nothing on stdout

@@ -10,10 +10,9 @@ element order, compared coordinate by coordinate from a to b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import loops
 from .composition import ZornMatrix
 from .fields import UsageError, field_of_order, primitive_element
 from .loops import FiniteLoop, ClosureCapExceeded
@@ -243,21 +242,6 @@ def enumerate_unit_coords(field):
     return coords
 
 
-@dataclass
-class UnitLoopElement:
-    """A norm-one Zorn matrix together with its canonical-representative flag."""
-
-    matrix: ZornMatrix
-    is_canonical_rep: bool
-
-    @classmethod
-    def of(cls, matrix):
-        eng = ZornEngine(matrix.field)
-        row = np.array([matrix.coords()], dtype=np.int64)
-        rep = eng.canon(row)
-        return cls(matrix, bool((rep == row).all()))
-
-
 class _PaigeBackend:
     """Shared index-level arithmetic for M(q) and M*(q)."""
 
@@ -269,21 +253,12 @@ class _PaigeBackend:
         self.packed = self.engine.pack(coords)
         if not (np.diff(self.packed) > 0).all():
             raise AssertionError("element list not in canonical order")
-        space = field.q ** 8
-        if space <= 2 ** 24:
-            lut = np.full(space, -1, dtype=np.int32)
-            lut[self.packed] = np.arange(len(coords), dtype=np.int32)
-            self._lut = lut
-        else:
-            self._lut = None
+        # q <= 5, so the table has at most 5^8 entries (1.6 MB)
+        self._lut = np.full(field.q ** 8, -1, dtype=np.int32)
+        self._lut[self.packed] = np.arange(len(coords), dtype=np.int32)
 
     def lookup(self, packed):
-        if self._lut is not None:
-            idx = self._lut[packed]
-        else:
-            pos = np.searchsorted(self.packed, packed)
-            pos = np.clip(pos, 0, len(self.packed) - 1)
-            idx = np.where(self.packed[pos] == packed, pos, -1).astype(np.int32)
+        idx = self._lut[packed]
         if np.any(idx < 0):
             raise AssertionError("product left the element set; arithmetic bug")
         return idx
@@ -376,18 +351,13 @@ def standard_generators(q):
     for g in gens:
         if g.det() != field.one:
             raise AssertionError("generator %s has determinant != 1" % g.text())
-    return tuple(UnitLoopElement.of(g) for g in gens)
+    return tuple(gens)
 
 
 def frobenius_map(q, elem):
-    """Coordinate-wise p-th power on a unit loop element."""
-    field = elem.matrix.field if isinstance(elem, UnitLoopElement) else elem.field
-    mat = elem.matrix if isinstance(elem, UnitLoopElement) else elem
-    coords = tuple(field.frobenius(c) for c in mat.coords())
-    out = ZornMatrix.from_coords(field, coords)
-    if isinstance(elem, UnitLoopElement):
-        return UnitLoopElement.of(out)
-    return out
+    """Coordinate-wise p-th power on a Zorn matrix."""
+    return ZornMatrix.from_coords(elem.field,
+                                  tuple(elem.field.frobenius(c) for c in elem.coords()))
 
 
 def frobenius_perm(loop):
@@ -416,70 +386,100 @@ def frobenius_perm(loop):
 
 
 # ---------------------------------------------------------------------------
-# vectorized generator closure
+# generator closures: one breadth-first engine over packed rows
+
+# Peak bytes measured with tracemalloc: per product in a batch (operand
+# rows, the engine's int32 columns and temporaries, the packs; 256 at q = 3,
+# 4 and 7) and per element of the closure (the discovery array, level merges
+# and frontier rows; 72-75 at q = 5 and 7).
+_PRODUCT_BYTES = 256
+_ELEMENT_BYTES = 80
+
+
+def _require_closure_fits(q):
+    """UsageError unless a closure inside M*(q) fits loops.MEMORY_BUDGET: the
+    q^8-byte membership bitmap and _ELEMENT_BYTES per element of M*(q) get
+    three quarters, product batches the last quarter.  Read from q alone,
+    before any field table is built."""
+    need = q ** 8 + _ELEMENT_BYTES * paige_order_formula(q)
+    if 4 * need > 3 * loops.MEMORY_BUDGET:
+        raise UsageError("a generator closure in M*(%d) needs %d bytes, past "
+                         "3/4 of the memory budget of %d bytes"
+                         % (q, need, loops.MEMORY_BUDGET))
+
+
+def _closure(q, generator_matrices, pairwise):
+    """Breadth-first closure in M*(q) of the generator matrices and e.
+
+    Each level multiplies the frontier (the elements found by the level
+    before) by all known elements on both sides when pairwise, else by the
+    generators on both sides, in batches sized from the memory budget.
+    Membership is one bitmap over packed rows with x and -x both marked, so
+    a product is canonicalized only once it is found fresh; every element
+    found is checked to have norm one.  Returns the canonical packs in
+    discovery order: the seed (generators, then e, first occurrence kept),
+    then each level sorted.
+    """
+    _require_closure_fits(q)
+    field = field_of_order(q)
+    eng = ZornEngine(field)
+    gens = np.stack([np.asarray(g.coords(), dtype=np.int64)
+                     for g in generator_matrices])
+    if not (eng.norm(gens) == field.one).all():
+        raise ValueError("generators must have norm one")
+    batch = max(1, loops.MEMORY_BUDGET // 4 // _PRODUCT_BYTES)
+    member = np.zeros(q ** 8, dtype=bool)
+
+    def fresh(Z):
+        """Sorted canonical packs of the rows of Z not yet members, marked
+        and checked to have norm one."""
+        Z = Z[~member[eng.pack(Z)]]
+        P = np.unique(eng.pack(eng.canon(Z)))
+        rows = eng.unpack(P)
+        if not (eng.norm(rows) == field.one).all():
+            raise AssertionError("closure left the norm-one loop")
+        member[P] = True
+        member[eng.pack(eng.neg(rows))] = True
+        return P
+
+    seed = eng.pack(eng.canon(np.concatenate([gens, eng.unit_row()[None, :]])))
+    _, first = np.unique(seed, return_index=True)
+    elements = seed[np.sort(first)]
+    fresh(eng.unpack(elements))
+    start = 0
+    while start < len(elements):
+        new = eng.unpack(elements[start:])
+        if pairwise:
+            old = eng.unpack(elements[:start])
+            blocks = [(old, new), (new, old), (new, new)]
+        else:
+            blocks = [(gens, new), (new, gens)]
+        found = []
+        for A, B in blocks:
+            bstep = max(1, min(len(B), batch))
+            astep = max(1, batch // bstep)
+            for b0 in range(0, len(B), bstep):
+                Bc = B[b0:b0 + bstep]
+                for a0 in range(0, len(A), astep):
+                    Ac = A[a0:a0 + astep]
+                    found.append(fresh(eng.mul(np.repeat(Ac, len(Bc), axis=0),
+                                               np.tile(Bc, (len(Ac), 1)))))
+        start = len(elements)
+        elements = np.concatenate([elements] + found)
+        elements[start:].sort()
+        if pairwise and len(elements) > _CLOSURE_ASSERT_LIMIT:
+            raise ClosureCapExceeded("closure exceeded cap %d" % _CLOSURE_ASSERT_LIMIT)
+    return elements
 
 
 def closure_packed(q, generator_matrices):
-    """Breadth-first multiplicative closure of Zorn matrices over GF(q)
-    modulo {e,-e}.  Same round structure and intra-level canonical ordering
-    as loops.closure, but batched.
+    """Breadth-first multiplicative closure of norm-one Zorn matrices over
+    GF(q) modulo {e,-e}, multiplying every pair.  Same round structure and
+    intra-level canonical ordering as loops.closure, but batched.
 
     Returns the packed element array in discovery order.
     """
-    field = field_of_order(q)
-    eng = ZornEngine(field)
-    space = field.q ** 8
-    if space > 2 ** 26:
-        raise UsageError("packed closure is limited to q <= 9")
-    # membership is sign-insensitive (both packs marked), so pair products
-    # skip the canonicalization entirely
-    member = np.zeros(space, dtype=bool)
-
-    def mark(rows):
-        member[eng.pack(rows)] = True
-        member[eng.pack(eng.neg(rows))] = True
-
-    seed_rows = [np.asarray(g.matrix.coords() if isinstance(g, UnitLoopElement)
-                            else g.coords(), dtype=np.int64)
-                 for g in generator_matrices]
-    seed = eng.canon(np.stack(seed_rows + [eng.unit_row()]))
-    packs = eng.pack(seed)
-    _, first = np.unique(packs, return_index=True)
-    packs = packs[np.sort(first)]
-
-    elements = packs.copy()
-    mark(eng.unpack(elements))
-    frontier_start = 0
-    while frontier_start < len(elements):
-        frontier_end = len(elements)
-        old = elements[:frontier_start]
-        new = elements[frontier_start:frontier_end]
-        pair_blocks = [(old, new), (new, old), (new, new)]
-        found = []
-        for A, B in pair_blocks:
-            if len(A) == 0 or len(B) == 0:
-                continue
-            rowsA = eng.unpack(A)
-            rowsB = eng.unpack(B)
-            step = max(1, 2_000_000 // len(B))  # products per batch
-            for lo in range(0, len(A), step):
-                take = min(step, len(A) - lo)
-                X = np.repeat(rowsA[lo:lo + take], len(B), axis=0)
-                Y = np.tile(rowsB, (take, 1))
-                Z = eng.mul(X, Y)
-                P = eng.pack(Z)
-                fresh_mask = ~member[P]
-                if fresh_mask.any():
-                    Pf = np.unique(eng.pack(eng.canon(Z[fresh_mask])))
-                    mark(eng.unpack(Pf))
-                    found.append(Pf)
-        if found:
-            fresh_all = np.unique(np.concatenate(found))
-            if len(elements) + len(fresh_all) > _CLOSURE_ASSERT_LIMIT:
-                raise ClosureCapExceeded("closure exceeded cap %d" % _CLOSURE_ASSERT_LIMIT)
-            elements = np.concatenate([elements, fresh_all])
-        frontier_start = frontier_end
-    return elements
+    return _closure(q, generator_matrices, pairwise=True)
 
 
 def reachability_closure_certified(q, generator_matrices):
@@ -490,42 +490,15 @@ def reachability_closure_certified(q, generator_matrices):
     generators and e) is contained in the generated subloop H.  Every
     element of R is checked to have norm one, so R is inside M*(q); if |R|
     equals the independently counted number of +-classes of norm-one
-    matrices, then R = H = M*(q).  Returns (packed elements, certified:
-    bool).  When the certificate fails the caller must fall back to the
-    exhaustive pairwise closure.
+    matrices, then R = H = M*(q).  Returns (sorted packed elements,
+    certified: bool).  When the certificate fails the caller must fall back
+    to the exhaustive pairwise closure.
     """
-    field = field_of_order(q)
-    eng = ZornEngine(field)
-    gen_rows = np.stack([np.asarray(g.matrix.coords() if isinstance(g, UnitLoopElement)
-                                    else g.coords(), dtype=np.int64)
-                         for g in generator_matrices])
-    if not (eng.norm(gen_rows) == field.one).all():
-        raise ValueError("generators must have norm one")
-    seed = eng.canon(np.concatenate([gen_rows, eng.unit_row()[None, :]], axis=0))
-    member = np.zeros(field.q ** 8, dtype=bool)
-    packs = np.unique(eng.pack(seed))
-    member[packs] = True
-    frontier = seed
-    total = len(packs)
-    while len(frontier):
-        m = len(frontier)
-        g = len(gen_rows)
-        left = eng.mul(np.repeat(gen_rows, m, axis=0), np.tile(frontier, (g, 1)))
-        right = eng.mul(np.tile(frontier, (g, 1)), np.repeat(gen_rows, m, axis=0))
-        prods = eng.canon(np.concatenate([left, right], axis=0))
-        P = eng.pack(prods)
-        fresh = np.unique(P[~member[P]])
-        member[fresh] = True
-        total += len(fresh)
-        frontier = eng.unpack(fresh)
-    elements = np.flatnonzero(member)
-    rows = eng.unpack(elements)
-    if not (eng.norm(rows) == field.one).all():
-        raise AssertionError("reachable set left the norm-one loop")
-    enumerated = _count_norm_one(field)
+    elements = np.sort(_closure(q, generator_matrices, pairwise=False))
+    enumerated = _count_norm_one(generator_matrices[0].field)
     if paige_order_formula(q) != enumerated:
         raise AssertionError("order formula disagrees with enumeration")
-    return elements, total == enumerated
+    return elements, len(elements) == enumerated
 
 
 def _count_norm_one(field):
@@ -543,8 +516,10 @@ def generator_closure_size(q):
 
     Small fields run the exhaustive pairwise closure; larger ones first try
     the certified reachability route and only fall back to the pairwise
-    closure when the certificate does not apply.
+    closure when the certificate does not apply.  A q past the memory
+    budget is refused before the generators are built.
     """
+    _require_closure_fits(q)
     gens = standard_generators(q)
     if q <= 3:
         return len(closure_packed(q, gens))

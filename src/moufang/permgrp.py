@@ -11,7 +11,17 @@ of them, so a completed chain is a certificate, not a heuristic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _identity_images(n):
+    """The read-only image array of the identity on n points, one per degree."""
+    a = np.arange(n, dtype=np.int32)
+    a.flags.writeable = False
+    return a
 
 
 class Perm:
@@ -56,7 +66,7 @@ class Perm:
 
     def inverse(self):
         inv = np.empty_like(self.a)
-        inv[self.a] = np.arange(len(self.a), dtype=np.int32)
+        inv[self.a] = _identity_images(len(self.a))
         return Perm(inv, _checked=True)
 
     def conjugate_by(self, g):
@@ -76,7 +86,7 @@ class Perm:
         return r
 
     def is_identity(self):
-        return bool((self.a == np.arange(len(self.a), dtype=np.int32)).all())
+        return bool((self.a == _identity_images(len(self.a))).all())
 
     def order(self):
         n = 1
@@ -188,7 +198,7 @@ class PermGroup:
 
     def _insert(self, h, idx):
         if idx == len(self._levels):
-            base = int(np.nonzero(h.a != np.arange(self.degree, dtype=np.int32))[0][0])
+            base = int(np.nonzero(h.a != _identity_images(self.degree))[0][0])
             self._levels.append(_Level(base))
         self._levels[idx].gens.append(h)
         for lv in self._levels[: idx + 1]:

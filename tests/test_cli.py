@@ -39,12 +39,15 @@ def test_paige_order_formula_only():
 
 
 def test_usage_errors(capsys):
-    assert run(["nonsense"]).status == 2
-    assert run(["paige-order"]).status == 2
     assert run(["paige-order", "--q", "7"]).status == 2  # enumeration cap
     assert run(["decompose", "--q", "4", "--x", "[zz]"]).status == 2
     capsys.readouterr()
-    for argv in (["simple-check", "--loop", "M*(2)", "--elements", "500"],
+    # argparse rejections and handler rejections take the same exit-2 path
+    for argv in (["nonsense"],
+                 ["paige-order"],
+                 ["spinor-check", "--q", "3", "--samples", "0"],
+                 ["decompose", "--q", "3", "--exhaustive", "--samples", "5"],
+                 ["simple-check", "--loop", "M*(2)", "--elements", "500"],
                  ["simple-check", "--loop", "M*(2)", "--elements", "ten"],
                  ["spinor-check", "--q", "7"],
                  ["spinor-check", "--q", "4"],
@@ -57,7 +60,9 @@ def test_usage_errors(capsys):
                  ["paige-order", "--q", "6"]):
         assert main(argv) == 2, argv
         out = capsys.readouterr()
-        assert out.out == "" and out.err.splitlines()[-1].startswith("error: ")
+        assert out.out == "", argv
+        assert len(out.err.splitlines()) == 1, argv
+        assert out.err.startswith("error: "), argv
 
 
 def test_moufang_check_group():
@@ -97,6 +102,27 @@ def test_decompose_field_spec_syntax():
 def test_generators_check():
     rep = run(["generators-check", "--q", "2"])
     assert rep.status == 0 and lines_dict(rep)["ok"] == "yes"
+
+
+def test_generators_check_q7():
+    # the largest q whose closure fits the memory budget
+    rep = run(["generators-check", "--q", "7"])
+    assert rep.status == 0
+    assert rep.lines == ["q=7", "closure=411600", "expected=411600", "ok=yes"]
+
+
+@pytest.mark.parametrize("q", ["11", "13", "16"])
+def test_generators_check_refuses_past_the_budget(q, monkeypatch, capsys):
+    # refused from q alone: neither the field nor the bitmap is built
+    def boom(*args, **kw):
+        raise AssertionError("allocated before refusing")
+    monkeypatch.setattr(paige, "field_of_order", boom)
+    monkeypatch.setattr(np, "zeros", boom)
+    assert main(["generators-check", "--q", q]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    assert out.err.startswith("error: ") and "memory budget" in out.err
 
 
 def test_net_build():
@@ -175,6 +201,7 @@ OVERSIZED = [
     ["mlt-order", "--loop", "M*(4)"],
     ["mlt-order", "--loop", "M*(5)"],
     ["export-table", "--loop", "M*(4)", "--out", os.devnull],
+    ["generators-check", "--q", "16"],
 ]
 
 

@@ -61,7 +61,7 @@ def test_closure_paige2_generators_mod_sign(m2):
         return tuple(int(v) for v in rep)
 
     one = tuple(int(v) for v in eng.unit_row())
-    gen_keys = [tuple(int(v) for v in g.matrix.coords()) for g in gens]
+    gen_keys = [tuple(int(v) for v in g.coords()) for g in gens]
     els = closure(gen_keys, lambda a, b: canon_mult(a, b), one,
                   sort_key=lambda t: eng.pack(np.asarray([t]))[0])
     assert len(els) == 120

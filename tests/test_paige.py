@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ def test_standard_generators_dets():
         gens = paige.standard_generators(q)
         assert len(gens) == 3
         for g in gens:
-            assert g.matrix.det() == g.matrix.field.one
+            assert g.det() == g.field.one
 
 
 def test_generator_closures_small():
@@ -94,10 +96,49 @@ def test_generator_closures_small():
     assert paige.generator_closure_size(3) == 1080
 
 
-def test_packed_closure_matches_reachability_q4():
-    gens = paige.standard_generators(4)
-    els, certified = paige.reachability_closure_certified(4, gens)
-    assert certified and len(els) == 16320
+def test_packed_closure_q3_is_pinned():
+    # pins the discovery order and the elements of the pairwise closure
+    packed = paige.closure_packed(3, paige.standard_generators(3))
+    assert packed.dtype == np.int64 and len(packed) == 1080
+    assert hashlib.sha256(packed.tobytes()).hexdigest() == \
+        "5b91ca82c468e54c21aec6a4b7e4edbc88556a02b517568457c390bcf0301fd2"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_reachability_closure_is_the_paige_loop(q):
+    loop = paige.paige_loop(q)
+    els, certified = paige.reachability_closure_certified(
+        q, paige.standard_generators(q))
+    assert certified
+    assert np.array_equal(els, loop.zorn.packed)
+
+
+def test_closures_are_refused_past_the_budget(monkeypatch):
+    # the refusal reads q alone: no field table is built
+    def boom(q):
+        raise AssertionError("built GF(%d) before refusing" % q)
+    monkeypatch.setattr(paige, "field_of_order", boom)
+    for q in (8, 9):
+        for closure in (paige.closure_packed, paige.reachability_closure_certified):
+            with pytest.raises(UsageError, match="memory budget"):
+                closure(q, [])
+
+
+def test_closure_batches_do_not_change_the_result(monkeypatch):
+    # batches of about 130 products, split over both operands, give the
+    # same closures
+    gens = paige.standard_generators(3)
+    packed = paige.closure_packed(3, gens)
+    monkeypatch.setattr(paige, "_PRODUCT_BYTES", paige._PRODUCT_BYTES * 1000)
+    assert np.array_equal(paige.closure_packed(3, gens), packed)
+    els, certified = paige.reachability_closure_certified(5, paige.standard_generators(5))
+    assert certified and len(els) == 39000
+
+
+def test_closure_rejects_non_unit_generators(gf5):
+    x = ZornMatrix(gf5, 2, (0, 0, 0), (0, 0, 0), 1)  # norm 2
+    with pytest.raises(ValueError, match="norm one"):
+        paige.reachability_closure_certified(5, [x])
 
 
 def test_frobenius_identity_on_prime_field(m2):
