@@ -400,6 +400,8 @@ def decompose_sum_two_units(x):
     then delta orthogonal to both gamma and alpha; u = [1|gamma|delta|1].
     Case alpha != 0 (beta = 0): same with the roles of the two vector slots
     swapped.  Case alpha = beta = 0: the explicit split with e1 slots.
+    The reference for paige.decompose_batch, which runs the same cases on
+    whole arrays.
     """
     F = x.field
     a, alpha, beta, b = x.a, x.alpha, x.beta, x.b

@@ -10,6 +10,8 @@ lexicographic on the coefficient vector (c0, c1, ...); it is exposed through
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Fixed moduli for the extension fields with q <= 32, coefficient lists
@@ -316,21 +318,29 @@ def field_make(p, k=1, modulus=None):
     return GF(p, k, modulus)
 
 
+def prime_power(q):
+    """(p, k) with q = p^k, by trial division and without building a field,
+    so a size refusal read from q can come after it; UsageError for any
+    other q."""
+    if q >= 2:
+        # the least divisor is prime
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        k, t = 0, q
+        while t % p == 0:
+            t //= p
+            k += 1
+        if t == 1:
+            return p, k
+    raise UsageError("%r is not a prime power" % (q,))
+
+
 def field_of_order(q):
     """GF(q) with the builtin modulus; UsageError for any other q."""
-    for p in range(2, q + 1):
-        if q % p == 0:  # the least divisor p is prime
-            k, t = 0, q
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t == 1:
-                try:
-                    return field_make(p, k)
-                except ValueError as e:
-                    raise UsageError(str(e)) from None
-            break
-    raise UsageError("%r is not a prime power" % (q,))
+    p, k = prime_power(q)
+    try:
+        return field_make(p, k)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def parse_field_spec(text):

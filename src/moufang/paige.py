@@ -3,7 +3,8 @@
 Elements are rows of 8 field codes in the coordinate order
 (a, alpha1..alpha3, beta1..beta3, b).  The engine below runs the Zorn
 product on whole coordinate blocks at once, which keeps exhaustive
-enumeration (q <= 5) and generator closures fast.  M*(q) elements are the
+enumeration (q <= 5), generator closures and the sum-of-two-units
+decomposition fast.  M*(q) elements are the
 lexicographically smaller member of {x, -x} under the field's canonical
 element order, compared coordinate by coordinate from a to b.
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import loops
 from .composition import ZornMatrix
-from .fields import UsageError, field_of_order, primitive_element
+from .fields import UsageError, field_of_order, prime_power, primitive_element
 from .loops import FiniteLoop, ClosureCapExceeded
 
 _EXHAUSTIVE_Q = 5
@@ -27,32 +28,37 @@ class ZornEngine:
     Three fused kernels: plain modular arithmetic for prime fields, XOR
     addition plus a multiplication-table gather in characteristic 2, and
     full table gathers otherwise.  Work is done in int32 with one reduction
-    per output coordinate, which is what keeps 10^9-pair closures viable.
+    per output coordinate, which is what keeps 10^9-pair closures viable;
+    prime fields whose sums of four products pass int32 (p > 23171) work in
+    int64.  Extension fields need the field's lookup tables: past
+    fields._TABLE_LIMIT they are refused with UsageError.
     """
 
     def __init__(self, field):
         self.field = field
         q = field.q
-        if q ** 8 > 2 ** 62:
-            raise ValueError("packed coordinates overflow for q=%d" % q)
         self._prime = field.k == 1
         self._char2 = field.p == 2 and field.k > 1
         if not self._prime and not field._has_tables:
-            raise ValueError("vector engine needs lookup tables for %r" % (field,))
+            raise UsageError("the Zorn engine needs lookup tables, which %r "
+                             "is too large to build" % (field,))
         rank = field._rank.astype(np.int64)
         unrank = np.empty_like(rank)
         unrank[rank] = np.arange(q, dtype=np.int64)
         self._rank_tab = rank
         self._unrank_tab = unrank
-        self._weights = q ** np.arange(7, -1, -1, dtype=np.int64)
+        self._weights = (q ** np.arange(7, -1, -1, dtype=np.int64)
+                         if q ** 8 <= 2 ** 62 else None)
+        self._work = np.int32 if 4 * (q - 1) ** 2 < 2 ** 31 else np.int64
         if not self._prime:
             self._MUL32 = field.MUL.astype(np.int32)
             self._ADD32 = field.ADD.astype(np.int32)
             self._NEG32 = field.NEG.astype(np.int32)
+            self._INV32 = field.INV.astype(np.int32)
 
     def _cols(self, X):
         X = np.asarray(X)
-        return [np.ascontiguousarray(X[..., i], dtype=np.int32) for i in range(8)]
+        return [np.ascontiguousarray(X[..., i], dtype=self._work) for i in range(8)]
 
     def mul(self, X, Y):
         xa = self._cols(X)
@@ -122,6 +128,22 @@ class ZornEngine:
             return (np.asarray(A, dtype=np.int64) - np.asarray(B)) % self.field.p
         return self._ADD32[A, self._NEG32[B]]
 
+    def vinv(self, A):
+        """Inverses of nonzero codes (what a zero gives is unspecified); a
+        prime field takes A^(p-2) by repeated squaring, with no table."""
+        if not self._prime:
+            return self._INV32[A]
+        p = self.field.p
+        base = np.asarray(A, dtype=np.int64)
+        out = np.ones_like(base)
+        n = p - 2
+        while n:
+            if n & 1:
+                out = out * base % p
+            base = base * base % p
+            n >>= 1
+        return out
+
     def conj(self, X):
         X = np.asarray(X)
         out = np.empty(X.shape, dtype=np.int32)
@@ -144,14 +166,21 @@ class ZornEngine:
             s = self.vsub(s, M[c[i], c[i + 3]])
         return s
 
+    def _packable(self):
+        if self._weights is None:
+            raise ValueError("packed coordinates overflow for q=%d" % self.field.q)
+        return self._weights
+
     def pack(self, X):
         """Canonical-order key: base-q digits are coordinate ranks, a first."""
+        weights = self._packable()
         X = np.asarray(X, dtype=np.int64)
         if self._prime:
-            return X @ self._weights
-        return self._rank_tab[X] @ self._weights
+            return X @ weights
+        return self._rank_tab[X] @ weights
 
     def unpack(self, P):
+        self._packable()
         P = np.asarray(P, dtype=np.int64)
         q = self.field.q
         digits = np.empty(P.shape + (8,), dtype=np.int64)
@@ -179,6 +208,77 @@ class ZornEngine:
         row = np.zeros(8, dtype=np.int64)
         row[0] = row[7] = self.field.one
         return row
+
+
+# Bytes per row for decompose_batch plus the cli's verdict on its result:
+# 327-396 peak measured with tracemalloc at q = 3, 4, 5 and 65537, and about
+# 600 of peak RSS.  Callers size chunks from it; `decompose --q 5
+# --exhaustive` then peaks at 52 MB RSS (71 MB at 2048, 110 MB at 1024).
+DECOMPOSE_ROW_BYTES = 4096
+
+
+def decompose_batch(engine, X):
+    """Split every row x of the (N, 8) code array X into u + v with
+    det(u) = det(v) = 1: composition.decompose_sum_two_units on whole
+    arrays, giving the same u on every row.
+
+    Rows with beta != 0 solve gamma.beta = a + b - ab + alpha.beta on the
+    first nonzero coordinate of beta and take for delta the first reduced
+    echelon null vector of [gamma; alpha], so u = [1|gamma|delta|1].  Rows
+    with beta = 0 != alpha do the same with the two vector slots swapped, and
+    rows with alpha = beta = 0 take u = [a|e1|-e1|0].  Returns (U, V).
+    """
+    e = engine
+    X = np.asarray(X, dtype=np.int64)
+    rows = np.arange(len(X))
+    a, alpha, beta, b = X[:, 0], X[:, 1:4], X[:, 4:7], X[:, 7]
+    swap = ~beta.any(axis=1)
+    split = swap & ~alpha.any(axis=1)
+    solved = np.where(swap[:, None], alpha, beta)  # the slot gamma is solved on
+    other = np.where(swap[:, None], beta, alpha)
+    target = e.vadd(e.vsub(e.vadd(a, b), e.vmul(a, b)), e.dot3(alpha, beta))
+    first = (solved != 0).argmax(axis=1)
+    gamma = np.zeros_like(solved)
+    gamma[rows, first] = e.vmul(target, e.vinv(solved[rows, first]))
+    delta = _first_null_vectors(e, np.stack([gamma, other], axis=1))
+    U = np.empty_like(X)
+    U[:, 0] = U[:, 7] = e.field.one
+    U[:, 1:4] = np.where(swap[:, None], delta, gamma)
+    U[:, 4:7] = np.where(swap[:, None], gamma, delta)
+    U[split, :] = e.field.zero
+    U[split, 0] = a[split]
+    U[split, 1] = e.field.one
+    U[split, 4] = e.vneg(e.field.one)
+    return U, e.vsub(X, U)
+
+
+def _first_null_vectors(engine, M):
+    """For each 2 x 3 matrix of the stack M, the first vector of the reduced
+    echelon basis of its null space, as composition._nullspace_first gives
+    it: fields.rref on every matrix at once, one column at a time."""
+    e = engine
+    M = M.copy()
+    rows = np.arange(len(M))
+    rank = np.zeros(len(M), dtype=np.int64)
+    pivot_row = np.full((len(M), 3), -1)
+    for c in range(3):
+        up = (rank == 0) & (M[:, 0, c] == 0) & (M[:, 1, c] != 0)
+        M[up] = M[up, ::-1]
+        r = np.minimum(rank, 1)
+        has = (rank < 2) & (M[rows, r, c] != 0)
+        h, r = rows[has], r[has]
+        piv = e.vmul(M[h, r], e.vinv(M[h, r, c])[:, None])
+        M[h, r] = piv
+        M[h, 1 - r] = e.vsub(M[h, 1 - r], e.vmul(M[h, 1 - r, c][:, None], piv))
+        pivot_row[h, c] = r
+        rank[has] += 1
+    free = (pivot_row < 0).argmax(axis=1)  # rank <= 2 leaves a free column
+    vec = np.zeros((len(M), 3), dtype=np.int64)
+    vec[rows, free] = e.field.one
+    for c in range(3):
+        h = rows[pivot_row[:, c] >= 0]
+        vec[h, c] = e.vneg(M[h, pivot_row[h, c], free[h]])
+    return vec
 
 
 def paige_order_formula(q):
@@ -270,15 +370,11 @@ class _PaigeBackend:
         return self.lookup(self.engine.pack(Z))
 
     def labels(self):
-        f = self.field.format_element
-        out = []
-        for row in self.coords:
-            out.append("[%s|%s|%s|%s]" % (
-                f(int(row[0])),
-                ",".join(f(int(c)) for c in row[1:4]),
-                ",".join(f(int(c)) for c in row[4:7]),
-                f(int(row[7]))))
-        return out
+        """ZornMatrix.text of every element, from the q element names."""
+        names = np.array([self.field.format_element(c) for c in range(self.field.q)],
+                         dtype=object)
+        return ["[%s|%s,%s,%s|%s,%s,%s|%s]" % tuple(row)
+                for row in names[self.coords].tolist()]
 
     def neutral_index(self):
         e = self.engine.unit_row()
@@ -397,10 +493,11 @@ _ELEMENT_BYTES = 80
 
 
 def _require_closure_fits(q):
-    """UsageError unless a closure inside M*(q) fits loops.MEMORY_BUDGET: the
-    q^8-byte membership bitmap and _ELEMENT_BYTES per element of M*(q) get
-    three quarters, product batches the last quarter.  Read from q alone,
-    before any field table is built."""
+    """UsageError unless q is a prime power and a closure inside M*(q) fits
+    loops.MEMORY_BUDGET: the q^8-byte membership bitmap and _ELEMENT_BYTES
+    per element of M*(q) get three quarters, product batches the last
+    quarter.  Read from q alone, before any field table is built."""
+    prime_power(q)
     need = q ** 8 + _ELEMENT_BYTES * paige_order_formula(q)
     if 4 * need > 3 * loops.MEMORY_BUDGET:
         raise UsageError("a generator closure in M*(%d) needs %d bytes, past "

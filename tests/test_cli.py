@@ -56,8 +56,11 @@ def test_usage_errors(capsys):
                  ["mlt-order", "--loop", "Z(0)"],
                  ["triality-check", "--case", "net-z5"],
                  ["decompose", "--field", "gf(2,2,1.0.1)"],
+                 ["decompose", "--field", "gf(2,11,1.0.1.0.0.0.0.0.0.0.0.1)"],
+                 ["decompose", "--q", "239", "--exhaustive"],
                  ["decompose", "--q", "5", "--x", "[1|0,0,0|0,0,0|9]"],
-                 ["paige-order", "--q", "6"]):
+                 ["paige-order", "--q", "6"],
+                 ["paige-order", "--q", "10", "--skip-enumeration"]):
         assert main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
@@ -81,15 +84,62 @@ def test_moufang_check_m2():
 
 def test_decompose_single():
     rep = run(["decompose", "--q", "3", "--x", "[0|0,0,0|0,0,0|0]"])
-    d = lines_dict(rep)
-    assert rep.status == 0 and d["ok"] == "yes"
-    assert d["u"] == "[0|1,0,0|2,0,0|0]"
-    assert d["v"] == "[0|2,0,0|1,0,0|0]"
+    assert rep.status == 0
+    assert rep.lines == ["q=3", "u=[0|1,0,0|2,0,0|0]", "v=[0|2,0,0|1,0,0|0]", "ok=yes"]
 
 
 def test_decompose_sweep():
     rep = run(["decompose", "--q", "3", "--samples", "200"])
-    assert rep.status == 0 and lines_dict(rep)["failures"] == "0"
+    assert rep.status == 0
+    assert rep.lines == ["q=3", "mode=sampled:200", "checked=200", "failures=0"]
+
+
+@pytest.mark.parametrize("argv,checked", [
+    (["--q", "3"], 6561),
+    (["--q", "4"], 65536),
+    (["--field", "gf(2,2,1.1.1)"], 65536),
+    (["--q", "5"], 390625),
+])
+def test_decompose_exhaustive(argv, checked):
+    rep = run(["decompose", "--exhaustive"] + argv)
+    assert rep.status == 0
+    assert rep.lines[1:] == ["mode=exhaustive", "checked=%d" % checked, "failures=0"]
+
+
+def test_decompose_past_int32():
+    rep = run(["decompose", "--q", "65537", "--samples", "100"])
+    assert rep.status == 0
+    assert rep.lines == ["q=65537", "mode=sampled:100", "checked=100", "failures=0"]
+
+
+def test_decompose_reports_the_first_failure(monkeypatch):
+    # chunks of 100 rows; row 5 of every chunk after the first is corrupted,
+    # so the witness is element 105 of the pool, 01101001 in base 2
+    batch = paige.decompose_batch
+
+    def broken(engine, X):
+        U, V = batch(engine, X)
+        if X[0].any():
+            V[5] = 0
+        return U, V
+    monkeypatch.setattr(paige, "decompose_batch", broken)
+    monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", loops.MEMORY_BUDGET // 100)
+    rep = run(["decompose", "--q", "2", "--exhaustive"])
+    assert rep.status == 1
+    assert rep.lines == ["q=2", "mode=exhaustive", "checked=-1", "failures=1",
+                         "witness=[0|1,1,0|1,0,0|1]"]
+
+
+def test_decompose_disagreement_is_an_internal_fault(monkeypatch, capsys):
+    batch = paige.decompose_batch
+
+    def skewed(engine, X):
+        U, V = batch(engine, X)
+        return V, U
+    monkeypatch.setattr(paige, "decompose_batch", skewed)
+    assert main(["decompose", "--q", "3", "--samples", "10"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "batched and scalar decompositions" in out.err
 
 
 def test_decompose_field_spec_syntax():
@@ -109,6 +159,14 @@ def test_generators_check_q7():
     rep = run(["generators-check", "--q", "7"])
     assert rep.status == 0
     assert rep.lines == ["q=7", "closure=411600", "expected=411600", "ok=yes"]
+
+
+@pytest.mark.parametrize("q", ["10", "12"])
+def test_generators_check_names_a_non_prime_power(q, capsys):
+    assert main(["generators-check", "--q", q]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: %s is not a prime power\n" % q
 
 
 @pytest.mark.parametrize("q", ["11", "13", "16"])

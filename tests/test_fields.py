@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moufang.fields import (GF, UsageError, field_make, field_of_order, inv, is_square,
-                            parse_field_spec, primitive_element, rref)
+                            parse_field_spec, prime_power, primitive_element, rref)
 
 
 def brute_irreducible(coeffs, p):
@@ -181,6 +181,15 @@ def test_field_of_order():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(UsageError, match="not a prime power"):
             field_of_order(q)
+
+
+def test_prime_power():
+    for q, pk in {2: (2, 1), 4: (2, 2), 9: (3, 2), 49: (7, 2), 65537: (65537, 1),
+                  2 ** 40: (2, 40), 10 ** 9 + 7: (10 ** 9 + 7, 1)}.items():
+        assert prime_power(q) == pk
+    for q in (-4, 0, 1, 6, 10, 12, 100, 65537 * 3):
+        with pytest.raises(UsageError, match="not a prime power"):
+            prime_power(q)
 
 
 def test_rref_over_gf5():

@@ -1,10 +1,11 @@
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
 
 from moufang import loops, paige
-from moufang.composition import ZornMatrix
+from moufang.composition import ZornMatrix, decompose_sum_two_units
 from moufang.fields import UsageError, field_make, field_of_order
 
 
@@ -217,3 +218,63 @@ def test_engine_matches_scalar_zorn_gf4(gf4, rng):
         got = eng.mul(np.asarray([xc], dtype=np.int64),
                       np.asarray([yc], dtype=np.int64))[0]
         assert tuple(int(v) for v in got) == (x * y).coords()
+
+
+def test_labels_are_the_zorn_texts():
+    for loop in [paige.paige_loop(q) for q in (2, 3, 4, 5)] + [paige.unit_loop(3)]:
+        field = loop.zorn.field
+        assert loop.labels == [ZornMatrix.from_coords(field, row).text()
+                               for row in loop.zorn.coords.tolist()]
+
+
+def _scalar_units(field, X):
+    return [list(decompose_sum_two_units(ZornMatrix.from_coords(field, x))[0].coords())
+            for x in X.tolist()]
+
+
+def _check_decompose_batch(field, X):
+    eng = paige.ZornEngine(field)
+    U, V = paige.decompose_batch(eng, X)
+    assert U.tolist() == _scalar_units(field, X)
+    assert (eng.norm(U) == 1).all() and (eng.norm(V) == 1).all()
+    assert (eng.vadd(U, V) == X).all()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_decompose_batch_matches_scalar_exhaustive(q):
+    _check_decompose_batch(field_of_order(q), np.array(list(product(range(q), repeat=8))))
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 211, 1031, 65537])
+def test_decompose_batch_matches_scalar_sampled(q):
+    rng = np.random.default_rng(q)
+    X = rng.integers(q, size=(2000, 8))
+    # zeros at random, so that beta = 0, alpha = beta = 0 and every rank
+    # of [gamma; alpha] occur at every q
+    X[rng.random(X.shape) < 0.4] = 0
+    _check_decompose_batch(field_of_order(q), X)
+
+
+def test_engine_past_int32_and_packing(rng):
+    # 4 (p - 1)^2 passes int32 for p > 23171: the engine works in int64
+    f = field_of_order(65537)
+    eng = paige.ZornEngine(f)
+    X = rng.integers(65537, size=(50, 8))
+    Y = rng.integers(65537, size=(50, 8))
+    for x, y, xy, n in zip(X.tolist(), Y.tolist(), eng.mul(X, Y).tolist(),
+                           eng.norm(X).tolist()):
+        x, y = ZornMatrix.from_coords(f, x), ZornMatrix.from_coords(f, y)
+        assert xy == list((x * y).coords()) and n == x.det()
+    assert eng.vinv(X[:, 0]).tolist() == [pow(int(c), 65535, 65537) for c in X[:, 0]]
+    # 65537^8 > 2^62: only packing is refused
+    with pytest.raises(ValueError, match="overflow"):
+        eng.pack(X)
+    with pytest.raises(ValueError, match="overflow"):
+        eng.unpack(np.zeros(3, dtype=np.int64))
+
+
+def test_engine_refuses_extension_fields_without_tables():
+    # x^11 + x^2 + 1 is irreducible over GF(2); GF(2048) has no lookup tables
+    f = field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
+    with pytest.raises(UsageError, match="lookup tables"):
+        paige.ZornEngine(f)
