@@ -25,6 +25,10 @@ from .permgrp import Perm, PermGroup
 
 _S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
 
+# The most elements decompose --exhaustive splits: q <= 8 run (q = 7 in
+# 7 s, q = 8 in 27 s on a 2-core x86 host), q >= 9 are refused up front
+_DECOMPOSE_LIMIT = 2 ** 24
+
 
 @dataclass
 class CommandReport:
@@ -99,15 +103,17 @@ def _build_loop(kind, arg):
     return loops.read_table(arg)
 
 
-def _table_spec(spec):
+def _table_spec(spec, *checks):
     """_parse_spec for the commands that read the Cayley table: an M(q) or
-    M*(q) whose tables would not fit the memory budget is refused by its
-    name, from the order formula, before anything is enumerated."""
+    M*(q) whose tables, or what the further checks price from its order,
+    would not fit the memory budget is refused by its name, from the order
+    formula, before anything is enumerated."""
     kind, arg = _parse_spec(spec)
-    if kind == "M*":
-        loops.require_table_fits(paige.paige_order_formula(arg))
-    elif kind == "M":
-        loops.require_table_fits(paige.unit_loop_size_formula(arg))
+    if kind in ("M*", "M"):
+        n = (paige.paige_order_formula(arg) if kind == "M*"
+             else paige.unit_loop_size_formula(arg))
+        for check in (loops.require_table_fits,) + checks:
+            check(n)
     return kind, arg
 
 
@@ -312,9 +318,10 @@ def _cmd_decompose(args, rep):
     if args.x:
         pool = [np.array([ZornMatrix.parse(field, args.x).coords()], dtype=np.int64)]
     elif args.exhaustive:
-        if q ** 8 > 2 ** 62:
-            raise UsageError("an exhaustive decomposition over GF(%d)^8 is "
-                             "past 2^62 elements" % q)
+        if q ** 8 > _DECOMPOSE_LIMIT:
+            raise UsageError("an exhaustive decomposition over GF(%d)^8 has %d "
+                             "elements, past the limit of %d" % (q, q ** 8,
+                                                               _DECOMPOSE_LIMIT))
         rep.add("mode", "exhaustive")
         # base-q digits of 0..q^8-1, coordinate a most significant: the
         # order of itertools.product, so a witness is the first failure
@@ -330,7 +337,7 @@ def _cmd_decompose(args, rep):
     for X in pool:
         U, V = paige.decompose_batch(eng, X)
         ok = ((eng.norm(U) == field.one) & (eng.norm(V) == field.one)
-              & (eng.vadd(U, V) == X).all(axis=1))
+              & (field.vadd(U, V) == X).all(axis=1))
         if checked == 0:  # the first element once more, on the scalar path
             u, _ = decompose_sum_two_units(ZornMatrix.from_coords(field, X[0].tolist()))
             if list(u.coords()) != U[0].tolist():
@@ -412,7 +419,7 @@ def _cmd_net_build(args, rep):
 
 
 def _cmd_bol_check(args, rep):
-    loop = _build_loop(*_table_spec(args.loop))
+    loop = _build_loop(*_table_spec(args.loop, triality.require_reflections_fit))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
     try:

@@ -1,4 +1,5 @@
-"""Exact scalar arithmetic: prime fields GF(p) and extension fields GF(p^k).
+"""Exact arithmetic in prime fields GF(p) and extension fields GF(p^k), on
+ints and on arrays of codes, and row reduction (rref, rref_batch) over them.
 
 Field elements are plain ints in ``range(q)`` encoding the residue
 polynomial c0 + c1*t + ... + c_{k-1}*t^{k-1} as c0 + c1*p + ... + c_{k-1}*p^{k-1}.
@@ -137,6 +138,8 @@ class GF:
         self.k = k
         self.q = p ** k
         self.modulus = modulus
+        # codes, and products of two codes, fit this dtype
+        self.dtype = np.int32 if (self.q - 1) ** 2 < 2 ** 31 else np.int64
         self._build_tables()
 
     # -- construction of the lookup tables -------------------------------
@@ -173,28 +176,28 @@ class GF:
         if not self._has_tables:
             return
         if k == 1:
-            idx = np.arange(q, dtype=np.int64)
+            idx = np.arange(q, dtype=np.int32)
             self.ADD = (idx[:, None] + idx[None, :]) % p
             self.MUL = (idx[:, None] * idx[None, :]) % p
             self.NEG = (-idx) % p
         else:
-            add = np.empty((q, q), dtype=np.int64)
+            add = np.empty((q, q), dtype=np.int32)
             for a in range(q):
                 ca = self._coeffs_of(a)
                 for b in range(q):
                     cb = self._coeffs_of(b)
                     add[a, b] = self._code_of([(x + y) % p for x, y in zip(ca, cb)])
             self.ADD = add
-            mul = np.empty((q, q), dtype=np.int64)
+            mul = np.empty((q, q), dtype=np.int32)
             for a in range(q):
                 for b in range(a, q):
                     mul[a, b] = mul[b, a] = self._mul_codes(a, b)
             self.MUL = mul
-            neg = np.empty(q, dtype=np.int64)
+            neg = np.empty(q, dtype=np.int32)
             for a in range(q):
                 neg[a] = self._code_of([(-c) % p for c in self._coeffs_of(a)])
             self.NEG = neg
-        inv = np.zeros(q, dtype=np.int64)
+        inv = np.zeros(q, dtype=np.int32)
         for a in range(1, q):
             inv[a] = self.pow_(a, q - 2)
         self.INV = inv
@@ -277,6 +280,66 @@ class GF:
             x = self.mul(x, a)
             n += 1
         return n
+
+    # -- array operations on codes ----------------------------------------
+    # Prime fields reduce mod p in self.dtype; extension fields gather from
+    # the lookup tables, and add by XOR in characteristic 2.  Results are
+    # self.dtype arrays.
+
+    def require_tables(self):
+        """UsageError for an extension field without lookup tables (q past
+        _TABLE_LIMIT): its array operations gather from them."""
+        if self.k > 1 and not self._has_tables:
+            raise UsageError("array arithmetic over %r needs lookup tables, "
+                             "which are too large to build" % (self,))
+
+    def _reduce(self, X):
+        """X mod p, in place on an array of a prime field's dtype: numpy
+        divides by a scalar several times faster than it takes remainders."""
+        X -= X // self.p * self.p
+        return X
+
+    def vadd(self, A, B):
+        if self.k == 1:
+            return self._reduce(np.add(A, B, dtype=self.dtype))
+        self.require_tables()
+        if self.p == 2:
+            return np.bitwise_xor(A, B, dtype=self.dtype)
+        return self.ADD[A, B]
+
+    def vneg(self, A):
+        if self.k == 1:
+            return self._reduce(np.negative(A, dtype=self.dtype))
+        self.require_tables()
+        return self.NEG[A]
+
+    def vsub(self, A, B):
+        if self.k == 1:
+            return self._reduce(np.subtract(A, B, dtype=self.dtype))
+        return self.vadd(A, self.vneg(B))
+
+    def vmul(self, A, B):
+        if self.k == 1:
+            return self._reduce(np.multiply(A, B, dtype=self.dtype))
+        self.require_tables()
+        return self.MUL[A, B]
+
+    def vpow(self, A, n):
+        """A^n by repeated squaring, n >= 0."""
+        out, base = np.ones_like(A, dtype=self.dtype), np.asarray(A, dtype=self.dtype)
+        while n:
+            if n & 1:
+                out = self.vmul(out, base)
+            base = self.vmul(base, base)
+            n >>= 1
+        return out
+
+    def vinv(self, A):
+        """Inverses of nonzero codes (a zero gives 0): the INV table, or
+        A^(q-2) without tables."""
+        if self._has_tables:
+            return self.INV[A]
+        return self.vpow(A, self.q - 2)
 
     # -- canonical order and formatting -----------------------------------
 
@@ -411,3 +474,44 @@ def rref(field, rows):
         pivots.append(col)
         r += 1
     return m[:r], pivots
+
+
+def rref_batch(field, M):
+    """Gauss-Jordan reduction of every matrix of an (N, r, c) stack of codes,
+    with the pivot rule of rref: (R, pivots, det).
+
+    R holds the reduced matrices with their pivot rows left unscaled, so
+    row i of a matrix divided by its entry in the i-th pivot column is row
+    i of rref; pivots is the (N, c) mask of pivot columns; det is the (N,)
+    determinants of a square stack (0 on the singular matrices), None
+    otherwise.  Prime fields whose squares fit work in int32."""
+    # the stack index runs last, so each operation runs over N contiguous
+    # entries rather than over the few columns of one matrix
+    A = np.array(np.moveaxis(M, 0, -1), dtype=field.dtype)
+    n, ncols, N = A.shape
+    at, rows = np.arange(N), np.arange(n)[:, None]
+    pivots = np.zeros((ncols, N), dtype=bool)
+    rank = np.zeros(N, dtype=np.int64)
+    det = np.full(N, field.one, dtype=field.dtype)
+    for c in range(ncols):
+        below = (A[:, c] != 0) & (rows >= rank)
+        has = below.any(axis=0)
+        r = np.minimum(rank, n - 1)  # a matrix without a pivot keeps its rows
+        piv = np.where(has, below.argmax(axis=0), r)
+        s = np.flatnonzero(piv != r)
+        A[piv[s], :, s], A[r[s], :, s] = A[r[s], :, s], A[piv[s], :, s]
+        det[s] = field.vneg(det[s])
+        top = A[r, :, at].T  # the pivot rows, (ncols, N)
+        lead = np.where(has, top[c], field.one)
+        det = field.vmul(det, lead)
+        f = field.vmul(A[:, c], np.where(has, field.vinv(lead), 0))
+        f[r, at] = 0
+        if field.k == 1:  # one reduction per entry
+            A[:, c:] -= f[:, None] * top[None, c:]
+            field._reduce(A[:, c:])
+        else:
+            A[:, c:] = field.vsub(A[:, c:], field.vmul(f[:, None], top[None, c:]))
+        pivots[c] = has
+        rank += has
+    det = np.where(rank == n, det, 0) if n == ncols else None
+    return np.moveaxis(A, -1, 0), pivots.T, det

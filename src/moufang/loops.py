@@ -1,5 +1,5 @@
 """Finite loop engine: Cayley tables, translations, multiplication and inner
-mapping groups, characteristic subloops, normality and simplicity tests,
+mapping groups, characteristic subloops, normality tests and normal closures,
 Moufang/autotopism checks, isomorphism search and automorphism groups.
 
 A loop whose Cayley table and two division tables fit MEMORY_BUDGET is in
@@ -76,11 +76,11 @@ class FiniteLoop:
     # -- construction helpers ------------------------------------------------
 
     def _build_table(self):
-        rows = []
+        table = np.empty((self.n, self.n), dtype=np.int32)
         idx = np.arange(self.n, dtype=np.int64)
         for i in range(self.n):
-            rows.append(self._raw_batch(np.full(self.n, i, dtype=np.int64), idx))
-        return np.asarray(rows, dtype=np.int32)
+            table[i] = self._raw_batch(np.full(self.n, i, dtype=np.int64), idx)
+        return table
 
     def _raw_batch(self, I, J):
         return np.asarray(self._batch_fn(I, J), dtype=np.int32)
@@ -421,20 +421,6 @@ def normal_closure(loop, seed_elems):
         sub = closure_indices(loop, np.concatenate([sub, fresh]))
 
 
-def is_simple(loop, sample=None, seed=SAMPLE_SEED):
-    """True iff the normal closure of every non-neutral element is the whole
-    loop.  With sample=k only k seeded elements are tested (a certificate of
-    non-simplicity is still exact; simplicity becomes a spot check)."""
-    others = [x for x in range(loop.n) if x != loop.neutral]
-    if not others:
-        return False  # trivial loop: not simple by the usual convention
-    if sample is not None and sample < len(others):
-        rng = np.random.default_rng(seed)
-        others = [others[int(i)] for i in rng.choice(len(others), size=sample,
-                                                     replace=False)]
-    return all(len(normal_closure(loop, [x])) == loop.n for x in others)
-
-
 # ---------------------------------------------------------------------------
 # identities
 
@@ -455,10 +441,9 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
         for x in range(n):
             lhs = T[T[T[x, :], x], :]          # [y, z] -> ((xy)x)z
             rhs = T[x, T[:, T[x, :]]]          # [y, z] -> x(y(xz))
-            bad = np.argwhere(lhs != rhs)
-            if len(bad):
-                y, z = map(int, bad[0])
-                return (x, y, z)
+            bad = lhs != rhs
+            if bad.any():
+                return (x,) + divmod(int(bad.argmax()), n)
         return None
     rng = np.random.default_rng(seed)
     X = rng.integers(n, size=samples)
@@ -483,10 +468,9 @@ def associativity_violation(loop):
     for x in range(loop.n):
         lhs = T[T[x, :], :]
         rhs = T[x, T]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            y, z = map(int, bad[0])
-            return (x, y, z)
+        bad = lhs != rhs
+        if bad.any():  # the first failing (y, z) in row-major order
+            return (x,) + divmod(int(bad.argmax()), loop.n)
     return None
 
 

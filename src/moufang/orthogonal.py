@@ -17,7 +17,7 @@ import numpy as np
 
 from . import paige
 from .composition import ZornMatrix
-from .fields import rref
+from .fields import rref, rref_batch
 
 
 def j_matrix(field):
@@ -269,37 +269,6 @@ def operator_matrices(field, coords, side="left"):
     return prods.transpose(0, 2, 1).astype(np.int64)
 
 
-def _eliminate(M, p):
-    """Row echelon form mod p of each matrix of an (N, n, n) stack: the
-    pivot-column mask (N, n) and the determinant (N,).  The pivot columns of
-    a matrix index a basis of its column space.  Entries are int32, exact
-    for p < 46341."""
-    A = np.array(M, dtype=np.int32) % p
-    N, n, _ = A.shape
-    inv = np.array([pow(x, p - 2, p) for x in range(p)], dtype=np.int32)
-    at, rows = np.arange(N), np.arange(n)
-    pivots = np.zeros((N, n), dtype=bool)
-    rank = np.zeros(N, dtype=np.int64)
-    det = np.ones(N, dtype=np.int64)
-    for c in range(n):
-        below = (A[:, :, c] != 0) & (rows >= rank[:, None])
-        has = below.any(axis=1)
-        piv = below.argmax(axis=1)
-        det[has & (piv != rank)] *= -1
-        top = A[at, piv]
-        A[at[has], piv[has]] = A[at[has], rank[has]]
-        A[at[has], rank[has]] = top[has]
-        lead = np.where(has, top[:, c], 1)
-        det = det * lead % p
-        f = A[:, :, c] * inv[lead][:, None] % p
-        f[~has[:, None] | (rows <= rank[:, None])] = 0
-        A[:, :, c:] -= f[:, :, None] * top[:, None, c:]
-        A[:, :, c:] %= p
-        pivots[:, c] = has
-        rank += has
-    return pivots, np.where(rank == n, det, 0)
-
-
 def spinor_verdicts(field, M):
     """Batched is_rotation and spinor_norm over an (N, 8, 8) stack mod p:
     boolean arrays (orthogonal, rotation, square), square being False off
@@ -317,12 +286,11 @@ def spinor_verdicts(field, M):
     gram_ok = ((M.transpose(0, 2, 1) @ J @ M) % p == J).all(axis=(1, 2))
     norms = M[:, 0] * M[:, 7] - (M[:, 1:4] * M[:, 4:7]).sum(axis=1)
     orthogonal = gram_ok & (norms % p == 0).all(axis=1)
-    rotation = orthogonal & (_eliminate(M, p)[1] == 1)
+    rotation = orthogonal & (rref_batch(field, M)[2] == 1)
     A = (I - M) % p
-    P = _eliminate(A, p)[0]
-    d = _eliminate(np.where(P[:, :, None] & P[:, None, :],
-                            A.transpose(0, 2, 1) @ J, I), p)[1]
+    P = rref_batch(field, A)[1]
+    d = rref_batch(field, np.where(P[:, :, None] & P[:, None, :],
+                                   A.transpose(0, 2, 1) @ J % p, I))[2]
     if (rotation & (d == 0)).any():
         raise AssertionError("chi_g is degenerate on a rotation")
-    legendre = np.array([pow(x, (p - 1) // 2, p) for x in range(p)])
-    return orthogonal, rotation, rotation & (legendre[d] == 1)
+    return orthogonal, rotation, rotation & (field.vpow(d, (p - 1) // 2) == 1)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import loops
 from .composition import ZornMatrix
-from .fields import UsageError, field_of_order, prime_power, primitive_element
+from .fields import (UsageError, field_of_order, prime_power, primitive_element,
+                     rref_batch)
 from .loops import FiniteLoop, ClosureCapExceeded
 
 _EXHAUSTIVE_Q = 5
@@ -25,23 +26,19 @@ _CLOSURE_ASSERT_LIMIT = 100000
 class ZornEngine:
     """Vectorized Zorn-matrix arithmetic on (..., 8) arrays of field codes.
 
-    Three fused kernels: plain modular arithmetic for prime fields, XOR
-    addition plus a multiplication-table gather in characteristic 2, and
-    full table gathers otherwise.  Work is done in int32 with one reduction
-    per output coordinate, which is what keeps 10^9-pair closures viable;
-    prime fields whose sums of four products pass int32 (p > 23171) work in
-    int64.  Extension fields need the field's lookup tables: past
-    fields._TABLE_LIMIT they are refused with UsageError.
+    Two fused product kernels: plain modular arithmetic for prime fields,
+    with one reduction per output coordinate in int32, which is what keeps
+    10^9-pair closures viable (int64 once sums of four products pass int32,
+    p > 23171); and gathers from the field's tables otherwise, adding by
+    GF.vadd.  Extension fields past fields._TABLE_LIMIT have no tables and
+    are refused with UsageError.  Elementwise arithmetic is the field's.
     """
 
     def __init__(self, field):
         self.field = field
         q = field.q
         self._prime = field.k == 1
-        self._char2 = field.p == 2 and field.k > 1
-        if not self._prime and not field._has_tables:
-            raise UsageError("the Zorn engine needs lookup tables, which %r "
-                             "is too large to build" % (field,))
+        field.require_tables()
         rank = field._rank.astype(np.int64)
         unrank = np.empty_like(rank)
         unrank[rank] = np.arange(q, dtype=np.int64)
@@ -50,11 +47,6 @@ class ZornEngine:
         self._weights = (q ** np.arange(7, -1, -1, dtype=np.int64)
                          if q ** 8 <= 2 ** 62 else None)
         self._work = np.int32 if 4 * (q - 1) ** 2 < 2 ** 31 else np.int64
-        if not self._prime:
-            self._MUL32 = field.MUL.astype(np.int32)
-            self._ADD32 = field.ADD.astype(np.int32)
-            self._NEG32 = field.NEG.astype(np.int32)
-            self._INV32 = field.INV.astype(np.int32)
 
     def _cols(self, X):
         X = np.asarray(X)
@@ -78,14 +70,7 @@ class ZornEngine:
                 upper[i] = (a * ga[i] + d * al[i] - be[j] * de[k] + be[k] * de[j]) % p
                 lower[i] = (c * be[i] + b * de[i] + al[j] * ga[k] - al[k] * ga[j]) % p
         else:
-            M = self._MUL32
-            if self._char2:
-                fadd = np.bitwise_xor
-                fneg = lambda v: v
-            else:
-                A = self._ADD32
-                fadd = lambda u, v: A[u, v]
-                fneg = lambda v: self._NEG32[v]
+            M, fadd, fneg = self.field.MUL, self.field.vadd, self.field.vneg
             top = fadd(fadd(M[a, c], M[al[0], de[0]]),
                        fadd(M[al[1], de[1]], M[al[2], de[2]]))
             bottom = fadd(fadd(M[b, d], M[be[0], ga[0]]),
@@ -106,64 +91,26 @@ class ZornEngine:
         out[..., 7] = bottom
         return out
 
-    def vneg(self, A):
-        A = np.asarray(A)
-        if self._prime:
-            return ((-A) % self.field.p).astype(np.int32)
-        return self._NEG32[A]
-
-    def vmul(self, A, B):
-        if self._prime:
-            return (np.asarray(A, dtype=np.int64) * np.asarray(B, dtype=np.int64)) \
-                % self.field.p
-        return self._MUL32[A, B]
-
-    def vadd(self, A, B):
-        if self._prime:
-            return (np.asarray(A, dtype=np.int64) + np.asarray(B)) % self.field.p
-        return self._ADD32[A, B]
-
-    def vsub(self, A, B):
-        if self._prime:
-            return (np.asarray(A, dtype=np.int64) - np.asarray(B)) % self.field.p
-        return self._ADD32[A, self._NEG32[B]]
-
-    def vinv(self, A):
-        """Inverses of nonzero codes (what a zero gives is unspecified); a
-        prime field takes A^(p-2) by repeated squaring, with no table."""
-        if not self._prime:
-            return self._INV32[A]
-        p = self.field.p
-        base = np.asarray(A, dtype=np.int64)
-        out = np.ones_like(base)
-        n = p - 2
-        while n:
-            if n & 1:
-                out = out * base % p
-            base = base * base % p
-            n >>= 1
-        return out
-
     def conj(self, X):
         X = np.asarray(X)
         out = np.empty(X.shape, dtype=np.int32)
         out[..., 0] = X[..., 7]
         out[..., 7] = X[..., 0]
-        out[..., 1:7] = self.vneg(X[..., 1:7])
+        out[..., 1:7] = self.field.vneg(X[..., 1:7])
         return out
 
     def neg(self, X):
-        return self.vneg(np.asarray(X))
+        return self.field.vneg(X)
 
     def norm(self, X):
         c = self._cols(X)
         if self._prime:
             return (c[0] * c[7] - c[1] * c[4] - c[2] * c[5] - c[3] * c[6]) \
                 % self.field.p
-        M = self._MUL32
-        s = M[c[0], c[7]]
+        F = self.field
+        s = F.MUL[c[0], c[7]]
         for i in (1, 2, 3):
-            s = self.vsub(s, M[c[i], c[i + 3]])
+            s = F.vsub(s, F.MUL[c[i], c[i + 3]])
         return s
 
     def _packable(self):
@@ -200,9 +147,10 @@ class ZornEngine:
         return np.where(keep[..., None], X, N)
 
     def dot3(self, U, V):
-        s = self.vmul(U[..., 0], V[..., 0])
-        s = self.vadd(s, self.vmul(U[..., 1], V[..., 1]))
-        return self.vadd(s, self.vmul(U[..., 2], V[..., 2]))
+        F = self.field
+        s = F.vmul(U[..., 0], V[..., 0])
+        s = F.vadd(s, F.vmul(U[..., 1], V[..., 1]))
+        return F.vadd(s, F.vmul(U[..., 2], V[..., 2]))
 
     def unit_row(self):
         row = np.zeros(8, dtype=np.int64)
@@ -211,9 +159,9 @@ class ZornEngine:
 
 
 # Bytes per row for decompose_batch plus the cli's verdict on its result:
-# 327-396 peak measured with tracemalloc at q = 3, 4, 5 and 65537, and about
+# 318-445 peak measured with tracemalloc at q = 3, 4, 5 and 65537, and about
 # 600 of peak RSS.  Callers size chunks from it; `decompose --q 5
-# --exhaustive` then peaks at 52 MB RSS (71 MB at 2048, 110 MB at 1024).
+# --exhaustive` then peaks at 49 MB RSS.
 DECOMPOSE_ROW_BYTES = 4096
 
 
@@ -224,11 +172,13 @@ def decompose_batch(engine, X):
 
     Rows with beta != 0 solve gamma.beta = a + b - ab + alpha.beta on the
     first nonzero coordinate of beta and take for delta the first reduced
-    echelon null vector of [gamma; alpha], so u = [1|gamma|delta|1].  Rows
-    with beta = 0 != alpha do the same with the two vector slots swapped, and
-    rows with alpha = beta = 0 take u = [a|e1|-e1|0].  Returns (U, V).
+    echelon null vector of [gamma; alpha], read off fields.rref_batch as
+    composition._nullspace_first reads it off fields.rref, so
+    u = [1|gamma|delta|1].  Rows with beta = 0 != alpha do the same with the
+    two vector slots swapped, and rows with alpha = beta = 0 take
+    u = [a|e1|-e1|0].  Returns (U, V).
     """
-    e = engine
+    F = engine.field
     X = np.asarray(X, dtype=np.int64)
     rows = np.arange(len(X))
     a, alpha, beta, b = X[:, 0], X[:, 1:4], X[:, 4:7], X[:, 7]
@@ -236,49 +186,26 @@ def decompose_batch(engine, X):
     split = swap & ~alpha.any(axis=1)
     solved = np.where(swap[:, None], alpha, beta)  # the slot gamma is solved on
     other = np.where(swap[:, None], beta, alpha)
-    target = e.vadd(e.vsub(e.vadd(a, b), e.vmul(a, b)), e.dot3(alpha, beta))
+    target = F.vadd(F.vsub(F.vadd(a, b), F.vmul(a, b)), engine.dot3(alpha, beta))
     first = (solved != 0).argmax(axis=1)
     gamma = np.zeros_like(solved)
-    gamma[rows, first] = e.vmul(target, e.vinv(solved[rows, first]))
-    delta = _first_null_vectors(e, np.stack([gamma, other], axis=1))
+    gamma[rows, first] = F.vmul(target, F.vinv(solved[rows, first]))
+    R, pivots, _ = rref_batch(F, np.stack([gamma, other], axis=1))
+    free = (~pivots).argmax(axis=1)  # rank <= 2 leaves a free column
+    row = np.maximum(pivots.cumsum(axis=1) - 1, 0)  # the i-th pivot's row is i
+    lead = R[rows[:, None], row, np.arange(3)]
+    entry = R[rows[:, None], row, free[:, None]]
+    delta = np.where(pivots, F.vneg(F.vmul(entry, F.vinv(lead))), F.zero)
+    delta[rows, free] = F.one
     U = np.empty_like(X)
-    U[:, 0] = U[:, 7] = e.field.one
+    U[:, 0] = U[:, 7] = F.one
     U[:, 1:4] = np.where(swap[:, None], delta, gamma)
     U[:, 4:7] = np.where(swap[:, None], gamma, delta)
-    U[split, :] = e.field.zero
+    U[split, :] = F.zero
     U[split, 0] = a[split]
-    U[split, 1] = e.field.one
-    U[split, 4] = e.vneg(e.field.one)
-    return U, e.vsub(X, U)
-
-
-def _first_null_vectors(engine, M):
-    """For each 2 x 3 matrix of the stack M, the first vector of the reduced
-    echelon basis of its null space, as composition._nullspace_first gives
-    it: fields.rref on every matrix at once, one column at a time."""
-    e = engine
-    M = M.copy()
-    rows = np.arange(len(M))
-    rank = np.zeros(len(M), dtype=np.int64)
-    pivot_row = np.full((len(M), 3), -1)
-    for c in range(3):
-        up = (rank == 0) & (M[:, 0, c] == 0) & (M[:, 1, c] != 0)
-        M[up] = M[up, ::-1]
-        r = np.minimum(rank, 1)
-        has = (rank < 2) & (M[rows, r, c] != 0)
-        h, r = rows[has], r[has]
-        piv = e.vmul(M[h, r], e.vinv(M[h, r, c])[:, None])
-        M[h, r] = piv
-        M[h, 1 - r] = e.vsub(M[h, 1 - r], e.vmul(M[h, 1 - r, c][:, None], piv))
-        pivot_row[h, c] = r
-        rank[has] += 1
-    free = (pivot_row < 0).argmax(axis=1)  # rank <= 2 leaves a free column
-    vec = np.zeros((len(M), 3), dtype=np.int64)
-    vec[rows, free] = e.field.one
-    for c in range(3):
-        h = rows[pivot_row[:, c] >= 0]
-        vec[h, c] = e.vneg(M[h, pivot_row[h, c], free[h]])
-    return vec
+    U[split, 1] = F.one
+    U[split, 4] = F.vneg(F.one)
+    return U, F.vsub(X, U)
 
 
 def paige_order_formula(q):
@@ -314,7 +241,7 @@ def enumerate_unit_coords(field):
     one = field.one
     for a in elems_canonical:
         if a == 0:
-            mask = dots == eng.vneg(one)  # alpha.beta = -1
+            mask = dots == field.vneg(one)  # alpha.beta = -1
             al0, be0 = al[mask], be[mask]
             m = len(al0)
             for b in elems_canonical:
@@ -326,7 +253,7 @@ def enumerate_unit_coords(field):
                 blocks.append(rows)
         else:
             a_inv = field.inv(int(a))
-            b = eng.vmul(eng.vadd(dots, one), a_inv)
+            b = field.vmul(field.vadd(dots, one), a_inv)
             rows = np.empty((len(combos), 8), dtype=np.int64)
             rows[:, 0] = a
             rows[:, 1:4] = al
@@ -460,21 +387,7 @@ def frobenius_perm(loop):
     """The permutation induced by x -> x^p on a loop built by this module."""
     backend = loop.zorn
     field = backend.field
-    q = field.q
-    X = backend.coords
-    out = X.copy()
-    # coordinate-wise p-th power via repeated squaring on code arrays
-    def vpow(A, n):
-        eng = backend.engine
-        R = np.full_like(A, field.one)
-        B = A.copy()
-        while n:
-            if n & 1:
-                R = eng.vmul(R, B)
-            B = eng.vmul(B, B)
-            n >>= 1
-        return R
-    out = vpow(X, field.p)
+    out = field.vpow(backend.coords, field.p)
     if backend.quotient:
         out = backend.engine.canon(out)
     from .permgrp import Perm

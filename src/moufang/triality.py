@@ -248,15 +248,21 @@ def bol_reflection(loop, cls, m, net=None):
     return coll
 
 
+def require_reflections_fit(n):
+    """Refuse, with UsageError, the Bol reflections of an n-element loop
+    when they do not fit MEMORY_BUDGET."""
+    need = 12 * n ** 3
+    if need > MEMORY_BUDGET:
+        raise UsageError("the Bol reflections of a %d-element loop take %d "
+                         "bytes, past the %d-byte memory budget"
+                         % (n, need, MEMORY_BUDGET))
+
+
 def all_bol_reflections(loop, net=None):
     """The 3n Bol reflections, keyed (class, axis).  Their point maps, 3n
     int32 permutations of the n^2 points, must fit MEMORY_BUDGET (n <= 223);
     a larger loop is refused before any reflection is built."""
-    need = 12 * loop.n ** 3
-    if need > MEMORY_BUDGET:
-        raise UsageError("the Bol reflections of a %d-element loop take %d "
-                         "bytes, past the %d-byte memory budget"
-                         % (loop.n, need, MEMORY_BUDGET))
+    require_reflections_fit(loop.n)
     if net is None:
         net = LoopNet3(loop)
     out = {}

@@ -144,7 +144,8 @@ def test_quotient_table_and_labels_are_pinned(quotient):
 def test_quotient_is_moufang_nonassociative_simple(quotient):
     assert loops.is_moufang(quotient)
     assert loops.associativity_violation(quotient) is not None
-    assert loops.is_simple(quotient)
+    assert all(len(loops.normal_closure(quotient, [x])) == quotient.n
+               for x in range(quotient.n) if x != quotient.neutral)
 
 
 def test_iso_certificate(quotient):

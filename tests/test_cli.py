@@ -106,6 +106,19 @@ def test_decompose_exhaustive(argv, checked):
     assert rep.lines[1:] == ["mode=exhaustive", "checked=%d" % checked, "failures=0"]
 
 
+@pytest.mark.parametrize("q", [9, 211])
+def test_decompose_exhaustive_refuses_past_the_limit(q, monkeypatch, capsys):
+    # refused by its element count before any chunk is split
+    def no_chunks(engine, X):
+        raise AssertionError("split a chunk")
+    monkeypatch.setattr(paige, "decompose_batch", no_chunks)
+    assert main(["decompose", "--q", str(q), "--exhaustive"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: an exhaustive decomposition over GF(%d)^8 has %d "
+                       "elements, past the limit of 16777216\n" % (q, q ** 8))
+
+
 def test_decompose_past_int32():
     rep = run(["decompose", "--q", "65537", "--samples", "100"])
     assert rep.status == 0
@@ -289,14 +302,20 @@ TABLE_COMMANDS = [
 ]
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Enumerating a field's units raises AssertionError, an internal fault
+    with exit 3."""
+    def enumerate_unit_coords(field):
+        raise AssertionError("enumerated GF(%d)" % field.q)
+    monkeypatch.setattr(paige, "enumerate_unit_coords", enumerate_unit_coords)
+
+
 @pytest.mark.parametrize("spec", ["M*(4)", "M*(5)", "M(4)"])
 @pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=[a[0] for a in TABLE_COMMANDS])
-def test_table_commands_refuse_by_name(argv, spec, monkeypatch, capsys, tmp_path):
-    # nothing is enumerated, not even the table-sized M*(2) of iso-check:
-    # a call would raise AssertionError, an internal fault with exit 3
-    def no_enumeration(field):
-        raise AssertionError("enumerated GF(%d)" % field.q)
-    monkeypatch.setattr(paige, "enumerate_unit_coords", no_enumeration)
+def test_table_commands_refuse_by_name(argv, spec, no_enumeration, capsys, tmp_path,
+                                      monkeypatch):
+    # nothing is enumerated, not even the table-sized M*(2) of iso-check
     monkeypatch.chdir(tmp_path)
     assert main(argv + [spec]) == 2
     out = capsys.readouterr()
@@ -304,6 +323,17 @@ def test_table_commands_refuse_by_name(argv, spec, monkeypatch, capsys, tmp_path
     assert out.err.startswith("error: needs table mode")
     assert "memory budget" in out.err and out.err.count("\n") == 1  # no progress line
     assert not (tmp_path / "table.out").exists()
+
+
+@pytest.mark.parametrize("spec", ["M*(3)", "M(3)"])
+def test_bol_check_refuses_by_name(spec, no_enumeration, capsys):
+    # the tables fit, the 3n reflections of n^2 points do not
+    assert main(["bol-check", "--loop", spec]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the Bol reflections of a %d-element loop"
+                              % {"M*(3)": 1080, "M(3)": 2160}[spec])
+    assert "memory budget" in out.err and out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("body", ["2\na b\n0 1\n1 x\n",   # non-integer cell

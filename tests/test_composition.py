@@ -95,7 +95,7 @@ def test_composition_law_bulk(q):
     X = rng.integers(q, size=(100000, 8))
     Y = rng.integers(q, size=(100000, 8))
     lhs = eng.norm(eng.mul(X, Y))
-    rhs = eng.vmul(eng.norm(X), eng.norm(Y))
+    rhs = f.vmul(eng.norm(X), eng.norm(Y))
     assert (lhs == rhs).all()
 
 

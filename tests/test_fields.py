@@ -200,6 +200,30 @@ def test_rref_over_gf5():
     assert rref(f, [[0, 0], [0, 0]]) == ([], [])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 1031, 65537])
+def test_array_ops_match_scalar(q, rng):
+    f = field_of_order(q)
+    A, B = rng.integers(q, size=(2, 300))
+    A[:30] = 0
+    pairs = list(zip(A.tolist(), B.tolist()))
+    assert f.vadd(A, B).tolist() == [f.add(a, b) for a, b in pairs]
+    assert f.vsub(A, B).tolist() == [f.sub(a, b) for a, b in pairs]
+    assert f.vmul(A, B).tolist() == [f.mul(a, b) for a, b in pairs]
+    assert f.vneg(A).tolist() == [f.neg(a) for a in A.tolist()]
+    assert f.vpow(A, 5).tolist() == [f.pow_(a, 5) for a in A.tolist()]
+    assert f.vinv(A).tolist() == [f.inv(a) if a else 0 for a in A.tolist()]
+    assert f.vmul(A, B).dtype == f.dtype == (np.int64 if q == 65537 else np.int32)
+
+
+def test_array_ops_refuse_extension_fields_without_tables():
+    # x^11 + x^2 + 1 is irreducible over GF(2); GF(2048) has no lookup tables
+    f = field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
+    assert f.mul(3, 5) == 15  # scalar arithmetic needs no tables
+    for op in (lambda A: f.vadd(A, A), lambda A: f.vmul(A, A), f.vneg, f.vinv):
+        with pytest.raises(UsageError, match="lookup tables"):
+            op(np.arange(5))
+
+
 def test_format_parse_roundtrip(gf4):
     for x in range(4):
         assert gf4.parse_element(gf4.format_element(x)) == x

@@ -10,7 +10,7 @@ from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violati
                            automorphism_count, automorphisms, autotopism_check,
                            center, closure, closure_indices, commutant, cyclic_loop,
                            direct_product, find_isomorphism, generating_sequence,
-                           inner_mapping_group, is_moufang, is_normal, is_simple,
+                           inner_mapping_group, is_moufang, is_normal,
                            left_translation, loop_from_perm_group, mlt_group,
                            normal_closure, nucleus, read_table, right_translation,
                            write_table)
@@ -192,12 +192,18 @@ def test_normal_closure_m2_everything(m2, rng):
 
 
 def test_is_simple(m2):
-    assert is_simple(m2)
-    assert not is_simple(cyclic_loop(4))
+    # simple: the normal closure of every non-neutral element is the loop
+    assert all(len(normal_closure(m2, [x])) == m2.n
+               for x in range(m2.n) if x != m2.neutral)
+    assert sorted(normal_closure(cyclic_loop(4), [2])) == [0, 2]
 
 
 def test_is_simple_m3_sampled(m3):
-    assert is_simple(m3, sample=30)
+    others = [x for x in range(m3.n) if x != m3.neutral]
+    picks = np.random.default_rng(loops.SAMPLE_SEED).choice(len(others), size=30,
+                                                            replace=False)
+    for i in picks:
+        assert len(normal_closure(m3, [others[int(i)]])) == m3.n
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from moufang import paige
 from moufang.composition import ZornMatrix, bilinear
 from moufang.fields import field_make, field_of_order
-from moufang.fields import rref
-from moufang.orthogonal import (SpinorVerdict, _eliminate, column_space_basis,
+from moufang.fields import rref, rref_batch
+from moufang.orthogonal import (SpinorVerdict, column_space_basis,
                                 conjugation_matrix, left_matrix_closed_form,
                                 identity_matrix, is_orthogonal, is_rotation,
                                 j_matrix, mat_det, mat_mul, mat_sub, mat_vec,
@@ -235,18 +235,30 @@ def reflection_pairs(field, count, rng):
     return np.array(out)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 65537])
 def test_batched_elimination_matches_scalar(q, rng):
-    # determinant against mat_det, pivot columns against rref's, with a
-    # third of the stack singular
+    # fields.rref_batch against rref (pivot rows scaled to 1) and mat_det,
+    # on stacks with a third singular, entries zero at random and five zero
+    # matrices
     field = field_of_order(q)
-    stack = rng.integers(q, size=(150, 8, 8))
-    stack[:50, :, 7] = (stack[:50, :, 0] + 2 * stack[:50, :, 3]) % q
-    pivots, det = _eliminate(stack, q)
-    for P, d, A in zip(pivots, det, stack):
-        assert d == mat_det(field, A)
-        assert list(np.flatnonzero(P)) == rref(field, A.tolist())[1]
-    assert (det[:50] == 0).all()
+    for shape in [(8, 8), (2, 3), (3, 8)]:
+        stack = rng.integers(q, size=(60,) + shape)
+        stack[rng.random(stack.shape) < 0.3] = 0
+        lam = rng.integers(q, size=(20, 1))
+        stack[:20, -1] = field.vadd(stack[:20, 0], field.vmul(lam, stack[:20, 1]))
+        stack[-5:] = 0
+        R, pivots, det = rref_batch(field, stack)
+        assert (det is None) == (shape[0] != shape[1])
+        for i, (A, Rm, P) in enumerate(zip(stack, R.tolist(), pivots)):
+            rows, cols = rref(field, A.tolist())
+            assert list(np.flatnonzero(P)) == cols
+            assert [[field.div(v, row[c]) for v in row]
+                    for row, c in zip(Rm, cols)] == rows
+            assert not any(any(row) for row in Rm[len(cols):])
+            if det is not None:
+                assert det[i] == mat_det(field, A)
+        if det is not None:
+            assert (det[:20] == 0).all() and (det[-5:] == 0).all()
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
