@@ -2,12 +2,14 @@
 lattice, the 240 units of norm one, and the isomorphism of their sign
 quotient with the Paige loop over GF(2).
 
-An element is a tuple of 8 ints, twice its coordinates over the basis
+An element is a row of 8 ints, twice its coordinates over the basis
 (1, i, j, k, e, ie, je, ke), so the half-integers of the lattice are exact
-and the norm of x is sum(c*c for c in x) / 4.  The multiplication is the
-doubling construction applied three times from the rationals with parameter
--1 (``cd_double`` over ``QQ``); its 64 nonzero structure constants are read
-off the basis products on first use and every product then runs on ints."""
+and the norm of x is sum(c*c for c in x) / 4; single elements are tuples,
+batches (N, 8) int64 arrays.  The multiplication is the doubling
+construction applied three times from the rationals with parameter -1
+(``cd_double`` over ``QQ``); its 64 nonzero structure constants are read off
+the basis products on first use into an (8*8, 8) tensor, and every product
+then runs on arrays of ints, a whole batch per call."""
 
 from __future__ import annotations
 
@@ -17,35 +19,59 @@ from functools import lru_cache
 import numpy as np
 
 from .composition import QQ, cd_double, scalar_algebra
-from .loops import ClosureCapExceeded, FiniteLoop, closure, closure_indices, find_isomorphism
+from .loops import (ClosureCapExceeded, FiniteLoop, closure, closure_indices,
+                    find_isomorphism, lex_unique, positions)
 from . import paige
 
 
 @lru_cache(maxsize=None)
 def _structure_constants():
-    """The triples (i, j, k, s) with e_i e_j = s e_k, s = +-1."""
+    """The (64, 8) tensor C with e_i e_j = sum_k C[8 i + j, k] e_k; each row
+    holds one entry +-1."""
     algebra = scalar_algebra(QQ)
     for _ in range(3):
         algebra = cd_double(algebra, Fraction(-1))
     basis = [tuple(Fraction(int(a == b)) for b in range(8)) for a in range(8)]
-    consts = tuple((i, j, k, int(c))
-                   for i in range(8) for j in range(8)
-                   for k, c in enumerate(algebra.mul(basis[i], basis[j])) if c)
-    if len(consts) != 64 or any(abs(s) != 1 for *_, s in consts):
+    products = [algebra.mul(basis[i], basis[j]) for i in range(8) for j in range(8)]
+    if any(sorted(map(abs, p)) != [0] * 7 + [1] for p in products):
         raise AssertionError("octonion basis products are not signed basis units")
-    return consts
+    return np.array([[int(c) for c in p] for p in products], dtype=np.int64)
+
+
+# Coordinates past this bound could overflow the int64 sums of products.
+_COORD_LIMIT = 2 ** 28
+
+
+def _rows(X):
+    X = np.asarray(X, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != 8:
+        raise ValueError("need (N, 8) rows of doubled coordinates, got shape %s"
+                         % (X.shape,))
+    return X
+
+
+def mul_batch(X, Y):
+    """Row-by-row products of two (N, 8) arrays of doubled coordinates, an
+    (N, 8) int64 array; ValueError when some product leaves the
+    half-integer lattice."""
+    X, Y = _rows(X), _rows(Y)
+    if len(X) != len(Y):
+        raise ValueError("need equal numbers of rows, got %d and %d" % (len(X), len(Y)))
+    if max(np.abs(X).max(initial=0), np.abs(Y).max(initial=0)) >= _COORD_LIMIT:
+        raise ValueError("coordinates past %d" % _COORD_LIMIT)
+    # acc holds 4 * (xy); the doubled product is acc / 2
+    acc = (X[:, :, None] * Y[:, None, :]).reshape(len(X), 64) @ _structure_constants()
+    odd = (acc & 1).any(axis=1)
+    if odd.any():
+        raise ValueError("product %s/4 leaves the half-integers"
+                         % (tuple(acc[odd.argmax()].tolist()),))
+    return acc >> 1
 
 
 def mul(x, y):
-    """Product of two doubled-coordinate octonions; ValueError when it
-    leaves the half-integer lattice."""
-    acc = [0] * 8
-    for i, j, k, s in _structure_constants():
-        acc[k] += s * x[i] * y[j]
-    # acc holds 4 * (xy); the doubled product is acc / 2
-    if any(c & 1 for c in acc):
-        raise ValueError("product %s/4 leaves the half-integers" % (tuple(acc),))
-    return tuple(c >> 1 for c in acc)
+    """Product of two doubled-coordinate octonions, the one-row view of
+    mul_batch."""
+    return tuple(mul_batch([x], [y])[0].tolist())
 
 
 def neg(x):
@@ -78,40 +104,44 @@ def generate_unit_integrals():
     exactly 240 elements, all of norm one."""
     gens = [ONE, neg(ONE), I_UNIT, neg(I_UNIT), J_UNIT, neg(J_UNIT), H_UNIT]
     try:
-        elements = closure(gens, mul, ONE, cap=241)
+        elements = closure(gens, mul_batch, ONE, cap=241)
     except ClosureCapExceeded:
         raise AssertionError("closure of the unit integrals exceeded 240; "
                              "arithmetic bug")
     if len(elements) != 240:
         raise AssertionError("expected 240 unit integrals, found %d" % len(elements))
-    for x in elements:
-        if sum(c * c for c in x) != 4:
-            raise AssertionError("element %s does not have norm one" % label(x))
+    off = (np.array(elements) ** 2).sum(axis=1) != 4
+    if off.any():
+        raise AssertionError("element %s does not have norm one"
+                             % label(elements[int(off.argmax())]))
     return elements
 
 
-def _sign_canonical(x):
+def sign_reps(X):
     """The representative of {x, -x} whose first nonzero coordinate is
-    positive."""
-    for c in x:
-        if c > 0:
-            return x
-        if c < 0:
-            return neg(x)
-    raise ValueError("zero octonion has no sign representative")
+    positive, for each row of the (N, 8) array X."""
+    X = _rows(X)
+    lead = X[np.arange(len(X)), (X != 0).argmax(axis=1)]
+    if (lead == 0).any():
+        raise ValueError("zero octonion has no sign representative")
+    return X * np.sign(lead)[:, None]
 
 
 def quotient_mod_sign(elements=None):
     """The 120-element loop of +-classes of the unit integrals."""
     if elements is None:
         elements = generate_unit_integrals()
-    reps = sorted({_sign_canonical(x) for x in elements})
-    if len(reps) != 120:
-        raise AssertionError("sign quotient has %d classes, expected 120" % len(reps))
-    index = {r: i for i, r in enumerate(reps)}
-    table = np.array([[index[_sign_canonical(mul(a, b))] for b in reps] for a in reps],
-                     dtype=np.int32)
-    loop = FiniteLoop(120, labels=[label(r) for r in reps], table=table)
+    reps = lex_unique(sign_reps(elements))[0]
+    n = len(reps)
+    if n != 120:
+        raise AssertionError("sign quotient has %d classes, expected 120" % n)
+    products = sign_reps(mul_batch(np.repeat(reps, n, axis=0), np.tile(reps, (n, 1))))
+    table = positions(reps, products)
+    if (table < 0).any():
+        raise AssertionError("product of classes outside the unit integrals")
+    reps = [tuple(r) for r in reps.tolist()]
+    loop = FiniteLoop(n, labels=[label(r) for r in reps],
+                      table=table.reshape(n, n).astype(np.int32))
     loop.reps = reps
     return loop
 
@@ -121,8 +151,7 @@ def certify_paige2_iso(quotient=None):
     that the classes of i, j, h generate the quotient."""
     if quotient is None:
         quotient = quotient_mod_sign()
-    index = {r: i for i, r in enumerate(quotient.reps)}
-    gen_idx = [index[_sign_canonical(g)] for g in (I_UNIT, J_UNIT, H_UNIT)]
+    gen_idx = positions(np.array(quotient.reps), sign_reps([I_UNIT, J_UNIT, H_UNIT]))
     if len(closure_indices(quotient, gen_idx)) != quotient.n:
         raise AssertionError("i, j, h do not generate the sign quotient")
     witness = find_isomorphism(quotient, paige.paige_loop(2))

@@ -226,6 +226,8 @@ class GF:
     def mul(self, a, b):
         if self._has_tables:
             return int(self.MUL[a, b])
+        if self.k == 1:
+            return int(a) * int(b) % self.p
         return self._mul_codes(a, b)
 
     def inv(self, a):
@@ -234,6 +236,8 @@ class GF:
             raise ZeroDivisionError("division by zero in %r" % (self,))
         if self._has_tables:
             return int(self.INV[a])
+        if self.k == 1:
+            return pow(int(a), self.p - 2, self.p)
         return self.pow_(a, self.q - 2)
 
     def div(self, a, b):

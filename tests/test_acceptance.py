@@ -130,6 +130,7 @@ def test_criterion_10_integral_cayley_numbers():
     assert int(d["units"]) == 240
     assert int(d["quotient"]) == 120
     assert d["iso_with_paige2"] == "yes" and d["gens_ijh"] == "yes"
+    assert d["mode"] == "exhaustive"
     assert time.time() - t0 <= 300
     announce(10, "240 unit integral octonions; sign quotient of size 120 "
                  "isomorphic to M*(2)")

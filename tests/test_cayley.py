@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moufang
@@ -85,6 +86,40 @@ def test_product_matches_cd_double_on_random_pairs(units, rng):
     assert 0 < refused < 300
 
 
+def test_mul_batch_matches_cd_double(units, rng):
+    # unit x unit rows, then random half-integer rows whose products all
+    # stay on the lattice, in one batch each
+    U = np.array(units)
+    X = np.concatenate([U[rng.integers(240, size=300)], rng.integers(-5, 6, size=(300, 8))])
+    Y = np.concatenate([U[rng.integers(240, size=300)], rng.integers(-5, 6, size=(300, 8))])
+    want = [OCT.mul(frac(x), frac(y)) for x, y in zip(X.tolist(), Y.tolist())]
+    ok = np.array([all((2 * c).denominator == 1 for c in w) for w in want])
+    assert ok[:300].all() and 0 < (~ok).sum() < 300
+    Z = cayley.mul_batch(X[ok], Y[ok])
+    assert Z.shape == (ok.sum(), 8)
+    assert [frac(z) for z in Z.tolist()] == [w for w, k in zip(want, ok) if k]
+    assert [mul(x, y) for x, y in zip(X[:5].tolist(), Y[:5].tolist())] == \
+        [tuple(z) for z in Z[:5].tolist()]
+
+
+def test_mul_batch_refuses_one_row_off_the_lattice(units):
+    half = (1, 0, 0, 0, 0, 0, 0, 0)
+    X = np.array(units[:10])
+    X[7] = half
+    Y = np.array(units[:10])
+    Y[7] = half
+    with pytest.raises(ValueError, match="leaves the half-integers"):
+        cayley.mul_batch(X, Y)
+    X[7] = Y[7] = ONE
+    assert cayley.mul_batch(X, Y).shape == (10, 8)
+    # past 2^28 a coordinate could overflow the int64 sums
+    X[7, 3] = 2 ** 28
+    with pytest.raises(ValueError, match="coordinates past"):
+        cayley.mul_batch(X, Y)
+    with pytest.raises(ValueError, match="rows of doubled coordinates"):
+        cayley.mul_batch(Y[:, :7], Y[:, :7])
+
+
 def test_half_times_half_is_refused():
     half = (1, 0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
@@ -120,7 +155,7 @@ def test_subtraction_stays_integral(units, rng):
 
 
 def test_closure_of_i_j_h_alone_is_240():
-    els = closure([I_UNIT, J_UNIT, H_UNIT], mul, ONE, cap=241)
+    els = closure([I_UNIT, J_UNIT, H_UNIT], cayley.mul_batch, ONE, cap=241)
     assert len(els) == 240
 
 
@@ -156,14 +191,14 @@ def test_iso_certificate(quotient):
 
 def test_ijh_generate_quotient(quotient):
     idx = {r: i for i, r in enumerate(quotient.reps)}
-    gens = [idx[cayley._sign_canonical(g)] for g in (I_UNIT, J_UNIT, H_UNIT)]
+    gens = [idx[r] for r in map(tuple, cayley.sign_reps([I_UNIT, J_UNIT, H_UNIT]).tolist())]
     assert len(closure_indices(quotient, gens)) == 120
 
 
 def test_element_labels(quotient):
     assert all(lbl.startswith("(") and lbl.endswith(")")
                for lbl in quotient.labels)
-    h = cayley._sign_canonical(H_UNIT)
+    h = tuple(cayley.sign_reps([neg(H_UNIT)])[0].tolist())
     assert label(h) == "(0,1/2,1/2,1/2,1/2,0,0,0)"
     assert label(neg(h)) == "(0,-1/2,-1/2,-1/2,-1/2,0,0,0)"
 

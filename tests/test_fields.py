@@ -72,6 +72,20 @@ def test_inv_prime(p, x, want):
     assert f.mul(x, f.inv(x)) == 1
 
 
+@pytest.mark.parametrize("p", [1031, 65537])
+def test_untabled_prime_field_matches_polynomial_path(p, rng):
+    # past the lookup tables a prime field multiplies by a * b % p and
+    # inverts by Fermat; the polynomial path is the oracle
+    f = field_make(p)
+    A, B = rng.integers(p, size=(2, 200)).tolist()
+    assert [f.mul(a, b) for a, b in zip(A, B)] == \
+        [f._mul_codes(a, b) for a, b in zip(A, B)]
+    assert f.mul(np.int32(p - 1), np.int32(p - 1)) == 1
+    for a in [1, 2, p - 1] + [a for a in A[:20] if a]:
+        b = f.inv(a)
+        assert 0 < b < p and f._mul_codes(a, b) == 1
+
+
 def test_inv_gf4_by_exhaustion(gf4):
     t = 2  # the residue class of x
     # oracle: search the inverse exhaustively

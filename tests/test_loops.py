@@ -48,22 +48,75 @@ def test_closure_cap():
         closure([1], lambda a, b: (a + b) % 1000, 0, cap=10)
 
 
+def test_closure_of_rows_numbers_levels_lexicographically():
+    # Z/3 x Z/4 on rows; the ints 4a + b close the same way
+    def mult(X, Y):
+        Z = X + Y
+        return np.stack([Z[:, 0] % 3, Z[:, 1] % 4], axis=1)
+
+    els = closure([(0, 1), (1, 0), (0, 1)], mult, (0, 0))
+    assert els[:3] == [(0, 1), (1, 0), (0, 0)]
+    assert len(els) == 12 and len(set(els)) == 12
+    assert all(isinstance(e, tuple) and isinstance(e[0], int) for e in els)
+    level1 = [(0, 2), (1, 1), (2, 0)]
+    assert els[3:6] == level1
+    assert els[6:] == sorted(els[6:])
+    ints = closure([1, 4, 1], lambda a, b: (a + b) % 4 + 4 * ((a // 4 + b // 4) % 3), 0)
+    assert ints == [4 * a + b for a, b in els]
+
+
+def test_lex_unique_and_positions_match_python_sorting(rng):
+    A = rng.integers(-3, 4, size=(400, 3))
+    rows, group = loops.lex_unique(A)
+    assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, A.tolist())))
+    assert (rows[group] == A).all()
+    probe = np.array([rows[5], [9, 9, 9], rows[0]])
+    assert loops.positions(rows, probe).tolist() == [5, -1, 0]
+
+
+def test_closure_chunks_bound_every_mult_call(monkeypatch):
+    mult = lambda X, Y: np.stack([(X[:, 0] + Y[:, 0]) % 7, (X[:, 1] * Y[:, 1]) % 5],
+                                 axis=1)
+    gens = [(1, 2), (3, 3)]
+    whole = closure(gens, mult, (0, 1))
+    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * 128 * 2 * 5)
+    assert loops.closure_chunk(2) == 5
+    sizes = []
+
+    def recording(X, Y):
+        assert len(X) == len(Y)
+        sizes.append(len(X))
+        return mult(X, Y)
+
+    assert closure(gens, recording, (0, 1)) == whole
+    assert len(whole) == 28 and max(sizes) == 5
+    assert sum(sizes) == len(whole) ** 2  # every pair once
+
+
+def test_closure_cap_is_checked_per_chunk(monkeypatch):
+    # level 1 of 1..60 and 0 in Z/100000 has 61^2 pairs and 60 new sums;
+    # with 100-pair chunks the cap of 80 elements stops it in the first half
+    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * 128 * 100)
+    sizes = []
+
+    def recording(X, Y):
+        sizes.append(len(X))
+        return (X + Y) % 100000
+
+    with pytest.raises(ClosureCapExceeded):
+        closure(list(range(1, 61)), recording, 0, cap=80)
+    assert max(sizes) == 100 and sum(sizes) < 61 ** 2 // 2
+
+
 def test_closure_paige2_generators_mod_sign(m2):
     """The q=2 triple closes to all 120 classes; generic closure agrees
-    with the packed engine element by element."""
+    with the packed engine element by element (at q = 2 the packed order
+    is the lexicographic row order)."""
     gens = paige.standard_generators(2)
     eng = m2.zorn.engine
-
-    def canon_mult(x, y):
-        rows = eng.mul(np.asarray([x], dtype=np.int64),
-                       np.asarray([y], dtype=np.int64))
-        rep = eng.canon(rows)[0]
-        return tuple(int(v) for v in rep)
-
     one = tuple(int(v) for v in eng.unit_row())
     gen_keys = [tuple(int(v) for v in g.coords()) for g in gens]
-    els = closure(gen_keys, lambda a, b: canon_mult(a, b), one,
-                  sort_key=lambda t: eng.pack(np.asarray([t]))[0])
+    els = closure(gen_keys, lambda X, Y: eng.canon(eng.mul(X, Y)), one)
     assert len(els) == 120
     packed = paige.closure_packed(2, gens)
     assert [int(eng.pack(np.asarray([t]))[0]) for t in els] == [int(p) for p in packed]
