@@ -271,21 +271,29 @@ def closure(generators, mult, one, cap=100000):
 
 
 def closure_indices(loop, seed):
-    """Subloop generated by the given indices (table mode)."""
+    """Subloop generated by the given indices (table mode).
+
+    Each round marks the products of the members so far, gathering rows of
+    T[cur, cur] in blocks of 1, 2, 4, ... rows, and stops as soon as every
+    element is marked: a closure that covers the loop early skips the rest
+    of its round."""
     T = loop.require_table()
-    member = np.zeros(loop.n, dtype=bool)
-    todo = set(int(s) for s in seed)
-    todo.add(loop.neutral)
-    cur = np.array(sorted(todo), dtype=np.int64)
-    member[cur] = True
-    while len(cur) < loop.n:
-        prods = T[np.ix_(cur, cur)].ravel()
-        fresh = np.unique(prods[~member[prods]])
-        if len(fresh) == 0:
-            break
-        member[fresh] = True
+    n = loop.n
+    member = np.zeros(n, dtype=bool)
+    member[[int(s) for s in seed]] = True
+    member[loop.neutral] = True
+    size = int(np.count_nonzero(member))
+    while size < n:
         cur = np.flatnonzero(member)
-    return cur
+        start, block = 0, 1
+        while start < len(cur) and size < n:
+            member[T[cur[start:start + block, None], cur]] = True
+            size = int(np.count_nonzero(member))
+            start += block
+            block *= 2
+        if size == len(cur):
+            break
+    return np.flatnonzero(member)
 
 
 def generating_sequence(loop):

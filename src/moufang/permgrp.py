@@ -11,7 +11,7 @@ of them, so a completed chain is a certificate, not a heuristic.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class PermGroup:
         self.degree = degree
         self.gens = gens
         self._levels = None
-        self._gen_inverses = None
 
     # -- stabilizer chain ---------------------------------------------------
 
@@ -293,36 +292,52 @@ class PermGroup:
     def base(self):
         return [lv.base for lv in self._chain()]
 
+    @cached_property
+    def _gen_stack(self):
+        """(2k, n) int32 image arrays of the k generators followed by their
+        inverses, built on first use."""
+        k = len(self.gens)
+        S = np.empty((2 * k, self.degree), dtype=np.int32)
+        for i, g in enumerate(self.gens):
+            S[i] = g.a
+            S[k + i, g.a] = _identity_images(self.degree)
+        return S
+
     def random_element(self, rng):
         """Product of 20 uniformly chosen generators/inverses; deterministic
         for a seeded rng.  Used for sampling checks, never for orders."""
-        if not self.gens:
+        k = len(self.gens)
+        if not k:
             return Perm.identity(self.degree)
-        if self._gen_inverses is None:
-            self._gen_inverses = [g.inverse() for g in self.gens]
-        p = Perm.identity(self.degree)
+        S = self._gen_stack
+        a = _identity_images(self.degree)
         for _ in range(20):
-            i = int(rng.integers(len(self.gens)))
-            p = p * (self._gen_inverses[i] if int(rng.integers(2)) else self.gens[i])
-        return p
+            i = int(rng.integers(k))
+            a = S[i + k if int(rng.integers(2)) else i].take(a)
+        return Perm(a, _checked=True)
 
     def elements(self, limit=200000):
         """Every group element by breadth-first closure; exact but only
-        sensible for small groups."""
+        sensible for small groups.  Each element's products with the
+        generators come from one gather on the generator stack and are told
+        apart by their image bytes, which the listed elements read in place
+        (read-only)."""
+        gens = self._gen_stack[:len(self.gens)]
+        width = self.degree * gens.itemsize
         ident = Perm.identity(self.degree)
-        seen = {ident: None}
+        seen = {ident.a.tobytes()}
         out = [ident]
         head = 0
         while head < len(out):
-            p = out[head]
+            images = gens[:, out[head].a].tobytes()
             head += 1
-            for g in self.gens:
-                q = p * g
-                if q not in seen:
+            for i in range(len(gens)):
+                key = images[i * width:(i + 1) * width]
+                if key not in seen:
                     if len(out) >= limit:
                         raise ValueError("group exceeds enumeration limit %d" % limit)
-                    seen[q] = None
-                    out.append(q)
+                    seen.add(key)
+                    out.append(Perm(np.frombuffer(key, dtype=gens.dtype), _checked=True))
         return out
 
     def __repr__(self):

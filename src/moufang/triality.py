@@ -3,8 +3,9 @@
 A loop L gives a 3-net on L x L with point id x*n + y and three line
 classes: vertical (X = c, class 1), horizontal (Y = c, class 2) and
 transversal (XY = c, class 3); line c of class cls has id (cls-1)*n + c.
-Bol reflections are built from the coordinate formulas and verified on
-points to be involutive collineations swapping the other two classes.  The
+Bol reflections are built from the coordinate formulas; a few are verified
+on points to be involutive collineations swapping the other two classes,
+and the others follow as their conjugates along the line orbit.  The
 group they generate acts faithfully on the 3n lines (every point is the
 meet of its vertical and horizontal lines), is computed there, and carries
 the triality structure: sigma and rho act on the direction-preserving part by
@@ -258,18 +259,73 @@ def require_reflections_fit(n):
                          % (n, need, MEMORY_BUDGET))
 
 
+def _conjugate_reflection(tau, sigma, n):
+    """tau sigma tau for involutory collineations tau and sigma, composed on
+    points and on lines; the class action and line maps are read off the
+    composed line permutation."""
+    point_map = tau.point_map * sigma.point_map * tau.point_map
+    lines = (tau.line_perm * sigma.line_perm * tau.line_perm).a.astype(np.int64)
+    class_action = {c: int(lines[(c - 1) * n]) // n + 1 for c in (1, 2, 3)}
+    line_maps = {c: lines[(c - 1) * n: c * n] % n for c in (1, 2, 3)}
+    return Collineation(point_map, class_action, line_maps)
+
+
+def _reflections_by_conjugation(loop, net):
+    """Every reflection of the net, most of them as conjugates.
+
+    The three origin reflections are checked on points by bol_reflection
+    and become conjugators; breadth-first, a conjugator tau and a known
+    sigma_l give sigma_{tau(l)} = tau sigma_l tau.  That conjugate is again
+    an involutory collineation fixing its axis pointwise and swapping the
+    other two classes, and such a map is unique per axis (the image of P is
+    the transversal through one axis point met with the horizontal line
+    through another), so it is the formula reflection.  When the orbit
+    stalls, the first missing axis in (cls, m) order is checked on points
+    and joins the conjugators.  For a non-Moufang loop some axis carries no
+    reflection (Bol criterion), and checking it raises."""
+    n = loop.n
+    refl = {}          # line id (cls - 1) * n + m -> Collineation
+    conjugators = []   # the reflections checked on points
+    queue, head = [], 0
+
+    def check(line):
+        refl[line] = bol_reflection(loop, line // n + 1, line % n, net=net)
+        conjugators.append(refl[line])
+        queue.extend(refl)  # every known axis meets the new conjugator
+
+    for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL):
+        check((cls - 1) * n + loop.neutral)
+    missing = 0
+    while len(refl) < 3 * n:
+        if head == len(queue):
+            while missing in refl:
+                missing += 1
+            check(missing)
+        line = queue[head]
+        head += 1
+        for tau in conjugators:
+            image = tau.line_perm(line)
+            if image not in refl:
+                refl[image] = _conjugate_reflection(tau, refl[line], n)
+                queue.append(image)
+    return {(line // n + 1, line % n): refl[line] for line in range(3 * n)}
+
+
 def all_bol_reflections(loop, net=None):
-    """The 3n Bol reflections, keyed (class, axis).  Their point maps, 3n
-    int32 permutations of the n^2 points, must fit MEMORY_BUDGET (n <= 223);
-    a larger loop is refused before any reflection is built."""
+    """The 3n Bol reflections, keyed (class, axis) in (class, axis) order.
+    A few are checked on points and the rest follow by conjugation (see
+    _reflections_by_conjugation); when a check fails, the reflections are
+    checked axis by axis so that the first failing axis raises.  Their point
+    maps, 3n int32 permutations of the n^2 points, must fit MEMORY_BUDGET
+    (n <= 223); a larger loop is refused before any reflection is built."""
     require_reflections_fit(loop.n)
     if net is None:
         net = LoopNet3(loop)
-    out = {}
-    for cls in (1, 2, 3):
-        for m in range(loop.n):
-            out[(cls, m)] = bol_reflection(loop, cls, m, net=net)
-    return out
+    try:
+        return _reflections_by_conjugation(loop, net)
+    except NotACollineationError:
+        return {(cls, m): bol_reflection(loop, cls, m, net=net)
+                for cls in (1, 2, 3) for m in range(loop.n)}
 
 
 # ---------------------------------------------------------------------------

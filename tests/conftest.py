@@ -75,3 +75,19 @@ NON_MOUFANG_5 = np.array([
 @pytest.fixture(scope="session")
 def non_moufang_loop():
     return loops.FiniteLoop(5, table=NON_MOUFANG_5)
+
+
+# 5-element loop where 2 has right inverse 3 (2*3 = 0) but left inverse 4
+# (4*2 = 0); found by scanning reduced 5x5 Latin squares, frozen here
+ONE_SIDED_5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+], dtype=np.int32)
+
+
+@pytest.fixture(scope="session")
+def one_sided_loop():
+    return loops.FiniteLoop(5, table=ONE_SIDED_5)

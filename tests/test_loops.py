@@ -303,17 +303,6 @@ def test_inverse_antiautomorphism_moufang(m2, rng):
         assert inv[T[x, y]] == T[inv[y], inv[x]]
 
 
-# 5-element loop where 2 has right inverse 3 (2*3 = 0) but left inverse 4
-# (4*2 = 0); found by scanning reduced 5x5 Latin squares, frozen here
-ONE_SIDED_5 = np.array([
-    [0, 1, 2, 3, 4],
-    [1, 0, 3, 4, 2],
-    [2, 3, 4, 0, 1],
-    [3, 4, 1, 2, 0],
-    [4, 2, 0, 1, 3],
-], dtype=np.int32)
-
-
 def _inverses_by_scan(loop):
     T, e = loop.table, loop.neutral
     right = [int(np.flatnonzero(T[x, :] == e)[0]) for x in range(loop.n)]
@@ -322,9 +311,10 @@ def _inverses_by_scan(loop):
 
 
 @pytest.mark.parametrize("name", ["m2", "S3", "non-moufang-5", "one-sided-5"])
-def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loop):
+def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loop,
+                                             one_sided_loop):
     loop = {"m2": m2, "S3": s3_loop, "non-moufang-5": non_moufang_loop,
-            "one-sided-5": FiniteLoop(5, table=ONE_SIDED_5)}[name]
+            "one-sided-5": one_sided_loop}[name]
     want = _inverses_by_scan(loop)
     got = loop.two_sided_inverses()
     if name == "one-sided-5":
@@ -393,11 +383,12 @@ def _closure_indices_reference(loop, seed):
         cur = np.flatnonzero(member)
 
 
-@pytest.mark.parametrize("name", ["m3", "u3"])
-def test_closure_indices_matches_reference(name, request):
-    L = request.getfixturevalue(name)
+@pytest.mark.parametrize("name", ["m3", "u3", "z12"])
+def test_closure_indices_matches_reference(name, request, rng):
+    L = cyclic_loop(12) if name == "z12" else request.getfixturevalue(name)
     gens, levels = generating_sequence(L)
     seeds = [gens[:i + 1] for i in range(len(gens))] + [[], [L.neutral]]
+    seeds += rng.integers(L.n, size=(20, 2)).tolist()
     if name == "u3":
         seeds.append(center(L))  # {e, -e}
     sizes = set()
@@ -408,6 +399,24 @@ def test_closure_indices_matches_reference(name, request):
     assert L.n in sizes and 1 in sizes and len(sizes) > 2  # whole, trivial, proper
     if name == "u3":
         assert len(closure_indices(L, center(L))) == 2
+
+
+def test_closure_indices_matches_reference_in_normal_closures(m2, monkeypatch):
+    # every closure the single-element normal closures of M*(2) ask for
+    seeds = []
+    real = loops.closure_indices
+
+    def record(loop, seed):
+        seeds.append(np.array(seed))
+        return real(loop, seed)
+    monkeypatch.setattr(loops, "closure_indices", record)
+    for x in range(m2.n):
+        loops.normal_closure(m2, [x])
+    monkeypatch.undo()
+    assert len(seeds) >= m2.n
+    for seed in seeds:
+        assert np.array_equal(closure_indices(m2, seed),
+                              _closure_indices_reference(m2, seed))
 
 
 def test_closure_indices_on_cyclic_subgroups():

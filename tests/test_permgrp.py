@@ -80,6 +80,23 @@ def test_random_element_draws_the_seeded_words(name, gens, order):
 
 
 @pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
+def test_elements_are_listed_breadth_first(name, gens, order):
+    # reference: breadth-first closure by Perm products, keyed by Perm
+    G = PermGroup(gens[0].degree, gens)
+    want = [Perm.identity(G.degree)]
+    seen = set(want)
+    for p in want:
+        for g in G.gens:
+            if p * g not in seen:
+                seen.add(p * g)
+                want.append(p * g)
+    assert G.elements() == want
+    assert G.elements(limit=order) == want
+    with pytest.raises(ValueError, match="enumeration limit %d" % (order - 1)):
+        G.elements(limit=order - 1)
+
+
+@pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
 def test_order_independent_of_generator_order(name, gens, order):
     assert PermGroup(gens[0].degree, list(reversed(gens))).order() == order
 

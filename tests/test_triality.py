@@ -132,6 +132,93 @@ def test_bol_reflection_non_moufang_raises(non_moufang_loop):
         bol_reflection(non_moufang_loop, 3, 1)
 
 
+def _reflections_per_axis(loop, net):
+    # every reflection from its coordinate formulas, verified on points
+    return {(cls, m): bol_reflection(loop, cls, m, net=net)
+            for cls in (1, 2, 3) for m in range(loop.n)}
+
+
+def _first_axis_error(loop):
+    net = LoopNet3(loop)
+    for cls in (1, 2, 3):
+        for m in range(loop.n):
+            try:
+                bol_reflection(loop, cls, m, net=net)
+            except NotACollineationError as e:
+                return str(e)
+    return None
+
+
+@pytest.mark.parametrize("loop_name", ["z3", "z12", "s3", "m2"])
+def test_reflections_by_conjugation_match_the_formulas(loop_name, s3_loop, m2):
+    L = {"z3": cyclic_loop(3), "z12": cyclic_loop(12), "s3": s3_loop,
+         "m2": m2}[loop_name]
+    net = LoopNet3(L)
+    got = all_bol_reflections(L, net=net)
+    want = _reflections_per_axis(L, net)
+    assert list(got) == list(want)
+    for key, w in want.items():
+        g = got[key]
+        assert g.point_map == w.point_map, key
+        assert g.line_perm == w.line_perm, key
+        assert g.class_action == w.class_action, key
+        for c in (1, 2, 3):
+            assert np.array_equal(g.line_maps[c], w.line_maps[c]), key
+            assert g.line_maps[c].base is None
+
+
+def _recording_bol_reflection(monkeypatch, fail=None):
+    # bol_reflection that records its axes and raises at the axes in fail
+    checked = []
+    real = triality.bol_reflection
+
+    def record(loop, cls, m, net=None):
+        checked.append((cls, m))
+        if fail and (cls, m) in fail:
+            raise NotACollineationError(fail[(cls, m)])
+        return real(loop, cls, m, net=net)
+    monkeypatch.setattr(triality, "bol_reflection", record)
+    return checked
+
+
+def test_m2_checks_few_reflections_on_points(m2, monkeypatch):
+    checked = _recording_bol_reflection(monkeypatch)
+    refl = all_bol_reflections(m2)
+    e = m2.neutral
+    assert len(refl) == 360
+    assert checked[:3] == [(1, e), (2, e), (3, e)]
+    assert len(checked) < 3 * m2.n
+    assert len(set(checked)) == len(checked)
+
+
+@pytest.mark.parametrize("name", ["non-moufang-5", "one-sided-5"])
+def test_non_moufang_reflections_raise_the_first_axis_error(
+        name, non_moufang_loop, one_sided_loop):
+    L = {"non-moufang-5": non_moufang_loop, "one-sided-5": one_sided_loop}[name]
+    want = _first_axis_error(L)
+    assert want is not None
+    with pytest.raises(NotACollineationError) as exc:
+        all_bol_reflections(L)
+    assert str(exc.value) == want
+
+
+def test_failed_conjugation_reruns_the_axes_in_order(m2, monkeypatch):
+    # fail the last axis the conjugation route checks on points, and an
+    # earlier axis it only reaches by conjugation: the error must name the
+    # earlier one, as the per-axis loop does
+    checked = _recording_bol_reflection(monkeypatch)
+    all_bol_reflections(m2)
+    late = checked[-1]
+    early = next(key for key in product((1, 2, 3), range(m2.n))
+                 if key < late and key not in checked)
+    monkeypatch.undo()
+    checked = _recording_bol_reflection(
+        monkeypatch, {early: "early axis", late: "late axis"})
+    with pytest.raises(NotACollineationError, match="^early axis$"):
+        all_bol_reflections(m2)
+    assert checked.count(late) == 1 and checked[-1] == early
+
+
 def test_reflection_conjugation_moves_axis(s3_loop, rng):
     # gamma^-1 sigma_l gamma = sigma_{l gamma}
     net = LoopNet3(s3_loop)
