@@ -315,6 +315,7 @@ def _cmd_decompose(args, rep):
     eng = paige.ZornEngine(field)
     q = field.q
     rep.add("q", q)
+    chunk = loops.MEMORY_BUDGET // paige.DECOMPOSE_ROW_BYTES
     if args.x:
         pool = [np.array([ZornMatrix.parse(field, args.x).coords()], dtype=np.int64)]
     elif args.exhaustive:
@@ -326,13 +327,14 @@ def _cmd_decompose(args, rep):
         # base-q digits of 0..q^8-1, coordinate a most significant: the
         # order of itertools.product, so a witness is the first failure
         digits = q ** np.arange(7, -1, -1, dtype=np.int64)
-        chunk = loops.MEMORY_BUDGET // paige.DECOMPOSE_ROW_BYTES
         pool = (np.arange(s, min(s + chunk, q ** 8))[:, None] // digits % q
                 for s in range(0, q ** 8, chunk))
     else:
         rep.add("mode", "sampled:%d" % args.samples)
+        # successive draws continue one stream: the rows of a single draw
         rng = np.random.default_rng(args.seed)
-        pool = [rng.integers(q, size=(args.samples, 8))]
+        pool = (rng.integers(q, size=(min(chunk, args.samples - s), 8))
+                for s in range(0, args.samples, chunk))
     checked, witness = 0, None
     for X in pool:
         U, V = paige.decompose_batch(eng, X)

@@ -380,7 +380,7 @@ def _solve_single_dot(field, beta, target):
 def _nullspace_first(field, rows):
     """First vector of the reduced echelon basis of {v : rows . v = 0} in F^3."""
     F = field
-    m, pivots = rref(F, rows)
+    m, pivots, _ = rref(F, rows)
     free = [c for c in range(3) if c not in pivots]
     if not free:
         raise ValueError("null space is trivial")

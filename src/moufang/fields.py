@@ -3,8 +3,9 @@ ints and on arrays of codes, and row reduction (rref, rref_batch) over them.
 
 Field elements are plain ints in ``range(q)`` encoding the residue
 polynomial c0 + c1*t + ... + c_{k-1}*t^{k-1} as c0 + c1*p + ... + c_{k-1}*p^{k-1}.
-All arithmetic goes through the owning :class:`GF` instance, which keeps
-lookup tables for small fields.  The canonical total order on elements is
+All arithmetic goes through the owning :class:`GF` instance: prime fields
+compute mod p, extension fields (at most _TABLE_LIMIT elements) read q x q
+lookup tables.  The canonical total order on elements is
 lexicographic on the coefficient vector (c0, c1, ...); it is exposed through
 :meth:`GF.rank` and coincides with the integer order exactly when k == 1.
 """
@@ -28,7 +29,7 @@ BUILTIN_MODULI = {
     (5, 2): (2, 0, 1),           # x^2 + 2
 }
 
-_TABLE_LIMIT = 1024  # build q x q lookup tables up to this size
+_TABLE_LIMIT = 1024  # extension fields build q x q lookup tables up to this size
 
 
 class UsageError(ValueError):
@@ -134,6 +135,9 @@ class GF:
             raise ValueError("modulus %r is reducible over GF(%d)" % (modulus, p))
         if p ** k > 10 ** 6:
             raise ValueError("field of order %d is beyond the intended desk scale" % (p ** k,))
+        if k > 1 and p ** k > _TABLE_LIMIT:
+            raise ValueError("extension field of order %d is past the table limit "
+                             "of %d elements" % (p ** k, _TABLE_LIMIT))
         self.p = p
         self.k = k
         self.q = p ** k
@@ -163,46 +167,37 @@ class GF:
 
     def _build_tables(self):
         q, p, k = self.q, self.p, self.k
-        self._has_tables = q <= _TABLE_LIMIT
-        # rank[x] = position of x in the canonical (coefficient-lex) order
-        ranks = np.empty(q, dtype=np.int64)
-        for x in range(q):
-            c = self._coeffs_of(x)
-            r = 0
-            for ci in c:  # c0 is the most significant lex digit
-                r = r * p + ci
-            ranks[x] = r
+        # rank[x] = position of x in the canonical (coefficient-lex) order,
+        # c0 being the most significant lex digit
+        codes, ranks = np.arange(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+        for i in range(k):
+            ranks = ranks * p + codes // p ** i % p
         self._rank = ranks
-        if not self._has_tables:
-            return
         if k == 1:
-            idx = np.arange(q, dtype=np.int32)
-            self.ADD = (idx[:, None] + idx[None, :]) % p
-            self.MUL = (idx[:, None] * idx[None, :]) % p
-            self.NEG = (-idx) % p
-        else:
-            add = np.empty((q, q), dtype=np.int32)
-            for a in range(q):
-                ca = self._coeffs_of(a)
-                for b in range(q):
-                    cb = self._coeffs_of(b)
-                    add[a, b] = self._code_of([(x + y) % p for x, y in zip(ca, cb)])
-            self.ADD = add
-            mul = np.empty((q, q), dtype=np.int32)
-            for a in range(q):
-                for b in range(a, q):
-                    mul[a, b] = mul[b, a] = self._mul_codes(a, b)
-            self.MUL = mul
-            neg = np.empty(q, dtype=np.int32)
-            for a in range(q):
-                neg[a] = self._code_of([(-c) % p for c in self._coeffs_of(a)])
-            self.NEG = neg
+            return
+        add = np.empty((q, q), dtype=np.int32)
+        for a in range(q):
+            ca = self._coeffs_of(a)
+            for b in range(q):
+                cb = self._coeffs_of(b)
+                add[a, b] = self._code_of([(x + y) % p for x, y in zip(ca, cb)])
+        self.ADD = add
+        mul = np.empty((q, q), dtype=np.int32)
+        for a in range(q):
+            for b in range(a, q):
+                mul[a, b] = mul[b, a] = self._mul_codes(a, b)
+        self.MUL = mul
+        neg = np.empty(q, dtype=np.int32)
+        for a in range(q):
+            neg[a] = self._code_of([(-c) % p for c in self._coeffs_of(a)])
+        self.NEG = neg
         inv = np.zeros(q, dtype=np.int32)
         for a in range(1, q):
             inv[a] = self.pow_(a, q - 2)
         self.INV = inv
 
     # -- scalar operations ------------------------------------------------
+    # Prime fields compute mod p; extension fields read their tables.
 
     def check(self, x):
         if not (0 <= x < self.q):
@@ -210,35 +205,30 @@ class GF:
         return int(x)
 
     def add(self, a, b):
-        if self._has_tables:
-            return int(self.ADD[a, b])
-        return self._code_of([(x + y) % self.p for x, y in
-                              zip(self._coeffs_of(a), self._coeffs_of(b))])
+        if self.k == 1:
+            return (int(a) + int(b)) % self.p
+        return int(self.ADD[a, b])
 
     def neg(self, a):
-        if self._has_tables:
-            return int(self.NEG[a])
-        return self._code_of([(-c) % self.p for c in self._coeffs_of(a)])
+        if self.k == 1:
+            return -int(a) % self.p
+        return int(self.NEG[a])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._has_tables:
-            return int(self.MUL[a, b])
         if self.k == 1:
             return int(a) * int(b) % self.p
-        return self._mul_codes(a, b)
+        return int(self.MUL[a, b])
 
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on 0."""
         if a == 0:
             raise ZeroDivisionError("division by zero in %r" % (self,))
-        if self._has_tables:
-            return int(self.INV[a])
         if self.k == 1:
             return pow(int(a), self.p - 2, self.p)
-        return self.pow_(a, self.q - 2)
+        return int(self.INV[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -290,23 +280,14 @@ class GF:
     # the lookup tables, and add by XOR in characteristic 2.  Results are
     # self.dtype arrays.
 
-    def require_tables(self):
-        """UsageError for an extension field without lookup tables (q past
-        _TABLE_LIMIT): its array operations gather from them."""
-        if self.k > 1 and not self._has_tables:
-            raise UsageError("array arithmetic over %r needs lookup tables, "
-                             "which are too large to build" % (self,))
-
     def _reduce(self, X):
-        """X mod p, in place on an array of a prime field's dtype: numpy
-        divides by a scalar several times faster than it takes remainders."""
-        X -= X // self.p * self.p
+        """X mod p, in place on an array of a prime field's dtype."""
+        X %= self.p
         return X
 
     def vadd(self, A, B):
         if self.k == 1:
             return self._reduce(np.add(A, B, dtype=self.dtype))
-        self.require_tables()
         if self.p == 2:
             return np.bitwise_xor(A, B, dtype=self.dtype)
         return self.ADD[A, B]
@@ -314,7 +295,6 @@ class GF:
     def vneg(self, A):
         if self.k == 1:
             return self._reduce(np.negative(A, dtype=self.dtype))
-        self.require_tables()
         return self.NEG[A]
 
     def vsub(self, A, B):
@@ -325,7 +305,6 @@ class GF:
     def vmul(self, A, B):
         if self.k == 1:
             return self._reduce(np.multiply(A, B, dtype=self.dtype))
-        self.require_tables()
         return self.MUL[A, B]
 
     def vpow(self, A, n):
@@ -339,11 +318,13 @@ class GF:
         return out
 
     def vinv(self, A):
-        """Inverses of nonzero codes (a zero gives 0): the INV table, or
-        A^(q-2) without tables."""
-        if self._has_tables:
+        """Inverses of nonzero codes (a zero gives 0): A^(p-2) in a prime
+        field, the identity in GF(2), the INV table otherwise."""
+        if self.k > 1:
             return self.INV[A]
-        return self.vpow(A, self.q - 2)
+        if self.p == 2:
+            return np.asarray(A, dtype=self.dtype)
+        return self.vpow(A, self.p - 2)
 
     # -- canonical order and formatting -----------------------------------
 
@@ -454,21 +435,23 @@ def is_square(field, x):
 
 
 def rref(field, rows):
-    """Reduced row echelon form over field; returns (nonzero rows, pivot
-    column list)."""
+    """Reduced row echelon form over field, with the pivot rule of
+    rref_batch: (nonzero rows, pivot column list, det), det being the
+    determinant of a square input (0 when it is singular) and None
+    otherwise."""
     m = [list(r) for r in rows]
-    pivots = []
-    r = 0
     ncols = len(m[0]) if m else 0
+    pivots, det = [], field.one
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][col]):
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if not field.is_zero(m[i][col])),
+                   None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = field.neg(det)
+        det = field.mul(det, m[r][col])
         inv = field.inv(m[r][col])
         m[r] = [field.mul(inv, v) for v in m[r]]
         for i in range(len(m)):
@@ -476,8 +459,11 @@ def rref(field, rows):
                 f = m[i][col]
                 m[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-    return m[:r], pivots
+    if len(m) != ncols:
+        det = None
+    elif len(pivots) < ncols:
+        det = field.zero
+    return m[:len(pivots)], pivots, det
 
 
 def rref_batch(field, M):

@@ -4,10 +4,10 @@ orthogonality and rotation tests, and the spinor-norm criterion that decides
 membership in the commutator subgroup Omega.
 
 Matrices act on column vectors (y = M x) in the coordinate order
-(x0..x7) = (a, alpha, beta, b).  Entries are field codes; the scalar
-routines route all arithmetic through the field object, so they work over
-any GF(p^k), and are the reference for the batched verdicts over prime
-fields (operator_matrices, spinor_verdicts)."""
+(x0..x7) = (a, alpha, beta, b).  Entries are field codes; the reference
+routines (mat_det, is_rotation, spinor_norm, ...) route all arithmetic
+through the field object, so they work over any GF(p^k), and check the
+batched verdicts over prime fields (operator_matrices, spinor_verdicts)."""
 
 from __future__ import annotations
 
@@ -31,38 +31,12 @@ def j_matrix(field):
 
 
 def mat_mul(field, A, B):
-    if field.k == 1:
-        return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64)) \
-            % field.p
-    n, m, r = A.shape[0], B.shape[1], A.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        for j in range(m):
-            s = field.zero
-            for k in range(r):
-                s = field.add(s, field.mul(int(A[i, k]), int(B[k, j])))
-            out[i, j] = s
-    return out
-
-
-def mat_vec(field, A, v):
-    if field.k == 1:
-        return (np.asarray(A, dtype=np.int64) @ np.asarray(v, dtype=np.int64)) \
-            % field.p
-    out = np.zeros(A.shape[0], dtype=np.int64)
-    for i in range(A.shape[0]):
-        s = field.zero
-        for k in range(A.shape[1]):
-            s = field.add(s, field.mul(int(A[i, k]), int(v[k])))
-        out[i] = s
-    return out
-
-
-def mat_sub(field, A, B):
-    out = np.zeros_like(A)
-    for i in range(A.shape[0]):
-        for j in range(A.shape[1]):
-            out[i, j] = field.sub(int(A[i, j]), int(B[i, j]))
+    """A B over the field: the products A[i, k] B[k, j] summed over k by the
+    field's array operations."""
+    P = field.vmul(np.asarray(A)[:, :, None], np.asarray(B)[None])
+    out = P[:, 0]
+    for k in range(1, P.shape[1]):
+        out = field.vadd(out, P[:, k])
     return out
 
 
@@ -74,37 +48,15 @@ def identity_matrix(field, n=8):
 
 
 def mat_det(field, A):
-    """Determinant by Gaussian elimination over the field."""
-    M = [[int(v) for v in row] for row in A]
-    n = len(M)
-    det = field.one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not field.is_zero(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return field.zero
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = field.neg(det)
-        det = field.mul(det, M[col][col])
-        inv = field.inv(M[col][col])
-        for r in range(col + 1, n):
-            if field.is_zero(M[r][col]):
-                continue
-            f = field.mul(M[r][col], inv)
-            for c in range(col, n):
-                M[r][c] = field.sub(M[r][c], field.mul(f, M[col][c]))
-    return det
+    """Determinant, from the row reduction of fields.rref."""
+    return rref(field, np.asarray(A).tolist())[2]
 
 
 def solve_linear(field, A, b):
     """One solution of A x = b (free variables zero); None if inconsistent."""
     n, m = A.shape
     aug = [[int(A[i, j]) for j in range(m)] + [int(b[i])] for i in range(n)]
-    rows, pivots = rref(field, aug)
+    rows, pivots, _ = rref(field, aug)
     x = [field.zero] * m
     for row, pc in zip(rows, pivots):
         if pc == m:
@@ -115,24 +67,8 @@ def solve_linear(field, A, b):
 
 def column_space_basis(field, A):
     """Echelon basis of the column space (row-reduce the transpose)."""
-    rows, _ = rref(field, [list(map(int, A[:, j])) for j in range(A.shape[1])])
+    rows = rref(field, np.asarray(A).T.tolist())[0]
     return [np.array(r, dtype=np.int64) for r in rows]
-
-
-def norm_coords(field, v):
-    """x0 x7 - x1 x4 - x2 x5 - x3 x6."""
-    s = field.mul(int(v[0]), int(v[7]))
-    for i in (1, 2, 3):
-        s = field.sub(s, field.mul(int(v[i]), int(v[i + 3])))
-    return s
-
-
-def _bil(field, u, v):
-    s = field.add(field.mul(int(u[7]), int(v[0])), field.mul(int(u[0]), int(v[7])))
-    for i in (1, 2, 3):
-        s = field.sub(s, field.mul(int(u[i + 3]), int(v[i])))
-        s = field.sub(s, field.mul(int(u[i]), int(v[i + 3])))
-    return s
 
 
 def mult_operator_matrix(a, side="left"):
@@ -180,12 +116,7 @@ def conjugation_matrix(field):
 
 def neg_conjugation_matrix(field):
     """Matrix of x -> -conj(x), a symmetry fixing the trace-zero hyperplane."""
-    C = conjugation_matrix(field)
-    out = np.zeros_like(C)
-    for i in range(8):
-        for j in range(8):
-            out[i, j] = field.neg(int(C[i, j]))
-    return out
+    return field.vneg(conjugation_matrix(field))
 
 
 def is_orthogonal(field, M):
@@ -195,11 +126,10 @@ def is_orthogonal(field, M):
     J = j_matrix(field)
     if not np.array_equal(mat_mul(field, mat_mul(field, M.T, J), M), J):
         return False
-    for j in range(8):
-        # every basis vector is isotropic in this frame, so N(M e_j) must be 0
-        if norm_coords(field, M[:, j]) != field.zero:
-            return False
-    return True
+    # every basis vector is isotropic in this frame, so each column x = M e_j
+    # must have N(x) = x0 x7 - x1 x4 - x2 x5 - x3 x6 = 0
+    P = field.vmul(M[:4], M[[7, 4, 5, 6]])
+    return not field.vsub(P[0], field.vadd(field.vadd(P[1], P[2]), P[3])).any()
 
 
 def is_rotation(field, M):
@@ -232,7 +162,7 @@ def spinor_norm(field, M):
         raise ValueError("matrix is not orthogonal")
     if mat_det(field, M) != field.one:
         return SpinorVerdict(False, "undefined", False)
-    A = mat_sub(field, identity_matrix(field), M)
+    A = field.vsub(identity_matrix(field), M)
     basis = column_space_basis(field, A)
     if not basis:
         return SpinorVerdict(True, "square", True)
@@ -242,11 +172,9 @@ def spinor_norm(field, M):
         if w is None:
             raise AssertionError("basis vector has no preimage under 1-g")
         pre.append(w)
-    r = len(basis)
-    B = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        for j in range(r):
-            B[i, j] = _bil(field, basis[i], pre[j])
+    # the Wall form (u, v)chi = u^t J w on the basis, w the preimage of v
+    B = mat_mul(field, mat_mul(field, np.array(basis), j_matrix(field)),
+                np.array(pre).T)
     d = mat_det(field, B)
     if field.is_zero(d):
         raise AssertionError("chi_g is degenerate; input was not a rotation?")

@@ -29,16 +29,14 @@ class ZornEngine:
     Two fused product kernels: plain modular arithmetic for prime fields,
     with one reduction per output coordinate in int32, which is what keeps
     10^9-pair closures viable (int64 once sums of four products pass int32,
-    p > 23171); and gathers from the field's tables otherwise, adding by
-    GF.vadd.  Extension fields past fields._TABLE_LIMIT have no tables and
-    are refused with UsageError.  Elementwise arithmetic is the field's.
+    p > 23171); and gathers from the lookup tables that every extension
+    field has, adding by GF.vadd.  Elementwise arithmetic is the field's.
     """
 
     def __init__(self, field):
         self.field = field
         q = field.q
         self._prime = field.k == 1
-        field.require_tables()
         rank = field._rank.astype(np.int64)
         unrank = np.empty_like(rank)
         unrank[rank] = np.arange(q, dtype=np.int64)

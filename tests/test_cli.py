@@ -143,6 +143,34 @@ def test_decompose_reports_the_first_failure(monkeypatch):
                          "witness=[0|1,1,0|1,0,0|1]"]
 
 
+def test_sampled_decompose_runs_in_chunks(monkeypatch):
+    # 1000 samples in chunks of 300 rows draw the rows of one draw, so the
+    # lines match the one-chunk run, a witness included
+    argv = ["decompose", "--q", "3", "--samples", "1000", "--seed", "7"]
+    target = np.random.default_rng(7).integers(3, size=(1000, 8))[699]
+    batch, sizes = paige.decompose_batch, []
+
+    def counted(engine, X):
+        sizes.append(len(X))
+        return batch(engine, X)
+
+    def broken(engine, X):  # every copy of the 700th sample fails
+        U, V = batch(engine, X)
+        V[(X == target).all(axis=1)] = 0
+        return U, V
+    lines = {}
+    for row_bytes in (paige.DECOMPOSE_ROW_BYTES, loops.MEMORY_BUDGET // 300):
+        monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", row_bytes)
+        monkeypatch.setattr(paige, "decompose_batch", counted)
+        passing = run(argv)
+        monkeypatch.setattr(paige, "decompose_batch", broken)
+        failing = run(argv)
+        assert (passing.status, failing.status) == (0, 1)
+        lines[row_bytes] = passing.lines + failing.lines
+    assert sizes == [1000, 300, 300, 300, 100]
+    assert len(set(map(tuple, lines.values()))) == 1
+
+
 def test_decompose_disagreement_is_an_internal_fault(monkeypatch, capsys):
     batch = paige.decompose_batch
 

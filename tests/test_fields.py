@@ -72,16 +72,18 @@ def test_inv_prime(p, x, want):
     assert f.mul(x, f.inv(x)) == 1
 
 
-@pytest.mark.parametrize("p", [1031, 65537])
+@pytest.mark.parametrize("p", [2, 3, 5, 1021, 1031, 65537])
 def test_untabled_prime_field_matches_polynomial_path(p, rng):
-    # past the lookup tables a prime field multiplies by a * b % p and
+    # a prime field has no lookup tables: it multiplies by a * b % p and
     # inverts by Fermat; the polynomial path is the oracle
     f = field_make(p)
     A, B = rng.integers(p, size=(2, 200)).tolist()
     assert [f.mul(a, b) for a, b in zip(A, B)] == \
         [f._mul_codes(a, b) for a, b in zip(A, B)]
     assert f.mul(np.int32(p - 1), np.int32(p - 1)) == 1
-    for a in [1, 2, p - 1] + [a for a in A[:20] if a]:
+    for a in [a % p for a in (1, 2, p - 1)] + A[:20]:
+        if not a:
+            continue
         b = f.inv(a)
         assert 0 < b < p and f._mul_codes(a, b) == 1
 
@@ -208,10 +210,16 @@ def test_prime_power():
 
 def test_rref_over_gf5():
     f = field_make(5)
-    rows, pivots = rref(f, [[0, 2, 4, 1], [0, 1, 2, 0], [1, 1, 1, 1]])
+    rows, pivots, det = rref(f, [[0, 2, 4, 1], [0, 1, 2, 0], [1, 1, 1, 1]])
     assert pivots == [0, 1, 3]
     assert rows == [[1, 0, 4, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
-    assert rref(f, [[0, 0], [0, 0]]) == ([], [])
+    assert det is None  # not square
+    assert rref(f, [[0, 0], [0, 0]]) == ([], [], 0)
+    # a row swap flips the sign: det [[0, 2], [3, 1]] = -6 = 4 mod 5
+    assert rref(f, [[0, 2], [3, 1]]) == ([[1, 0], [0, 1]], [0, 1], 4)
+    # singular: the second row is twice the first
+    assert rref(f, [[1, 3, 2], [2, 1, 4], [0, 1, 1]]) == \
+        ([[1, 0, 4], [0, 1, 1]], [0, 1], 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 1031, 65537])
@@ -229,13 +237,13 @@ def test_array_ops_match_scalar(q, rng):
     assert f.vmul(A, B).dtype == f.dtype == (np.int64 if q == 65537 else np.int32)
 
 
-def test_array_ops_refuse_extension_fields_without_tables():
-    # x^11 + x^2 + 1 is irreducible over GF(2); GF(2048) has no lookup tables
-    f = field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
-    assert f.mul(3, 5) == 15  # scalar arithmetic needs no tables
-    for op in (lambda A: f.vadd(A, A), lambda A: f.vmul(A, A), f.vneg, f.vinv):
-        with pytest.raises(UsageError, match="lookup tables"):
-            op(np.arange(5))
+def test_extension_field_past_the_table_limit_is_refused():
+    # x^11 + x^2 + 1 is irreducible over GF(2), but GF(2048) would need
+    # 2048 x 2048 lookup tables
+    with pytest.raises(ValueError, match="table limit of 1024"):
+        field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
+    with pytest.raises(UsageError, match="table limit"):
+        parse_field_spec("gf(2,11,1.0.1.0.0.0.0.0.0.0.0.1)")
 
 
 def test_format_parse_roundtrip(gf4):

@@ -6,7 +6,7 @@ import pytest
 
 from moufang import loops, paige
 from moufang.composition import ZornMatrix, decompose_sum_two_units
-from moufang.fields import UsageError, field_make, field_of_order
+from moufang.fields import UsageError, field_of_order
 
 
 def test_order_formulas():
@@ -271,10 +271,3 @@ def test_engine_past_int32_and_packing(rng):
         eng.pack(X)
     with pytest.raises(ValueError, match="overflow"):
         eng.unpack(np.zeros(3, dtype=np.int64))
-
-
-def test_engine_refuses_extension_fields_without_tables():
-    # x^11 + x^2 + 1 is irreducible over GF(2); GF(2048) has no lookup tables
-    f = field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
-    with pytest.raises(UsageError, match="lookup tables"):
-        paige.ZornEngine(f)
