@@ -237,13 +237,19 @@ def test_array_ops_match_scalar(q, rng):
     assert f.vmul(A, B).dtype == f.dtype == (np.int64 if q == 65537 else np.int32)
 
 
-def test_extension_field_past_the_table_limit_is_refused():
+def test_array_ops_refuse_extension_fields_without_tables():
     # x^11 + x^2 + 1 is irreducible over GF(2), but GF(2048) would need
-    # 2048 x 2048 lookup tables
+    # 2048 x 2048 lookup tables: it is refused when built, so no extension
+    # field without tables reaches the array operations
     with pytest.raises(ValueError, match="table limit of 1024"):
         field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
     with pytest.raises(UsageError, match="table limit"):
         parse_field_spec("gf(2,11,1.0.1.0.0.0.0.0.0.0.0.1)")
+    # one below the limit in degree, x^5 + x^2 + 1 over GF(2), has them
+    f = field_make(2, 5, (1, 0, 1, 0, 0, 1))
+    A = np.arange(32)
+    assert f.vmul(A, A).tolist() == [f.mul(a, a) for a in range(32)]
+    assert f.vadd(A, A).tolist() == [0] * 32
 
 
 def test_format_parse_roundtrip(gf4):

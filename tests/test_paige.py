@@ -6,7 +6,7 @@ import pytest
 
 from moufang import loops, paige
 from moufang.composition import ZornMatrix, decompose_sum_two_units
-from moufang.fields import UsageError, field_of_order
+from moufang.fields import UsageError, field_of_order, parse_field_spec
 
 
 def test_order_formulas():
@@ -271,3 +271,16 @@ def test_engine_past_int32_and_packing(rng):
         eng.pack(X)
     with pytest.raises(ValueError, match="overflow"):
         eng.unpack(np.zeros(3, dtype=np.int64))
+
+
+def test_engine_refuses_extension_fields_without_tables(rng):
+    # GF(2048) would need 2048 x 2048 lookup tables; it is refused before an
+    # engine can be made on it, and an extension field from a spec has tables
+    with pytest.raises(UsageError, match="table limit"):
+        paige.ZornEngine(parse_field_spec("gf(2,11,1.0.1.0.0.0.0.0.0.0.0.1)"))
+    f = parse_field_spec("gf(2,3,1.1.0.1)")
+    eng = paige.ZornEngine(f)
+    X, Y = rng.integers(8, size=(2, 20, 8))
+    for x, y, xy in zip(X.tolist(), Y.tolist(), eng.mul(X, Y).tolist()):
+        x, y = ZornMatrix.from_coords(f, x), ZornMatrix.from_coords(f, y)
+        assert xy == list((x * y).coords())
