@@ -167,34 +167,30 @@ class GF:
 
     def _build_tables(self):
         q, p, k = self.q, self.p, self.k
-        # rank[x] = position of x in the canonical (coefficient-lex) order,
-        # c0 being the most significant lex digit
-        codes, ranks = np.arange(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
-        for i in range(k):
-            ranks = ranks * p + codes // p ** i % p
-        self._rank = ranks
+        # digits[i] = coefficient of t^i of every code; rank[x] = position of
+        # x in the canonical (coefficient-lex) order, c0 being the most
+        # significant lex digit
+        digits = [np.arange(q, dtype=np.int64) // p ** i % p for i in range(k)]
+        self._rank = sum(d * p ** (k - 1 - i) for i, d in enumerate(digits))
         if k == 1:
             return
-        add = np.empty((q, q), dtype=np.int32)
-        for a in range(q):
-            ca = self._coeffs_of(a)
-            for b in range(q):
-                cb = self._coeffs_of(b)
-                add[a, b] = self._code_of([(x + y) % p for x, y in zip(ca, cb)])
-        self.ADD = add
-        mul = np.empty((q, q), dtype=np.int32)
-        for a in range(q):
-            for b in range(a, q):
-                mul[a, b] = mul[b, a] = self._mul_codes(a, b)
-        self.MUL = mul
-        neg = np.empty(q, dtype=np.int32)
-        for a in range(q):
-            neg[a] = self._code_of([(-c) % p for c in self._coeffs_of(a)])
-        self.NEG = neg
-        inv = np.zeros(q, dtype=np.int32)
-        for a in range(1, q):
-            inv[a] = self.pow_(a, q - 2)
-        self.INV = inv
+        self.ADD = sum(((d[:, None] + d) % p) * p ** i
+                       for i, d in enumerate(digits)).astype(np.int32)
+        self.NEG = sum(-d % p * p ** i for i, d in enumerate(digits)).astype(np.int32)
+        # exp[j] = g^j for the first primitive element g, log its inverse
+        for g in range(2, q):
+            exp = [1, g]
+            while exp[-1] != 1:
+                exp.append(self._mul_codes(exp[-1], g))
+            if len(exp) == q:
+                break
+        exp = np.array(exp[:-1], dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self.MUL = exp[(log[:, None] + log) % (q - 1)].astype(np.int32)
+        self.MUL[0, :] = self.MUL[:, 0] = 0
+        self.INV = exp[-log % (q - 1)].astype(np.int32)
+        self.INV[0] = 0
 
     # -- scalar operations ------------------------------------------------
     # Prime fields compute mod p; extension fields read their tables.

@@ -2,12 +2,10 @@
 mapping groups, characteristic subloops, normality tests and normal closures,
 Moufang/autotopism checks, isomorphism search and automorphism groups.
 
-A loop whose Cayley table and two division tables fit MEMORY_BUDGET is in
-table mode; a larger loop runs off a batched multiplication oracle and
-serves only batched products, the sampled Moufang check and its size.
-Every other routine reads the table through FiniteLoop.require_table.
-Element indices are the only currency here; labels are carried for
-printing and file round-trips.
+A loop is its Cayley table: FiniteLoop holds a validated table, and a loop
+whose table and two division tables would not fit MEMORY_BUDGET is refused
+when it is constructed.  Element indices are the only currency here;
+labels are carried for printing and file round-trips.
 """
 
 from __future__ import annotations
@@ -45,45 +43,24 @@ class ClosureCapExceeded(RuntimeError):
 
 
 class FiniteLoop:
-    """A finite loop on indices 0..n-1."""
+    """A finite loop on indices 0..n-1, held as its validated Cayley table."""
 
-    def __init__(self, n, labels=None, table=None, batch_fn=None, neutral=None):
+    def __init__(self, n, labels=None, *, table):
+        require_table_fits(n)
         self.n = n
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ValueError("need %d labels" % n)
-        self._batch_fn = batch_fn
         self._orders = None
         self._ldiv = None
         self._rdiv = None
-        self.table = None
-        if table is not None or batch_fn is None:
-            require_table_fits(n)
-        if not table_fits(n):
-            if neutral is None:
-                raise ValueError("oracle-backed loops must name their neutral element")
-            self._validate_neutral_oracle(neutral)
-        else:
-            self.table = (self._build_table() if table is None
-                          else np.asarray(table, dtype=np.int32))
-            if self.table.shape != (n, n):
-                raise ValueError("table shape mismatch")
-            self._validate_table()
-            if neutral is None:
-                neutral = self._find_neutral_table()
-        self.neutral = int(neutral)
+        self.table = np.asarray(table, dtype=np.int32)
+        if self.table.shape != (n, n):
+            raise ValueError("table shape mismatch")
+        self._validate_table()
+        self.neutral = self._find_neutral_table()
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_table(self):
-        table = np.empty((self.n, self.n), dtype=np.int32)
-        idx = np.arange(self.n, dtype=np.int64)
-        for i in range(self.n):
-            table[i] = self._raw_batch(np.full(self.n, i, dtype=np.int64), idx)
-        return table
-
-    def _raw_batch(self, I, J):
-        return np.asarray(self._batch_fn(I, J), dtype=np.int32)
 
     def _validate_table(self):
         n = self.n
@@ -100,38 +77,16 @@ class FiniteLoop:
                 return e
         raise ValueError("no neutral element")
 
-    def _validate_neutral_oracle(self, e):
-        idx = np.arange(self.n, dtype=np.int64)
-        left = self._raw_batch(np.full(self.n, e, dtype=np.int64), idx)
-        right = self._raw_batch(idx, np.full(self.n, e, dtype=np.int64))
-        if not ((left == idx).all() and (right == idx).all()):
-            raise ValueError("declared neutral element is not neutral")
-
-    def require_table(self):
-        """The Cayley table; UsageError on an oracle-mode loop."""
-        if self.table is None:
-            require_table_fits(self.n)  # an oracle loop is past the budget
-        return self.table
-
     # -- multiplication and division ------------------------------------------
 
     def mult(self, i, j):
-        if self.table is not None:
-            return int(self.table[i, j])
-        return int(self._raw_batch(np.array([i]), np.array([j]))[0])
-
-    def mult_batch(self, I, J):
-        I = np.asarray(I, dtype=np.int64)
-        J = np.asarray(J, dtype=np.int64)
-        if self.table is not None:
-            return self.table[I, J].astype(np.int32)
-        return self._raw_batch(I, J)
+        return int(self.table[i, j])
 
     @property
     def ldiv(self):
         """Table of x \\ y (solution of x*c = y)."""
         if self._ldiv is None:
-            T = self.require_table()
+            T = self.table
             n = self.n
             d = np.empty((n, n), dtype=np.int32)
             d[np.arange(n)[:, None], T] = np.arange(n, dtype=np.int32)[None, :]
@@ -142,7 +97,7 @@ class FiniteLoop:
     def rdiv(self):
         """Table of x / y (solution of c*y = x)."""
         if self._rdiv is None:
-            T = self.require_table()
+            T = self.table
             n = self.n
             d = np.empty((n, n), dtype=np.int32)
             d[T, np.arange(n, dtype=np.int32)[None, :]] = \
@@ -182,9 +137,6 @@ class FiniteLoop:
                                     dtype=np.int32)
         return self._orders
 
-    def index_of_label(self, label):
-        return self.labels.index(label)
-
     def __repr__(self):
         return "FiniteLoop(n=%d)" % self.n
 
@@ -194,7 +146,7 @@ class FiniteLoop:
 
 
 # Bytes a chunk of the generic closure allots each pair, per coordinate of
-# an element: its two operand rows, the product and the oracle's
+# an element: its two operand rows, the product and mult's
 # temporaries (tracemalloc peak: about 90 with cayley.mul_batch).  Chunks
 # get a sixteenth of MEMORY_BUDGET.
 _CLOSURE_PAIR_BYTES = 128
@@ -277,7 +229,7 @@ def closure_indices(loop, seed):
     T[cur, cur] in blocks of 1, 2, 4, ... rows, and stops as soon as every
     element is marked: a closure that covers the loop early skips the rest
     of its round."""
-    T = loop.require_table()
+    T = loop.table
     n = loop.n
     member = np.zeros(n, dtype=bool)
     member[[int(s) for s in seed]] = True
@@ -325,12 +277,12 @@ def generating_sequence(loop):
 
 def left_translation(loop, x):
     """Permutation y -> x*y."""
-    return Perm(loop.require_table()[x, :], _checked=True)
+    return Perm(loop.table[x, :], _checked=True)
 
 
 def right_translation(loop, x):
     """Permutation y -> y*x."""
-    return Perm(loop.require_table()[:, x], _checked=True)
+    return Perm(loop.table[:, x], _checked=True)
 
 
 def mlt_group(loop):
@@ -343,7 +295,7 @@ def mlt_group(loop):
 def inner_generators(loop):
     """The standard generators of the inner mapping group as permutations:
     L_x L_y L_{yx}^-1, R_x R_y R_{xy}^-1 and R_x L_x^-1, for all x, y."""
-    T, LD, RD = loop.require_table(), loop.ldiv, loop.rdiv
+    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
     n = loop.n
     for x in range(n):
         yield Perm(LD[x, T[:, x]], _checked=True)  # R_x L_x^-1 : s -> x \ (s x)
@@ -376,12 +328,12 @@ def inner_mapping_group(loop):
 
 def commutant(loop):
     """Elements commuting with everything."""
-    T = loop.require_table()
+    T = loop.table
     return [x for x in range(loop.n) if (T[x, :] == T[:, x]).all()]
 
 
 def _nucleus_exact_one(loop, x):
-    T = loop.require_table()
+    T = loop.table
     return bool((T[T[x, :], :] == T[x, T]).all()
                 and (T[T[:, x], :] == T[:, T[x, :]]).all()
                 and (T[T, x] == T[:, T[:, x]]).all())
@@ -394,7 +346,7 @@ def nucleus(loop, candidates=None):
     every survivor is checked exactly against all n^2 pairs, so the result
     is exact.
     """
-    n = loop.n
+    n, T = loop.n, loop.table
     if candidates is None:
         candidates = np.arange(n, dtype=np.int64)
     else:
@@ -406,15 +358,9 @@ def nucleus(loop, candidates=None):
             return []
         y = int(rng.integers(n))
         z = int(rng.integers(n))
-        Yv = np.full(len(alive), y, dtype=np.int64)
-        Zv = np.full(len(alive), z, dtype=np.int64)
-        ok = (loop.mult_batch(loop.mult_batch(alive, Yv), Zv)
-              == loop.mult_batch(alive, loop.mult_batch(Yv, Zv)))
-        ok &= (loop.mult_batch(loop.mult_batch(Yv, alive), Zv)
-               == loop.mult_batch(Yv, loop.mult_batch(alive, Zv)))
-        ok &= (loop.mult_batch(loop.mult_batch(Yv, Zv), alive)
-               == loop.mult_batch(Yv, loop.mult_batch(Zv, alive)))
-        alive = alive[ok]
+        alive = alive[(T[T[alive, y], z] == T[alive, T[y, z]])
+                      & (T[T[y, alive], z] == T[y, T[alive, z]])
+                      & (T[T[y, z], alive] == T[y, T[z, alive]])]
     return [int(x) for x in alive if _nucleus_exact_one(loop, int(x))]
 
 
@@ -430,7 +376,7 @@ def center(loop):
 def _apply_inner_images(loop, sub):
     """One sweep of all inner-map images of the index set sub; returns any
     indices found outside it (table mode, vectorized per x)."""
-    T, LD, RD = loop.require_table(), loop.ldiv, loop.rdiv
+    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
     n = loop.n
     member = np.zeros(n, dtype=bool)
     member[sub] = True
@@ -473,18 +419,29 @@ def normal_closure(loop, seed_elems):
 
 
 def moufang_mode(loop, samples):
-    """How moufang_violation checks the loop: "exhaustive" for table-mode
-    loops of at most _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
-    if loop.table is not None and loop.n <= _IDENTITY_SAMPLE_LIMIT:
+    """How moufang_violation checks the loop: "exhaustive" up to
+    _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
+    if loop.n <= _IDENTITY_SAMPLE_LIMIT:
         return "exhaustive"
     return "sampled:%d" % samples
 
 
+# Bytes a sampled Moufang check allots each triple: three int64 draws, the
+# int32 products on both sides and their comparison (tracemalloc peak: 36
+# per triple at 500000 triples of M*(3), 44 at 100000).  A chunk holds
+# MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES = 524288 triples, so 100000
+# samples are one chunk.
+_MOUFANG_SAMPLE_BYTES = 256
+
+
 def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
-    """First violation of ((xy)x)z = x(y(xz)) or None, in moufang_mode."""
-    n = loop.n
+    """First violation of ((xy)x)z = x(y(xz)) or None, in moufang_mode.
+
+    Sampled triples are drawn in chunks, each drawing its X, then its Y,
+    then its Z from one seeded stream: a single chunk draws what one draw of
+    all samples would, several chunks draw a different stream."""
+    n, T = loop.n, loop.table
     if moufang_mode(loop, samples) == "exhaustive":
-        T = loop.table
         for x in range(n):
             lhs = T[T[T[x, :], x], :]          # [y, z] -> ((xy)x)z
             rhs = T[x, T[:, T[x, :]]]          # [y, z] -> x(y(xz))
@@ -493,15 +450,16 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
                 return (x,) + divmod(int(bad.argmax()), n)
         return None
     rng = np.random.default_rng(seed)
-    X = rng.integers(n, size=samples)
-    Y = rng.integers(n, size=samples)
-    Z = rng.integers(n, size=samples)
-    lhs = loop.mult_batch(loop.mult_batch(loop.mult_batch(X, Y), X), Z)
-    rhs = loop.mult_batch(X, loop.mult_batch(Y, loop.mult_batch(X, Z)))
-    bad = np.flatnonzero(lhs != rhs)
-    if len(bad):
-        i = int(bad[0])
-        return (int(X[i]), int(Y[i]), int(Z[i]))
+    chunk = MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES
+    for start in range(0, samples, chunk):
+        size = min(chunk, samples - start)
+        X = rng.integers(n, size=size)
+        Y = rng.integers(n, size=size)
+        Z = rng.integers(n, size=size)
+        bad = np.flatnonzero(T[T[T[X, Y], X], Z] != T[X, T[Y, T[X, Z]]])
+        if len(bad):
+            i = int(bad[0])
+            return (int(X[i]), int(Y[i]), int(Z[i]))
     return None
 
 
@@ -511,7 +469,7 @@ def is_moufang(loop, samples=100000, seed=SAMPLE_SEED):
 
 def associativity_violation(loop):
     """Some triple with (xy)z != x(yz), or None (table mode)."""
-    T = loop.require_table()
+    T = loop.table
     for x in range(loop.n):
         lhs = T[T[x, :], :]
         rhs = T[x, T]
@@ -523,7 +481,7 @@ def associativity_violation(loop):
 
 def autotopism_check(loop, alpha, beta, gamma):
     """Whether x^alpha * y^beta = (xy)^gamma for all pairs."""
-    T = loop.require_table()
+    T = loop.table
     return bool((T[np.ix_(alpha.a, beta.a)] == gamma.a[T]).all())
 
 
@@ -637,8 +595,6 @@ def find_isomorphism(L1, L2):
     n = L1.n
     if n != L2.n:
         return None
-    L1.require_table()
-    L2.require_table()
     o1, s1 = _invariant_vector(L1)
     o2, s2 = _invariant_vector(L2)
     if sorted(zip(map(int, o1), map(int, s1))) != sorted(zip(map(int, o2), map(int, s2))):
@@ -680,7 +636,6 @@ def automorphisms(loop):
     When no automorphism reaches h, none reaches the orbit of h either.
     |Aut| is the product of the basic orbit lengths; Schreier-Sims on the
     strong generators must give the same order."""
-    loop.require_table()
     n = loop.n
     gens, levels = generating_sequence(loop)
     orders, sizes = _invariant_vector(loop)
@@ -728,7 +683,7 @@ def cyclic_loop(n):
 
 def direct_product(L1, L2):
     n1, n2 = L1.n, L2.n
-    T1, T2 = L1.require_table(), L2.require_table()
+    T1, T2 = L1.table, L2.table
     require_table_fits(n1 * n2)
     T = np.empty((n1 * n2, n1 * n2), dtype=np.int32)
     for a in range(n1):
@@ -754,7 +709,7 @@ def loop_from_perm_group(group):
 
 def write_table(loop, path):
     """Cayley table file: n, labels, then n rows of indices."""
-    T = loop.require_table()
+    T = loop.table
     with open(path, "w") as fh:
         fh.write("%d\n" % loop.n)
         fh.write(" ".join(loop.labels) + "\n")

@@ -267,6 +267,14 @@ def enumerate_unit_coords(field):
     return coords
 
 
+def paige_coords(field):
+    """The elements of M*(q): the canonical +- representatives among
+    enumerate_unit_coords, in ascending canonical order."""
+    coords = enumerate_unit_coords(field)
+    eng = ZornEngine(field)
+    return coords[eng.pack(coords) <= eng.pack(eng.neg(coords))]
+
+
 class _PaigeBackend:
     """Shared index-level arithmetic for M(q) and M*(q)."""
 
@@ -301,48 +309,76 @@ class _PaigeBackend:
         return ["[%s|%s,%s,%s|%s,%s,%s|%s]" % tuple(row)
                 for row in names[self.coords].tolist()]
 
-    def neutral_index(self):
-        e = self.engine.unit_row()
-        return int(self.lookup(self.engine.pack(e[None, :]))[0])
-
-
-def _attach_backend(loop, backend):
-    loop.zorn = backend
-    return loop
+    def loop(self):
+        """The FiniteLoop of these elements, its Cayley table filled by one
+        engine call per row; the backend is its zorn attribute."""
+        n = len(self.coords)
+        table = np.empty((n, n), dtype=np.int32)
+        idx = np.arange(n, dtype=np.int64)
+        for i in range(n):
+            table[i] = self.mul_idx(np.full(n, i, dtype=np.int64), idx)
+        loop = FiniteLoop(n, labels=self.labels(), table=table)
+        loop.zorn = self
+        return loop
 
 
 def unit_loop(q):
-    """M(q): all norm-one Zorn matrices under the Zorn product."""
+    """M(q): all norm-one Zorn matrices under the Zorn product.  Refused
+    by the order formula, before anything is enumerated, past the table
+    budget."""
+    prime_power(q)
+    loops.require_table_fits(unit_loop_size_formula(q))
     field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     backend = _PaigeBackend(field, coords, quotient=False)
-    n = len(coords)
-    loop = FiniteLoop(n, labels=backend.labels(), batch_fn=backend.mul_idx,
-                      neutral=backend.neutral_index())
     # inverse = conjugate; spot-verified here for the whole loop
     eng = backend.engine
     prods = eng.mul(coords, eng.conj(coords))
     if not (prods == eng.unit_row()[None, :]).all():
         raise AssertionError("x * conj(x) != e for some norm-one x")
-    return _attach_backend(loop, backend)
+    return backend.loop()
 
 
 def paige_loop(q):
-    """M*(q): M(q) modulo {e, -e}, on canonical +- representatives."""
-    field = field_of_order(q)
-    coords = enumerate_unit_coords(field)
-    eng = ZornEngine(field)
-    keep = eng.pack(coords) <= eng.pack(eng.neg(coords))
-    coords = coords[keep]
-    backend = _PaigeBackend(field, coords, quotient=True)
-    n = len(coords)
+    """M*(q): M(q) modulo {e, -e}, on canonical +- representatives.
+    Refused like unit_loop past the table budget."""
+    prime_power(q)
     expected = paige_order_formula(q)
-    if n != expected:
+    loops.require_table_fits(expected)
+    field = field_of_order(q)
+    coords = paige_coords(field)
+    if len(coords) != expected:
         raise AssertionError("|M*(%d)| = %d but the order formula gives %d"
-                             % (q, n, expected))
-    loop = FiniteLoop(n, labels=backend.labels(), batch_fn=backend.mul_idx,
-                      neutral=backend.neutral_index())
-    return _attach_backend(loop, backend)
+                             % (q, len(coords), expected))
+    return _PaigeBackend(field, coords, quotient=True).loop()
+
+
+def moufang_certificate(field):
+    """Check ((xy)x)z = x(y(xz)) on the whole Zorn algebra over the field;
+    returns the number of rows checked, 2304, and raises AssertionError on
+    the first failing row.
+
+    The product is bilinear, so the difference of the two sides is linear
+    in y and in z and quadratic in x.  A quadratic map vanishes everywhere
+    once it vanishes at the basis vectors b_i and at the sums b_i + b_j, in
+    every characteristic, so y and z run over the 8 basis vectors and x over
+    those 36 points.  The identity then holds in M(q), and in M*(q) since
+    (-x)y = -(xy)."""
+    eng = ZornEngine(field)
+    basis = np.eye(8, dtype=np.int64) * field.one
+    i, j = np.triu_indices(8, 1)
+    xs = np.concatenate([basis, field.vadd(basis[i], basis[j])])
+    X, Y, Z = (A.reshape(-1, 8) for A in np.broadcast_arrays(
+        xs[:, None, None], basis[None, :, None], basis[None, None, :]))
+    lhs = eng.mul(eng.mul(eng.mul(X, Y), X), Z)
+    rhs = eng.mul(X, eng.mul(Y, eng.mul(X, Z)))
+    bad = (lhs != rhs).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        raise AssertionError("the Zorn product over %r fails the Moufang identity "
+                             "at x=%s y=%s z=%s" % (field, X[k].tolist(),
+                                                   Y[k].tolist(), Z[k].tolist()))
+    return len(X)
 
 
 def standard_generators(q):

@@ -69,10 +69,6 @@ class Perm:
         inv[self.a] = _identity_images(len(self.a))
         return Perm(inv, _checked=True)
 
-    def conjugate_by(self, g):
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)

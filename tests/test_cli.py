@@ -51,7 +51,7 @@ def test_usage_errors(capsys):
                  ["simple-check", "--loop", "M*(2)", "--elements", "ten"],
                  ["spinor-check", "--q", "7"],
                  ["spinor-check", "--q", "4"],
-                 ["moufang-check", "--loop", "M*(7)"],
+                 ["moufang-check", "--loop", "M*(6)"],
                  ["mlt-order", "--loop", "Q(3)"],
                  ["mlt-order", "--loop", "Z(0)"],
                  ["triality-check", "--case", "net-z5"],
@@ -277,7 +277,7 @@ def test_aut_count_m3():
 
 
 def test_aut_count_refuses_oracle_loop(capsys):
-    # M*(4) has 16320 elements, past table size: multiplication oracle only
+    # M*(4) has 16320 elements, past the table budget: refused by name
     assert main(["aut-count", "--loop", "M*(4)"]) == 2
     assert capsys.readouterr().out == ""
 
@@ -351,6 +351,25 @@ def test_table_commands_refuse_by_name(argv, spec, no_enumeration, capsys, tmp_p
     assert out.err.startswith("error: needs table mode")
     assert "memory budget" in out.err and out.err.count("\n") == 1  # no progress line
     assert not (tmp_path / "table.out").exists()
+
+
+def test_paige_build_refuses_by_name(no_enumeration, capsys):
+    # M*(4) and M*(5) are refused from the order formula, not enumerated
+    for q in (4, 5):
+        assert main(["paige-build", "--q", str(q)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: needs table mode: the tables of a %d-element "
+                                  "loop" % paige.paige_order_formula(q))
+
+
+@pytest.mark.parametrize("spec", ["M*(4)", "M*(5)", "M(4)", "M(5)", "M*(7)", "M*(9)"])
+def test_moufang_check_certifies_past_the_table_budget(spec, no_enumeration, capsys):
+    # the identity is settled on the Zorn algebra, nothing is enumerated and
+    # --samples is ignored
+    for extra in ([], ["--samples", "7"]):
+        assert main(["moufang-check", "--loop", spec] + extra) == 0
+        assert capsys.readouterr().out == "loop=%s\nmoufang=yes\nmode=certified\n" % spec
 
 
 @pytest.mark.parametrize("spec", ["M*(3)", "M(3)"])

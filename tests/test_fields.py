@@ -3,8 +3,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from moufang.fields import (GF, UsageError, field_make, field_of_order, inv, is_square,
-                            parse_field_spec, prime_power, primitive_element, rref)
+from moufang.fields import (BUILTIN_MODULI, GF, UsageError, field_make, field_of_order,
+                            inv, is_square, parse_field_spec, prime_power,
+                            primitive_element, rref)
 
 
 def brute_irreducible(coeffs, p):
@@ -235,6 +236,35 @@ def test_array_ops_match_scalar(q, rng):
     assert f.vpow(A, 5).tolist() == [f.pow_(a, 5) for a in A.tolist()]
     assert f.vinv(A).tolist() == [f.inv(a) if a else 0 for a in A.tolist()]
     assert f.vmul(A, B).dtype == f.dtype == (np.int64 if q == 65537 else np.int32)
+
+
+# every built-in extension field, GF(1024) mod x^10 + x^3 + 1, and moduli
+# whose root t is not primitive (x^2 + 1 over GF(3) is among the built-ins)
+TABLED = ([(p, k, None) for (p, k) in BUILTIN_MODULI]
+          + [(2, 10, (1, 0, 0, 1) + (0,) * 6 + (1,)), (3, 2, (2, 2, 1)),
+             (5, 3, (2, 3, 0, 1)), (31, 2, (1, 0, 1))])
+
+
+@pytest.mark.parametrize("p,k,modulus", TABLED,
+                         ids=["%d^%d%s" % (p, k, "" if m is None else ":" + "".join(map(str, m)))
+                              for p, k, m in TABLED])
+def test_tables_match_the_polynomial_reference(p, k, modulus, rng):
+    f = field_make(p, k, modulus)
+    q = f.q
+    if q <= 32:
+        A, B = (X.ravel() for X in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        A, B = rng.integers(q, size=(2, 3000))
+    pairs = list(zip(A.tolist(), B.tolist()))
+    coeffs = [f.coeffs(x) for x in range(q)]
+    assert f.MUL[A, B].tolist() == [f._mul_codes(a, b) for a, b in pairs]
+    assert f.ADD[A, B].tolist() == [f.from_coeffs([(x + y) % p for x, y in
+                                                   zip(coeffs[a], coeffs[b])])
+                                    for a, b in pairs]
+    assert f.NEG.tolist() == [f.from_coeffs([-x % p for x in c]) for c in coeffs]
+    assert f.INV[0] == 0
+    assert all(f._mul_codes(a, int(f.INV[a])) == 1 for a in range(1, q))
+    assert f.MUL.dtype == f.ADD.dtype == f.NEG.dtype == f.INV.dtype == np.int32
 
 
 def test_array_ops_refuse_extension_fields_without_tables():

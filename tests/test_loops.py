@@ -263,6 +263,10 @@ def test_is_simple_m3_sampled(m3):
 # identities
 
 
+def _violates(T, x, y, z):
+    return T[T[T[x, y], x], z] != T[x, T[y, T[x, z]]]
+
+
 def test_groups_are_moufang(s3_loop):
     assert is_moufang(s3_loop)
     assert is_moufang(cyclic_loop(7))
@@ -270,11 +274,27 @@ def test_groups_are_moufang(s3_loop):
 
 def test_moufang_violation_readable(non_moufang_loop):
     assert not is_moufang(non_moufang_loop)
-    x, y, z = loops.moufang_violation(non_moufang_loop)
+    assert _violates(non_moufang_loop.table, *loops.moufang_violation(non_moufang_loop))
+
+
+def test_sampled_moufang_check_runs_in_chunks(non_moufang_loop, monkeypatch):
+    # the benchmark's 100000 samples are one chunk, one draw each of X, Y, Z
+    assert loops.MEMORY_BUDGET // loops._MOUFANG_SAMPLE_BYTES >= 100000
+    # chunks of 2 triples, each drawing its X, then its Y, then its Z: the
+    # first violation of that stream is past the first chunk
+    monkeypatch.setattr(loops, "_IDENTITY_SAMPLE_LIMIT", 0)
+    monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", loops.MEMORY_BUDGET // 2)
+    assert loops.moufang_mode(non_moufang_loop, 100) == "sampled:100"
     T = non_moufang_loop.table
-    lhs = T[T[T[x, y], x], z]
-    rhs = T[x, T[y, T[x, z]]]
-    assert lhs != rhs
+    rng = np.random.default_rng(loops.SAMPLE_SEED)
+    triples = []
+    for _ in range(50):
+        X, Y, Z = (rng.integers(5, size=2).tolist() for _ in range(3))
+        triples += zip(X, Y, Z)
+    first = next(i for i, t in enumerate(triples) if _violates(T, *t))
+    assert first >= 2
+    witness = loops.moufang_violation(non_moufang_loop, samples=100)
+    assert witness == triples[first] and _violates(T, *witness)
 
 
 def test_associativity_violation_in_m2(m2):
@@ -323,42 +343,15 @@ def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loo
         assert want is not None and got.tolist() == want
 
 
-def _cyclic_oracle(n):
-    return FiniteLoop(n, batch_fn=lambda I, J: (np.asarray(I) + np.asarray(J)) % n,
-                      neutral=0)
-
-
 def test_memory_budget_decides_table_mode():
     assert loops.MEMORY_BUDGET == 2 ** 27
     assert loops.table_fits(3344) and not loops.table_fits(3345)
-    # built through the oracle, kept as a table while it fits
-    assert _cyclic_oracle(3344).table is not None
-    L = _cyclic_oracle(3345)
-    assert L.table is None
+    # a table is kept while it fits, and refused before it is read past that
+    assert cyclic_loop(3344).table.shape == (3344, 3344)
     with pytest.raises(UsageError, match="needs table mode"):
         FiniteLoop(3345, table=np.zeros((1, 1), dtype=np.int32))
     with pytest.raises(UsageError, match="needs table mode"):
         cyclic_loop(3345)
-
-
-def test_oracle_loop_serves_batched_products_only():
-    L = _cyclic_oracle(3345)
-    assert L.mult(3000, 400) == 55
-    assert L.mult_batch([1, 2], [3344, 3344]).tolist() == [0, 1]
-    assert loops.moufang_mode(L, 1000) == "sampled:1000"
-    assert loops.moufang_violation(L, samples=1000) is None
-    refusals = [lambda: L.ldiv, lambda: L.rdiv, lambda: L.left_div(0, 1),
-                L.two_sided_inverses, lambda: left_translation(L, 1),
-                lambda: right_translation(L, 1), lambda: commutant(L),
-                lambda: center(L), lambda: closure_indices(L, [1]),
-                lambda: associativity_violation(L), lambda: mlt_group(L),
-                lambda: autotopism_check(L, *[Perm.identity(L.n)] * 3),
-                lambda: find_isomorphism(L, L), lambda: automorphisms(L),
-                lambda: direct_product(L, cyclic_loop(2)),
-                lambda: write_table(L, os.devnull)]
-    for call in refusals:
-        with pytest.raises(UsageError, match="needs table mode"):
-            call()
 
 
 def test_moufang_mode():

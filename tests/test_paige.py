@@ -1,10 +1,12 @@
 import hashlib
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from moufang import loops, paige
+from moufang.cli import main
 from moufang.composition import ZornMatrix, decompose_sum_two_units
 from moufang.fields import UsageError, field_of_order, parse_field_spec
 
@@ -30,15 +32,25 @@ def test_unit_loop_neutral_is_diag(u3):
 
 
 def test_unit_loop_rejects_large_q(monkeypatch):
-    # one bound, in enumerate_unit_coords, checked before the engine is built
+    # the loops are refused by their order formula before anything is
+    # enumerated, and enumerate_unit_coords has its own q <= 5 bound; both
+    # before an engine is built
+    enumerate_unit_coords = paige.enumerate_unit_coords
+
     def no_engine(field):
         raise AssertionError("built an engine over GF(%d)" % field.q)
+
+    def no_enumeration(field):
+        raise AssertionError("enumerated GF(%d)" % field.q)
     monkeypatch.setattr(paige, "ZornEngine", no_engine)
-    for build in (paige.unit_loop, paige.paige_loop,
-                  lambda q: paige.enumerate_unit_coords(field_of_order(q))):
-        for q in (7, 9):
-            with pytest.raises(UsageError, match="limited to q <= 5"):
+    monkeypatch.setattr(paige, "enumerate_unit_coords", no_enumeration)
+    for build in (paige.unit_loop, paige.paige_loop):
+        for q in (4, 5, 7, 9):
+            with pytest.raises(UsageError, match="needs table mode"):
                 build(q)
+    for q in (7, 9):
+        with pytest.raises(UsageError, match="limited to q <= 5"):
+            enumerate_unit_coords(field_of_order(q))
 
 
 def test_conjugate_is_inverse_exhaustive():
@@ -58,7 +70,14 @@ def test_quotient_ratio():
         reps = int((eng.pack(coords) <= eng.pack(eng.neg(coords))).sum())
         d = 2 if q % 2 else 1
         assert len(coords) == d * reps
-        assert reps == paige.paige_order_formula(q)
+        assert reps == paige.paige_order_formula(q) == len(paige.paige_coords(field))
+
+
+def _paige_backend(q):
+    """The M*(q) backend of the enumeration, without a Cayley table: the
+    tables of M*(4) and M*(5) do not fit the memory budget."""
+    field = field_of_order(q)
+    return paige._PaigeBackend(field, paige.paige_coords(field), quotient=True)
 
 
 def test_paige_loop_orders(m2, m3):
@@ -107,11 +126,12 @@ def test_packed_closure_q3_is_pinned():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_reachability_closure_is_the_paige_loop(q):
-    loop = paige.paige_loop(q)
     els, certified = paige.reachability_closure_certified(
         q, paige.standard_generators(q))
     assert certified
-    assert np.array_equal(els, loop.zorn.packed)
+    assert np.array_equal(els, _paige_backend(q).packed)
+    if q <= 3:
+        assert np.array_equal(els, paige.paige_loop(q).zorn.packed)
 
 
 def test_closures_are_refused_past_the_budget(monkeypatch):
@@ -148,14 +168,14 @@ def test_frobenius_identity_on_prime_field(m2):
 
 
 def test_frobenius_q4_order_two_and_multiplicative(rng):
-    M4 = paige.paige_loop(4)
-    f = paige.frobenius_perm(M4)
+    M4 = _paige_backend(4)
+    f = paige.frobenius_perm(SimpleNamespace(zorn=M4))
     assert not f.is_identity()
     assert (f * f).is_identity()
-    I = rng.integers(M4.n, size=10000)
-    J = rng.integers(M4.n, size=10000)
-    lhs = f.a[M4.mult_batch(I, J)]
-    rhs = M4.mult_batch(f.a[I], f.a[J])
+    I = rng.integers(len(M4.coords), size=10000)
+    J = rng.integers(len(M4.coords), size=10000)
+    lhs = f.a[M4.mul_idx(I, J)]
+    rhs = M4.mul_idx(f.a[I], f.a[J])
     assert (lhs == rhs).all()
 
 
@@ -195,36 +215,55 @@ def test_division_hooks(m3, rng):
         assert m3.right_div(k, j) == i
 
 
-def test_engine_matches_scalar_zorn(gf5, rng):
-    eng = paige.ZornEngine(gf5)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 65537])
+def test_engine_matches_scalar_zorn(q, rng):
+    field = field_of_order(q)
+    eng = paige.ZornEngine(field)
     for _ in range(100):
-        xc = [int(rng.integers(5)) for _ in range(8)]
-        yc = [int(rng.integers(5)) for _ in range(8)]
-        x = ZornMatrix.from_coords(gf5, xc)
-        y = ZornMatrix.from_coords(gf5, yc)
+        xc = [int(c) for c in rng.integers(q, size=8)]
+        yc = [int(c) for c in rng.integers(q, size=8)]
+        x = ZornMatrix.from_coords(field, xc)
+        y = ZornMatrix.from_coords(field, yc)
         got = eng.mul(np.asarray([xc], dtype=np.int64),
                       np.asarray([yc], dtype=np.int64))[0]
         assert tuple(int(v) for v in got) == (x * y).coords()
         assert int(eng.norm(np.asarray([xc], dtype=np.int64))[0]) == x.det()
 
 
-def test_engine_matches_scalar_zorn_gf4(gf4, rng):
-    eng = paige.ZornEngine(gf4)
-    for _ in range(100):
-        xc = [int(rng.integers(4)) for _ in range(8)]
-        yc = [int(rng.integers(4)) for _ in range(8)]
-        x = ZornMatrix.from_coords(gf4, xc)
-        y = ZornMatrix.from_coords(gf4, yc)
-        got = eng.mul(np.asarray([xc], dtype=np.int64),
-                      np.asarray([yc], dtype=np.int64))[0]
-        assert tuple(int(v) for v in got) == (x * y).coords()
-
-
 def test_labels_are_the_zorn_texts():
-    for loop in [paige.paige_loop(q) for q in (2, 3, 4, 5)] + [paige.unit_loop(3)]:
+    for loop in (paige.paige_loop(2), paige.paige_loop(3), paige.unit_loop(3)):
         field = loop.zorn.field
         assert loop.labels == [ZornMatrix.from_coords(field, row).text()
                                for row in loop.zorn.coords.tolist()]
+    for backend in (_paige_backend(4), _paige_backend(5)):
+        assert backend.labels() == [ZornMatrix.from_coords(backend.field, row).text()
+                                    for row in backend.coords.tolist()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 65537])
+def test_moufang_certificate_checks_2304_rows(q):
+    assert paige.moufang_certificate(field_of_order(q)) == 2304
+
+
+def _bilinear_mutant(mul):
+    """The Zorn product with x1 y4 added to coordinate 0: still bilinear,
+    no longer alternative."""
+    def mutant(self, X, Y):
+        out = mul(self, X, Y)
+        F = self.field
+        out[..., 0] = F.vadd(out[..., 0], F.vmul(np.asarray(X)[..., 1],
+                                                 np.asarray(Y)[..., 4]))
+        return out
+    return mutant
+
+
+def test_moufang_certificate_catches_a_bilinear_mutant(monkeypatch, capsys):
+    monkeypatch.setattr(paige.ZornEngine, "mul", _bilinear_mutant(paige.ZornEngine.mul))
+    for q in (2, 5):
+        with pytest.raises(AssertionError, match="fails the Moufang identity"):
+            paige.moufang_certificate(field_of_order(q))
+    assert main(["moufang-check", "--loop", "M*(5)"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def _scalar_units(field, X):
