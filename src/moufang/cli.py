@@ -153,9 +153,9 @@ def _build_parser():
     p = add("moufang-check", help="Moufang identity and associativity witness")
     p.add_argument("--loop", required=True)
     p.add_argument("--samples", type=positive_count, default=100000,
-                   help="triples sampled on a loop past 512 elements; ignored "
-                        "by M(q) and M*(q) past the table budget, which are "
-                        "certified on the Zorn algebra")
+                   help="triples sampled on a loop past 512 elements; unused "
+                        "by M(q) and M*(q), which are certified on the Zorn "
+                        "algebra past 512 elements")
 
     p = add("generators-check", help="closure size of the standard generators")
     p.add_argument("--q", type=int, required=True)
@@ -217,6 +217,7 @@ def _cmd_paige_order(args, rep):
             rep.add("match", "yes")
         else:
             rep.fail("match", "no")
+        rep.add("mode", "exhaustive")
 
 
 def _cmd_paige_build(args, rep):
@@ -285,27 +286,29 @@ def _cmd_moufang_check(args, rep):
     kind, arg = _parse_spec(args.loop)
     rep.add("loop", args.loop)
     n = _formula_order(kind, arg)
-    if n is not None and not loops.table_fits(n):
+    if n is not None and loops.moufang_mode(n, args.samples) != "exhaustive":
         # settled on the whole algebra, --samples unused; a failing row is
         # an arithmetic fault
         paige.moufang_certificate(field_of_order(arg))
         rep.add("moufang", "yes")
         rep.add("mode", "certified")
-        return
-    loop = _build_loop(kind, arg)
-    viol = loops.moufang_violation(loop, samples=args.samples, seed=args.seed)
-    if viol is None:
-        rep.add("moufang", "yes")
-        rep.add("mode", loops.moufang_mode(loop, args.samples))
+        witness = paige.associativity_witness(arg, quotient=kind == "M*")
     else:
-        rep.fail("moufang", "no")
-        rep.add("witness", "(%s,%s,%s)" % tuple(loop.labels[i] for i in viol))
-    w = loops.associativity_violation(loop)
-    if w is None:
+        loop = _build_loop(kind, arg)
+        viol = loops.moufang_violation(loop, samples=args.samples, seed=args.seed)
+        if viol is None:
+            rep.add("moufang", "yes")
+            rep.add("mode", loops.moufang_mode(loop.n, args.samples))
+        else:
+            rep.fail("moufang", "no")
+            rep.add("witness", "(%s,%s,%s)" % tuple(loop.labels[i] for i in viol))
+        w = loops.associativity_violation(loop)
+        witness = None if w is None else tuple(loop.labels[i] for i in w)
+    if witness is None:
         rep.add("associative", "yes")
     else:
         rep.add("associative", "no")
-        rep.add("nonassoc_witness", "(%s,%s,%s)" % tuple(loop.labels[i] for i in w))
+        rep.add("nonassoc_witness", "(%s,%s,%s)" % witness)
 
 
 def _cmd_generators_check(args, rep):
@@ -318,6 +321,7 @@ def _cmd_generators_check(args, rep):
         rep.add("ok", "yes")
     else:
         rep.fail("ok", "no")
+    rep.add("mode", "certified")
 
 
 def _cmd_decompose(args, rep):
@@ -485,19 +489,12 @@ def _cmd_triality_check(args, rep):
     elif case == "vector-gf2":
         w = triality.example_vector(field_make(2), seed=args.seed)
     elif case == "phi-z3z3":
-        q = 3
-        img = np.empty(9, dtype=np.int64)
-        for a in range(3):
-            for b in range(3):
-                img[a * q + b] = (b % 3) * q + ((-a - b) % 3)
-        gens = []
-        for (da, db) in ((1, 0), (0, 1)):
-            t = np.empty(9, dtype=np.int64)
-            for a in range(3):
-                for b in range(3):
-                    t[a * q + b] = ((a + da) % 3) * q + ((b + db) % 3)
-            gens.append(Perm(t))
-        w = triality.example_phi(PermGroup(9, gens), Perm(img), seed=args.seed)
+        # Z3 x Z3 on the points 3a + b: the translations by (1, 0) and
+        # (0, 1), and phi(a, b) = (b, -a - b)
+        a, b = np.divmod(np.arange(9), 3)
+        gens = [Perm(3 * ((a + da) % 3) + (b + db) % 3) for da, db in ((1, 0), (0, 1))]
+        w = triality.example_phi(PermGroup(9, gens), Perm(3 * b + (-a - b) % 3),
+                                 seed=args.seed)
     elif case in ("net-z3", "net-s3", "net-paige2"):
         loop = _build_loop(*{"net-z3": ("Z", 3), "net-s3": ("S3", None),
                              "net-paige2": ("M*", 2)}[case])

@@ -362,10 +362,16 @@ def field_make(p, k=1, modulus=None):
     return GF(p, k, modulus)
 
 
+PRIME_POWER_LIMIT = 2 ** 40  # trial division then takes at most 2^20 steps
+
+
 def prime_power(q):
     """(p, k) with q = p^k, by trial division and without building a field,
     so a size refusal read from q can come after it; UsageError for any
-    other q."""
+    other q, and for q past PRIME_POWER_LIMIT before any division."""
+    if q > PRIME_POWER_LIMIT:
+        raise UsageError("q = %d is past the prime power limit of %d"
+                         % (q, PRIME_POWER_LIMIT))
     if q >= 2:
         # the least divisor is prime
         p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)

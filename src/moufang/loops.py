@@ -418,10 +418,10 @@ def normal_closure(loop, seed_elems):
 # identities
 
 
-def moufang_mode(loop, samples):
-    """How moufang_violation checks the loop: "exhaustive" up to
+def moufang_mode(n, samples):
+    """How moufang_violation checks an n-element loop: "exhaustive" up to
     _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
-    if loop.n <= _IDENTITY_SAMPLE_LIMIT:
+    if n <= _IDENTITY_SAMPLE_LIMIT:
         return "exhaustive"
     return "sampled:%d" % samples
 
@@ -441,7 +441,7 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
     then its Z from one seeded stream: a single chunk draws what one draw of
     all samples would, several chunks draw a different stream."""
     n, T = loop.n, loop.table
-    if moufang_mode(loop, samples) == "exhaustive":
+    if moufang_mode(n, samples) == "exhaustive":
         for x in range(n):
             lhs = T[T[T[x, :], x], :]          # [y, z] -> ((xy)x)z
             rhs = T[x, T[:, T[x, :]]]          # [y, z] -> x(y(xz))

@@ -17,10 +17,9 @@ from . import loops
 from .composition import ZornMatrix
 from .fields import (UsageError, field_of_order, prime_power, primitive_element,
                      rref_batch)
-from .loops import FiniteLoop, ClosureCapExceeded
+from .loops import FiniteLoop
 
 _EXHAUSTIVE_Q = 5
-_CLOSURE_ASSERT_LIMIT = 100000
 
 
 class ZornEngine:
@@ -233,35 +232,19 @@ def enumerate_unit_coords(field):
     # all (alpha, beta) combos in canonical-lex order
     grids = np.meshgrid(*([elems_canonical] * 6), indexing="ij")
     combos = np.stack([g.ravel() for g in grids], axis=-1)  # (q^6, 6)
-    al, be = combos[:, 0:3], combos[:, 3:6]
-    dots = eng.dot3(al, be)
+    dots = eng.dot3(combos[:, 0:3], combos[:, 3:6])
     blocks = []
     one = field.one
     for a in elems_canonical:
-        if a == 0:
-            mask = dots == field.vneg(one)  # alpha.beta = -1
-            al0, be0 = al[mask], be[mask]
-            m = len(al0)
-            for b in elems_canonical:
-                rows = np.empty((m, 8), dtype=np.int64)
-                rows[:, 0] = 0
-                rows[:, 1:4] = al0
-                rows[:, 4:7] = be0
-                rows[:, 7] = b
-                blocks.append(rows)
-        else:
-            a_inv = field.inv(int(a))
-            b = field.vmul(field.vadd(dots, one), a_inv)
-            rows = np.empty((len(combos), 8), dtype=np.int64)
-            rows[:, 0] = a
-            rows[:, 1:4] = al
-            rows[:, 4:7] = be
-            rows[:, 7] = b
-            blocks.append(rows)
+        if a == 0:  # alpha.beta = -1, any b
+            ab = combos[dots == field.vneg(one)]
+            blocks += [np.column_stack([np.zeros(len(ab), np.int64), ab,
+                                        np.full(len(ab), b)]) for b in elems_canonical]
+        else:  # b = (1 + alpha.beta) / a
+            b = field.vmul(field.vadd(dots, one), field.inv(int(a)))
+            blocks.append(np.column_stack([np.full(len(combos), a), combos, b]))
     coords = np.concatenate(blocks, axis=0)
-    eng_packed = eng.pack(coords)
-    order = np.argsort(eng_packed, kind="stable")
-    coords = coords[order]
+    coords = coords[np.argsort(eng.pack(coords), kind="stable")]
     if not (eng.norm(coords) == one).all():
         raise AssertionError("enumeration produced a non-unit element")
     return coords
@@ -333,8 +316,7 @@ def unit_loop(q):
     backend = _PaigeBackend(field, coords, quotient=False)
     # inverse = conjugate; spot-verified here for the whole loop
     eng = backend.engine
-    prods = eng.mul(coords, eng.conj(coords))
-    if not (prods == eng.unit_row()[None, :]).all():
+    if not (eng.mul(coords, eng.conj(coords)) == eng.unit_row()).all():
         raise AssertionError("x * conj(x) != e for some norm-one x")
     return backend.loop()
 
@@ -353,32 +335,56 @@ def paige_loop(q):
     return _PaigeBackend(field, coords, quotient=True).loop()
 
 
+def _polarization_points(field):
+    """The 8 basis vectors b_i and the 28 sums b_i + b_j: a quadratic form
+    that vanishes at these 36 points vanishes everywhere, in every
+    characteristic."""
+    basis = np.eye(8, dtype=np.int32) * field.one
+    i, j = np.triu_indices(8, 1)
+    return np.concatenate([basis, field.vadd(basis[i], basis[j])])
+
+
+def _certify(field, what, bad, *operands):
+    """bad.size, or AssertionError naming the operands at the first true
+    entry of bad, an array over their broadcast grid."""
+    if bad.any():
+        k = np.unravel_index(bad.argmax(), bad.shape)
+        raise AssertionError("the Zorn product over %r fails %s at %s" % (field, what, [
+            np.broadcast_to(R, bad.shape + (8,))[k].tolist() for R in operands]))
+    return bad.size
+
+
 def moufang_certificate(field):
     """Check ((xy)x)z = x(y(xz)) on the whole Zorn algebra over the field;
     returns the number of rows checked, 2304, and raises AssertionError on
     the first failing row.
 
     The product is bilinear, so the difference of the two sides is linear
-    in y and in z and quadratic in x.  A quadratic map vanishes everywhere
-    once it vanishes at the basis vectors b_i and at the sums b_i + b_j, in
-    every characteristic, so y and z run over the 8 basis vectors and x over
-    those 36 points.  The identity then holds in M(q), and in M*(q) since
-    (-x)y = -(xy)."""
+    in y and in z and quadratic in x: y and z run over the 8 basis vectors
+    and x over the 36 _polarization_points.  The identity then holds in
+    M(q), and in M*(q) since (-x)y = -(xy)."""
     eng = ZornEngine(field)
-    basis = np.eye(8, dtype=np.int64) * field.one
-    i, j = np.triu_indices(8, 1)
-    xs = np.concatenate([basis, field.vadd(basis[i], basis[j])])
-    X, Y, Z = (A.reshape(-1, 8) for A in np.broadcast_arrays(
-        xs[:, None, None], basis[None, :, None], basis[None, None, :]))
+    basis = np.eye(8, dtype=np.int32) * field.one
+    X = _polarization_points(field)[:, None, None]
+    Y, Z = basis[None, :, None], basis[None, None, :]
     lhs = eng.mul(eng.mul(eng.mul(X, Y), X), Z)
     rhs = eng.mul(X, eng.mul(Y, eng.mul(X, Z)))
-    bad = (lhs != rhs).any(axis=1)
-    if bad.any():
-        k = int(bad.argmax())
-        raise AssertionError("the Zorn product over %r fails the Moufang identity "
-                             "at x=%s y=%s z=%s" % (field, X[k].tolist(),
-                                                   Y[k].tolist(), Z[k].tolist()))
-    return len(X)
+    return _certify(field, "the Moufang identity", (lhs != rhs).any(axis=-1), X, Y, Z)
+
+
+def norm_certificate(field):
+    """Check N(xy) = N(x)N(y) on the whole Zorn algebra over the field;
+    returns the number of rows checked, 1296, and raises AssertionError on
+    the first failing row.
+
+    Both sides are quadratic in x for fixed y and quadratic in y for fixed
+    x, so x and y run over the 36 _polarization_points.  Products of
+    norm-one elements then have norm one."""
+    eng = ZornEngine(field)
+    X = _polarization_points(field)[:, None]
+    Y = X.transpose(1, 0, 2)
+    bad = eng.norm(eng.mul(X, Y)) != field.vmul(eng.norm(X), eng.norm(Y))
+    return _certify(field, "N(xy) = N(x)N(y)", bad, X, Y)
 
 
 def standard_generators(q):
@@ -411,6 +417,27 @@ def standard_generators(q):
     return tuple(gens)
 
 
+def associativity_witness(q, quotient):
+    """The texts of the standard_generators(q) x, y, z, each the canonical
+    +- representative that paige_loop labels when quotient, after checking
+    (xy)z != +-x(yz) on the engine.  Any triple with a repeated element lies
+    in a group, since Moufang loops are diassociative, so this is the first
+    ordered triple of generators that can fail; and by Moufang's theorem
+    three associating elements generate a group, so a triple generating the
+    nonassociative M*(q) does fail.  AssertionError when it does not."""
+    field = field_of_order(q)
+    gens = standard_generators(q)
+    if quotient:
+        gens = [min(g, -g, key=lambda h: [field.rank(c) for c in h.coords()])
+                for g in gens]
+    eng = ZornEngine(field)
+    x, y, z = (np.array(g.coords()) for g in gens)
+    lhs, rhs = eng.mul(eng.mul(x, y), z), eng.mul(x, eng.mul(y, z))
+    if (lhs == rhs).all() or (lhs == eng.neg(rhs)).all():
+        raise AssertionError("the standard generators over %r associate" % (field,))
+    return tuple(g.text() for g in gens)
+
+
 def frobenius_map(q, elem):
     """Coordinate-wise p-th power on a Zorn matrix."""
     return ZornMatrix.from_coords(elem.field,
@@ -431,38 +458,38 @@ def frobenius_perm(loop):
 # ---------------------------------------------------------------------------
 # generator closures: one breadth-first engine over packed rows
 
-# Peak bytes measured with tracemalloc: per product in a batch (operand
-# rows, the engine's int32 columns and temporaries, the packs; 256 at q = 3,
-# 4 and 7) and per element of the closure (the discovery array, level merges
-# and frontier rows; 72-75 at q = 5 and 7).
+# Bytes priced per product in a batch: the frontier rows, the engine's
+# int32 columns and temporaries, both packs of each product (tracemalloc
+# peaks of 100-135 per product at q = 5 and 7).
 _PRODUCT_BYTES = 256
-_ELEMENT_BYTES = 80
+
+
+def _closure_bytes(q):
+    """What a closure inside M*(q) holds besides its product batches: the
+    one-bit-per-pack membership bitmap, and an int64 pack per element of
+    M*(q) for the frontier levels, or for the packs read off at the end."""
+    return (q ** 8 + 7) // 8 + 8 * paige_order_formula(q)
 
 
 def _require_closure_fits(q):
     """UsageError unless q is a prime power and a closure inside M*(q) fits
-    loops.MEMORY_BUDGET: the q^8-byte membership bitmap and _ELEMENT_BYTES
-    per element of M*(q) get three quarters, product batches the last
-    quarter.  Read from q alone, before any field table is built."""
+    loops.MEMORY_BUDGET: _closure_bytes gets three quarters, product batches
+    the last quarter.  Read from q alone, before any field table is built."""
     prime_power(q)
-    need = q ** 8 + _ELEMENT_BYTES * paige_order_formula(q)
+    need = _closure_bytes(q)
     if 4 * need > 3 * loops.MEMORY_BUDGET:
         raise UsageError("a generator closure in M*(%d) needs %d bytes, past "
                          "3/4 of the memory budget of %d bytes"
                          % (q, need, loops.MEMORY_BUDGET))
 
 
-def _closure(q, generator_matrices, pairwise):
-    """Breadth-first closure in M*(q) of the generator matrices and e.
-
-    Each level multiplies the frontier (the elements found by the level
-    before) by all known elements on both sides when pairwise, else by the
-    generators on both sides, in batches sized from the memory budget.
-    Membership is one bitmap over packed rows with x and -x both marked, so
-    a product is canonicalized only once it is found fresh; every element
-    found is checked to have norm one.  Returns the canonical packs in
-    discovery order: the seed (generators, then e, first occurrence kept),
-    then each level sorted.
+def closure_packed(q, generator_matrices):
+    """The reachability closure in M*(q) of the generator matrices and e:
+    breadth first, each level multiplying the frontier (the elements the
+    level before found) by the generators on both sides, in batches sized
+    from the memory budget.  Membership is one bit per canonical pack and
+    no element list is kept.  Returns the sorted canonical packs, read off
+    the bitmap.
     """
     _require_closure_fits(q)
     field = field_of_order(q)
@@ -471,78 +498,50 @@ def _closure(q, generator_matrices, pairwise):
                      for g in generator_matrices])
     if not (eng.norm(gens) == field.one).all():
         raise ValueError("generators must have norm one")
-    batch = max(1, loops.MEMORY_BUDGET // 4 // _PRODUCT_BYTES)
-    member = np.zeros(q ** 8, dtype=bool)
+    member = np.zeros((q ** 8 + 7) // 8, dtype=np.uint8)
 
     def fresh(Z):
-        """Sorted canonical packs of the rows of Z not yet members, marked
-        and checked to have norm one."""
-        Z = Z[~member[eng.pack(Z)]]
-        P = np.unique(eng.pack(eng.canon(Z)))
-        rows = eng.unpack(P)
-        if not (eng.norm(rows) == field.one).all():
-            raise AssertionError("closure left the norm-one loop")
-        member[P] = True
-        member[eng.pack(eng.neg(rows))] = True
+        """Canonical packs of the rows of Z not yet members, now marked."""
+        P = np.minimum(eng.pack(Z), eng.pack(eng.neg(Z))).ravel()
+        P = np.unique(P[(member[P >> 3] >> (P & 7) & 1) == 0])
+        np.bitwise_or.at(member, P >> 3, (1 << (P & 7)).astype(np.uint8))
         return P
 
-    seed = eng.pack(eng.canon(np.concatenate([gens, eng.unit_row()[None, :]])))
-    _, first = np.unique(seed, return_index=True)
-    elements = seed[np.sort(first)]
-    fresh(eng.unpack(elements))
-    start = 0
-    while start < len(elements):
-        new = eng.unpack(elements[start:])
-        if pairwise:
-            old = eng.unpack(elements[:start])
-            blocks = [(old, new), (new, old), (new, new)]
-        else:
-            blocks = [(gens, new), (new, gens)]
+    frontier = fresh(np.concatenate([gens, eng.unit_row()[None, :]]))
+    step = max(1, loops.MEMORY_BUDGET // 4 // _PRODUCT_BYTES // (2 * len(gens)))
+    G = gens[:, None, :]
+    while len(frontier):
         found = []
-        for A, B in blocks:
-            bstep = max(1, min(len(B), batch))
-            astep = max(1, batch // bstep)
-            for b0 in range(0, len(B), bstep):
-                Bc = B[b0:b0 + bstep]
-                for a0 in range(0, len(A), astep):
-                    Ac = A[a0:a0 + astep]
-                    found.append(fresh(eng.mul(np.repeat(Ac, len(Bc), axis=0),
-                                               np.tile(Bc, (len(Ac), 1)))))
-        start = len(elements)
-        elements = np.concatenate([elements] + found)
-        elements[start:].sort()
-        if pairwise and len(elements) > _CLOSURE_ASSERT_LIMIT:
-            raise ClosureCapExceeded("closure exceeded cap %d" % _CLOSURE_ASSERT_LIMIT)
-    return elements
-
-
-def closure_packed(q, generator_matrices):
-    """Breadth-first multiplicative closure of norm-one Zorn matrices over
-    GF(q) modulo {e,-e}, multiplying every pair.  Same round structure and
-    intra-level canonical ordering as loops.closure, but batched.
-
-    Returns the packed element array in discovery order.
-    """
-    return _closure(q, generator_matrices, pairwise=True)
+        for start in range(0, len(frontier), step):
+            X = eng.unpack(frontier[start:start + step])[None, :, :]
+            found.append(fresh(np.concatenate([eng.mul(G, X), eng.mul(X, G)])))
+        frontier = np.concatenate(found)
+    packs = np.empty(int(np.bitwise_count(member).sum()), dtype=np.int64)
+    count = 0
+    for start in range(0, len(member), step):  # step bytes, 8 * step packs
+        P = np.flatnonzero(np.unpackbits(member[start:start + step], bitorder="little"))
+        packs[count:count + len(P)] = P + 8 * start
+        count += len(P)
+    return packs
 
 
 def reachability_closure_certified(q, generator_matrices):
-    """Subloop of M*(q) generated by the given matrices, via translation
-    reachability plus a cardinality certificate.
+    """Subloop of M*(q) generated by the given matrices, via the
+    reachability closure plus two certificates.
 
-    The reachable set R (products by generators on either side, from the
-    generators and e) is contained in the generated subloop H.  Every
-    element of R is checked to have norm one, so R is inside M*(q); if |R|
-    equals the independently counted number of +-classes of norm-one
-    matrices, then R = H = M*(q).  Returns (sorted packed elements,
-    certified: bool).  When the certificate fails the caller must fall back
-    to the exhaustive pairwise closure.
+    The reachable set R of closure_packed lies in the generated subloop H.
+    norm_certificate shows N(xy) = N(x)N(y) on the whole algebra, so R lies
+    in M*(q); if |R| equals the independently counted number of +-classes
+    of norm-one matrices, then R = H = M*(q).  Returns (sorted packs,
+    certified: bool); a failing norm certificate raises AssertionError.
     """
-    elements = np.sort(_closure(q, generator_matrices, pairwise=False))
-    enumerated = _count_norm_one(generator_matrices[0].field)
+    packs = closure_packed(q, generator_matrices)
+    field = field_of_order(q)
+    norm_certificate(field)
+    enumerated = _count_norm_one(field)
     if paige_order_formula(q) != enumerated:
         raise AssertionError("order formula disagrees with enumeration")
-    return elements, len(elements) == enumerated
+    return packs, len(packs) == enumerated
 
 
 def _count_norm_one(field):
@@ -556,18 +555,15 @@ def _count_norm_one(field):
 
 
 def generator_closure_size(q):
-    """Size of the subloop of M*(q) generated by the standard triple.
-
-    Small fields run the exhaustive pairwise closure; larger ones first try
-    the certified reachability route and only fall back to the pairwise
-    closure when the certificate does not apply.  A q past the memory
-    budget is refused before the generators are built.
+    """Size of the subloop of M*(q) generated by the standard triple, by the
+    certified reachability closure; AssertionError when it does not
+    certify.  A q past the memory budget is refused before the generators
+    are built.
     """
     _require_closure_fits(q)
-    gens = standard_generators(q)
-    if q <= 3:
-        return len(closure_packed(q, gens))
-    elements, certified = reachability_closure_certified(q, gens)
-    if certified:
-        return len(elements)
-    return len(closure_packed(q, gens))
+    packs, certified = reachability_closure_certified(q, standard_generators(q))
+    if not certified:
+        raise AssertionError("the reachability closure of the standard generators "
+                             "of M*(%d) has %d elements, not every norm-one class"
+                             % (q, len(packs)))
+    return len(packs)

@@ -36,7 +36,7 @@ def test_criterion_01_orders_match_enumeration():
         d = ok(run(["paige-order", "--q", str(q)]))
         assert int(d["order"]) == want
         assert int(d["enumerated"]) == want
-        assert d["match"] == "yes"
+        assert d["match"] == "yes" and d["mode"] == "exhaustive"
     assert time.time() - t0 <= 60
     announce(1, "orders of M*(q) equal exhaustive enumeration: 120/1080/16320/39000")
 
@@ -66,9 +66,10 @@ def test_criterion_04_nonassociative_moufang():
     for q in (3, 5):
         d = ok(run(["moufang-check", "--loop", "M*(%d)" % q,
                     "--samples", "100000"]))
-        assert d["moufang"] == "yes"
-    announce(4, "associativity fails in M*(2); Moufang identity holds "
-                "(exhaustive q=2, 10^5 samples q=3,5)")
+        assert d["moufang"] == "yes" and d["mode"] == "certified"
+        assert d["associative"] == "no" and "nonassoc_witness" in d
+    announce(4, "associativity fails in M*(2), M*(3), M*(5); Moufang identity "
+                "holds (exhaustive q=2, certified on the Zorn algebra q=3,5)")
 
 
 def test_criterion_05_generators():
@@ -76,8 +77,10 @@ def test_criterion_05_generators():
     for q, want in ((2, 120), (3, 1080), (5, 39000)):
         d = ok(run(["generators-check", "--q", str(q)]))
         assert int(d["closure"]) == want and d["ok"] == "yes"
+        assert d["mode"] == "certified"
     assert time.time() - t0 <= 120
-    announce(5, "standard generator closures have sizes 120/1080/39000")
+    announce(5, "standard generator closures have sizes 120/1080/39000 "
+                "(certified reachability)")
 
 
 def test_criterion_06_sum_of_two_units():

@@ -1,8 +1,10 @@
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +31,29 @@ def test_paige_order():
     rep = run(["paige-order", "--q", "2"])
     assert rep.status == 0
     d = lines_dict(rep)
-    assert d["order"] == "120" and d["match"] == "yes"
+    assert d["order"] == "120" and d["match"] == "yes" and d["mode"] == "exhaustive"
 
 
 def test_paige_order_formula_only():
+    # nothing is enumerated, so no mode is named
     rep = run(["paige-order", "--q", "11", "--skip-enumeration"])
     assert rep.status == 0
-    assert lines_dict(rep)["order"] == str(11 ** 3 * (11 ** 4 - 1) // 2)
+    assert rep.lines == ["q=11", "order=%d" % (11 ** 3 * (11 ** 4 - 1) // 2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["paige-order", "--q", "2305843009213693951", "--skip-enumeration"],
+    ["moufang-check", "--loop", "M*(2305843009213693951)"],
+    ["generators-check", "--q", "2305843009213693951"]], ids=lambda a: a[0])
+def test_huge_prime_q_is_refused_before_trial_division(argv, capsys):
+    # 2^61 - 1 is prime: trial division up to its square root would not end
+    t0 = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - t0 < 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: q = 2305843009213693951 is past the prime power " \
+                      "limit of 1099511627776\n"
 
 
 def test_usage_errors(capsys):
@@ -199,7 +217,8 @@ def test_generators_check_q7():
     # the largest q whose closure fits the memory budget
     rep = run(["generators-check", "--q", "7"])
     assert rep.status == 0
-    assert rep.lines == ["q=7", "closure=411600", "expected=411600", "ok=yes"]
+    assert rep.lines == ["q=7", "closure=411600", "expected=411600", "ok=yes",
+                         "mode=certified"]
 
 
 @pytest.mark.parametrize("q", ["10", "12"])
@@ -288,6 +307,32 @@ def _module_env():
         [src, os.environ.get("PYTHONPATH", "")]))
 
 
+# Lines whose peak is priced: a generator closure takes at most what
+# _require_closure_fits prices (the bitmap and a pack per element) plus
+# _PRODUCT_BYTES per product of its largest batch, a certificate 1 MB, and
+# a generators line runs the norm certificate too.
+PRICED = [["generators-check", "--q", str(q)] for q in (2, 3, 4, 5, 7)] + \
+         [["moufang-check", "--loop", spec] for spec in ("M*(3)", "M(3)", "M*(5)")]
+
+
+@pytest.mark.parametrize("argv", PRICED, ids=[" ".join(a) for a in PRICED])
+def test_closure_and_certificate_peaks_stay_priced(argv):
+    limit = 2 ** 20
+    if argv[0] == "generators-check":
+        q = int(argv[2])
+        products = min(6 * paige.paige_order_formula(q),
+                       loops.MEMORY_BUDGET // 4 // paige._PRODUCT_BYTES)
+        limit += paige._closure_bytes(q) + paige._PRODUCT_BYTES * products
+    run(["generators-check", "--q", "2"])  # module-level caches
+    tracemalloc.start()
+    try:
+        assert run(argv).status == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
 def _cap_address_space():
     limit = 1536 * 2 ** 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -363,13 +408,29 @@ def test_paige_build_refuses_by_name(no_enumeration, capsys):
                                   "loop" % paige.paige_order_formula(q))
 
 
-@pytest.mark.parametrize("spec", ["M*(4)", "M*(5)", "M(4)", "M(5)", "M*(7)", "M*(9)"])
+@pytest.mark.parametrize("spec", ["M*(3)", "M(3)", "M*(4)", "M*(5)", "M(4)", "M(5)",
+                                  "M*(7)", "M*(9)", "M*(65537)"])
 def test_moufang_check_certifies_past_the_table_budget(spec, no_enumeration, capsys):
     # the identity is settled on the Zorn algebra, nothing is enumerated and
-    # --samples is ignored
+    # --samples is unused; the witness is rechecked in scalar Zorn arithmetic
+    kind, q = cli._parse_spec(spec)
+    field = field_of_order(q)
     for extra in ([], ["--samples", "7"]):
         assert main(["moufang-check", "--loop", spec] + extra) == 0
-        assert capsys.readouterr().out == "loop=%s\nmoufang=yes\nmode=certified\n" % spec
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["loop=%s" % spec, "moufang=yes", "mode=certified",
+                             "associative=no"]
+        key, _, triple = lines[4].partition("=")
+        assert key == "nonassoc_witness" and len(lines) == 5
+        x, y, z = (ZornMatrix.parse(field, t) for t in re.findall(r"\[[^]]*\]", triple))
+        gens = [g.coords() for g in paige.standard_generators(q)]
+        for w in (x, y, z):
+            assert w.coords() in gens or (-w).coords() in gens
+            if kind == "M*":  # the canonical +- representative
+                assert [field.rank(c) for c in w.coords()] <= \
+                    [field.rank(c) for c in (-w).coords()]
+        assert ((x * y) * z).coords() not in ((x * (y * z)).coords(),
+                                              (-(x * (y * z))).coords())
 
 
 @pytest.mark.parametrize("spec", ["M*(3)", "M(3)"])

@@ -1,4 +1,4 @@
-import hashlib
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -116,20 +116,13 @@ def test_generator_closures_small():
     assert paige.generator_closure_size(3) == 1080
 
 
-def test_packed_closure_q3_is_pinned():
-    # pins the discovery order and the elements of the pairwise closure
-    packed = paige.closure_packed(3, paige.standard_generators(3))
-    assert packed.dtype == np.int64 and len(packed) == 1080
-    assert hashlib.sha256(packed.tobytes()).hexdigest() == \
-        "5b91ca82c468e54c21aec6a4b7e4edbc88556a02b517568457c390bcf0301fd2"
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_reachability_closure_is_the_paige_loop(q):
-    els, certified = paige.reachability_closure_certified(
-        q, paige.standard_generators(q))
+    gens = paige.standard_generators(q)
+    els, certified = paige.reachability_closure_certified(q, gens)
     assert certified
     assert np.array_equal(els, _paige_backend(q).packed)
+    assert np.array_equal(paige.closure_packed(q, gens), els)
     if q <= 3:
         assert np.array_equal(els, paige.paige_loop(q).zorn.packed)
 
@@ -139,21 +132,32 @@ def test_closures_are_refused_past_the_budget(monkeypatch):
     def boom(q):
         raise AssertionError("built GF(%d) before refusing" % q)
     monkeypatch.setattr(paige, "field_of_order", boom)
-    for q in (8, 9):
+    for q in (11, 13):
         for closure in (paige.closure_packed, paige.reachability_closure_certified):
             with pytest.raises(UsageError, match="memory budget"):
                 closure(q, [])
 
 
+def test_closure_pricing_admits_q8_and_q9(monkeypatch):
+    # the bitmap and 8 bytes per element take about 21 and 24 MB at q = 8
+    # and 9, and about 105 MB at q = 11, past 3/4 of the budget; nothing runs
+    def boom(q):
+        raise AssertionError("built GF(%d)" % q)
+    monkeypatch.setattr(paige, "field_of_order", boom)
+    for q in (8, 9):
+        paige._require_closure_fits(q)
+        assert paige._closure_bytes(q) == -(-q ** 8 // 8) + 8 * paige.paige_order_formula(q)
+    assert 4 * paige._closure_bytes(11) > 3 * loops.MEMORY_BUDGET
+
+
 def test_closure_batches_do_not_change_the_result(monkeypatch):
-    # batches of about 130 products, split over both operands, give the
-    # same closures
+    # frontier chunks of 21 rows (126 products) give the same closures
     gens = paige.standard_generators(3)
     packed = paige.closure_packed(3, gens)
     monkeypatch.setattr(paige, "_PRODUCT_BYTES", paige._PRODUCT_BYTES * 1000)
     assert np.array_equal(paige.closure_packed(3, gens), packed)
     els, certified = paige.reachability_closure_certified(5, paige.standard_generators(5))
-    assert certified and len(els) == 39000
+    assert certified and np.array_equal(els, _paige_backend(5).packed)
 
 
 def test_closure_rejects_non_unit_generators(gf5):
@@ -264,6 +268,31 @@ def test_moufang_certificate_catches_a_bilinear_mutant(monkeypatch, capsys):
             paige.moufang_certificate(field_of_order(q))
     assert main(["moufang-check", "--loop", "M*(5)"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 101, 65537])
+def test_norm_certificate_checks_1296_rows(q):
+    assert paige.norm_certificate(field_of_order(q)) == 1296
+
+
+def test_norm_certificate_catches_a_bilinear_mutant(monkeypatch, capsys):
+    monkeypatch.setattr(paige.ZornEngine, "mul", _bilinear_mutant(paige.ZornEngine.mul))
+    for q in (2, 5):
+        with pytest.raises(AssertionError, match="fails N"):
+            paige.norm_certificate(field_of_order(q))
+    assert main(["generators-check", "--q", "5"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("spec", ["M*(3)", "M(3)"])
+def test_certified_witness_fails_associativity_on_the_table(spec, m3, u3, capsys):
+    # the witness is computed on the engine; the table is built independently
+    assert main(["moufang-check", "--loop", spec]) == 0
+    triple = capsys.readouterr().out.splitlines()[-1].partition("=")[2]
+    loop = m3 if spec == "M*(3)" else u3
+    x, y, z = (loop.labels.index(t) for t in re.findall(r"\[[^]]*\]", triple))
+    T = loop.table
+    assert T[T[x, y], z] != T[x, T[y, z]]
 
 
 def _scalar_units(field, X):
