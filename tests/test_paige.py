@@ -1,3 +1,4 @@
+import hashlib
 import re
 from itertools import product
 from types import SimpleNamespace
@@ -114,6 +115,15 @@ def test_standard_generators_dets():
 def test_generator_closures_small():
     assert paige.generator_closure_size(2) == 120
     assert paige.generator_closure_size(3) == 1080
+
+
+def test_packed_closure_q3_is_pinned():
+    # pins the elements of the closure, read off the bitmap in sorted order
+    packed = paige.closure_packed(3, paige.standard_generators(3))
+    assert packed.dtype == np.int64 and len(packed) == 1080
+    assert np.all(np.diff(packed) > 0)
+    assert hashlib.sha256(packed.tobytes()).hexdigest() == \
+        "7bdee1f90c3f525dadc67f46387461fb634f91fd74d247476872a745c60d5a32"
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
