@@ -454,7 +454,7 @@ def _cmd_bol_check(args, rep):
     rep.add("involutions", "ok")
     rep.add("collineations", "ok")
     e = loop.neutral
-    s1, s2, s3 = (refl[(cls, e)].line_perm for cls in (1, 2, 3))
+    s1, s2, s3 = (refl[(cls, e)] for cls in (1, 2, 3))
     if s1 * s2 * s1 == s3 and s2 * s1 * s2 == s3 and not (s1 * s2).is_identity():
         rep.add("s3_origin", "ok")
     else:
@@ -469,7 +469,7 @@ def _cmd_bol_check(args, rep):
             for (c2, m2) in lines:
                 if (c1, m1) == (c2, m2):
                     continue
-                prod = refl[(c1, m1)].line_perm * refl[(c2, m2)].line_perm
+                prod = refl[(c1, m1)] * refl[(c2, m2)]
                 if not (prod * prod * prod).is_identity():
                     bad += 1
     rep.add("concurrent_points", args.points)
@@ -604,17 +604,17 @@ _HANDLERS = {
 
 def run(argv):
     """Execute one command line; returns a CommandReport.  Status 2 means a
-    usage error: argparse rejected the line, a handler raised UsageError, or
-    a user path does not exist; stderr then gets one "error: " line.  Any
-    other exception is an internal fault, status 3.  Either way stdout stays
-    empty."""
+    usage error: argparse rejected the line, or a handler raised UsageError,
+    as it does for a user path that cannot be opened; stderr then gets one
+    "error: " line.  Any other exception is an internal fault, status 3.
+    Either way stdout stays empty."""
     rep = CommandReport(command="moufang " + " ".join(argv))
     try:
         args = _build_parser().parse_args(argv)
         _HANDLERS[args.cmd](args, rep)
     except SystemExit:  # --help: argparse printed the text, status 0
         pass
-    except (UsageError, FileNotFoundError) as e:
+    except UsageError as e:
         print("error: %s" % (e,), file=sys.stderr)
         rep.lines.clear()  # a refused request prints nothing on stdout
         rep.status = 2

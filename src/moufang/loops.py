@@ -707,10 +707,19 @@ def loop_from_perm_group(group):
     return FiniteLoop(n, table=T)
 
 
+def _open_user_path(path, mode="r"):
+    """open() for a path named on the command line: a path that cannot be
+    opened, missing or a directory, is a UsageError."""
+    try:
+        return open(path, mode)
+    except OSError as e:
+        raise UsageError(str(e)) from None
+
+
 def write_table(loop, path):
     """Cayley table file: n, labels, then n rows of indices."""
     T = loop.table
-    with open(path, "w") as fh:
+    with _open_user_path(path, "w") as fh:
         fh.write("%d\n" % loop.n)
         fh.write(" ".join(loop.labels) + "\n")
         for row in T:
@@ -720,7 +729,7 @@ def write_table(loop, path):
 def read_table(path):
     """The loop of a write_table file; UsageError on a malformed file, on rows
     that are no loop table, or on a size past the budget (before any row)."""
-    with open(path) as fh:
+    with _open_user_path(path) as fh:
         try:
             n = int(fh.readline())
             require_table_fits(n)

@@ -3,13 +3,12 @@
 A loop L gives a 3-net on L x L with point id x*n + y and three line
 classes: vertical (X = c, class 1), horizontal (Y = c, class 2) and
 transversal (XY = c, class 3); line c of class cls has id (cls-1)*n + c.
-Bol reflections are built from the coordinate formulas; a few are verified
-on points to be involutive collineations swapping the other two classes,
-and the others follow as their conjugates along the line orbit.  The
-group they generate acts faithfully on the 3n lines (every point is the
-meet of its vertical and horizontal lines), is computed there, and carries
-the triality structure: sigma and rho act on the direction-preserving part by
-conjugation and satisfy [g,s][g,s]^r[g,s]^r2 = 1.
+Collineations act faithfully on the 3n lines (every point is the meet of
+its vertical and horizontal lines), so Bol reflections are kept as line
+permutations: a few are built from the coordinate formulas and verified on
+points, the others are their conjugates along the line orbit.  The group
+they generate carries the triality structure: sigma and rho act on the
+direction-preserving part by conjugation and satisfy [g,s][g,s]^r[g,s]^r2 = 1.
 
 The reverse construction takes such a group and rebuilds a net whose lines
 are the three conjugacy classes of reflections, points being the triples
@@ -47,6 +46,12 @@ class LoopNet3:
         self.loop = loop
         self.n = loop.n
         self.n_points = loop.n * loop.n
+
+    @cached_property
+    def transversal_points(self):
+        """Row c lists the points of transversal line c by x, as
+        points_of_line(TRANSVERSAL, c) does."""
+        return np.arange(self.n, dtype=np.int64) * self.n + self.loop.ldiv.T
 
     def line_through(self, point, cls):
         x, y = divmod(point, self.n)
@@ -97,84 +102,64 @@ class LoopNet3:
 
 @dataclass
 class Collineation:
-    """A verified collineation: point permutation plus the induced action
-    on the line classes (a permutation of {1,2,3} stored as a dict)."""
+    """A verified collineation: its point permutation and its action on the
+    3n lines, line c of class cls being (cls-1)*n + c.  The action on lines
+    is faithful, and a homomorphism of collineations."""
 
     point_map: Perm
-    class_action: dict
-    line_maps: dict  # cls -> array, image line indices inside target class
+    line_perm: Perm
+
+    @property
+    def class_action(self):
+        """The image classes of classes 1, 2 and 3, read off the lines."""
+        n = self.line_perm.degree // 3
+        return tuple(int(self.line_perm.a[k * n]) // n + 1 for k in range(3))
 
     def is_direction_preserving(self):
-        return all(self.class_action[c] == c for c in (1, 2, 3))
-
-    @cached_property
-    def line_perm(self):
-        """The action on the 3n lines, line c of class cls being
-        (cls-1)*n + c; faithful, and a homomorphism of collineations."""
-        n = len(self.line_maps[VERTICAL])
-        return Perm(np.concatenate([(self.class_action[c] - 1) * n + self.line_maps[c]
-                                    for c in (1, 2, 3)]), _checked=True)
+        return self.class_action == (1, 2, 3)
 
 
-def _analyze_point_map(net, img):
-    """Classify the image of every line of every class; raise if some line
-    image is not a line or the class action is inconsistent."""
+def _analyze_point_map(net, img, expect):
+    """The 3n line images of a point map, as an int32 array indexed and
+    valued by line id; raise if some line image is not a line or the line
+    classes do not permute.  A line image is a line of several classes only
+    in the 1-point net (points on a line are distinct and the table is
+    Latin), and there class cls goes to expect[cls - 1]."""
     n = net.n
     T = net.loop.table
     Xi = (img // n).reshape(n, n)
     Yi = (img % n).reshape(n, n)
-    Ci = T[Xi, Yi]
-    class_action = {}
-    line_maps = {}
-
-    def classify(rows_x, rows_y, rows_c, cls_name):
-        # rows_*: (n_lines, n_points_on_line) coordinate arrays of images;
-        # the line map is copied so it does not keep the n x n arrays alive
-        const_x = (rows_x == rows_x[:, :1]).all(axis=1)
-        const_y = (rows_y == rows_y[:, :1]).all(axis=1)
-        const_c = (rows_c == rows_c[:, :1]).all(axis=1)
-        if const_x.all():
-            return VERTICAL, rows_x[:, 0].copy()
-        if const_y.all():
-            return HORIZONTAL, rows_y[:, 0].copy()
-        if const_c.all():
-            return TRANSVERSAL, rows_c[:, 0].copy()
-        raise NotACollineationError("a %s line maps to a non-line" % cls_name)
-
-    # vertical lines are the rows of the (x, y) grid
-    cls, lm = classify(Xi, Yi, Ci, "vertical")
-    class_action[VERTICAL] = cls
-    line_maps[VERTICAL] = lm
-    # horizontal lines are the columns
-    cls, lm = classify(Xi.T, Yi.T, Ci.T, "horizontal")
-    class_action[HORIZONTAL] = cls
-    line_maps[HORIZONTAL] = lm
-    # transversal lines: group points by x*y
-    order = getattr(net, "_transversal_order", None)
-    if order is None:
-        order = np.argsort(T.ravel(), kind="stable")
-        net._transversal_order = order
-    cls, lm = classify(Xi.ravel()[order].reshape(n, n),
-                       Yi.ravel()[order].reshape(n, n),
-                       Ci.ravel()[order].reshape(n, n), "transversal")
-    class_action[TRANSVERSAL] = cls
-    line_maps[TRANSVERSAL] = lm
-
-    if sorted(class_action.values()) != [1, 2, 3]:
+    coords = (Xi, Yi, T[Xi, Yi])
+    lines = np.empty(3 * n, dtype=np.int32)
+    action = []
+    # the points of each line, one line per row: vertical lines are the rows
+    # of the (x, y) grid, horizontal lines its columns
+    for cls, name, on_lines in (
+            (VERTICAL, "vertical", lambda A: A),
+            (HORIZONTAL, "horizontal", lambda A: A.T),
+            (TRANSVERSAL, "transversal", lambda A: A.ravel()[net.transversal_points])):
+        rows = [on_lines(A) for A in coords]
+        fits = [k + 1 for k, R in enumerate(rows) if (R == R[:, :1]).all()]
+        if not fits:
+            raise NotACollineationError("a %s line maps to a non-line" % name)
+        to = expect[cls - 1] if expect[cls - 1] in fits else fits[0]
+        action.append(to)
+        lines[(cls - 1) * n: cls * n] = (to - 1) * n + rows[to - 1][:, 0]
+    if sorted(action) != [1, 2, 3]:
         raise NotACollineationError("line classes do not permute")
     for cls in (1, 2, 3):
-        lm = line_maps[cls]
-        if len(np.unique(lm)) != n:
+        if len(np.unique(lines[(cls - 1) * n: cls * n])) != n:
             raise NotACollineationError("line map of class %d not bijective" % cls)
-    return class_action, line_maps
+    return lines
 
 
-def collineation_from_point_map(net, img):
-    """Wrap a point permutation as a verified Collineation."""
+def collineation_from_point_map(net, img, expect=(VERTICAL, HORIZONTAL, TRANSVERSAL)):
+    """Wrap a point permutation as a verified Collineation; expect is the
+    class action taken where the point map leaves it open (see
+    _analyze_point_map)."""
     img = np.asarray(img, dtype=np.int64)
     perm = Perm(img)
-    class_action, line_maps = _analyze_point_map(net, img)
-    return Collineation(perm, class_action, line_maps)
+    return Collineation(perm, Perm(_analyze_point_map(net, img, expect), _checked=True))
 
 
 def diagonal_point_map(net, alpha):
@@ -219,10 +204,8 @@ def bol_reflection(loop, cls, m, net=None):
     img = nx * n + ny
     if not (img[img] == np.arange(n * n, dtype=np.int64)).all():
         raise NotACollineationError("reflection formula is not an involution")
-    coll = collineation_from_point_map(net, img)
-    want = {cls: cls}
-    others = [c for c in (1, 2, 3) if c != cls]
-    want[others[0]], want[others[1]] = others[1], others[0]
+    want = tuple(c if c == cls else 6 - cls - c for c in (1, 2, 3))
+    coll = collineation_from_point_map(net, img, expect=want)
     if coll.class_action != want:
         raise NotACollineationError("reflection does not swap the other two classes")
     axis = net.points_of_line(cls, m)
@@ -231,47 +214,48 @@ def bol_reflection(loop, cls, m, net=None):
     return coll
 
 
+# Bytes per n^2 priced for bol-check on an n-element loop: the tables (12),
+# the transversal points (8), the 3n line permutations (36) and, during a
+# check on points, that reflection's arrays (about 80).  tracemalloc peaks:
+# 101-106 at Z(200)-Z(1024) and M*(3), 120 at Z2^10 (whose last check runs
+# with half of the reflections held), 117-122 at M*(2); rounded up to a
+# power of two, it admits Z(1024) and refuses M*(3).
+_BOL_CHECK_BYTES = 128
+
+
 def require_reflections_fit(n):
     """Refuse, with UsageError, the Bol reflections of an n-element loop
-    when they do not fit MEMORY_BUDGET."""
-    need = 12 * n ** 3
+    when bol-check on it would not fit MEMORY_BUDGET."""
+    need = _BOL_CHECK_BYTES * n * n
     if need > MEMORY_BUDGET:
         raise UsageError("the Bol reflections of a %d-element loop take %d "
                          "bytes, past the %d-byte memory budget"
                          % (n, need, MEMORY_BUDGET))
 
 
-def _conjugate_reflection(tau, sigma, n):
-    """tau sigma tau for involutory collineations tau and sigma, composed on
-    points and on lines; the class action and line maps are read off the
-    composed line permutation."""
-    point_map = tau.point_map * sigma.point_map * tau.point_map
-    lines = (tau.line_perm * sigma.line_perm * tau.line_perm).a.astype(np.int64)
-    class_action = {c: int(lines[(c - 1) * n]) // n + 1 for c in (1, 2, 3)}
-    line_maps = {c: lines[(c - 1) * n: c * n] % n for c in (1, 2, 3)}
-    return Collineation(point_map, class_action, line_maps)
-
-
 def _reflections_by_conjugation(loop, net):
-    """Every reflection of the net, most of them as conjugates.
+    """Every reflection of the net as a permutation of the lines, most of
+    them as conjugates.
 
     The three origin reflections are checked on points by bol_reflection
     and become conjugators; breadth-first, a conjugator tau and a known
-    sigma_l give sigma_{tau(l)} = tau sigma_l tau.  That conjugate is again
-    an involutory collineation fixing its axis pointwise and swapping the
-    other two classes, and such a map is unique per axis (the image of P is
-    the transversal through one axis point met with the horizontal line
-    through another), so it is the formula reflection.  When the orbit
-    stalls, the first missing axis in (cls, m) order is checked on points
-    and joins the conjugators.  For a non-Moufang loop some axis carries no
-    reflection (Bol criterion), and checking it raises."""
+    sigma_l give sigma_{tau(l)} = tau sigma_l tau, composed on lines.  That
+    conjugate is again an involutory collineation fixing its axis pointwise
+    and swapping the other two classes, and such a map is unique per axis
+    (the image of P is the transversal through one axis point met with the
+    horizontal line through another), so it is the formula reflection.
+    When the orbit stalls, the first missing axis in (cls, m) order is
+    checked on points and joins the conjugators.  For a non-Moufang loop
+    some axis carries no reflection (Bol criterion), and checking it
+    raises.  Only a checked reflection has a point map, dropped once its
+    check is done."""
     n = loop.n
-    refl = {}          # line id (cls - 1) * n + m -> Collineation
+    refl = {}          # line id (cls - 1) * n + m -> line permutation
     conjugators = []   # the reflections checked on points
     queue, head = [], 0
 
     def check(line):
-        refl[line] = bol_reflection(loop, line // n + 1, line % n, net=net)
+        refl[line] = bol_reflection(loop, line // n + 1, line % n, net=net).line_perm
         conjugators.append(refl[line])
         queue.extend(refl)  # every known axis meets the new conjugator
 
@@ -286,28 +270,29 @@ def _reflections_by_conjugation(loop, net):
         line = queue[head]
         head += 1
         for tau in conjugators:
-            image = tau.line_perm(line)
+            image = tau(line)
             if image not in refl:
-                refl[image] = _conjugate_reflection(tau, refl[line], n)
+                refl[image] = tau * refl[line] * tau
                 queue.append(image)
     return {(line // n + 1, line % n): refl[line] for line in range(3 * n)}
 
 
 def all_bol_reflections(loop, net=None):
-    """The 3n Bol reflections, keyed (class, axis) in (class, axis) order.
-    A few are checked on points and the rest follow by conjugation (see
-    _reflections_by_conjugation); when a check fails, the reflections are
-    checked axis by axis so that the first failing axis raises.  Their point
-    maps, 3n int32 permutations of the n^2 points, must fit MEMORY_BUDGET
-    (n <= 223); a larger loop is refused before any reflection is built."""
+    """The 3n Bol reflections as permutations of the 3n lines, keyed
+    (class, axis) in (class, axis) order.  A few are checked on points and
+    the rest follow by conjugation (see _reflections_by_conjugation); when a
+    check fails, the reflections are checked axis by axis so that the first
+    failing axis raises.  A loop whose bol-check would not fit MEMORY_BUDGET
+    is refused before any reflection is built (require_reflections_fit)."""
     require_reflections_fit(loop.n)
     if net is None:
         net = LoopNet3(loop)
     try:
         return _reflections_by_conjugation(loop, net)
     except NotACollineationError:
-        return {(cls, m): bol_reflection(loop, cls, m, net=net)
-                for cls in (1, 2, 3) for m in range(loop.n)}
+        pass  # leaving the handler frees the conjugates its traceback holds
+    return {(cls, m): bol_reflection(loop, cls, m, net=net).line_perm
+            for cls in (1, 2, 3) for m in range(loop.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +473,7 @@ def triality_group_from_loop(loop, samples=1000, seed=SAMPLE_SEED):
     Every group here acts on the 3n lines of the net.
     """
     net = LoopNet3(loop)
-    refl = {key: coll.line_perm
-            for key, coll in all_bol_reflections(loop, net=net).items()}
+    refl = all_bol_reflections(loop, net=net)
     e = loop.neutral
     s1, s2, s3 = (refl[(cls, e)] for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL))
     if not (s1 * s2 * s1 == s3 and (s2 * s1 * s2) == s3):

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import resource
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import moufang
-from moufang import cli, loops, paige
+from moufang import cli, loops, paige, triality
 from moufang.cli import main, run
 from moufang.composition import ZornMatrix
-from moufang.fields import field_of_order
+from moufang.fields import UsageError, field_of_order
 from moufang.orthogonal import (UNIT_BYTES, is_rotation, mult_operator_matrix,
                                 spinor_norm)
 
@@ -262,6 +263,12 @@ def test_bol_check_z3():
     assert rep.status == 0 and d["s3_origin"] == "ok"
 
 
+def test_bol_check_trivial_loop(capsys):
+    # the 1-point net, where every line image is a line of all three classes
+    assert main(["bol-check", "--loop", "Z(1)"]) == 0
+    assert capsys.readouterr().out == _bol_stdout("Z(1)", 3)
+
+
 def test_triality_check_vector():
     rep = run(["triality-check", "--case", "vector-gf2"])
     d = lines_dict(rep)
@@ -305,6 +312,34 @@ def _module_env():
     src = str(Path(moufang.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
+
+
+def _traced(call, *args):
+    """call(*args) and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bol_check_peak_stays_priced():
+    # the largest cyclic loop the price admits, end to end
+    n = math.isqrt(loops.MEMORY_BUDGET // triality._BOL_CHECK_BYTES)
+    with pytest.raises(UsageError, match="memory budget"):
+        triality.require_reflections_fit(n + 1)
+    run(["bol-check", "--loop", "Z(3)"])  # module-level caches
+    rep, peak = _traced(run, ["bol-check", "--loop", "Z(%d)" % n])
+    assert rep.status == 0 and peak <= loops.MEMORY_BUDGET
+    # the elementary abelian 2-group of at most that order, whose last
+    # reflection checked on points runs with half of the reflections held;
+    # its table is built before tracing starts
+    z2 = loops.cyclic_loop(2)
+    L = z2
+    while 2 * L.n <= n:
+        L = loops.direct_product(z2, L)
+    _, peak = _traced(triality.all_bol_reflections, L)
+    assert L.table.nbytes + peak <= loops.MEMORY_BUDGET
 
 
 # Lines whose peak is priced: a generator closure takes at most what
@@ -468,6 +503,21 @@ def test_internal_fault_exits_3(monkeypatch, capsys):
         assert out.err.startswith("Traceback")
         assert out.err.endswith("\ninternal error: %s: engine disagreement\n"
                                 % error.__name__)
+
+
+USER_PATHS = [
+    ["export-table", "--loop", "Z(3)", "--out", "{dir}"],
+    ["paige-build", "--q", "2", "--out", "{dir}"],
+    ["aut-count", "--loop", "file:{dir}"],
+]
+
+
+@pytest.mark.parametrize("argv", USER_PATHS, ids=[a[0] for a in USER_PATHS])
+def test_directory_as_user_path_is_a_usage_error(argv, tmp_path, capsys):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
 def test_bol_check_non_moufang_is_falsified(tmp_path, non_moufang_loop):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -49,13 +50,26 @@ def test_net_cap(monkeypatch):
     # a net needs only its loop's tables, so no knob limits it
     assert LoopNet3(cyclic_loop(200)).n_points == 40000
 
-    # 3 * 224 reflections of 224^2 int32 points exceed the memory budget,
-    # and the refusal comes before the first reflection is built
+    # bol-check on 1025 elements is priced past the memory budget, 1024 is
+    # not, and the refusal comes before the first reflection is built
+    triality.require_reflections_fit(1024)
+
     def build(*args, **kwargs):
         raise AssertionError("a reflection was built")
     monkeypatch.setattr(triality, "bol_reflection", build)
     with pytest.raises(UsageError, match="memory budget"):
-        all_bol_reflections(cyclic_loop(224))
+        all_bol_reflections(cyclic_loop(1025))
+
+
+@pytest.mark.parametrize("loop_name", ["z1", "z3", "s3", "m2"])
+def test_transversal_points_are_the_table_sorted(loop_name, s3_loop, m2):
+    L = {"z1": cyclic_loop(1), "z3": cyclic_loop(3), "s3": s3_loop, "m2": m2}[loop_name]
+    net = LoopNet3(L)
+    want = np.argsort(L.table.ravel(), kind="stable").reshape(L.n, L.n)
+    assert np.array_equal(net.transversal_points, want)
+    for c in range(L.n):
+        assert np.array_equal(net.transversal_points[c],
+                              net.points_of_line(TRANSVERSAL, c))
 
 
 def test_coordinate_loop_round_trip_is_identity_on_labels():
@@ -105,8 +119,9 @@ def test_bol_reflections_m2_origin_fix_axis(m2):
         axis = net.points_of_line(cls, e)
         assert (coll.point_map.a[axis] == axis).all()
         others = [c for c in (1, 2, 3) if c != cls]
-        assert coll.class_action[others[0]] == others[1]
-        assert coll.class_action[others[1]] == others[0]
+        assert coll.class_action[cls - 1] == cls
+        assert coll.class_action[others[0] - 1] == others[1]
+        assert coll.class_action[others[1] - 1] == others[0]
 
 
 def test_origin_reflections_generate_s3_on_classes(s3_loop):
@@ -120,10 +135,10 @@ def test_origin_reflections_generate_s3_on_classes(s3_loop):
     actions = {(1, 2, 3)}
     for length in (1, 2, 3):
         for bits in product((s1, s2, s3r), repeat=length):
-            m = {c: c for c in (1, 2, 3)}
+            m = (1, 2, 3)
             for b in bits:
-                m = {c: b.class_action[m[c]] for c in m}
-            actions.add(tuple(m[c] for c in (1, 2, 3)))
+                m = tuple(b.class_action[c - 1] for c in m)
+            actions.add(m)
     assert len(actions) == 6
 
 
@@ -132,10 +147,44 @@ def test_bol_reflection_non_moufang_raises(non_moufang_loop):
         bol_reflection(non_moufang_loop, 3, 1)
 
 
+def test_trivial_loop_reflections():
+    # in the 1-point net every line image is a line of all three classes;
+    # each reflection fixes its axis and swaps the other two lines
+    refl = all_bol_reflections(cyclic_loop(1))
+    assert {key: p.a.tolist() for key, p in refl.items()} == {
+        (1, 0): [0, 2, 1], (2, 0): [2, 1, 0], (3, 0): [1, 0, 2]}
+    assert bol_reflection(cyclic_loop(1), 2, 0).class_action == (3, 2, 1)
+
+
 def _reflections_per_axis(loop, net):
     # every reflection from its coordinate formulas, verified on points
     return {(cls, m): bol_reflection(loop, cls, m, net=net)
             for cls in (1, 2, 3) for m in range(loop.n)}
+
+
+def _checked_against_the_formulas(loop, net):
+    # the reflections of all_bol_reflections, after checking that they are
+    # the line permutations of the formula reflections, in the same order
+    got = all_bol_reflections(loop, net=net)
+    want = _reflections_per_axis(loop, net)
+    assert list(got) == list(want)
+    for key, w in want.items():
+        assert got[key] == w.line_perm, key
+    return got, want
+
+
+def _point_map_of_lines(net, line_perm):
+    # the point map a line permutation induces: (x, y), the meet of vertical
+    # line x and horizontal line y, goes to the meet of their images
+    n = net.n
+    P = np.arange(n * n)
+    on = [P // n, n + P % n, 2 * n + net.loop.table.ravel()]  # lines through P
+    meet = np.zeros((3 * n, 3 * n), dtype=np.int64)
+    for i, j in product(range(3), repeat=2):
+        if i != j:
+            meet[on[i], on[j]] = P
+    a = line_perm.a
+    return Perm(meet[a[on[0]], a[on[1]]])
 
 
 def _first_axis_error(loop):
@@ -154,17 +203,11 @@ def test_reflections_by_conjugation_match_the_formulas(loop_name, s3_loop, m2):
     L = {"z3": cyclic_loop(3), "z12": cyclic_loop(12), "s3": s3_loop,
          "m2": m2}[loop_name]
     net = LoopNet3(L)
-    got = all_bol_reflections(L, net=net)
-    want = _reflections_per_axis(L, net)
-    assert list(got) == list(want)
+    got, want = _checked_against_the_formulas(L, net)
     for key, w in want.items():
-        g = got[key]
-        assert g.point_map == w.point_map, key
-        assert g.line_perm == w.line_perm, key
-        assert g.class_action == w.class_action, key
-        for c in (1, 2, 3):
-            assert np.array_equal(g.line_maps[c], w.line_maps[c]), key
-            assert g.line_maps[c].base is None
+        # the lines determine the points: the formula's point map is the
+        # one the returned line permutation induces
+        assert _point_map_of_lines(net, got[key]) == w.point_map, key
 
 
 def _recording_bol_reflection(monkeypatch, fail=None):
@@ -220,30 +263,33 @@ def test_failed_conjugation_reruns_the_axes_in_order(m2, monkeypatch):
 
 
 def test_reflection_conjugation_moves_axis(s3_loop, rng):
-    # gamma^-1 sigma_l gamma = sigma_{l gamma}
+    # gamma^-1 sigma_l gamma = sigma_{l gamma}, on points and on lines
     net = LoopNet3(s3_loop)
-    refl = all_bol_reflections(s3_loop, net=net)
+    n = s3_loop.n
+    got, refl = _checked_against_the_formulas(s3_loop, net)
     keys = list(refl)
     for _ in range(60):
         k1 = keys[int(rng.integers(len(keys)))]
         k2 = keys[int(rng.integers(len(keys)))]
         sigma, gamma = refl[k1], refl[k2]
         conj = gamma.point_map.inverse() * sigma.point_map * gamma.point_map
-        target_cls = gamma.class_action[k1[0]]
-        target_idx = int(gamma.line_maps[k1[0]][k1[1]])
-        assert conj == refl[(target_cls, target_idx)].point_map
+        cls, m = divmod(gamma.line_perm((k1[0] - 1) * n + k1[1]), n)
+        target = (cls + 1, m)
+        assert conj == refl[target].point_map
+        assert got[k2].inverse() * got[k1] * got[k2] == got[target]
 
 
 def test_concurrent_reflections_cube_to_identity(s3_loop, rng):
     net = LoopNet3(s3_loop)
-    refl = all_bol_reflections(s3_loop, net=net)
+    got, refl = _checked_against_the_formulas(s3_loop, net)
     for _ in range(40):
         p = int(rng.integers(net.n_points))
         lines = [(c, net.line_through(p, c)) for c in (1, 2, 3)]
         for (c1, m1) in lines:
             for (c2, m2) in lines:
-                prod = refl[(c1, m1)].point_map * refl[(c2, m2)].point_map
-                assert (prod * prod * prod).is_identity()
+                for prod in (refl[(c1, m1)].point_map * refl[(c2, m2)].point_map,
+                             got[(c1, m1)] * got[(c2, m2)]):
+                    assert (prod * prod * prod).is_identity()
 
 
 @pytest.mark.parametrize("loop_name", ["z3", "s3", "m2"])
@@ -307,7 +353,7 @@ def test_autotopism_triples_from_reflection_products(m2, rng):
 def test_line_perm_is_a_homomorphism(loop_name, s3_loop):
     L = {"z3": cyclic_loop(3), "s3": s3_loop}[loop_name]
     net = LoopNet3(L)
-    refl = list(all_bol_reflections(L, net=net).values())
+    refl = list(_checked_against_the_formulas(L, net)[1].values())
     for a in refl:
         for b in refl:
             prod = collineation_from_point_map(net, (a.point_map * b.point_map).a)
@@ -324,7 +370,8 @@ def test_line_action_is_faithful(loop_name, s3_loop):
     L = {"z3": cyclic_loop(3), "s3": s3_loop}[loop_name]
     w = triality_group_from_loop(L)
     net = w.origin_net
-    refl = all_bol_reflections(L, net=net)
+    got, refl = _checked_against_the_formulas(L, net)
+    assert w.full_group.gens == list(got.values())
     e = L.neutral
     M = PermGroup(net.n_points, [c.point_map for c in refl.values()])
     M0 = PermGroup(net.n_points, [c.point_map * refl[(cls, e)].point_map
@@ -336,12 +383,26 @@ def test_line_action_is_faithful(loop_name, s3_loop):
 
 
 def test_line_maps_own_their_memory(m2):
-    # a view would keep the n x n image arrays of every reflection alive
+    # a view would keep the n x n image arrays of a point check alive
     net = LoopNet3(m2)
     for cls in (1, 2, 3):
         coll = bol_reflection(m2, cls, 5, net=net)
-        for lm in coll.line_maps.values():
-            assert lm.base is None and lm.shape == (m2.n,)
+        assert coll.point_map.a.base is None and coll.line_perm.a.base is None
+        assert coll.line_perm.degree == 3 * m2.n
+    for p in all_bol_reflections(m2, net=net).values():
+        assert p.a.base is None and p.degree == 3 * m2.n
+
+
+def test_m2_reflections_peak_small(m2):
+    # line permutations only: the point maps of the 7 reflections checked on
+    # points are dropped after their checks
+    tracemalloc.start()
+    try:
+        all_bol_reflections(m2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
