@@ -389,7 +389,7 @@ def _apply_inner_images(loop, sub):
         pool = np.concatenate([img_t.ravel(), phi.ravel(), rho.ravel()])
         fresh = pool[~member[pool]]
         if len(fresh):
-            return np.unique(fresh)
+            return np.flatnonzero(np.bincount(fresh, minlength=n))
     return None
 
 
@@ -578,7 +578,7 @@ def _extender(L1, L2, gens, levels, candidates):
             if not ok:
                 continue
             msub = t[sub]
-            if len(np.unique(msub)) != len(sub):
+            if np.bincount(msub).max() > 1:
                 continue
             if not (T2[np.ix_(msub, msub)] == t[T1[np.ix_(sub, sub)]]).all():
                 continue
@@ -728,14 +728,20 @@ def write_table(loop, path):
 
 def read_table(path):
     """The loop of a write_table file; UsageError on a malformed file, on rows
-    that are no loop table, or on a size past the budget (before any row)."""
+    that are no loop table, or on a size past the budget (before any row).
+    Rows are parsed one at a time into the int32 table."""
     with _open_user_path(path) as fh:
         try:
             n = int(fh.readline())
             require_table_fits(n)
             labels = fh.readline().split()
-            rows = [[int(v) for v in fh.readline().split()] for _ in range(n)]
-            return FiniteLoop(n, labels=labels, table=np.array(rows, dtype=np.int32))
+            table = np.empty((n, n), dtype=np.int32)
+            for row in table:
+                cells = fh.readline().split()
+                if len(cells) != n:
+                    raise ValueError("a row of %d cells, not %d" % (len(cells), n))
+                row[:] = cells
+            return FiniteLoop(n, labels=labels, table=table)
         except UsageError:
             raise
         except (ValueError, OverflowError) as e:  # undecodable text included

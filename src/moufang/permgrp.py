@@ -299,18 +299,22 @@ class PermGroup:
             S[k + i, g.a] = _identity_images(self.degree)
         return S
 
-    def random_element(self, rng):
-        """Product of 20 uniformly chosen generators/inverses; deterministic
-        for a seeded rng.  Used for sampling checks, never for orders."""
-        k = len(self.gens)
-        if not k:
-            return Perm.identity(self.degree)
-        S = self._gen_stack
-        a = _identity_images(self.degree)
-        for _ in range(20):
-            i = int(rng.integers(k))
-            a = S[i + k if int(rng.integers(2)) else i].take(a)
-        return Perm(a, _checked=True)
+    def random_element(self, rng, size=None):
+        """A random word of 20 uniformly chosen generators and inverses
+        (Seress, Permutation Group Algorithms, 2003), deterministic for a
+        seeded rng; for sampling checks, never for orders.  With size, as in
+        numpy, a (size, n) int32 stack of words, lettered by one draw
+        rng.integers(2k, size=(size, 20)) (k + i: generator i inverted) and
+        composed by one flat gather per letter; a + b words draw a, then b."""
+        if size is None:
+            return Perm(self.random_element(rng, 1)[0], _checked=True)
+        words = np.tile(_identity_images(self.degree), (size, 1))
+        if self.gens:
+            letters = rng.integers(2 * len(self.gens), size=(size, 20), dtype=np.int32)
+            flat = self._gen_stack.ravel()
+            for i in range(20):
+                words = flat.take(letters[:, i:i + 1] * self.degree + words)
+        return words
 
     def elements(self, limit=200000):
         """Every group element by breadth-first closure; exact but only

@@ -91,11 +91,6 @@ class LoopNet3:
         x, y = divmod(point, self.n)
         return "(%s,%s)" % (self.loop.labels[x], self.loop.labels[y])
 
-    def lines(self):
-        for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL):
-            for c in range(self.n):
-                yield (cls, c)
-
     def n_lines(self):
         return 3 * self.n
 
@@ -148,7 +143,7 @@ def _analyze_point_map(net, img, expect):
     if sorted(action) != [1, 2, 3]:
         raise NotACollineationError("line classes do not permute")
     for cls in (1, 2, 3):
-        if len(np.unique(lines[(cls - 1) * n: cls * n])) != n:
+        if np.bincount(lines[(cls - 1) * n: cls * n]).max() > 1:
             raise NotACollineationError("line map of class %d not bijective" % cls)
     return lines
 
@@ -329,14 +324,6 @@ def _s3_relations_hold(G, sigma, rho):
     return not (sigma.is_identity() or rho.is_identity())
 
 
-def _triality_identity_holds(g, sigma, rho):
-    rho_inv = rho.inverse()
-    c = g.inverse() * (sigma * g * sigma)  # [g, sigma], sigma an involution
-    c1 = rho_inv * c * rho
-    c2 = rho_inv * c1 * rho
-    return (c * c1 * c2).is_identity()
-
-
 def conjugacy_class(G, rep, limit=200000):
     """Orbit of rep under conjugation by the group generators."""
     seen = {rep}
@@ -354,6 +341,61 @@ def conjugacy_class(G, rep, limit=200000):
     return sorted(seen, key=lambda p: p.a.tobytes())
 
 
+# Bytes a stacked triality check allots each image of a row: words,
+# inverses, conjugates, products and index temporaries (tracemalloc peak:
+# 29-32 per image at net-paige2), rounded up to a power of two.  Chunks get
+# a sixteenth of MEMORY_BUDGET.
+_CHECK_IMAGE_BYTES = 64
+
+# The ordered pairs (i, j) of distinct classes, in the exhaustive order.
+_CLASS_PAIRS = np.array([(i, j) for i in range(3) for j in range(3) if i != j])
+
+
+def _spans(total, degree):
+    """(start, end) of the chunks of total rows of degree images."""
+    chunk = max(1, MEMORY_BUDGET // 16 // (_CHECK_IMAGE_BYTES * degree))
+    return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
+
+
+def _then(A, B):
+    """Row r is A_r * B_r, for two image stacks (A_r applied first)."""
+    return np.take_along_axis(B, A, axis=1)
+
+
+def _inverses(A):
+    inv = np.empty_like(A)
+    np.put_along_axis(inv, A, np.arange(A.shape[1], dtype=A.dtype), axis=1)
+    return inv
+
+
+def _identity_fails(X, sigma, rho):
+    """Which rows g of the stack X break [g,s][g,s]^r[g,s]^r2 = 1.  With
+    c = [g, s] = g^-1 s g s the product is c r^-1 c r^-1 c r^2, which is 1
+    exactly when (c r^-1)^3 = r^-3."""
+    rho_inv = rho.inverse()
+    D = (sigma * rho_inv).a[_then(sigma.a[_inverses(X)], X)]
+    return (_then(_then(D, D), D) != (rho_inv ** 3).a).any(axis=1)
+
+
+def _cube_fails(A, B):
+    """Which rows (a, b) of two stacks have (a b)^3 != 1."""
+    P = _then(A, B)
+    return (_then(_then(P, P), P) != np.arange(P.shape[1])).any(axis=1)
+
+
+def _first_failure(chunks, fails):
+    """The rows that pass before the first one that fails, over the chunks
+    (tuples of row stacks) in order, and that row as Perms, or None."""
+    checked = 0
+    for stacks in chunks:
+        bad = np.flatnonzero(fails(*stacks))
+        if len(bad):
+            r = int(bad[0])
+            return checked + r, tuple(Perm(S[r].copy(), _checked=True) for S in stacks)
+        checked += len(stacks[0])
+    return checked, None
+
+
 def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
     """Verify the triality identity along two routes and insist they agree.
 
@@ -361,8 +403,11 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
     the reformulation (tau_i tau_j)^3 = 1 on the conjugacy classes of the
     three involutions.  The check is exhaustive over G and the classes when
     G acts on at most 2048 points and lists in at most EXHAUSTIVE_LIMIT
-    elements; otherwise it draws seeded random elements.  Returns
-    (ok, details), details["mode"] naming which."""
+    elements.  Otherwise route A takes the generators and then seeded random
+    words, route B sigma_i and sigma_j conjugated by two seeded random words
+    for a random ordered pair (i, j).  Both check image stacks in _spans
+    chunks up to the first failing row, the witness.  Returns (ok, details),
+    details["mode"] naming which."""
     if not _s3_relations_hold(G, sigma, rho):
         raise ValueError("sigma, rho do not satisfy the S3 relations as actions")
     sigmas = (sigma, sigma * rho, rho * sigma)
@@ -373,80 +418,39 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
         except ValueError:
             exhaustive = False
 
-    details = {"mode": "exhaustive" if exhaustive else "sampled"}
-    ok_a = True
-    witness = None
-    if exhaustive:
-        checked = 0
-        for g in elements:
-            if not _triality_identity_holds(g, sigma, rho):
-                ok_a = False
-                witness = g
-                break
-            checked += 1
-        details["identity_checked"] = checked
-    else:
-        rng = np.random.default_rng(seed)
-        checked = 0
-        for g in G.gens:
-            if not _triality_identity_holds(g, sigma, rho):
-                ok_a = False
-                witness = g
-                break
-            checked += 1
-        if ok_a:
-            for _ in range(samples):
-                g = G.random_element(rng)
-                if not _triality_identity_holds(g, sigma, rho):
-                    ok_a = False
-                    witness = g
-                    break
-                checked += 1
-        details["identity_checked"] = checked
+    def rows_a():
+        listed = elements if exhaustive else G.gens
+        for s, e in _spans(len(listed), G.degree):
+            yield (np.stack([g.a for g in listed[s:e]]),)
+        if not exhaustive:
+            rng = np.random.default_rng(seed)
+            for s, e in _spans(samples, G.degree):
+                yield (G.random_element(rng, e - s),)
 
-    ok_b = True
-    pair_witness = None
-    if exhaustive:
-        classes = [conjugacy_class(G, s) for s in sigmas]
-        pairs = 0
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                for ti in classes[i]:
-                    for tj in classes[j]:
-                        p = ti * tj
-                        if not (p * p * p).is_identity():
-                            ok_b = False
-                            pair_witness = (ti, tj)
-                            break
-                        pairs += 1
-                    if not ok_b:
-                        break
-                if not ok_b:
-                    break
-        details["pairs_checked"] = pairs
-    else:
+    def rows_b():
+        if exhaustive:
+            classes = [np.stack([p.a for p in conjugacy_class(G, s)]) for s in sigmas]
+            for i, j in _CLASS_PAIRS:
+                A, B = classes[i], classes[j]
+                for s, e in _spans(len(A) * len(B), G.degree):
+                    t = np.arange(s, e)
+                    yield A[t // len(B)], B[t % len(B)]
+            return
         rng = np.random.default_rng(seed + 1)
-        pairs = 0
-        for _ in range(samples):
-            i, j = rng.permutation(3)[:2]
-            wi = G.random_element(rng)
-            wj = G.random_element(rng)
-            ti = wi.inverse() * sigmas[i] * wi
-            tj = wj.inverse() * sigmas[j] * wj
-            p = ti * tj
-            if not (p * p * p).is_identity():
-                ok_b = False
-                pair_witness = (ti, tj)
-                break
-            pairs += 1
-        details["pairs_checked"] = pairs
+        S = np.stack([s.a for s in sigmas])
+        for s, e in _spans(samples, G.degree):
+            pair = _CLASS_PAIRS[rng.integers(6, size=e - s)].T
+            words = (G.random_element(rng, e - s) for _ in pair)
+            yield tuple(_then(_then(_inverses(W), S[k]), W)  # w^-1 sigma_k w
+                        for k, W in zip(pair, words))
 
-    details["identity_ok"] = ok_a
-    details["pairs_ok"] = ok_b
-    details["routes_agree"] = (ok_a == ok_b)
-    details["witness"] = witness if witness is not None else pair_witness
+    checked, bad_g = _first_failure(rows_a(), lambda X: _identity_fails(X, sigma, rho))
+    pairs, bad_pair = _first_failure(rows_b(), _cube_fails)
+    ok_a, ok_b = bad_g is None, bad_pair is None
+    details = {"mode": "exhaustive" if exhaustive else "sampled",
+               "identity_checked": checked, "pairs_checked": pairs,
+               "identity_ok": ok_a, "pairs_ok": ok_b, "routes_agree": ok_a == ok_b,
+               "witness": bad_g[0] if bad_g else bad_pair}
     if ok_a != ok_b and exhaustive:
         raise AssertionError("commutator and class-pair routes disagree")
     return (ok_a and ok_b), details
@@ -609,21 +613,14 @@ def coordinate_loop(net, origin=None):
 # Doro's standard examples
 
 
-def _regular_blocks(A, copies, limit=200000):
-    """Element list of A plus right-translation images on several disjoint
-    regular blocks; returns (elements, index, degree)."""
-    elems = A.elements(limit=limit)
-    index = {p: i for i, p in enumerate(elems)}
-    return elems, index, len(elems) * copies
-
-
 def example_wreath(A, seed=SAMPLE_SEED):
     """G = A^3 with sigma swapping the first two coordinates and rho cycling
     them; acts on three regular blocks."""
-    elems, index, degree = _regular_blocks(A, 3)
+    elems = A.elements()
     if len(elems) > 100:
         raise ValueError("wreath example capped at |A| <= 100")
-    N = len(elems)
+    N, degree = len(elems), 3 * len(elems)
+    index = {p: i for i, p in enumerate(elems)}
 
     def block_perm(block, g):
         img = np.arange(degree, dtype=np.int64)
@@ -632,11 +629,7 @@ def example_wreath(A, seed=SAMPLE_SEED):
             img[base + i] = base + index[p * g]
         return Perm(img)
 
-    gens = []
-    for g in A.gens:
-        for b in range(3):
-            gens.append(block_perm(b, g))
-    G = PermGroup(degree, gens)
+    G = PermGroup(degree, [block_perm(b, g) for g in A.gens for b in range(3)])
 
     idx = np.arange(N, dtype=np.int64)
     sig = np.arange(degree, dtype=np.int64)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -517,6 +518,22 @@ def test_table_roundtrip(tmp_path, s3_loop):
     assert open(path).read() == open(path + "2").read()
 
 
+def test_read_table_peak_stays_near_the_table(tmp_path):
+    # rows are parsed into the int32 table: the table, the sorted copy its
+    # Latin check makes and that check's mask, well under the 12 bytes per
+    # cell that require_table_fits prices (a list of rows took about 39)
+    path = tmp_path / "z1024.tbl"
+    write_table(cyclic_loop(1024), path)
+    tracemalloc.start()
+    try:
+        L = read_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (L.table == cyclic_loop(1024).table).all()
+    assert peak <= 10 * 1024 ** 2
+
+
 def test_read_table_refuses_malformed_files(tmp_path):
     path = tmp_path / "t.tbl"
     write_table(cyclic_loop(3), path)
@@ -525,6 +542,9 @@ def test_read_table_refuses_malformed_files(tmp_path):
     for bad in (good.replace("2 0 1", "2 0 x"),  # non-integer cell
                 good.replace("2 0 1", "2 0 0"),  # not Latin
                 good.replace("1 2 0", "1 2"),    # ragged row
+                good.replace("1 2 0", "1 2 0 1"),  # long row
+                good[:-6],                       # missing row
+                good.replace("2 0 1", "2 0 1" + "0" * 12),  # past int32
                 "x\n" + good,                   # no element count
                 "-2\n" + good[2:],              # negative element count
                 "4000\n"):                      # past the memory budget

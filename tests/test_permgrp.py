@@ -66,17 +66,32 @@ def test_random_words_are_members(name, gens, order, rng):
 
 @pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
 def test_random_element_draws_the_seeded_words(name, gens, order):
-    # reference: the word drawn generator by generator, inverting on the spot
+    # reference: each word composed letter by letter with Perm products from
+    # the same (size, 20) draw, letter k + i being generator i inverted
     G = PermGroup(gens[0].degree, gens)
-    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    for _ in range(20):
-        want = Perm.identity(G.degree)
-        for _ in range(20):
-            g = G.gens[int(ref_rng.integers(len(G.gens)))]
-            if int(ref_rng.integers(2)):
-                g = g.inverse()
-            want = want * g
-        assert G.random_element(rng) == want
+    k = len(G.gens)
+    letters = np.random.default_rng(7).integers(2 * k, size=(30, 20), dtype=np.int32)
+    want = []
+    for word in letters:
+        w = Perm.identity(G.degree)
+        for i in word:
+            w = w * (G.gens[i] if i < k else G.gens[i - k].inverse())
+        want.append(w)
+    words = G.random_element(np.random.default_rng(7), size=30)
+    assert words.shape == (30, G.degree) and words.dtype == np.int32
+    assert [Perm(w) for w in words] == want
+    # one word is row 0 of a draw of one, and two draws are one
+    assert G.random_element(np.random.default_rng(7)) == \
+        Perm(G.random_element(np.random.default_rng(7), size=1)[0])
+    rng = np.random.default_rng(7)
+    chunks = [G.random_element(rng, size=11), G.random_element(rng, size=19)]
+    assert (np.concatenate(chunks) == words).all()
+
+
+def test_random_words_of_no_generators_are_the_identity():
+    G = PermGroup(4, [])
+    assert G.random_element(np.random.default_rng(7)) == Perm.identity(4)
+    assert (G.random_element(np.random.default_rng(7), size=3) == np.arange(4)).all()
 
 
 @pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)

@@ -424,6 +424,14 @@ def test_non_automorphism_diagonal_fails(s3_loop):
         collineation_from_point_map(net, diagonal_point_map(net, bad))
 
 
+def test_line_map_that_merges_parallel_lines_is_refused(s3_loop):
+    # a point permutation cannot merge parallel lines, so the map is checked
+    # below collineation_from_point_map: every point to the origin
+    net = LoopNet3(s3_loop)
+    with pytest.raises(NotACollineationError, match="class 1 not bijective"):
+        triality._analyze_point_map(net, np.zeros(net.n_points, dtype=np.int64), (1, 2, 3))
+
+
 def test_direction_preserving_origin_fixers_are_automorphisms(s3_loop):
     # enumerate M0 of the S3 net on its lines; every element fixing the
     # origin and the directions must be the diagonal map of an automorphism
@@ -535,6 +543,116 @@ def test_triality_violation_detected_and_net_fails():
     w = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
     with pytest.raises(NetAxiomError):
         net_from_triality(w)
+
+
+def _triality_identity_holds(g, sigma, rho):
+    rho_inv = rho.inverse()
+    c = g.inverse() * (sigma * g * sigma)  # [g, sigma], sigma an involution
+    c1 = rho_inv * c * rho
+    c2 = rho_inv * c1 * rho
+    return (c * c1 * c2).is_identity()
+
+
+def _sampled_check_one_perm_at_a_time(G, sigma, rho, samples, seed):
+    """The sampled branch of triality_check with Perm products, over the
+    words it draws when all samples fit one chunk: route A takes the
+    generators and then the words of one seeded draw, route B draws the
+    class pairs and then the words conjugating sigma_i and sigma_j."""
+    sigmas = (sigma, sigma * rho, rho * sigma)
+    words = G.random_element(np.random.default_rng(seed), size=samples)
+    checked, witness = 0, None
+    for g in list(G.gens) + [Perm(w) for w in words]:
+        if not _triality_identity_holds(g, sigma, rho):
+            witness = g
+            break
+        checked += 1
+    rng = np.random.default_rng(seed + 1)
+    ij = triality._CLASS_PAIRS[rng.integers(6, size=samples)]
+    Wi, Wj = G.random_element(rng, size=samples), G.random_element(rng, size=samples)
+    pairs, pair_witness = 0, None
+    for (i, j), wi, wj in zip(ij, map(Perm, Wi), map(Perm, Wj)):
+        ti = wi.inverse() * sigmas[i] * wi
+        tj = wj.inverse() * sigmas[j] * wj
+        p = ti * tj
+        if not (p * p * p).is_identity():
+            pair_witness = (ti, tj)
+            break
+        pairs += 1
+    ok_a, ok_b = witness is None, pair_witness is None
+    return ok_a and ok_b, {
+        "mode": "sampled", "identity_checked": checked, "pairs_checked": pairs,
+        "identity_ok": ok_a, "pairs_ok": ok_b, "routes_agree": ok_a == ok_b,
+        "witness": witness if witness is not None else pair_witness}
+
+
+def _with_a_dihedral_tail(G, sigma, rho):
+    """The same G, sigma and rho on 9 more points, where G is trivial and
+    sigma, rho act as the dihedral group of order 18 (x -> -x, x -> x + 1
+    mod 9).  The S3 relations still hold as actions on G and the commutator
+    identity still holds, but rho^3 is not the identity: route A is checked
+    as (c r^-1)^3 = r^-3, and the class pairs fail, (sigma sigma rho)^3 being
+    rho^3 on the tail."""
+    n, x = G.degree, np.arange(9)
+
+    def pad(p, tail):
+        return Perm(np.concatenate([p.a, n + tail]))
+    return (PermGroup(n + 9, [pad(g, x) for g in G.gens]),
+            pad(sigma, -x % 9), pad(rho, (x + 1) % 9))
+
+
+def _sampled_cases(s3_loop):
+    w = triality_group_from_loop(s3_loop)
+    return {"no triality": _relations_but_no_triality(),
+            "net-s3": (w.group, w.sigma, w.rho),
+            "rho^3 != 1": _with_a_dihedral_tail(w.group, w.sigma, w.rho)}
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 7])
+@pytest.mark.parametrize("case", ["no triality", "net-s3", "rho^3 != 1"])
+def test_stacked_checks_match_the_scalar_oracle(case, seed, s3_loop, monkeypatch):
+    G, sigma, rho = _sampled_cases(s3_loop)[case]
+    monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)  # the sampled branch
+    ok, details = triality_check(G, sigma, rho, samples=300, seed=seed)
+    assert (ok, details) == _sampled_check_one_perm_at_a_time(G, sigma, rho, 300, seed)
+    assert ok == (case == "net-s3")
+    assert details["identity_ok"] == (case != "no triality")
+    if details["identity_ok"]:
+        assert details["identity_checked"] == len(G.gens) + 300
+    if case != "net-s3":
+        assert details["pairs_checked"] < 300  # a drawn pair is the witness
+
+
+@pytest.mark.parametrize("case", ["no triality", "net-s3"])
+def test_sampled_counts_run_across_the_chunks(case, s3_loop, monkeypatch):
+    # route A's words are the same in chunks (see random_element); route B
+    # draws its class pairs per chunk, so only its verdict is compared
+    G, sigma, rho = _sampled_cases(s3_loop)[case]
+    monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
+    ok, one = triality_check(G, sigma, rho, samples=300)
+    monkeypatch.setattr(triality, "MEMORY_BUDGET", 16 * triality._CHECK_IMAGE_BYTES
+                        * G.degree * 7)  # 7 rows a chunk
+    assert list(triality._spans(300, G.degree))[:2] == [(0, 7), (7, 14)]
+    ok_chunked, chunked = triality_check(G, sigma, rho, samples=300)
+    assert ok_chunked == ok and chunked["pairs_ok"] == one["pairs_ok"]
+    for key in ("identity_checked", "identity_ok"):
+        assert chunked[key] == one[key]
+
+
+def test_sampled_check_peak_stays_in_its_chunks(m2, monkeypatch):
+    # 1000 samples on the net of M*(2), degree 360, in chunks of 91 rows:
+    # unchunked they would take about 9 MB
+    w = triality_group_from_loop(m2)
+    monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
+    monkeypatch.setattr(triality, "MEMORY_BUDGET", 2 ** 25)
+    assert len(list(triality._spans(1000, w.group.degree))) == 11
+    tracemalloc.start()
+    try:
+        ok, details = triality_check(w.group, w.sigma, w.rho, samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and details["pairs_checked"] == 1000
+    assert peak <= 2 ** 25 // 16
 
 
 # ---------------------------------------------------------------------------
