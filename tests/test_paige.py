@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from itertools import product
 from types import SimpleNamespace
 
@@ -213,6 +214,65 @@ def test_lookup_outside_the_element_set_is_an_internal_fault(m2):
     forged = be.engine.pack(np.zeros((1, 8), dtype=np.int64))
     with pytest.raises(AssertionError, match="arithmetic bug"):
         be.lookup(forged)
+
+
+@pytest.mark.parametrize("spec", ["m2", "m3", "M(2)", "u3"])
+def test_cayley_table_is_the_engine_product(spec, request):
+    # the structure-tensor table against mul_idx, the engine product of the
+    # element rows followed by canon and lookup, on every cell
+    L = paige.unit_loop(2) if spec == "M(2)" else request.getfixturevalue(spec)
+    n, rows = L.n, 64
+    for start in range(0, n, rows):
+        I = np.arange(start, min(start + rows, n))
+        want = L.zorn.mul_idx(np.repeat(I, n), np.tile(np.arange(n), len(I)))
+        assert (L.table[I].ravel() == want).all(), spec
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_structure_tensor_reproduces_the_engine(p):
+    eng = paige.ZornEngine(field_of_order(p))
+    S = eng.structure_tensor()
+    assert S.shape == (8, 8, 8) and set(np.unique(S)) == ({0, 1} if p == 2 else {-1, 0, 1})
+    assert (np.abs(S).sum(axis=(0, 1)) == 4).all()  # four products per coordinate
+    rng = np.random.default_rng(0x5EED + p)
+    X, Y = rng.integers(p, size=(2, 5000, 8))
+    assert (np.einsum("ia,abc,ib->ic", X, S, Y) % p == eng.mul(X, Y)).all()
+
+
+def test_element_missing_from_the_backend_is_an_internal_fault(monkeypatch, capsys):
+    # a product that lands on the removed element leaves the element set:
+    # lookup's AssertionError, exit 3 and not a usage error
+    enumerate_unit_coords = paige.enumerate_unit_coords
+    monkeypatch.setattr(paige, "enumerate_unit_coords",
+                        lambda field: np.delete(enumerate_unit_coords(field), 5, axis=0))
+    with pytest.raises(AssertionError, match="left the element set"):
+        paige.unit_loop(2)
+    assert main(["net-build", "--loop", "M(2)"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "internal error: AssertionError: product left the element set; arithmetic bug\n")
+
+
+def test_extension_field_table_is_refused_before_it_is_built(gf4, monkeypatch):
+    def no_tensor(engine):
+        raise RuntimeError("read the structure tensor over GF(4)")
+    monkeypatch.setattr(paige.ZornEngine, "structure_tensor", no_tensor)
+    backend = paige._PaigeBackend(gf4, paige.paige_coords(gf4)[:5], quotient=True)
+    with pytest.raises(AssertionError, match="prime fields only"):
+        backend.loop()
+
+
+@pytest.mark.parametrize("build", [paige.paige_loop, paige.unit_loop])
+def test_table_build_peak_stays_in_the_priced_tables(build):
+    # the row blocks of _PaigeBackend.loop, and then the validation, stay
+    # under the 12 n^2 bytes require_table_fits prices: 13.3 MiB at M*(3)
+    # and 53.4 MiB at M(3)
+    tracemalloc.start()
+    try:
+        n = build(3).n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * n, (n, peak)
 
 
 def test_unit_loop_q3_is_table_mode(u3):
