@@ -161,10 +161,11 @@ def _build_parser():
     p.add_argument("--q", type=int, required=True)
 
     p = add("decompose", help="sum-of-two-units decomposition")
-    p.add_argument("--q", type=int)
-    p.add_argument("--field", help="gf(q) or gf(p,k,c0.c1..ck), constant term first")
-    p.add_argument("--x", help="Zorn matrix text [a|a1,a2,a3|b1,b2,b3|b]")
+    over = p.add_mutually_exclusive_group()
+    over.add_argument("--q", type=int)
+    over.add_argument("--field", help="gf(q) or gf(p,k,c0.c1..ck), constant term first")
     how = p.add_mutually_exclusive_group()
+    how.add_argument("--x", help="Zorn matrix text [a|a1,a2,a3|b1,b2,b3|b]")
     how.add_argument("--exhaustive", action="store_true")
     how.add_argument("--samples", type=positive_count, default=10000)
 
@@ -543,8 +544,9 @@ def _cmd_iso_check(args, rep):
         rep.add("isomorphic", "no")
     else:
         rep.add("isomorphic", "yes")
-        rep.add("verified", "yes" if w.verify() else "no")
-        if not w.verify():
+        verified = w.verify()
+        rep.add("verified", "yes" if verified else "no")
+        if not verified:
             rep.status = 1
 
 

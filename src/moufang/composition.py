@@ -1,27 +1,23 @@
-"""Composition algebras: the Zorn vector-matrix split octonions over a field,
-the generic Cayley-Dickson doubling construction, and an explicit
-decomposition of an arbitrary element into a sum of two norm-one elements.
+"""Composition algebras: the bilinear form of the Zorn vector-matrix split
+octonions, the generic Cayley-Dickson doubling construction, and an
+explicit decomposition of an arbitrary element into a sum of two norm-one
+elements.
 
-A Zorn matrix [a|alpha|beta|b] has scalar corners a, b and 3-vector
-off-diagonal entries alpha, beta.  The norm is the "determinant"
-ab - alpha.beta and multiplication mixes dot and cross products.  The
-coordinate order used everywhere downstream is
-(x0..x7) = (a, alpha1, alpha2, alpha3, beta1, beta2, beta3, b).
+The Zorn arithmetic itself is paige.ZornEngine's; ZornMatrix, imported
+here from paige, is its one-row value type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import UsageError, rref
+from .fields import rref
+from .paige import ZornMatrix
 
 
 class Rationals:
-    """The exact rational field, duck-typed like a GF instance."""
+    """The exact rational field, with the scalar operations cd_double uses."""
 
-    p = 0
-    q = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -42,39 +38,8 @@ class Rationals:
         return -a
 
     @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / a
-
-    @staticmethod
     def is_zero(a):
         return a == 0
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
-
-    @staticmethod
-    def rank(a):
-        return a
-
-    @staticmethod
-    def format_element(a):
-        return str(a)
-
-    @staticmethod
-    def parse_element(s):
-        return Fraction(s)
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
 
 
 QQ = Rationals()
@@ -85,158 +50,6 @@ def dot3(field, u, v):
     for ui, vi in zip(u, v):
         s = field.add(s, field.mul(ui, vi))
     return s
-
-
-def cross3(field, u, v):
-    m, s = field.mul, field.sub
-    return (s(m(u[1], v[2]), m(u[2], v[1])),
-            s(m(u[2], v[0]), m(u[0], v[2])),
-            s(m(u[0], v[1]), m(u[1], v[0])))
-
-
-def _vadd(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def _vsub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def _vneg(field, u):
-    return tuple(field.neg(a) for a in u)
-
-
-@dataclass(frozen=True)
-class ZornMatrix:
-    """Split octonion [a|alpha|beta|b] over a common scalar field."""
-
-    field: object
-    a: object
-    alpha: tuple
-    beta: tuple
-    b: object
-
-    def _same(self, other):
-        if self.field != other.field:
-            raise ValueError("mismatched scalar domains: %r vs %r"
-                             % (self.field, other.field))
-
-    def __mul__(self, other):
-        self._same(other)
-        F = self.field
-        a, alpha, beta, b = self.a, self.alpha, self.beta, self.b
-        c, gamma, delta, d = other.a, other.alpha, other.beta, other.b
-        top = F.add(F.mul(a, c), dot3(F, alpha, delta))
-        upper = _vsub(F, _vadd(F, tuple(F.mul(a, g) for g in gamma),
-                               tuple(F.mul(d, g) for g in alpha)),
-                      cross3(F, beta, delta))
-        lower = _vadd(F, _vadd(F, tuple(F.mul(c, g) for g in beta),
-                               tuple(F.mul(b, g) for g in delta)),
-                      cross3(F, alpha, gamma))
-        bottom = F.add(dot3(F, beta, gamma), F.mul(b, d))
-        return ZornMatrix(F, top, upper, lower, bottom)
-
-    def __add__(self, other):
-        self._same(other)
-        F = self.field
-        return ZornMatrix(F, F.add(self.a, other.a),
-                          _vadd(F, self.alpha, other.alpha),
-                          _vadd(F, self.beta, other.beta),
-                          F.add(self.b, other.b))
-
-    def __sub__(self, other):
-        self._same(other)
-        F = self.field
-        return ZornMatrix(F, F.sub(self.a, other.a),
-                          _vsub(F, self.alpha, other.alpha),
-                          _vsub(F, self.beta, other.beta),
-                          F.sub(self.b, other.b))
-
-    def __neg__(self):
-        F = self.field
-        return ZornMatrix(F, F.neg(self.a), _vneg(F, self.alpha),
-                          _vneg(F, self.beta), F.neg(self.b))
-
-    def scalar_mul(self, lam):
-        F = self.field
-        return ZornMatrix(F, F.mul(lam, self.a),
-                          tuple(F.mul(lam, g) for g in self.alpha),
-                          tuple(F.mul(lam, g) for g in self.beta),
-                          F.mul(lam, self.b))
-
-    def conjugate(self):
-        """[a|alpha|beta|b] -> [b|-alpha|-beta|a]."""
-        F = self.field
-        return ZornMatrix(F, self.b, _vneg(F, self.alpha), _vneg(F, self.beta), self.a)
-
-    def det(self):
-        """The norm ab - alpha.beta."""
-        F = self.field
-        return F.sub(F.mul(self.a, self.b), dot3(F, self.alpha, self.beta))
-
-    def inverse(self):
-        F = self.field
-        n = self.det()
-        return self.conjugate().scalar_mul(F.inv(n))
-
-    def coords(self):
-        """(x0..x7) = (a, alpha, beta, b)."""
-        return (self.a,) + self.alpha + self.beta + (self.b,)
-
-    def is_zero(self):
-        F = self.field
-        return all(F.is_zero(c) for c in self.coords())
-
-    def text(self):
-        F = self.field
-        f = F.format_element
-        return "[%s|%s|%s|%s]" % (f(self.a),
-                                  ",".join(f(c) for c in self.alpha),
-                                  ",".join(f(c) for c in self.beta),
-                                  f(self.b))
-
-    @classmethod
-    def parse(cls, field, s):
-        """Read [a|a1,a2,a3|b1,b2,b3|b]; malformed text raises UsageError."""
-        body = s.strip()
-        parts = body[1:-1].split("|")
-        if body.startswith("[") and body.endswith("]") and len(parts) == 4:
-            pe = field.parse_element
-            try:
-                alpha = tuple(pe(c) for c in parts[1].split(","))
-                beta = tuple(pe(c) for c in parts[2].split(","))
-                if len(alpha) == 3 and len(beta) == 3:
-                    return cls(field, pe(parts[0]), alpha, beta, pe(parts[3]))
-            except ValueError:
-                pass
-        raise UsageError("bad Zorn matrix text %r" % (s,))
-
-    @classmethod
-    def from_coords(cls, field, c):
-        c = tuple(c)
-        return cls(field, c[0], c[1:4], c[4:7], c[7])
-
-    @classmethod
-    def unit(cls, field):
-        z, o = field.zero, field.one
-        return cls(field, o, (z, z, z), (z, z, z), o)
-
-    @classmethod
-    def zero_elem(cls, field):
-        z = field.zero
-        return cls(field, z, (z, z, z), (z, z, z), z)
-
-
-def zorn_mul(x, y):
-    return x * y
-
-
-def zorn_norm(x):
-    return x.det()
-
-
-def conjugate(x):
-    return x.conjugate()
 
 
 def bilinear(x, y):

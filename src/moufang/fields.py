@@ -428,14 +428,6 @@ def primitive_element(field):
     raise AssertionError("no primitive element found; field tables corrupt")
 
 
-def inv(field, x):
-    return field.inv(x)
-
-
-def is_square(field, x):
-    return field.is_square(x)
-
-
 def rref(field, rows):
     """Reduced row echelon form over field, with the pivot rule of
     rref_batch: (nonzero rows, pivot column list, det), det being the

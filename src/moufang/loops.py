@@ -265,9 +265,6 @@ def generating_sequence(loop):
         levels.append(cur)
     if len(cur) != loop.n:
         raise AssertionError("generating scan failed")
-    if not gens:  # trivial loop
-        gens = [loop.neutral]
-        levels = [cur]
     return gens, levels
 
 
@@ -461,10 +458,6 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
             i = int(bad[0])
             return (int(X[i]), int(Y[i]), int(Z[i]))
     return None
-
-
-def is_moufang(loop, samples=100000, seed=SAMPLE_SEED):
-    return moufang_violation(loop, samples=samples, seed=seed) is None
 
 
 def associativity_violation(loop):
@@ -664,11 +657,6 @@ def automorphisms(loop):
         raise AssertionError("Schreier-Sims order %d != product of basic "
                              "orbit lengths %d" % (group.order(), order))
     return group
-
-
-def automorphism_count(loop):
-    """|Aut(loop)|, certified by Schreier-Sims."""
-    return automorphisms(loop).order()
 
 
 # ---------------------------------------------------------------------------

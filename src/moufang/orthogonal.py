@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paige
-from .composition import ZornMatrix
 from .fields import rref, rref_batch
 
 
@@ -72,22 +71,15 @@ def column_space_basis(field, A):
 
 
 def mult_operator_matrix(a, side="left"):
-    """8x8 matrix of y -> a*y (left) or y -> y*a (right): column j holds the
-    coordinates of a e_j resp. e_j a."""
-    field = a.field
-    cols = []
-    for j in range(8):
-        c = [field.zero] * 8
-        c[j] = field.one
-        ej = ZornMatrix.from_coords(field, c)
-        prod = a * ej if side == "left" else ej * a
-        cols.append(prod.coords())
-    return np.array(cols, dtype=np.int64).T
+    """8x8 matrix of y -> a*y (left) or y -> y*a (right) for the ZornMatrix
+    a: the one-row view of operator_matrices."""
+    return operator_matrices(a.field, [a.coords()], side)[0]
 
 
 def left_matrix_closed_form(a):
     """The left-translation matrix written out entry by entry, kept as an
-    independent cross-check against mult_operator_matrix."""
+    independent cross-check against mult_operator_matrix and so against the
+    Zorn product of paige.ZornEngine."""
     F = a.field
     a0, a1, a2, a3, a4, a5, a6, a7 = a.coords()
     n = F.neg
@@ -126,10 +118,9 @@ def is_orthogonal(field, M):
     J = j_matrix(field)
     if not np.array_equal(mat_mul(field, mat_mul(field, M.T, J), M), J):
         return False
-    # every basis vector is isotropic in this frame, so each column x = M e_j
-    # must have N(x) = x0 x7 - x1 x4 - x2 x5 - x3 x6 = 0
-    P = field.vmul(M[:4], M[[7, 4, 5, 6]])
-    return not field.vsub(P[0], field.vadd(field.vadd(P[1], P[2]), P[3])).any()
+    # every basis vector is isotropic in this frame, so each column M e_j
+    # must have norm 0
+    return not paige.ZornEngine(field).norm(np.asarray(M).T).any()
 
 
 def is_rotation(field, M):
@@ -188,8 +179,9 @@ UNIT_BYTES = 8192
 
 
 def operator_matrices(field, coords, side="left"):
-    """(N, 8, 8) stack of the matrices of mult_operator_matrix for the (N, 8)
-    Zorn coordinates: column j holds a e_j (left) or e_j a (right)."""
+    """(N, 8, 8) stack of the matrices of y -> a*y (left) or y -> y*a
+    (right) for the (N, 8) Zorn coordinates a: column j holds a e_j resp.
+    e_j a."""
     eng = paige.ZornEngine(field)
     X = np.repeat(np.asarray(coords)[:, None, :], 8, axis=1)  # row j: a
     E = np.broadcast_to(field.one * np.eye(8, dtype=np.int64), X.shape)
@@ -212,8 +204,8 @@ def spinor_verdicts(field, M):
     p, I, J = field.p, np.eye(8, dtype=np.int64), j_matrix(field)
     M = np.asarray(M, dtype=np.int64) % p
     gram_ok = ((M.transpose(0, 2, 1) @ J @ M) % p == J).all(axis=(1, 2))
-    norms = M[:, 0] * M[:, 7] - (M[:, 1:4] * M[:, 4:7]).sum(axis=1)
-    orthogonal = gram_ok & (norms % p == 0).all(axis=1)
+    norms = paige.ZornEngine(field).norm(M.transpose(0, 2, 1))  # of the columns
+    orthogonal = gram_ok & (norms == 0).all(axis=1)
     rotation = orthogonal & (rref_batch(field, M)[2] == 1)
     A = (I - M) % p
     P = rref_batch(field, A)[1]

@@ -1,35 +1,43 @@
-"""Construction of the norm-one loops M(q) and the Paige loops M*(q).
+"""Zorn vector-matrix arithmetic and the construction of the norm-one
+loops M(q) and the Paige loops M*(q).
 
+A Zorn matrix [a|alpha|beta|b] has scalar corners a, b and 3-vector
+off-diagonal entries alpha, beta.  The norm is the "determinant"
+ab - alpha.beta and multiplication mixes dot and cross products.
 Elements are rows of 8 field codes in the coordinate order
-(a, alpha1..alpha3, beta1..beta3, b).  The engine below runs the Zorn
-product on whole coordinate blocks at once, which keeps exhaustive
-enumeration (q <= 5), generator closures and the sum-of-two-units
-decomposition fast.  M*(q) elements are the
+(a, alpha1..alpha3, beta1..beta3, b).  ZornEngine, the one Zorn
+arithmetic, runs the product on whole coordinate blocks at once, which
+keeps exhaustive enumeration (q <= 5), generator closures and the
+sum-of-two-units decomposition fast; ZornMatrix is a single element, its
+arithmetic the engine's on one row.  M*(q) elements are the
 lexicographically smaller member of {x, -x} under the field's canonical
 element order, compared coordinate by coordinate from a to b.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import loops
-from .composition import ZornMatrix
 from .fields import (UsageError, field_of_order, prime_power, primitive_element,
                      rref_batch)
 from .loops import FiniteLoop
+from .permgrp import Perm
 
 _EXHAUSTIVE_Q = 5
 
 
 class ZornEngine:
-    """Vectorized Zorn-matrix arithmetic on (..., 8) arrays of field codes.
+    """Vectorized Zorn-matrix arithmetic on (..., 8) arrays of field codes,
+    the one Zorn arithmetic of the package.
 
-    Two fused product kernels: plain modular arithmetic for prime fields,
-    with one reduction per output coordinate in int32, which is what keeps
-    10^9-pair closures viable (int64 once sums of four products pass int32,
+    The product and the norm are each written once, over the ring
+    operations of _ring: plain integer arithmetic for prime fields, reduced
+    once per output coordinate in int32, which is what keeps 10^9-pair
+    closures viable (int64 once sums of four products pass int32,
     p > 23171); and gathers from the lookup tables that every extension
     field has, adding by GF.vadd.  Elementwise arithmetic is the field's.
     """
@@ -51,43 +59,32 @@ class ZornEngine:
         X = np.asarray(X)
         return [np.ascontiguousarray(X[..., i], dtype=self._work) for i in range(8)]
 
-    def mul(self, X, Y):
-        xa = self._cols(X)
-        ya = self._cols(Y)
-        a, b = xa[0], xa[7]
-        c, d = ya[0], ya[7]
-        al, be = xa[1:4], xa[4:7]
-        ga, de = ya[1:4], ya[4:7]
+    def _ring(self):
+        """(m, add, sub, done) on the columns of _cols: done(sum of products)
+        is the field element.  Sums are taken left to right, so at most
+        three temporaries are live per coordinate."""
+        F = self.field
         if self._prime:
-            p = self.field.p
-            top = (a * c + al[0] * de[0] + al[1] * de[1] + al[2] * de[2]) % p
-            bottom = (b * d + be[0] * ga[0] + be[1] * ga[1] + be[2] * ga[2]) % p
-            upper = [None] * 3
-            lower = [None] * 3
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                upper[i] = (a * ga[i] + d * al[i] - be[j] * de[k] + be[k] * de[j]) % p
-                lower[i] = (c * be[i] + b * de[i] + al[j] * ga[k] - al[k] * ga[j]) % p
-        else:
-            M, fadd, fneg = self.field.MUL, self.field.vadd, self.field.vneg
-            top = fadd(fadd(M[a, c], M[al[0], de[0]]),
-                       fadd(M[al[1], de[1]], M[al[2], de[2]]))
-            bottom = fadd(fadd(M[b, d], M[be[0], ga[0]]),
-                          fadd(M[be[1], ga[1]], M[be[2], ga[2]]))
-            upper = [None] * 3
-            lower = [None] * 3
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                upper[i] = fadd(fadd(M[a, ga[i]], M[d, al[i]]),
-                                fadd(fneg(M[be[j], de[k]]), M[be[k], de[j]]))
-                lower[i] = fadd(fadd(M[c, be[i]], M[b, de[i]]),
-                                fadd(M[al[j], ga[k]], fneg(M[al[k], ga[j]])))
-        out = np.empty(top.shape + (8,), dtype=np.int32)
-        out[..., 0] = top
+            return (np.multiply, np.add, np.subtract,
+                    lambda S: np.remainder(S, F.p, out=S))
+        return (lambda A, B: F.MUL[A, B]), F.vadd, F.vsub, lambda S: S
+
+    def mul(self, X, Y):
+        m, add, sub, done = self._ring()
+        x, y = self._cols(X), self._cols(Y)
+        a, al, be, b = x[0], x[1:4], x[4:7], x[7]
+        c, ga, de, d = y[0], y[1:4], y[4:7], y[7]
+        out = np.empty(np.broadcast_shapes(a.shape, c.shape) + (8,), dtype=np.int32)
+        out[..., 0] = done(add(add(add(m(a, c), m(al[0], de[0])),
+                                   m(al[1], de[1])), m(al[2], de[2])))
         for i in range(3):
-            out[..., 1 + i] = upper[i]
-            out[..., 4 + i] = lower[i]
-        out[..., 7] = bottom
+            j, k = (i + 1) % 3, (i + 2) % 3
+            out[..., 1 + i] = done(add(sub(add(m(a, ga[i]), m(d, al[i])),
+                                           m(be[j], de[k])), m(be[k], de[j])))
+            out[..., 4 + i] = done(sub(add(add(m(c, be[i]), m(b, de[i])),
+                                           m(al[j], ga[k])), m(al[k], ga[j])))
+        out[..., 7] = done(add(add(add(m(b, d), m(be[0], ga[0])),
+                                   m(be[1], ga[1])), m(be[2], ga[2])))
         return out
 
     def conj(self, X):
@@ -102,15 +99,11 @@ class ZornEngine:
         return self.field.vneg(X)
 
     def norm(self, X):
-        c = self._cols(X)
-        if self._prime:
-            return (c[0] * c[7] - c[1] * c[4] - c[2] * c[5] - c[3] * c[6]) \
-                % self.field.p
-        F = self.field
-        s = F.MUL[c[0], c[7]]
-        for i in (1, 2, 3):
-            s = F.vsub(s, F.MUL[c[i], c[i + 3]])
-        return s
+        """ab - alpha.beta of every row."""
+        m, _, sub, done = self._ring()
+        x = self._cols(X)
+        return done(sub(sub(sub(m(x[0], x[7]), m(x[1], x[4])),
+                            m(x[2], x[5])), m(x[3], x[6])))
 
     def _packable(self):
         if self._weights is None:
@@ -160,6 +153,93 @@ class ZornEngine:
         """Over GF(p), the int32 S in {-1, 0, 1} with (xy)_c = sum S[a, b, c] x_a y_b."""
         S = self.mul(np.eye(8, dtype=np.int32)[:, None], np.eye(8, dtype=np.int32))
         return S if self.field.p == 2 else (S + 1) % self.field.p - 1  # p - 1 to -1
+
+
+@dataclass(frozen=True)
+class ZornMatrix:
+    """Split octonion [a|alpha|beta|b] over a finite field: a value whose
+    product, norm (det) and conjugate are ZornEngine's on one row, and
+    whose sums and scalar multiples are the field's array operations."""
+
+    field: object
+    a: int
+    alpha: tuple
+    beta: tuple
+    b: int
+
+    def _same(self, other):
+        if self.field != other.field:
+            raise ValueError("mismatched scalar domains: %r vs %r"
+                             % (self.field, other.field))
+
+    def _row(self):
+        return np.array([self.coords()], dtype=np.int64)
+
+    def _of(self, rows):
+        return ZornMatrix.from_coords(self.field, rows[0].tolist())
+
+    def __mul__(self, other):
+        self._same(other)
+        return self._of(ZornEngine(self.field).mul(self._row(), other._row()))
+
+    def __add__(self, other):
+        self._same(other)
+        return self._of(self.field.vadd(self._row(), other._row()))
+
+    def __sub__(self, other):
+        self._same(other)
+        return self._of(self.field.vsub(self._row(), other._row()))
+
+    def __neg__(self):
+        return self._of(self.field.vneg(self._row()))
+
+    def scalar_mul(self, lam):
+        return self._of(self.field.vmul(lam, self._row()))
+
+    def conjugate(self):
+        """[a|alpha|beta|b] -> [b|-alpha|-beta|a]."""
+        return self._of(ZornEngine(self.field).conj(self._row()))
+
+    def det(self):
+        """The norm ab - alpha.beta."""
+        return int(ZornEngine(self.field).norm(self._row())[0])
+
+    def coords(self):
+        """(x0..x7) = (a, alpha, beta, b)."""
+        return (self.a,) + self.alpha + self.beta + (self.b,)
+
+    def text(self):
+        f = self.field.format_element
+        return "[%s|%s|%s|%s]" % (f(self.a),
+                                  ",".join(f(c) for c in self.alpha),
+                                  ",".join(f(c) for c in self.beta),
+                                  f(self.b))
+
+    @classmethod
+    def parse(cls, field, s):
+        """Read [a|a1,a2,a3|b1,b2,b3|b]; malformed text raises UsageError."""
+        body = s.strip()
+        parts = body[1:-1].split("|")
+        if body.startswith("[") and body.endswith("]") and len(parts) == 4:
+            pe = field.parse_element
+            try:
+                alpha = tuple(pe(c) for c in parts[1].split(","))
+                beta = tuple(pe(c) for c in parts[2].split(","))
+                if len(alpha) == 3 and len(beta) == 3:
+                    return cls(field, pe(parts[0]), alpha, beta, pe(parts[3]))
+            except ValueError:
+                pass
+        raise UsageError("bad Zorn matrix text %r" % (s,))
+
+    @classmethod
+    def from_coords(cls, field, c):
+        c = tuple(c)
+        return cls(field, c[0], c[1:4], c[4:7], c[7])
+
+    @classmethod
+    def unit(cls, field):
+        z, o = field.zero, field.one
+        return cls(field, o, (z, z, z), (z, z, z), o)
 
 
 # Bytes per row for decompose_batch plus the cli's verdict on its result:
@@ -481,7 +561,6 @@ def frobenius_perm(loop):
     out = field.vpow(backend.coords, field.p)
     if backend.quotient:
         out = backend.engine.canon(out)
-    from .permgrp import Perm
     return Perm(backend.lookup(backend.engine.pack(out)))
 
 

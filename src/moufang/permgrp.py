@@ -344,16 +344,6 @@ class PermGroup:
         return "PermGroup(degree=%d, gens=%d)" % (self.degree, len(self.gens))
 
 
-def schreier_sims(generators):
-    """Stabilizer chain for the group generated by the given permutations."""
-    if not generators:
-        raise ValueError("need at least the degree; pass [Perm.identity(n)]")
-    degree = generators[0].degree
-    grp = PermGroup(degree, generators)
-    grp._chain()
-    return grp
-
-
 def homomorphism_kernel(group, images):
     """Kernel of the homomorphism sending group.gens[i] -> images[i].
 

@@ -567,10 +567,6 @@ class TrialityNet3:
         return sum(len(c) for c in self.classes)
 
 
-def net_from_triality(witness):
-    return TrialityNet3(witness)
-
-
 # ---------------------------------------------------------------------------
 # coordinate loops of arbitrary nets
 

@@ -3,7 +3,41 @@ import pytest
 
 from moufang import loops, paige
 from moufang.fields import field_make
+from moufang.paige import ZornMatrix
 from moufang.permgrp import Perm, PermGroup
+
+
+def _dot(F, u, v):
+    return F.add(F.add(F.mul(u[0], v[0]), F.mul(u[1], v[1])), F.mul(u[2], v[2]))
+
+
+def zorn_mul_oracle(x, y):
+    """Independent component-wise evaluation of the product formula, on the
+    field's scalar operations."""
+    F = x.field
+    a, al, be, b = x.a, x.alpha, x.beta, x.b
+    c, ga, de, d = y.a, y.alpha, y.beta, y.b
+
+    def cross(u, v):
+        return (F.sub(F.mul(u[1], v[2]), F.mul(u[2], v[1])),
+                F.sub(F.mul(u[2], v[0]), F.mul(u[0], v[2])),
+                F.sub(F.mul(u[0], v[1]), F.mul(u[1], v[0])))
+
+    top = F.add(F.mul(a, c), _dot(F, al, de))
+    cr1 = cross(be, de)
+    upper = tuple(F.sub(F.add(F.mul(a, ga[i]), F.mul(d, al[i])), cr1[i])
+                  for i in range(3))
+    cr2 = cross(al, ga)
+    lower = tuple(F.add(F.add(F.mul(c, be[i]), F.mul(b, de[i])), cr2[i])
+                  for i in range(3))
+    bottom = F.add(_dot(F, be, ga), F.mul(b, d))
+    return ZornMatrix(F, top, upper, lower, bottom)
+
+
+def zorn_norm_oracle(x):
+    """ab - alpha.beta on the field's scalar operations."""
+    F = x.field
+    return F.sub(F.mul(x.a, x.b), _dot(F, x.alpha, x.beta))
 
 
 @pytest.fixture(scope="session")

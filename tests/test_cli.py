@@ -66,6 +66,9 @@ def test_usage_errors(capsys):
                  ["paige-order"],
                  ["spinor-check", "--q", "3", "--samples", "0"],
                  ["decompose", "--q", "3", "--exhaustive", "--samples", "5"],
+                 ["decompose", "--q", "3", "--x", "[1|0,0,0|0,0,0|1]", "--exhaustive"],
+                 ["decompose", "--q", "3", "--x", "[1|0,0,0|0,0,0|1]", "--samples", "5"],
+                 ["decompose", "--q", "3", "--field", "gf(5)"],
                  ["simple-check", "--loop", "M*(2)", "--elements", "500"],
                  ["simple-check", "--loop", "M*(2)", "--elements", "ten"],
                  ["spinor-check", "--q", "7"],
@@ -284,6 +287,12 @@ def test_export_and_iso_roundtrip(tmp_path):
     assert rep2.status == 0 and d["isomorphic"] == "yes"
     rep3 = run(["iso-check", "--left", "Z(4)", "--right", "Z(6)"])
     assert lines_dict(rep3)["isomorphic"] == "no"
+
+
+def test_iso_check_trivial_loop():
+    rep = run(["iso-check", "--left", "Z(1)", "--right", "Z(1)"])
+    assert rep.status == 0
+    assert rep.lines == ["left=Z(1)", "right=Z(1)", "isomorphic=yes", "verified=yes"]
 
 
 def test_aut_count_small():

@@ -4,35 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import zorn_mul_oracle, zorn_norm_oracle
 from moufang.composition import (QQ, ZornMatrix, bilinear, bilinear_polarization,
-                                 cd_double, conjugate, decompose_sum_two_units,
-                                 scalar_algebra, zorn_mul, zorn_norm)
-from moufang.fields import UsageError, field_make
-
-
-def zorn_mul_oracle(x, y):
-    """Independent component-wise evaluation of the product formula."""
-    F = x.field
-    a, al, be, b = x.a, x.alpha, x.beta, x.b
-    c, ga, de, d = y.a, y.alpha, y.beta, y.b
-
-    def dot(u, v):
-        return F.add(F.add(F.mul(u[0], v[0]), F.mul(u[1], v[1])), F.mul(u[2], v[2]))
-
-    def cross(u, v):
-        return (F.sub(F.mul(u[1], v[2]), F.mul(u[2], v[1])),
-                F.sub(F.mul(u[2], v[0]), F.mul(u[0], v[2])),
-                F.sub(F.mul(u[0], v[1]), F.mul(u[1], v[0])))
-
-    top = F.add(F.mul(a, c), dot(al, de))
-    cr1 = cross(be, de)
-    upper = tuple(F.sub(F.add(F.mul(a, ga[i]), F.mul(d, al[i])), cr1[i])
-                  for i in range(3))
-    cr2 = cross(al, ga)
-    lower = tuple(F.add(F.add(F.mul(c, be[i]), F.mul(b, de[i])), cr2[i])
-                  for i in range(3))
-    bottom = F.add(dot(be, ga), F.mul(b, d))
-    return ZornMatrix(F, top, upper, lower, bottom)
+                                 cd_double, decompose_sum_two_units, scalar_algebra)
+from moufang.fields import UsageError, field_make, field_of_order
+from moufang.paige import ZornEngine
 
 
 def random_zorn(field, rng):
@@ -48,11 +24,12 @@ def test_zorn_mul_hand_example(gf2):
     assert z == zorn_mul_oracle(x, y)
 
 
-def test_zorn_mul_matches_oracle_random(gf3, gf5, gf7, rng):
-    for f in (gf3, gf5, gf7):
+def test_zorn_mul_matches_oracle_random(gf3, gf5, gf7, gf4, rng):
+    for f in (gf3, gf5, gf7, gf4, field_of_order(8), field_of_order(9)):
         for _ in range(150):
             x, y = random_zorn(f, rng), random_zorn(f, rng)
             assert (x * y) == zorn_mul_oracle(x, y)
+            assert x.det() == zorn_norm_oracle(x)
 
 
 def test_unit_is_neutral_exhaustive_gf2(gf2):
@@ -87,8 +64,6 @@ def test_norm_multiplicative(gf3, gf5, rng):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_composition_law_bulk(q):
     # det(xy) = det(x) det(y) on 10^5 random pairs per field, q <= 9
-    from moufang.fields import field_of_order
-    from moufang.paige import ZornEngine
     f = field_of_order(q)
     eng = ZornEngine(f)
     rng = np.random.default_rng(0x5EED + q)
@@ -101,13 +76,13 @@ def test_composition_law_bulk(q):
 
 def test_conjugate_examples(gf5, rng):
     e = ZornMatrix.unit(gf5)
-    assert conjugate(e) == e
+    assert e.conjugate() == e
     for _ in range(50):
         x = random_zorn(gf5, rng)
-        assert conjugate(conjugate(x)) == x
+        assert x.conjugate().conjugate() == x
         # oracle: conj(x) = <x,e> e - x
         tr = bilinear_polarization(x, e)
-        assert x + conjugate(x) == e.scalar_mul(tr)
+        assert x + x.conjugate() == e.scalar_mul(tr)
         assert tr == gf5.add(x.a, x.b)
 
 
@@ -134,7 +109,7 @@ def test_quadratic_rank_equation(gf5, rng):
     for _ in range(80):
         x = random_zorn(gf5, rng)
         lhs = (x * x) - x.scalar_mul(bilinear(x, e)) + e.scalar_mul(x.det())
-        assert lhs.is_zero()
+        assert lhs == ZornMatrix.from_coords(gf5, [0] * 8)
 
 
 def test_alternative_and_moufang_laws(gf3, gf5, rng):
@@ -240,7 +215,7 @@ def test_cd_over_rationals():
 
 
 def test_decompose_zero_gf3_explicit_split(gf3):
-    x = ZornMatrix.zero_elem(gf3)
+    x = ZornMatrix.from_coords(gf3, [0] * 8)
     u, v = decompose_sum_two_units(x)
     assert u == ZornMatrix(gf3, 0, (1, 0, 0), (2, 0, 0), 0)
     assert v == ZornMatrix(gf3, 0, (2, 0, 0), (1, 0, 0), 0)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from moufang.fields import (BUILTIN_MODULI, GF, UsageError, field_make, field_of_order,
-                            inv, is_square, parse_field_spec, prime_power,
-                            primitive_element, rref)
+                            parse_field_spec, prime_power, primitive_element, rref)
 
 
 def brute_irreducible(coeffs, p):
@@ -69,7 +68,7 @@ def test_field_make_errors():
 @pytest.mark.parametrize("p,x,want", [(7, 3, 5), (2, 1, 1)])
 def test_inv_prime(p, x, want):
     f = field_make(p)
-    assert inv(f, x) == want
+    assert f.inv(x) == want
     assert f.mul(x, f.inv(x)) == 1
 
 
@@ -105,7 +104,7 @@ def test_inv_zero_raises(gf7):
 def test_is_square_gf7_by_exhaustion(gf7):
     squares = sorted({gf7.mul(x, x) for x in range(1, 7)})
     assert 2 in squares and 3 not in squares
-    assert is_square(gf7, 2) and not is_square(gf7, 3)
+    assert gf7.is_square(2) and not gf7.is_square(3)
 
 
 def test_is_square_char2_always(gf4):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import zorn_mul_oracle
 from moufang import paige
 from moufang.composition import ZornMatrix, bilinear
 from moufang.fields import field_make, field_of_order
@@ -287,9 +288,13 @@ def test_operator_matrices_match_scalar(q, side):
     field = field_of_order(q)
     units = seeded_units(field)
     stack = operator_matrices(field, units, side)
+    basis = [ZornMatrix.from_coords(field, e) for e in np.eye(8, dtype=int).tolist()]
     for M, row in zip(stack, units):
         a = ZornMatrix.from_coords(field, [int(c) for c in row])
         assert np.array_equal(M, mult_operator_matrix(a, side))
+        # column j is a e_j resp. e_j a, by the scalar oracle
+        assert M.T.tolist() == [list((zorn_mul_oracle(a, e) if side == "left" else
+                                      zorn_mul_oracle(e, a)).coords()) for e in basis]
     orthogonal, rotation, square = assert_verdicts_match_scalar(field, stack)
     assert orthogonal.all() and rotation.all() and square.all()
 

@@ -10,12 +10,11 @@ from moufang.loops import cyclic_loop, find_isomorphism
 from moufang.permgrp import Perm, PermGroup
 from moufang.triality import (HORIZONTAL, TRANSVERSAL, VERTICAL, LoopNet3,
                               NetAxiomError, NotACollineationError,
-                              TrialityWitness, all_bol_reflections,
+                              TrialityNet3, TrialityWitness, all_bol_reflections,
                               bol_reflection, collineation_from_point_map,
                               coordinate_loop, diagonal_point_map,
                               example_phi, example_vector, example_wreath,
-                              net_from_triality, triality_check,
-                              triality_group_from_loop)
+                              triality_check, triality_group_from_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +541,7 @@ def test_triality_violation_detected_and_net_fails():
     assert not ok and details["routes_agree"] and details["mode"] == "exhaustive"
     w = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
     with pytest.raises(NetAxiomError):
-        net_from_triality(w)
+        TrialityNet3(w)
 
 
 def _triality_identity_holds(g, sigma, rho):
@@ -662,7 +661,7 @@ def test_sampled_check_peak_stays_in_its_chunks(m2, monkeypatch):
 def test_net_from_wreath_z3():
     A = PermGroup(3, [Perm([1, 2, 0])])
     w = example_wreath(A)
-    net = net_from_triality(w)
+    net = TrialityNet3(w)
     assert net.n_points == len(net.classes[0]) * len(net.classes[1])
     cl = coordinate_loop(net, origin=0)
     assert find_isomorphism(cl, cyclic_loop(3)) is not None
@@ -670,14 +669,14 @@ def test_net_from_wreath_z3():
 
 def test_net_round_trip_z3():
     w = triality_group_from_loop(cyclic_loop(3))
-    net = net_from_triality(w)
+    net = TrialityNet3(w)
     cl = coordinate_loop(net, origin=0)
     assert find_isomorphism(cl, cyclic_loop(3)) is not None
 
 
 def test_net_round_trip_s3(s3_loop):
     w = triality_group_from_loop(s3_loop)
-    net = net_from_triality(w)
+    net = TrialityNet3(w)
     cl = coordinate_loop(net, origin=0)
     assert find_isomorphism(cl, s3_loop) is not None
 
@@ -697,7 +696,7 @@ def test_example_wreath_groups(s3_group):
 def test_example_wreath_z5_coordinate_loop():
     A = PermGroup(5, [Perm([1, 2, 3, 4, 0])])
     w = example_wreath(A)
-    net = net_from_triality(w)
+    net = TrialityNet3(w)
     cl = coordinate_loop(net, origin=0)
     assert find_isomorphism(cl, cyclic_loop(5)) is not None
 
