@@ -6,36 +6,43 @@ An element is a row of 8 ints, twice its coordinates over the basis
 (1, i, j, k, e, ie, je, ke), so the half-integers of the lattice are exact
 and the norm of x is sum(c*c for c in x) / 4; single elements are tuples,
 batches (N, 8) int64 arrays.  The multiplication is the doubling
-construction applied three times from the rationals with parameter -1
-(``cd_double`` over ``QQ``); its 64 nonzero structure constants are read off
-the basis products on first use into an (8*8, 8) tensor, and every product
-then runs on arrays of ints, a whole batch per call."""
+construction applied three times from the integers with parameter -1
+(``cd_double`` over ``_ZZ``: every structure constant is an integer, so no
+fraction is needed); its 64 nonzero structure constants are read off the
+basis products on first use into an (8*8, 8) tensor, and every product then
+runs on arrays of ints, a whole batch per call."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
-from .composition import QQ, cd_double, scalar_algebra
+from .composition import cd_double, scalar_algebra
 from .loops import (ClosureCapExceeded, FiniteLoop, closure, closure_indices,
                     find_isomorphism, lex_unique, positions)
 from . import paige
+
+
+# The integers, with the scalar operations cd_double uses.
+_ZZ = SimpleNamespace(zero=0, one=1, add=operator.add, sub=operator.sub,
+                      mul=operator.mul, neg=operator.neg, is_zero=operator.not_)
 
 
 @lru_cache(maxsize=None)
 def _structure_constants():
     """The (64, 8) tensor C with e_i e_j = sum_k C[8 i + j, k] e_k; each row
     holds one entry +-1."""
-    algebra = scalar_algebra(QQ)
+    algebra = scalar_algebra(_ZZ)
     for _ in range(3):
-        algebra = cd_double(algebra, Fraction(-1))
-    basis = [tuple(Fraction(int(a == b)) for b in range(8)) for a in range(8)]
+        algebra = cd_double(algebra, -1)
+    basis = [tuple(int(a == b) for b in range(8)) for a in range(8)]
     products = [algebra.mul(basis[i], basis[j]) for i in range(8) for j in range(8)]
     if any(sorted(map(abs, p)) != [0] * 7 + [1] for p in products):
         raise AssertionError("octonion basis products are not signed basis units")
-    return np.array([[int(c) for c in p] for p in products], dtype=np.int64)
+    return np.array(products, dtype=np.int64)
 
 
 # Coordinates past this bound could overflow the int64 sums of products.

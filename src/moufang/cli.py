@@ -11,19 +11,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import cayley, loops, paige, triality
-from .composition import ZornMatrix, decompose_sum_two_units
-from .fields import (UsageError, field_make, field_of_order, parse_field_spec,
-                     prime_power)
-from .loops import SAMPLE_SEED
+# A command line is one process, most of it start-up, so importing this
+# module loads fields, paige and orthogonal only: each handler imports the
+# other modules it runs, and run() builds the parser of its one command.
+from . import fields, paige
+from .fields import (SAMPLE_SEED, UsageError, field_make, field_of_order,
+                     moufang_mode, parse_field_spec, prime_power)
 # mat_det is unused here but stays bound: perfbench/tests checks that the
 # tracer wraps this module's from-import bindings, mat_det among them.
 from .orthogonal import (UNIT_BYTES, is_rotation, mat_det,  # noqa: F401
-                         mult_operator_matrix, operator_matrices, spinor_norm,
-                         spinor_verdicts)
-from .permgrp import Perm, PermGroup
-
-_S3 = PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
+                         mult_operator_matrix, operator_closed_form,
+                         operator_matrices, spinor_norm, spinor_verdicts)
+from .paige import ZornMatrix
 
 # The most elements decompose --exhaustive splits: q <= 8 run (q = 7 in
 # 7 s, q = 8 in 27 s on a 2-core x86 host), q >= 9 are refused up front
@@ -87,9 +86,16 @@ def _parse_spec(spec):
                      "integral or file:PATH" % (spec,))
 
 
+def _s3():
+    """S3 on three points, generated by two transpositions."""
+    from .permgrp import Perm, PermGroup
+    return PermGroup(3, [Perm([1, 0, 2]), Perm([0, 2, 1])])
+
+
 def _build_loop(kind, arg):
     """The loop of a parsed spec; an M(q) or M*(q) whose tables would not
     fit the memory budget is refused by its name before it is enumerated."""
+    from . import loops
     if kind == "M*":
         return paige.paige_loop(arg)
     if kind == "M":
@@ -97,8 +103,9 @@ def _build_loop(kind, arg):
     if kind == "Z":
         return loops.cyclic_loop(arg)
     if kind == "S3":
-        return loops.loop_from_perm_group(_S3)
+        return loops.loop_from_perm_group(_s3())
     if kind == "integral":
+        from . import cayley
         return cayley.quotient_mod_sign()
     return loops.read_table(arg)
 
@@ -117,19 +124,35 @@ def _table_spec(spec, *checks):
     M*(q) whose tables, or what the further checks price from its order,
     would not fit the memory budget is refused by its name, from the order
     formula, before anything is enumerated."""
+    from .loops import require_table_fits
     kind, arg = _parse_spec(spec)
     n = _formula_order(kind, arg)
     if n is not None:
-        for check in (loops.require_table_fits,) + checks:
+        for check in (require_table_fits,) + checks:
             check(n)
     return kind, arg
 
 
-def _build_parser():
+class _Skipped:
+    """Stands in for the subparser of a command that is not being parsed."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    def add_mutually_exclusive_group(self):
+        return self
+
+
+def _build_parser(only=None):
+    """The parser of every command, or, given a command name, of that one
+    command alone: its help and its errors are the full parser's, and the
+    other fourteen subparsers are not built."""
     top = _Parser(prog="moufang", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def add(name, **kw):
+        if only not in (None, name):
+            return _Skipped()
         p = sub.add_parser(name, **kw)
         p.add_argument("--seed", type=lambda s: int(s, 0), default=SAMPLE_SEED)
         return p
@@ -188,7 +211,7 @@ def _build_parser():
                         "net-z3 | net-s3 | net-paige2")
     p.add_argument("--samples", type=positive_count, default=1000)
 
-    p = add("cayley-units", help="integral Cayley units and the M*(2) certificate")
+    add("cayley-units", help="integral Cayley units and the M*(2) certificate")
 
     p = add("iso-check", help="isomorphism search between two loops")
     p.add_argument("--left", required=True)
@@ -222,6 +245,7 @@ def _cmd_paige_order(args, rep):
 
 
 def _cmd_paige_build(args, rep):
+    from . import loops
     loop = paige.paige_loop(args.q)
     rep.add("q", args.q)
     rep.add("size", loop.n)
@@ -232,6 +256,7 @@ def _cmd_paige_build(args, rep):
 
 
 def _cmd_mlt_order(args, rep):
+    from . import loops
     kind, q = _table_spec(args.loop)
     loop = _build_loop(kind, q)
     _progress("building translation generators and the stabilizer chain...")
@@ -256,6 +281,7 @@ def _cmd_mlt_order(args, rep):
 
 
 def _cmd_simple_check(args, rep):
+    from . import loops
     k = args.elements
     loop = _build_loop(*_table_spec(args.loop))
     others = [x for x in range(loop.n) if x != loop.neutral]
@@ -287,7 +313,7 @@ def _cmd_moufang_check(args, rep):
     kind, arg = _parse_spec(args.loop)
     rep.add("loop", args.loop)
     n = _formula_order(kind, arg)
-    if n is not None and loops.moufang_mode(n, args.samples) != "exhaustive":
+    if n is not None and moufang_mode(n, args.samples) != "exhaustive":
         # settled on the whole algebra, --samples unused; a failing row is
         # an arithmetic fault
         paige.moufang_certificate(field_of_order(arg))
@@ -295,11 +321,12 @@ def _cmd_moufang_check(args, rep):
         rep.add("mode", "certified")
         witness = paige.associativity_witness(arg, quotient=kind == "M*")
     else:
+        from . import loops
         loop = _build_loop(kind, arg)
         viol = loops.moufang_violation(loop, samples=args.samples, seed=args.seed)
         if viol is None:
             rep.add("moufang", "yes")
-            rep.add("mode", loops.moufang_mode(loop.n, args.samples))
+            rep.add("mode", moufang_mode(loop.n, args.samples))
         else:
             rep.fail("moufang", "no")
             rep.add("witness", "(%s,%s,%s)" % tuple(loop.labels[i] for i in viol))
@@ -326,16 +353,17 @@ def _cmd_generators_check(args, rep):
 
 
 def _cmd_decompose(args, rep):
+    from .composition import decompose_sum_two_units
     if args.field:
         field = parse_field_spec(args.field)
     elif args.q is not None:
         field = field_of_order(args.q)
     else:
         raise UsageError("need --q or --field")
-    eng = paige.ZornEngine(field)
+    eng = paige.ZornEngine.of(field)
     q = field.q
     rep.add("q", q)
-    chunk = loops.MEMORY_BUDGET // paige.DECOMPOSE_ROW_BYTES
+    chunk = fields.MEMORY_BUDGET // paige.DECOMPOSE_ROW_BYTES
     if args.x:
         pool = [np.array([ZornMatrix.parse(field, args.x).coords()], dtype=np.int64)]
     elif args.exhaustive:
@@ -396,7 +424,7 @@ def _cmd_spinor_check(args, rep):
         rng = np.random.default_rng(args.seed)
         picks = rng.integers(len(coords), size=args.samples)
         mode = "sampled:%d" % args.samples
-    chunk = loops.MEMORY_BUDGET // UNIT_BYTES
+    chunk = fields.MEMORY_BUDGET // UNIT_BYTES
     witness = None
     for start in range(0, len(picks), chunk):
         units = coords[picks[start:start + chunk]]
@@ -405,10 +433,13 @@ def _cmd_spinor_check(args, rep):
             M = operator_matrices(field, units, side)
             _, rotation, square = verdicts[side] = spinor_verdicts(field, M)
             if start == 0:  # the first unit once more, on the scalar path
-                S = mult_operator_matrix(ZornMatrix.from_coords(
-                    field, [int(c) for c in units[0]]), side)
+                a = ZornMatrix.from_coords(field, [int(c) for c in units[0]])
+                if not np.array_equal(M[0], operator_closed_form(a, side)):
+                    raise AssertionError("the %s operator matrix of %s is not "
+                                         "its closed form" % (side, a.text()))
+                S = mult_operator_matrix(a, side)
                 rot = is_rotation(field, S)
-                if not (np.array_equal(S, M[0]) and rot == rotation[0] and
+                if not (rot == rotation[0] and
                         (rot and spinor_norm(field, S).in_omega) == square[0]):
                     raise AssertionError("batched and scalar spinor verdicts "
                                          "disagree on the %s operator" % side)
@@ -432,6 +463,7 @@ def _cmd_spinor_check(args, rep):
 
 
 def _cmd_net_build(args, rep):
+    from . import triality
     loop = _build_loop(*_table_spec(args.loop))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
@@ -441,6 +473,7 @@ def _cmd_net_build(args, rep):
 
 
 def _cmd_bol_check(args, rep):
+    from . import triality
     loop = _build_loop(*_table_spec(args.loop, triality.require_reflections_fit))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)
@@ -481,10 +514,12 @@ def _cmd_bol_check(args, rep):
 
 
 def _cmd_triality_check(args, rep):
+    from . import triality
+    from .permgrp import Perm, PermGroup
     case = args.case
     rep.add("case", case)
     if case == "wreath-s3":
-        w = triality.example_wreath(_S3, seed=args.seed)
+        w = triality.example_wreath(_s3(), seed=args.seed)
     elif case == "vector-gf5":
         w = triality.example_vector(field_make(5), seed=args.seed)
     elif case == "vector-gf2":
@@ -519,6 +554,7 @@ def _cmd_triality_check(args, rep):
 
 
 def _cmd_cayley_units(args, rep):
+    from . import cayley
     _progress("closing the unit integral octonions...")
     els = cayley.generate_unit_integrals()
     rep.add("units", len(els))
@@ -535,6 +571,7 @@ def _cmd_cayley_units(args, rep):
 
 
 def _cmd_iso_check(args, rep):
+    from . import loops
     left, right = [_table_spec(spec) for spec in (args.left, args.right)]
     left, right = _build_loop(*left), _build_loop(*right)
     rep.add("left", args.left)
@@ -551,6 +588,7 @@ def _cmd_iso_check(args, rep):
 
 
 def _cmd_aut_count(args, rep):
+    from . import loops, triality
     loop = _build_loop(*_table_spec(args.loop))
     rep.add("loop", args.loop)
     group = loops.automorphisms(loop)
@@ -578,6 +616,7 @@ def _cmd_aut_count(args, rep):
 
 
 def _cmd_export_table(args, rep):
+    from . import loops
     loop = _build_loop(*_table_spec(args.loop))
     loops.write_table(loop, args.out)
     rep.add("loop", args.loop)
@@ -612,7 +651,8 @@ def run(argv):
     Either way stdout stays empty."""
     rep = CommandReport(command="moufang " + " ".join(argv))
     try:
-        args = _build_parser().parse_args(argv)
+        command = argv[0] if argv and argv[0] in _HANDLERS else None
+        args = _build_parser(command).parse_args(argv)
         _HANDLERS[args.cmd](args, rep)
     except SystemExit:  # --help: argparse printed the text, status 0
         pass

@@ -9,40 +9,8 @@ here from paige, is its one-row value type.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import rref
 from .paige import ZornMatrix
-
-
-class Rationals:
-    """The exact rational field, with the scalar operations cd_double uses."""
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-
-QQ = Rationals()
 
 
 def dot3(field, u, v):

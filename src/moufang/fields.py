@@ -37,6 +37,23 @@ class UsageError(ValueError):
     the one cause of the command line's exit status 2."""
 
 
+# Bytes a single structure may hold.  Fixed rather than read from the
+# machine, so every verdict and every refusal is the same everywhere.  It
+# lives in this base module so that every layer reads the one budget,
+# looked up at call time, without importing the loop engine.
+MEMORY_BUDGET = 2 ** 27
+SAMPLE_SEED = 0x5EED
+_IDENTITY_SAMPLE_LIMIT = 512  # exhaustive identity checks up to this size
+
+
+def moufang_mode(n, samples):
+    """How loops.moufang_violation checks an n-element loop: "exhaustive"
+    up to _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
+    if n <= _IDENTITY_SAMPLE_LIMIT:
+        return "exhaustive"
+    return "sampled:%d" % samples
+
+
 def is_prime(n):
     if n < 2:
         return False

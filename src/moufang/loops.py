@@ -3,8 +3,8 @@ mapping groups, characteristic subloops, normality tests and normal closures,
 Moufang/autotopism checks, isomorphism search and automorphism groups.
 
 A loop is its Cayley table: FiniteLoop holds a validated table, and a loop
-whose table and two division tables would not fit MEMORY_BUDGET is refused
-when it is constructed.  Element indices are the only currency here;
+whose table and two division tables would not fit fields.MEMORY_BUDGET is
+refused when it is constructed.  Element indices are the only currency here;
 labels are carried for printing and file round-trips.
 """
 
@@ -14,20 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import UsageError
+from . import fields
+from .fields import SAMPLE_SEED, UsageError, moufang_mode
 from .permgrp import Perm, PermGroup
-
-# Bytes a single loop structure may hold.  Fixed rather than read from the
-# machine, so every verdict and every refusal is the same everywhere.
-MEMORY_BUDGET = 2 ** 27
-SAMPLE_SEED = 0x5EED
-_IDENTITY_SAMPLE_LIMIT = 512  # exhaustive identity checks up to this size
 
 
 def table_fits(n):
     """Whether a Cayley table and its two division tables, 3 n^2 int32
-    cells, fit MEMORY_BUDGET (n <= 3344)."""
-    return 12 * n * n <= MEMORY_BUDGET
+    cells, fit fields.MEMORY_BUDGET (n <= 3344)."""
+    return 12 * n * n <= fields.MEMORY_BUDGET
 
 
 def require_table_fits(n):
@@ -35,7 +30,7 @@ def require_table_fits(n):
     if not table_fits(n):
         raise UsageError("needs table mode: the tables of a %d-element loop "
                          "take %d bytes, past the %d-byte memory budget"
-                         % (n, 12 * n * n, MEMORY_BUDGET))
+                         % (n, 12 * n * n, fields.MEMORY_BUDGET))
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -148,13 +143,13 @@ class FiniteLoop:
 # Bytes a chunk of the generic closure allots each pair, per coordinate of
 # an element: its two operand rows, the product and mult's
 # temporaries (tracemalloc peak: about 90 with cayley.mul_batch).  Chunks
-# get a sixteenth of MEMORY_BUDGET.
+# get a sixteenth of fields.MEMORY_BUDGET.
 _CLOSURE_PAIR_BYTES = 128
 
 
 def closure_chunk(width):
     """Pairs per mult call of closure, for elements of width coordinates."""
-    return max(1, MEMORY_BUDGET // 16 // (_CLOSURE_PAIR_BYTES * width))
+    return max(1, fields.MEMORY_BUDGET // 16 // (_CLOSURE_PAIR_BYTES * width))
 
 
 def lex_unique(A):
@@ -415,18 +410,10 @@ def normal_closure(loop, seed_elems):
 # identities
 
 
-def moufang_mode(n, samples):
-    """How moufang_violation checks an n-element loop: "exhaustive" up to
-    _IDENTITY_SAMPLE_LIMIT elements, else "sampled:k"."""
-    if n <= _IDENTITY_SAMPLE_LIMIT:
-        return "exhaustive"
-    return "sampled:%d" % samples
-
-
 # Bytes a sampled Moufang check allots each triple: three int64 draws, the
 # int32 products on both sides and their comparison (tracemalloc peak: 36
 # per triple at 500000 triples of M*(3), 44 at 100000).  A chunk holds
-# MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES = 524288 triples, so 100000
+# fields.MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES = 524288 triples, so 100000
 # samples are one chunk.
 _MOUFANG_SAMPLE_BYTES = 256
 
@@ -447,7 +434,7 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
                 return (x,) + divmod(int(bad.argmax()), n)
         return None
     rng = np.random.default_rng(seed)
-    chunk = MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES
+    chunk = fields.MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)
         X = rng.integers(n, size=size)

@@ -96,6 +96,17 @@ def left_matrix_closed_form(a):
     return np.array(rows, dtype=np.int64)
 
 
+def operator_closed_form(a, side="left"):
+    """The matrix of y -> a*y (left) or y -> y*a (right) without the Zorn
+    product: left_matrix_closed_form(a), and C L_conj(a) C for the right
+    operator, C = conjugation_matrix, since y a = conj(conj(a) conj(y)).
+    The independent check of operator_matrices."""
+    if side == "left":
+        return left_matrix_closed_form(a)
+    F, C = a.field, conjugation_matrix(a.field)
+    return mat_mul(F, mat_mul(F, C, left_matrix_closed_form(a.conjugate())), C)
+
+
 def conjugation_matrix(field):
     """Matrix of x -> conj(x)."""
     C = np.zeros((8, 8), dtype=np.int64)
@@ -120,7 +131,7 @@ def is_orthogonal(field, M):
         return False
     # every basis vector is isotropic in this frame, so each column M e_j
     # must have norm 0
-    return not paige.ZornEngine(field).norm(np.asarray(M).T).any()
+    return not paige.ZornEngine.of(field).norm(np.asarray(M).T).any()
 
 
 def is_rotation(field, M):
@@ -182,7 +193,7 @@ def operator_matrices(field, coords, side="left"):
     """(N, 8, 8) stack of the matrices of y -> a*y (left) or y -> y*a
     (right) for the (N, 8) Zorn coordinates a: column j holds a e_j resp.
     e_j a."""
-    eng = paige.ZornEngine(field)
+    eng = paige.ZornEngine.of(field)
     X = np.repeat(np.asarray(coords)[:, None, :], 8, axis=1)  # row j: a
     E = np.broadcast_to(field.one * np.eye(8, dtype=np.int64), X.shape)
     prods = eng.mul(X, E) if side == "left" else eng.mul(E, X)  # row j: a e_j
@@ -204,7 +215,7 @@ def spinor_verdicts(field, M):
     p, I, J = field.p, np.eye(8, dtype=np.int64), j_matrix(field)
     M = np.asarray(M, dtype=np.int64) % p
     gram_ok = ((M.transpose(0, 2, 1) @ J @ M) % p == J).all(axis=(1, 2))
-    norms = paige.ZornEngine(field).norm(M.transpose(0, 2, 1))  # of the columns
+    norms = paige.ZornEngine.of(field).norm(M.transpose(0, 2, 1))  # of the columns
     orthogonal = gram_ok & (norms == 0).all(axis=1)
     rotation = orthogonal & (rref_batch(field, M)[2] == 1)
     A = (I - M) % p

@@ -21,11 +21,12 @@ from functools import reduce
 
 import numpy as np
 
-from . import loops
+# The loop layer (loops, permgrp) is imported by the few functions that
+# build a loop or a permutation, so a command that computes in the Zorn
+# algebra alone does not load it.
+from . import fields
 from .fields import (UsageError, field_of_order, prime_power, primitive_element,
                      rref_batch)
-from .loops import FiniteLoop
-from .permgrp import Perm
 
 _EXHAUSTIVE_Q = 5
 
@@ -40,7 +41,18 @@ class ZornEngine:
     closures viable (int64 once sums of four products pass int32,
     p > 23171); and gathers from the lookup tables that every extension
     field has, adding by GF.vadd.  Elementwise arithmetic is the field's.
+    ZornEngine.of gives the one engine of a field.
     """
+
+    @classmethod
+    def of(cls, field):
+        """The engine of the field, built on first use and kept on the GF
+        instance: its rank tables take O(q) to build, which at large q is
+        most of a one-row product."""
+        engine = getattr(field, "_zorn_engine", None)
+        if engine is None:
+            engine = field._zorn_engine = cls(field)
+        return engine
 
     def __init__(self, field):
         self.field = field
@@ -180,7 +192,7 @@ class ZornMatrix:
 
     def __mul__(self, other):
         self._same(other)
-        return self._of(ZornEngine(self.field).mul(self._row(), other._row()))
+        return self._of(ZornEngine.of(self.field).mul(self._row(), other._row()))
 
     def __add__(self, other):
         self._same(other)
@@ -198,11 +210,11 @@ class ZornMatrix:
 
     def conjugate(self):
         """[a|alpha|beta|b] -> [b|-alpha|-beta|a]."""
-        return self._of(ZornEngine(self.field).conj(self._row()))
+        return self._of(ZornEngine.of(self.field).conj(self._row()))
 
     def det(self):
         """The norm ab - alpha.beta."""
-        return int(ZornEngine(self.field).norm(self._row())[0])
+        return int(ZornEngine.of(self.field).norm(self._row())[0])
 
     def coords(self):
         """(x0..x7) = (a, alpha, beta, b)."""
@@ -314,7 +326,7 @@ def enumerate_unit_coords(field):
     before anything is allocated."""
     if field.q > _EXHAUSTIVE_Q:
         raise UsageError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     elems_canonical = np.array(field.elements(), dtype=np.int64)
     # all (alpha, beta) combos in canonical-lex order
     grids = np.meshgrid(*([elems_canonical] * 6), indexing="ij")
@@ -341,7 +353,7 @@ def paige_coords(field):
     """The elements of M*(q): the canonical +- representatives among
     enumerate_unit_coords, in ascending canonical order."""
     coords = enumerate_unit_coords(field)
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     return coords[eng.pack(coords) <= eng.pack(eng.neg(coords))]
 
 
@@ -350,7 +362,7 @@ class _PaigeBackend:
 
     def __init__(self, field, coords, quotient):
         self.field = field
-        self.engine = ZornEngine(field)
+        self.engine = ZornEngine.of(field)
         self.quotient = quotient
         self.coords = coords
         self.packed = self.engine.pack(coords)
@@ -387,6 +399,7 @@ class _PaigeBackend:
         elements (not einsum: 2x faster, 0.1 MB more RSS), and a table of R^4
         entries maps it to its half of the packs of xy and -xy.  Prime fields
         only, refused first: no GF(p^k) table fits the budget (M*(4): 3.2 GB)."""
+        from .loops import FiniteLoop
         if self.field.k != 1:
             raise AssertionError("Cayley tables are built over prime fields only")
         p, S, n = self.field.p, self.engine.structure_tensor(), len(self.coords)
@@ -401,7 +414,7 @@ class _PaigeBackend:
         pos, neg = ([reduce(np.add.outer, half).ravel() for half in
                      (weights[:, None] * (s * value % p)).reshape(2, 4, R)] for s in (1, -1))
         table = np.empty((n, n), dtype=np.int32)
-        step = max(1, loops.MEMORY_BUDGET // 32 // (32 * n))  # 32 bytes a cell (26 measured)
+        step = max(1, fields.MEMORY_BUDGET // 32 // (32 * n))  # 32 bytes a cell (26 measured)
         for start in range(0, n, step):
             keys = XM[:, start:start + step] @ Y
             k0, k1 = np.subtract(keys, off, out=keys)
@@ -419,8 +432,9 @@ def unit_loop(q):
     """M(q): all norm-one Zorn matrices under the Zorn product.  Refused
     by the order formula, before anything is enumerated, past the table
     budget."""
+    from .loops import require_table_fits
     prime_power(q)
-    loops.require_table_fits(unit_loop_size_formula(q))
+    require_table_fits(unit_loop_size_formula(q))
     field = field_of_order(q)
     coords = enumerate_unit_coords(field)
     backend = _PaigeBackend(field, coords, quotient=False)
@@ -434,9 +448,10 @@ def unit_loop(q):
 def paige_loop(q):
     """M*(q): M(q) modulo {e, -e}, on canonical +- representatives.
     Refused like unit_loop past the table budget."""
+    from .loops import require_table_fits
     prime_power(q)
     expected = paige_order_formula(q)
-    loops.require_table_fits(expected)
+    require_table_fits(expected)
     field = field_of_order(q)
     coords = paige_coords(field)
     if len(coords) != expected:
@@ -473,7 +488,7 @@ def moufang_certificate(field):
     in y and in z and quadratic in x: y and z run over the 8 basis vectors
     and x over the 36 _polarization_points.  The identity then holds in
     M(q), and in M*(q) since (-x)y = -(xy)."""
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     basis = np.eye(8, dtype=np.int32) * field.one
     X = _polarization_points(field)[:, None, None]
     Y, Z = basis[None, :, None], basis[None, None, :]
@@ -490,7 +505,7 @@ def norm_certificate(field):
     Both sides are quadratic in x for fixed y and quadratic in y for fixed
     x, so x and y run over the 36 _polarization_points.  Products of
     norm-one elements then have norm one."""
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     X = _polarization_points(field)[:, None]
     Y = X.transpose(1, 0, 2)
     bad = eng.norm(eng.mul(X, Y)) != field.vmul(eng.norm(X), eng.norm(Y))
@@ -540,7 +555,7 @@ def associativity_witness(q, quotient):
     if quotient:
         gens = [min(g, -g, key=lambda h: [field.rank(c) for c in h.coords()])
                 for g in gens]
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     x, y, z = (np.array(g.coords()) for g in gens)
     lhs, rhs = eng.mul(eng.mul(x, y), z), eng.mul(x, eng.mul(y, z))
     if (lhs == rhs).all() or (lhs == eng.neg(rhs)).all():
@@ -556,6 +571,7 @@ def frobenius_map(q, elem):
 
 def frobenius_perm(loop):
     """The permutation induced by x -> x^p on a loop built by this module."""
+    from .permgrp import Perm
     backend = loop.zorn
     field = backend.field
     out = field.vpow(backend.coords, field.p)
@@ -569,7 +585,8 @@ def frobenius_perm(loop):
 
 # Bytes priced per product in a batch: the frontier rows, the engine's
 # int32 columns and temporaries, both packs of each product (tracemalloc
-# peaks of 100-135 per product at q = 5 and 7).
+# peaks of 58-72 per product at q = 5 and 7, one side of a batch
+# multiplied at a time).
 _PRODUCT_BYTES = 256
 
 
@@ -582,14 +599,14 @@ def _closure_bytes(q):
 
 def _require_closure_fits(q):
     """UsageError unless q is a prime power and a closure inside M*(q) fits
-    loops.MEMORY_BUDGET: _closure_bytes gets three quarters, product batches
+    fields.MEMORY_BUDGET: _closure_bytes gets three quarters, product batches
     the last quarter.  Read from q alone, before any field table is built."""
     prime_power(q)
     need = _closure_bytes(q)
-    if 4 * need > 3 * loops.MEMORY_BUDGET:
+    if 4 * need > 3 * fields.MEMORY_BUDGET:
         raise UsageError("a generator closure in M*(%d) needs %d bytes, past "
                          "3/4 of the memory budget of %d bytes"
-                         % (q, need, loops.MEMORY_BUDGET))
+                         % (q, need, fields.MEMORY_BUDGET))
 
 
 def closure_packed(q, generator_matrices):
@@ -602,7 +619,7 @@ def closure_packed(q, generator_matrices):
     """
     _require_closure_fits(q)
     field = field_of_order(q)
-    eng = ZornEngine(field)
+    eng = ZornEngine.of(field)
     gens = np.stack([np.asarray(g.coords(), dtype=np.int64)
                      for g in generator_matrices])
     if not (eng.norm(gens) == field.one).all():
@@ -612,18 +629,22 @@ def closure_packed(q, generator_matrices):
     def fresh(Z):
         """Canonical packs of the rows of Z not yet members, now marked."""
         P = np.minimum(eng.pack(Z), eng.pack(eng.neg(Z))).ravel()
-        P = np.unique(P[(member[P >> 3] >> (P & 7) & 1) == 0])
+        # np.unique as a sort and adjacent differences (packs are >= 0),
+        # without the np.ma.is_masked check that loads numpy.ma
+        P = np.sort(P[(member[P >> 3] >> (P & 7) & 1) == 0])
+        P = P[np.diff(P, prepend=-1) != 0]
         np.bitwise_or.at(member, P >> 3, (1 << (P & 7)).astype(np.uint8))
         return P
 
     frontier = fresh(np.concatenate([gens, eng.unit_row()[None, :]]))
-    step = max(1, loops.MEMORY_BUDGET // 4 // _PRODUCT_BYTES // (2 * len(gens)))
+    step = max(1, fields.MEMORY_BUDGET // 4 // _PRODUCT_BYTES // (2 * len(gens)))
     G = gens[:, None, :]
     while len(frontier):
         found = []
         for start in range(0, len(frontier), step):
             X = eng.unpack(frontier[start:start + step])[None, :, :]
-            found.append(fresh(np.concatenate([eng.mul(G, X), eng.mul(X, G)])))
+            # one side at a time, so half of the batch's products are held
+            found += [fresh(eng.mul(G, X)), fresh(eng.mul(X, G))]
         frontier = np.concatenate(found)
     packs = np.empty(int(np.bitwise_count(member).sum()), dtype=np.int64)
     count = 0

@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import UsageError
-from .loops import MEMORY_BUDGET, SAMPLE_SEED, FiniteLoop
+from . import fields
+from .fields import SAMPLE_SEED, UsageError
+from .loops import FiniteLoop
 from .permgrp import Perm, PermGroup
 
 VERTICAL, HORIZONTAL, TRANSVERSAL = 1, 2, 3
@@ -220,12 +221,12 @@ _BOL_CHECK_BYTES = 128
 
 def require_reflections_fit(n):
     """Refuse, with UsageError, the Bol reflections of an n-element loop
-    when bol-check on it would not fit MEMORY_BUDGET."""
+    when bol-check on it would not fit fields.MEMORY_BUDGET."""
     need = _BOL_CHECK_BYTES * n * n
-    if need > MEMORY_BUDGET:
+    if need > fields.MEMORY_BUDGET:
         raise UsageError("the Bol reflections of a %d-element loop take %d "
                          "bytes, past the %d-byte memory budget"
-                         % (n, need, MEMORY_BUDGET))
+                         % (n, need, fields.MEMORY_BUDGET))
 
 
 def _reflections_by_conjugation(loop, net):
@@ -277,8 +278,9 @@ def all_bol_reflections(loop, net=None):
     (class, axis) in (class, axis) order.  A few are checked on points and
     the rest follow by conjugation (see _reflections_by_conjugation); when a
     check fails, the reflections are checked axis by axis so that the first
-    failing axis raises.  A loop whose bol-check would not fit MEMORY_BUDGET
-    is refused before any reflection is built (require_reflections_fit)."""
+    failing axis raises.  A loop whose bol-check would not fit
+    fields.MEMORY_BUDGET is refused before any reflection is built
+    (require_reflections_fit)."""
     require_reflections_fit(loop.n)
     if net is None:
         net = LoopNet3(loop)
@@ -344,7 +346,7 @@ def conjugacy_class(G, rep, limit=200000):
 # Bytes a stacked triality check allots each image of a row: words,
 # inverses, conjugates, products and index temporaries (tracemalloc peak:
 # 29-32 per image at net-paige2), rounded up to a power of two.  Chunks get
-# a sixteenth of MEMORY_BUDGET.
+# a sixteenth of fields.MEMORY_BUDGET.
 _CHECK_IMAGE_BYTES = 64
 
 # The ordered pairs (i, j) of distinct classes, in the exhaustive order.
@@ -353,7 +355,7 @@ _CLASS_PAIRS = np.array([(i, j) for i in range(3) for j in range(3) if i != j])
 
 def _spans(total, degree):
     """(start, end) of the chunks of total rows of degree images."""
-    chunk = max(1, MEMORY_BUDGET // 16 // (_CHECK_IMAGE_BYTES * degree))
+    chunk = max(1, fields.MEMORY_BUDGET // 16 // (_CHECK_IMAGE_BYTES * degree))
     return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
 
 

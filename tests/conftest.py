@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,38 @@ from moufang import loops, paige
 from moufang.fields import field_make
 from moufang.paige import ZornMatrix
 from moufang.permgrp import Perm, PermGroup
+
+
+class Rationals:
+    """The exact rational field, with the scalar operations cd_double uses:
+    the doubling over it is the reference of cayley's integer structure
+    constants."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def add(a, b):
+        return a + b
+
+    @staticmethod
+    def sub(a, b):
+        return a - b
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def is_zero(a):
+        return a == 0
+
+
+QQ = Rationals()
 
 
 def _dot(F, u, v):

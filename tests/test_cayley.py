@@ -13,7 +13,8 @@ from moufang import cayley, loops
 from moufang.cayley import (E_UNIT, H_UNIT, I_UNIT, J_UNIT, K_UNIT, ONE,
                             certify_paige2_iso, conjugate, generate_unit_integrals,
                             label, mul, neg, quotient_mod_sign)
-from moufang.composition import QQ, cd_double, scalar_algebra
+from conftest import QQ
+from moufang.composition import cd_double, scalar_algebra
 from moufang.loops import closure, closure_indices
 
 # The product oracle: the rationals doubled three times with parameter -1.
@@ -201,6 +202,15 @@ def test_element_labels(quotient):
     h = tuple(cayley.sign_reps([neg(H_UNIT)])[0].tolist())
     assert label(h) == "(0,1/2,1/2,1/2,1/2,0,0,0)"
     assert label(neg(h)) == "(0,-1/2,-1/2,-1/2,-1/2,0,0,0)"
+
+
+def test_structure_constants_match_the_rational_doubling():
+    # built over the integers; the same doubling over the rationals is the
+    # reference
+    basis = [tuple(Fraction(int(a == b)) for b in range(8)) for a in range(8)]
+    want = [OCT.mul(basis[i], basis[j]) for i in range(8) for j in range(8)]
+    got = cayley._structure_constants()
+    assert got.dtype == np.int64 and got.tolist() == [list(p) for p in want]
 
 
 def test_cli_import_does_not_build_structure_constants():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import moufang
-from moufang import cli, loops, paige, triality
+from moufang import cli, fields, loops, orthogonal, paige, triality
 from moufang.cli import main, run
 from moufang.composition import ZornMatrix
 from moufang.fields import UsageError, field_of_order
@@ -158,7 +159,7 @@ def test_decompose_reports_the_first_failure(monkeypatch):
             V[5] = 0
         return U, V
     monkeypatch.setattr(paige, "decompose_batch", broken)
-    monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", loops.MEMORY_BUDGET // 100)
+    monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", fields.MEMORY_BUDGET // 100)
     rep = run(["decompose", "--q", "2", "--exhaustive"])
     assert rep.status == 1
     assert rep.lines == ["q=2", "mode=exhaustive", "checked=-1", "failures=1",
@@ -181,7 +182,7 @@ def test_sampled_decompose_runs_in_chunks(monkeypatch):
         V[(X == target).all(axis=1)] = 0
         return U, V
     lines = {}
-    for row_bytes in (paige.DECOMPOSE_ROW_BYTES, loops.MEMORY_BUDGET // 300):
+    for row_bytes in (paige.DECOMPOSE_ROW_BYTES, fields.MEMORY_BUDGET // 300):
         monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", row_bytes)
         monkeypatch.setattr(paige, "decompose_batch", counted)
         passing = run(argv)
@@ -334,12 +335,12 @@ def _traced(call, *args):
 
 def test_bol_check_peak_stays_priced():
     # the largest cyclic loop the price admits, end to end
-    n = math.isqrt(loops.MEMORY_BUDGET // triality._BOL_CHECK_BYTES)
+    n = math.isqrt(fields.MEMORY_BUDGET // triality._BOL_CHECK_BYTES)
     with pytest.raises(UsageError, match="memory budget"):
         triality.require_reflections_fit(n + 1)
     run(["bol-check", "--loop", "Z(3)"])  # module-level caches
     rep, peak = _traced(run, ["bol-check", "--loop", "Z(%d)" % n])
-    assert rep.status == 0 and peak <= loops.MEMORY_BUDGET
+    assert rep.status == 0 and peak <= fields.MEMORY_BUDGET
     # the elementary abelian 2-group of at most that order, whose last
     # reflection checked on points runs with half of the reflections held;
     # its table is built before tracing starts
@@ -348,7 +349,7 @@ def test_bol_check_peak_stays_priced():
     while 2 * L.n <= n:
         L = loops.direct_product(z2, L)
     _, peak = _traced(triality.all_bol_reflections, L)
-    assert L.table.nbytes + peak <= loops.MEMORY_BUDGET
+    assert L.table.nbytes + peak <= fields.MEMORY_BUDGET
 
 
 # Lines whose peak is priced: a generator closure takes at most what
@@ -365,7 +366,7 @@ def test_closure_and_certificate_peaks_stay_priced(argv):
     if argv[0] == "generators-check":
         q = int(argv[2])
         products = min(6 * paige.paige_order_formula(q),
-                       loops.MEMORY_BUDGET // 4 // paige._PRODUCT_BYTES)
+                       fields.MEMORY_BUDGET // 4 // paige._PRODUCT_BYTES)
         limit += paige._closure_bytes(q) + paige._PRODUCT_BYTES * products
     run(["generators-check", "--q", "2"])  # module-level caches
     tracemalloc.start()
@@ -380,6 +381,50 @@ def test_closure_and_certificate_peaks_stay_priced(argv):
 def _cap_address_space():
     limit = 1536 * 2 ** 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _parsed(parser, argv, capsys):
+    """What parser.parse_args(argv) gives: (stdout, the parsed namespace or
+    the UsageError text)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit:
+        result = "exit"
+    except UsageError as e:
+        result = "error: %s" % e
+    return capsys.readouterr().out, result
+
+
+@pytest.mark.parametrize("cmd", sorted(cli._HANDLERS))
+def test_one_command_parser_matches_the_full_parser(cmd, capsys):
+    # the help, a missing required argument (or the defaults, for commands
+    # that require none) and a malformed value
+    for argv in ([cmd, "--help"], [cmd], [cmd, "--seed", "x"]):
+        want = _parsed(cli._build_parser(), argv, capsys)
+        assert _parsed(cli._build_parser(cmd), argv, capsys) == want, argv
+    assert "usage: moufang %s" % cmd in _parsed(cli._build_parser(cmd),
+                                                 [cmd, "--help"], capsys)[0]
+
+
+def test_run_builds_the_parser_of_its_command(monkeypatch, capsys):
+    built = []
+    build = cli._build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return build(only)
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert main(["paige-order", "--q", "2", "--skip-enumeration"]) == 0
+    assert built == ["paige-order"]
+    # the top-level help and an unknown command list every command
+    for argv, status in ((["--help"], 0), (["-h", "paige-order"], 0),
+                         (["nonsense"], 2), ([], 2)):
+        capsys.readouterr()
+        assert main(argv) == status, argv
+        out = capsys.readouterr()
+        assert built[-1] is None
+        if argv:
+            assert all(cmd in out.out + out.err for cmd in cli._HANDLERS), argv
 
 
 # Requests whose tables or reflections exceed the memory budget: refused
@@ -595,6 +640,28 @@ def test_module_entry_point_is_quiet():
     assert "aut=4" in out.stdout.splitlines()
 
 
+def test_commands_load_only_the_modules_they_run():
+    code = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("moufang.") or m == "numpy.ma")
+seen = []
+import moufang
+seen.append(loaded())
+import moufang.cli
+seen.append(loaded())
+for argv in (["paige-order", "--q", "2"], ["generators-check", "--q", "2"]):
+    assert moufang.cli.run(argv).status == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    base = ["moufang.cli", "moufang.fields", "moufang.orthogonal", "moufang.paige"]
+    assert json.loads(out.stdout) == [[], base, base, base]
+
+
 def test_reports_are_deterministic():
     a = run(["spinor-check", "--q", "3", "--samples", "20"])
     b = run(["spinor-check", "--q", "3", "--samples", "20"])
@@ -657,7 +724,7 @@ def test_spinor_check_reports_the_scalar_witness(chunk, monkeypatch, capsys):
     coords[picks[10]] = [2, 0, 0, 0, 0, 0, 0, 1]
     monkeypatch.setattr(paige, "enumerate_unit_coords", lambda field: coords)
     if chunk:
-        monkeypatch.setattr(loops, "MEMORY_BUDGET", chunk * UNIT_BYTES)
+        monkeypatch.setattr(fields, "MEMORY_BUDGET", chunk * UNIT_BYTES)
     assert main(["spinor-check", "--q", "3", "--samples", "20"]) == 1
     out = capsys.readouterr()
     witness = scalar_spinor_witness(field, coords, picks)
@@ -670,7 +737,7 @@ def test_spinor_check_chunks_agree(monkeypatch, capsys):
     argv = ["spinor-check", "--q", "5", "--samples", "40"]
     assert main(argv) == 0
     whole = capsys.readouterr()
-    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * UNIT_BYTES)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * UNIT_BYTES)
     assert main(argv) == 0
     chunked = capsys.readouterr()
     assert chunked.out == whole.out
@@ -689,6 +756,24 @@ def test_spinor_check_scalar_disagreement_exits_3(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "batched and scalar spinor verdicts disagree" in out.err
+
+
+def test_spinor_check_catches_a_corrupt_operator_matrix(monkeypatch, capsys):
+    # mult_operator_matrix is the one-row view of operator_matrices, so the
+    # scalar path sees the same corrupt entry; the closed form does not
+    stacked = orthogonal.operator_matrices
+
+    def corrupt(field, coords, side="left"):
+        M = stacked(field, coords, side)
+        M[:, 0, 0] = (M[:, 0, 0] + 1) % field.p
+        return M
+    monkeypatch.setattr(orthogonal, "operator_matrices", corrupt)
+    monkeypatch.setattr(cli, "operator_matrices", corrupt)
+    assert main(["spinor-check", "--q", "3", "--samples", "5"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "left operator matrix of" in out.err
+    assert "is not its closed form" in out.err
 
 
 def test_simple_check_sampled():

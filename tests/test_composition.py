@@ -4,8 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import zorn_mul_oracle, zorn_norm_oracle
-from moufang.composition import (QQ, ZornMatrix, bilinear, bilinear_polarization,
+from conftest import QQ, zorn_mul_oracle, zorn_norm_oracle
+from moufang.composition import (ZornMatrix, bilinear, bilinear_polarization,
                                  cd_double, decompose_sum_two_units, scalar_algebra)
 from moufang.fields import UsageError, field_make, field_of_order
 from moufang.paige import ZornEngine

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moufang import loops, paige
+from moufang import fields, loops, paige
 from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violation,
                            automorphisms, autotopism_check,
                            center, closure, closure_indices, commutant, cyclic_loop,
@@ -80,7 +80,7 @@ def test_closure_chunks_bound_every_mult_call(monkeypatch):
                                  axis=1)
     gens = [(1, 2), (3, 3)]
     whole = closure(gens, mult, (0, 1))
-    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * 128 * 2 * 5)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * 128 * 2 * 5)
     assert loops.closure_chunk(2) == 5
     sizes = []
 
@@ -97,7 +97,7 @@ def test_closure_chunks_bound_every_mult_call(monkeypatch):
 def test_closure_cap_is_checked_per_chunk(monkeypatch):
     # level 1 of 1..60 and 0 in Z/100000 has 61^2 pairs and 60 new sums;
     # with 100-pair chunks the cap of 80 elements stops it in the first half
-    monkeypatch.setattr(loops, "MEMORY_BUDGET", 16 * 128 * 100)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * 128 * 100)
     sizes = []
 
     def recording(X, Y):
@@ -279,11 +279,11 @@ def test_moufang_violation_readable(non_moufang_loop):
 
 def test_sampled_moufang_check_runs_in_chunks(non_moufang_loop, monkeypatch):
     # the benchmark's 100000 samples are one chunk, one draw each of X, Y, Z
-    assert loops.MEMORY_BUDGET // loops._MOUFANG_SAMPLE_BYTES >= 100000
+    assert fields.MEMORY_BUDGET // loops._MOUFANG_SAMPLE_BYTES >= 100000
     # chunks of 2 triples, each drawing its X, then its Y, then its Z: the
     # first violation of that stream is past the first chunk
-    monkeypatch.setattr(loops, "_IDENTITY_SAMPLE_LIMIT", 0)
-    monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", loops.MEMORY_BUDGET // 2)
+    monkeypatch.setattr(fields, "_IDENTITY_SAMPLE_LIMIT", 0)
+    monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", fields.MEMORY_BUDGET // 2)
     assert loops.moufang_mode(non_moufang_loop.n, 100) == "sampled:100"
     T = non_moufang_loop.table
     rng = np.random.default_rng(loops.SAMPLE_SEED)
@@ -344,7 +344,7 @@ def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loo
 
 
 def test_memory_budget_decides_table_mode():
-    assert loops.MEMORY_BUDGET == 2 ** 27
+    assert fields.MEMORY_BUDGET == 2 ** 27
     assert loops.table_fits(3344) and not loops.table_fits(3345)
     # a table is kept while it fits, and refused before it is read past that
     assert cyclic_loop(3344).table.shape == (3344, 3344)

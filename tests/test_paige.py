@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import zorn_mul_oracle, zorn_norm_oracle
-from moufang import loops, paige
+from moufang import fields, loops, paige
 from moufang.cli import main
 from moufang.composition import ZornMatrix, decompose_sum_two_units
 from moufang.fields import UsageError, field_of_order, parse_field_spec
@@ -159,7 +159,7 @@ def test_closure_pricing_admits_q8_and_q9(monkeypatch):
     for q in (8, 9):
         paige._require_closure_fits(q)
         assert paige._closure_bytes(q) == -(-q ** 8 // 8) + 8 * paige.paige_order_formula(q)
-    assert 4 * paige._closure_bytes(11) > 3 * loops.MEMORY_BUDGET
+    assert 4 * paige._closure_bytes(11) > 3 * fields.MEMORY_BUDGET
 
 
 def test_closure_batches_do_not_change_the_result(monkeypatch):
@@ -409,6 +409,26 @@ def test_engine_past_int32_and_packing(rng):
         eng.pack(X)
     with pytest.raises(ValueError, match="overflow"):
         eng.unpack(np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", [5, 9, 65537])
+def test_zorn_matrix_arithmetic_builds_one_engine_per_field(q, rng, monkeypatch):
+    # the engine's rank tables take O(q); every ZornMatrix product, det and
+    # conjugate over one field shares the engine built on first use
+    built = []
+    init = paige.ZornEngine.__init__
+
+    def counted(engine, field):
+        built.append(field)
+        init(engine, field)
+    monkeypatch.setattr(paige.ZornEngine, "__init__", counted)
+    f = field_of_order(q)
+    xs = [ZornMatrix.from_coords(f, row) for row in rng.integers(q, size=(6, 8)).tolist()]
+    for x, y in zip(xs, xs[1:]):
+        assert x * y == zorn_mul_oracle(x, y)
+        assert x.det() == zorn_norm_oracle(x)
+        assert x.conjugate() * x == ZornMatrix.unit(f).scalar_mul(x.det())
+    assert built == [f] and paige.ZornEngine.of(f) is paige.ZornEngine.of(f)
 
 
 def test_engine_refuses_extension_fields_without_tables(rng):

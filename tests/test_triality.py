@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from moufang import loops, paige, triality
+from moufang import fields, loops, paige, triality
 from moufang.fields import UsageError, field_make
 from moufang.loops import cyclic_loop, find_isomorphism
 from moufang.permgrp import Perm, PermGroup
@@ -628,7 +628,7 @@ def test_sampled_counts_run_across_the_chunks(case, s3_loop, monkeypatch):
     G, sigma, rho = _sampled_cases(s3_loop)[case]
     monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
     ok, one = triality_check(G, sigma, rho, samples=300)
-    monkeypatch.setattr(triality, "MEMORY_BUDGET", 16 * triality._CHECK_IMAGE_BYTES
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * triality._CHECK_IMAGE_BYTES
                         * G.degree * 7)  # 7 rows a chunk
     assert list(triality._spans(300, G.degree))[:2] == [(0, 7), (7, 14)]
     ok_chunked, chunked = triality_check(G, sigma, rho, samples=300)
@@ -642,7 +642,7 @@ def test_sampled_check_peak_stays_in_its_chunks(m2, monkeypatch):
     # unchunked they would take about 9 MB
     w = triality_group_from_loop(m2)
     monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
-    monkeypatch.setattr(triality, "MEMORY_BUDGET", 2 ** 25)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 25)
     assert len(list(triality._spans(1000, w.group.degree))) == 11
     tracemalloc.start()
     try:
