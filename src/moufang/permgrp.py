@@ -199,10 +199,13 @@ class PermGroup:
         for lv in self._levels[: idx + 1]:
             lv.stale = True
 
-    def _chain(self):
+    def _chain(self, limit=None):
         """Incremental Schreier-Sims (Seress, Permutation Group Algorithms,
         sec. 4.2): the chain is complete for the generators admitted so far,
-        and a new generator enters it only if it fails to sift."""
+        and a new generator enters it only if it fails to sift.  So after
+        each admission the product of the basic orbit lengths is the order
+        of a subgroup of G; with limit, the build stops and returns None as
+        soon as that product passes limit, leaving no partial chain behind."""
         if self._levels is not None:
             return self._levels
         self._levels = []
@@ -211,6 +214,9 @@ class PermGroup:
             if not r.is_identity():
                 self._insert(r, idx)
                 self._complete(idx)
+                if limit is not None and self._orbit_product() > limit:
+                    self._levels = None
+                    return None
         self._verify()
         return self._levels
 
@@ -267,12 +273,20 @@ class PermGroup:
 
     # -- queries --------------------------------------------------------------
 
-    def order(self):
-        levels = self._chain()
+    def _orbit_product(self):
         n = 1
-        for lv in levels:
+        for lv in self._levels:
             n *= len(lv.orbit_list)
         return n
+
+    def order(self):
+        self._chain()
+        return self._orbit_product()
+
+    def order_exceeds(self, limit):
+        """Whether |G| > limit, certified either way: by a lower bound from
+        the chain built so far, or by the completed chain, which is kept."""
+        return self._chain(limit) is None or self._orbit_product() > limit
 
     def contains(self, p):
         if p.degree != self.degree:

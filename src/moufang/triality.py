@@ -359,14 +359,22 @@ def _spans(total, degree):
     return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
 
 
+def _flat_rows(A):
+    """Row r of the stack A shifted by r times its width: A's images as
+    indices into the raveled rows of a stack of A's shape."""
+    return A + np.arange(len(A), dtype=A.dtype)[:, None] * A.shape[1]
+
+
 def _then(A, B):
-    """Row r is A_r * B_r, for two image stacks (A_r applied first)."""
-    return np.take_along_axis(B, A, axis=1)
+    """Row r is A_r * B_r, for two image stacks (A_r applied first), by one
+    flat gather."""
+    return B.ravel().take(_flat_rows(A))
 
 
 def _inverses(A):
-    inv = np.empty_like(A)
-    np.put_along_axis(inv, A, np.arange(A.shape[1], dtype=A.dtype), axis=1)
+    """Row r is the inverse of A_r, by one flat scatter."""
+    inv = np.empty(A.shape, dtype=A.dtype)
+    inv.ravel()[_flat_rows(A)] = np.arange(A.shape[1], dtype=A.dtype)
     return inv
 
 
@@ -404,21 +412,23 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
     Route A is the commutator identity [g,s][g,s]^r[g,s]^r2 = 1; route B is
     the reformulation (tau_i tau_j)^3 = 1 on the conjugacy classes of the
     three involutions.  The check is exhaustive over G and the classes when
-    G acts on at most 2048 points and lists in at most EXHAUSTIVE_LIMIT
-    elements.  Otherwise route A takes the generators and then seeded random
-    words, route B sigma_i and sigma_j conjugated by two seeded random words
-    for a random ordered pair (i, j).  Both check image stacks in _spans
-    chunks up to the first failing row, the witness.  Returns (ok, details),
-    details["mode"] naming which."""
+    G acts on at most 2048 points and |G| <= EXHAUSTIVE_LIMIT, which the
+    stabilizer chain certifies (PermGroup.order_exceeds) before anything is
+    listed; the listing must then have |G| elements.  Otherwise route A
+    takes the generators and then seeded random words, route B sigma_i and
+    sigma_j conjugated by two seeded random words for a random ordered pair
+    (i, j).  Both check image stacks in _spans chunks up to the first
+    failing row, the witness.  Returns (ok, details), details["mode"]
+    naming which."""
     if not _s3_relations_hold(G, sigma, rho):
         raise ValueError("sigma, rho do not satisfy the S3 relations as actions")
     sigmas = (sigma, sigma * rho, rho * sigma)
-    exhaustive = G.degree <= 2048
+    exhaustive = G.degree <= 2048 and not G.order_exceeds(EXHAUSTIVE_LIMIT)
     if exhaustive:
-        try:
-            elements = G.elements(limit=EXHAUSTIVE_LIMIT)
-        except ValueError:
-            exhaustive = False
+        elements = G.elements(limit=EXHAUSTIVE_LIMIT)
+        if len(elements) != G.order():
+            raise AssertionError("the listing has %d elements, the stabilizer "
+                                 "chain %d" % (len(elements), G.order()))
 
     def rows_a():
         listed = elements if exhaustive else G.gens
@@ -614,9 +624,9 @@ def coordinate_loop(net, origin=None):
 def example_wreath(A, seed=SAMPLE_SEED):
     """G = A^3 with sigma swapping the first two coordinates and rho cycling
     them; acts on three regular blocks."""
-    elems = A.elements()
-    if len(elems) > 100:
+    if A.order_exceeds(100):
         raise ValueError("wreath example capped at |A| <= 100")
+    elems = A.elements()
     N, degree = len(elems), 3 * len(elems)
     index = {p: i for i, p in enumerate(elems)}
 

@@ -637,21 +637,81 @@ def test_sampled_counts_run_across_the_chunks(case, s3_loop, monkeypatch):
         assert chunked[key] == one[key]
 
 
-def test_sampled_check_peak_stays_in_its_chunks(m2, monkeypatch):
+@pytest.fixture(scope="module")
+def paige2_witness(m2):
+    return triality_group_from_loop(m2)
+
+
+def _unbuilt(G):
+    """The same generators in a new group, with no stabilizer chain yet."""
+    return PermGroup(G.degree, G.gens)
+
+
+def test_sampled_check_peak_stays_in_its_chunks(paige2_witness, monkeypatch):
     # 1000 samples on the net of M*(2), degree 360, in chunks of 91 rows:
-    # unchunked they would take about 9 MB
-    w = triality_group_from_loop(m2)
-    monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
+    # unchunked they would take about 9 MB.  The peak includes deciding the
+    # mode, which must not list the group to find it too large.
+    w = paige2_witness
+    G = _unbuilt(w.group)
+    G._gen_stack  # the group's generator stack (1 MB), not the check's
     monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 25)
-    assert len(list(triality._spans(1000, w.group.degree))) == 11
+    assert len(list(triality._spans(1000, G.degree))) == 11
     tracemalloc.start()
     try:
-        ok, details = triality_check(w.group, w.sigma, w.rho, samples=1000)
+        ok, details = triality_check(G, w.sigma, w.rho, samples=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ok and details["pairs_checked"] == 1000
+    assert ok and details["mode"] == "sampled" and details["pairs_checked"] == 1000
     assert peak <= 2 ** 25 // 16
+
+
+def _refuse_to_list(monkeypatch):
+    def elements(self, limit=200000):
+        raise AssertionError("listed the elements of %r" % (self,))
+    monkeypatch.setattr(PermGroup, "elements", elements)
+
+
+def test_net_paige2_check_lists_no_element(paige2_witness, monkeypatch):
+    w = paige2_witness
+    G = _unbuilt(w.group)
+    _refuse_to_list(monkeypatch)
+    ok, details = triality_check(G, w.sigma, w.rho, samples=1000)
+    assert ok and details["mode"] == "sampled"
+    assert details["identity_checked"] == 1357 and details["pairs_checked"] == 1000
+    assert G._levels is None  # the order bound stopped before a full chain
+
+
+def test_example_wreath_refuses_before_listing(monkeypatch):
+    S5 = PermGroup(5, [Perm([1, 0, 2, 3, 4]), Perm([1, 2, 3, 4, 0])])
+    _refuse_to_list(monkeypatch)
+    with pytest.raises(ValueError, match=r"wreath example capped at \|A\| <= 100"):
+        example_wreath(S5)
+
+
+def test_exhaustive_check_insists_the_listing_has_the_order(monkeypatch):
+    w = example_vector(field_make(5))
+    monkeypatch.setattr(PermGroup, "elements",
+                        lambda self, limit=200000: [Perm.identity(self.degree)])
+    with pytest.raises(AssertionError, match="listing has 1 elements"):
+        triality_check(_unbuilt(w.group), w.sigma, w.rho)
+
+
+@pytest.mark.parametrize("case,order", [
+    ("wreath-s3", 216), ("vector-gf5", 25), ("Mlt(M*(2))", 174182400),
+    ("net-paige2 M0", 174182400), ("C7", 7)])
+def test_order_bound_is_a_certificate(case, order, s3_group, m2, paige2_witness):
+    G = {"wreath-s3": lambda: example_wreath(s3_group).group,
+         "vector-gf5": lambda: example_vector(field_make(5)).group,
+         "Mlt(M*(2))": lambda: loops.mlt_group(m2),
+         "net-paige2 M0": lambda: paige2_witness.group,
+         "C7": lambda: PermGroup(7, [Perm([1, 2, 3, 4, 5, 6, 0])])}[case]()
+    assert _unbuilt(G).order() == order
+    for limit in (1, order - 1, order, order + 1, triality.EXHAUSTIVE_LIMIT):
+        H = _unbuilt(G)
+        assert H.order_exceeds(limit) == (order > limit)
+        assert H.order() == order  # no partial chain survives an early stop
+        assert H.order_exceeds(limit) == (order > limit)  # from the full chain
 
 
 # ---------------------------------------------------------------------------
