@@ -48,6 +48,11 @@ def _structure_constants():
 # Coordinates past this bound could overflow the int64 sums of products.
 _COORD_LIMIT = 2 ** 28
 
+# Rows per block of mul_batch: a block's (rows, 64) outer products take
+# 512 bytes a row, so no caller holds them for a whole batch (the 14400
+# products of the sign quotient would take 7.4 MB).
+_ROW_BLOCK = 1024
+
 
 def _rows(X):
     X = np.asarray(X, dtype=np.int64)
@@ -59,20 +64,25 @@ def _rows(X):
 
 def mul_batch(X, Y):
     """Row-by-row products of two (N, 8) arrays of doubled coordinates, an
-    (N, 8) int64 array; ValueError when some product leaves the
-    half-integer lattice."""
+    (N, 8) int64 array, formed _ROW_BLOCK rows at a time; ValueError when
+    some product leaves the half-integer lattice."""
     X, Y = _rows(X), _rows(Y)
     if len(X) != len(Y):
         raise ValueError("need equal numbers of rows, got %d and %d" % (len(X), len(Y)))
     if max(np.abs(X).max(initial=0), np.abs(Y).max(initial=0)) >= _COORD_LIMIT:
         raise ValueError("coordinates past %d" % _COORD_LIMIT)
-    # acc holds 4 * (xy); the doubled product is acc / 2
-    acc = (X[:, :, None] * Y[:, None, :]).reshape(len(X), 64) @ _structure_constants()
-    odd = (acc & 1).any(axis=1)
-    if odd.any():
-        raise ValueError("product %s/4 leaves the half-integers"
-                         % (tuple(acc[odd.argmax()].tolist()),))
-    return acc >> 1
+    C = _structure_constants()
+    out = np.empty((len(X), 8), dtype=np.int64)
+    for start in range(0, len(X), _ROW_BLOCK):
+        x, y = X[start:start + _ROW_BLOCK], Y[start:start + _ROW_BLOCK]
+        # acc holds 4 * (xy); the doubled product is acc / 2
+        acc = (x[:, :, None] * y[:, None, :]).reshape(len(x), 64) @ C
+        odd = (acc & 1).any(axis=1)
+        if odd.any():
+            raise ValueError("product %s/4 leaves the half-integers"
+                             % (tuple(acc[odd.argmax()].tolist()),))
+        np.right_shift(acc, 1, out=out[start:start + _ROW_BLOCK])
+    return out
 
 
 def mul(x, y):

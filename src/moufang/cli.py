@@ -233,9 +233,10 @@ def _cmd_paige_order(args, rep):
     rep.add("q", args.q)
     rep.add("order", order)
     if not args.skip_enumeration:
+        paige.require_units(args.q, paige.UNIT_STREAM_LIMIT, "an enumeration")
         field = field_of_order(args.q)
         _progress("enumerating norm-one matrices over GF(%d)..." % args.q)
-        enumerated = len(paige.paige_coords(field))
+        enumerated = paige.count_paige_coords(field)
         rep.add("enumerated", enumerated)
         if enumerated == order:
             rep.add("match", "yes")
@@ -414,25 +415,33 @@ def _cmd_decompose(args, rep):
 
 
 def _cmd_spinor_check(args, rep):
-    if args.q % 2 == 0:
+    q = args.q
+    if q % 2 == 0:
         raise UsageError("spinor checks need odd q")
-    field = field_of_order(args.q)
-    coords = paige.enumerate_unit_coords(field)
-    if args.exhaustive:
-        picks, mode = np.arange(len(coords)), "exhaustive"
-    else:
-        rng = np.random.default_rng(args.seed)
-        picks = rng.integers(len(coords), size=args.samples)
-        mode = "sampled:%d" % args.samples
+    if prime_power(q)[1] > 1:
+        raise UsageError("spinor checks need a prime q, not %d" % q)
+    paige.require_units(q, paige.UNIT_CHECK_LIMIT if args.exhaustive
+                        else paige.UNIT_STREAM_LIMIT, "spinor-check")
+    field = field_of_order(q)
     chunk = fields.MEMORY_BUDGET // UNIT_BYTES
-    witness = None
-    for start in range(0, len(picks), chunk):
-        units = coords[picks[start:start + chunk]]
+    if args.exhaustive:
+        total, mode = paige.unit_loop_size_formula(q), "exhaustive"
+        batches = (rows[s:s + chunk] for rows in paige.unit_chunks(field)
+                   for s in range(0, len(rows), chunk))
+    else:
+        total, mode = args.samples, "sampled:%d" % args.samples
+        # positions in the canonical unit order, each batch fetched alone
+        rng = np.random.default_rng(args.seed)
+        picks = rng.integers(paige.unit_loop_size_formula(q), size=total)
+        batches = (paige.unit_rows(field, picks[s:s + chunk])
+                   for s in range(0, total, chunk))
+    witness, checked = None, 0
+    for units in batches:
         verdicts = {}
         for side in ("left", "right"):
             M = operator_matrices(field, units, side)
             _, rotation, square = verdicts[side] = spinor_verdicts(field, M)
-            if start == 0:  # the first unit once more, on the scalar path
+            if checked == 0:  # the first unit once more, on the scalar path
                 a = ZornMatrix.from_coords(field, [int(c) for c in units[0]])
                 if not np.array_equal(M[0], operator_closed_form(a, side)):
                     raise AssertionError("the %s operator matrix of %s is not "
@@ -451,10 +460,11 @@ def _cmd_spinor_check(args, rep):
             witness = "%s %s %s" % (a.text(), side, "spinor class non-square"
                                     if verdicts[side][1][t] else "not a rotation")
             break
-        _progress("checked %d/%d operators" % (start + len(units), len(picks)))
-    rep.add("q", args.q)
+        checked += len(units)
+        _progress("checked %d/%d operators" % (checked, total))
+    rep.add("q", q)
     rep.add("mode", mode)
-    rep.add("checked", len(picks) if witness is None else -1)
+    rep.add("checked", checked if witness is None else -1)
     if witness:
         rep.fail("failures", 1)
         rep.add("witness", witness)

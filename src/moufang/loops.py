@@ -142,8 +142,9 @@ class FiniteLoop:
 
 # Bytes a chunk of the generic closure allots each pair, per coordinate of
 # an element: its two operand rows, the product and mult's
-# temporaries (tracemalloc peak: about 90 with cayley.mul_batch).  Chunks
-# get a sixteenth of fields.MEMORY_BUDGET.
+# temporaries (tracemalloc peak of the 240 unit integrals in full chunks of
+# 8192 pairs: about 47 with cayley.mul_batch).  Chunks get a sixteenth of
+# fields.MEMORY_BUDGET.
 _CLOSURE_PAIR_BYTES = 128
 
 

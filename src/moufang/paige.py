@@ -7,9 +7,9 @@ ab - alpha.beta and multiplication mixes dot and cross products.
 Elements are rows of 8 field codes in the coordinate order
 (a, alpha1..alpha3, beta1..beta3, b).  ZornEngine, the one Zorn
 arithmetic, runs the product on whole coordinate blocks at once, which
-keeps exhaustive enumeration (q <= 5), generator closures and the
-sum-of-two-units decomposition fast; ZornMatrix is a single element, its
-arithmetic the engine's on one row.  M*(q) elements are the
+keeps the streamed enumeration of the norm-one units, generator closures
+and the sum-of-two-units decomposition fast; ZornMatrix is a single
+element, its arithmetic the engine's on one row.  M*(q) elements are the
 lexicographically smaller member of {x, -x} under the field's canonical
 element order, compared coordinate by coordinate from a to b.
 """
@@ -27,9 +27,6 @@ import numpy as np
 from . import fields
 from .fields import (UsageError, field_of_order, prime_power, primitive_element,
                      rref_batch)
-
-_EXHAUSTIVE_Q = 5
-
 
 class ZornEngine:
     """Vectorized Zorn-matrix arithmetic on (..., 8) arrays of field codes,
@@ -143,12 +140,14 @@ class ZornEngine:
             return digits
         return self._unrank_tab[digits]
 
+    def canonical(self, X):
+        """Per row, whether x is the smaller of {x, -x} in canonical order."""
+        return self.pack(X) <= self.pack(self.neg(X))
+
     def canon(self, X):
         """Per row, the smaller of {x, -x} in canonical coordinate order."""
         X = np.asarray(X)
-        N = self.neg(X)
-        keep = (self.pack(X) <= self.pack(N))
-        return np.where(keep[..., None], X, N)
+        return np.where(self.canonical(X)[..., None], X, self.neg(X))
 
     def dot3(self, U, V):
         F = self.field
@@ -320,41 +319,110 @@ def mlt_paige_order_formula(q):
     return q ** 12 * (q ** 2 - 1) * (q ** 4 - 1) ** 2 * (q ** 6 - 1) // (d * d)
 
 
+# Bytes priced per (alpha, beta) of a unit_chunks chunk: its digits, its
+# row and the norm and pack temporaries (about 280 measured at q = 9).  A
+# chunk gets a sixty-fourth of fields.MEMORY_BUDGET.
+_UNIT_ROW_BYTES = 512
+
+# Norm-one units past which a command refuses up front to visit them all,
+# as time limits on a 2-core x86 host.  Streamed (paige-order counting them,
+# a sampled spinor-check fetching its picks): q <= 11 run, q = 9's 4782240
+# in about 1.6 s and q = 11's 19485840 in about 4 s; q = 13's 62746320 would
+# take about 13 s.  Checked one operator at a time (spinor-check
+# --exhaustive) or listed whole (enumerate_unit_coords, for the loops and
+# backends): q = 5's 78000 take 4.5 s of checks; q = 7's 823200 would take
+# about 37 s.
+UNIT_STREAM_LIMIT = 2 ** 25
+UNIT_CHECK_LIMIT = 2 ** 17
+
+
+def require_units(q, limit, what):
+    """UsageError, read from q alone, when the q^3(q^4-1) norm-one units
+    over GF(q) are past limit."""
+    units = unit_loop_size_formula(q)
+    if units > limit:
+        raise UsageError("%s over GF(%d) visits %d norm-one units, past the "
+                         "limit of %d" % (what, q, units, limit))
+
+
+def unit_chunks(field):
+    """All norm-one Zorn matrices over the field in ascending canonical
+    (packed) order, as successive (N, 8) int64 chunks.
+
+    The pack's first digit is a, so each value of a is one run of the
+    order: for a != 0 the q^6 (alpha, beta) in lex order with
+    b = (1 + alpha.beta) / a, and for a = 0 the (alpha, beta) with
+    alpha.beta = -1, each followed by every b.  Chunks cut the (alpha, beta)
+    of one a, read off base-q digits in canonical element order, and every
+    row's norm is checked on the engine."""
+    eng = ZornEngine.of(field)
+    q, one = field.q, field.one
+    elems = np.array(field.elements(), dtype=np.int64)
+    digits = q ** np.arange(5, -1, -1, dtype=np.int64)
+    minus_one = field.neg(one)
+    # at least the q^3 beta of one alpha: at most q^4 chunks in all
+    step = max(q ** 3, fields.MEMORY_BUDGET // 64 // _UNIT_ROW_BYTES)
+    for a in elems.tolist():
+        for start in range(0, q ** 6, step):
+            combos = elems[np.arange(start, min(start + step, q ** 6))[:, None]
+                           // digits % q]
+            dots = eng.dot3(combos[:, 0:3], combos[:, 3:6])
+            if a:
+                b = field.vmul(field.vadd(dots, one), field.inv(a))
+            else:
+                combos = np.repeat(combos[dots == minus_one], q, axis=0)
+                b = np.tile(elems, len(combos) // q)
+            rows = np.empty((len(combos), 8), dtype=np.int64)
+            rows[:, 0] = a
+            rows[:, 1:7] = combos
+            rows[:, 7] = b
+            if not (eng.norm(rows) == one).all():
+                raise AssertionError("enumeration produced a non-unit element")
+            yield rows
+
+
 def enumerate_unit_coords(field):
     """All norm-one Zorn matrices over the field, in ascending canonical
-    (packed) order.  Size q^3(q^4-1); UsageError past q = _EXHAUSTIVE_Q,
-    before anything is allocated."""
-    if field.q > _EXHAUSTIVE_Q:
-        raise UsageError("exhaustive enumeration is limited to q <= %d" % _EXHAUSTIVE_Q)
-    eng = ZornEngine.of(field)
-    elems_canonical = np.array(field.elements(), dtype=np.int64)
-    # all (alpha, beta) combos in canonical-lex order
-    grids = np.meshgrid(*([elems_canonical] * 6), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids], axis=-1)  # (q^6, 6)
-    dots = eng.dot3(combos[:, 0:3], combos[:, 3:6])
-    blocks = []
-    one = field.one
-    for a in elems_canonical:
-        if a == 0:  # alpha.beta = -1, any b
-            ab = combos[dots == field.vneg(one)]
-            blocks += [np.column_stack([np.zeros(len(ab), np.int64), ab,
-                                        np.full(len(ab), b)]) for b in elems_canonical]
-        else:  # b = (1 + alpha.beta) / a
-            b = field.vmul(field.vadd(dots, one), field.inv(int(a)))
-            blocks.append(np.column_stack([np.full(len(combos), a), combos, b]))
-    coords = np.concatenate(blocks, axis=0)
-    coords = coords[np.argsort(eng.pack(coords), kind="stable")]
-    if not (eng.norm(coords) == one).all():
-        raise AssertionError("enumeration produced a non-unit element")
-    return coords
+    (packed) order: the unit_chunks, concatenated.  Size q^3(q^4-1);
+    UsageError past UNIT_CHECK_LIMIT units, before anything is allocated."""
+    require_units(field.q, UNIT_CHECK_LIMIT, "a listing")
+    return np.concatenate(list(unit_chunks(field)))
 
 
 def paige_coords(field):
     """The elements of M*(q): the canonical +- representatives among
     enumerate_unit_coords, in ascending canonical order."""
     coords = enumerate_unit_coords(field)
+    return coords[ZornEngine.of(field).canonical(coords)]
+
+
+def count_paige_coords(field):
+    """len(paige_coords(field)), counted chunk by chunk of unit_chunks."""
     eng = ZornEngine.of(field)
-    return coords[eng.pack(coords) <= eng.pack(eng.neg(coords))]
+    return sum(int(eng.canonical(rows).sum()) for rows in unit_chunks(field))
+
+
+def unit_rows(field, index):
+    """The rows of enumerate_unit_coords at the given positions, fetched
+    from unit_chunks without listing the units; streaming stops at the
+    chunk of the last position.  IndexError for a position outside the
+    units."""
+    index = np.asarray(index, dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    wanted = index[order]
+    out = np.empty((len(index), 8), dtype=np.int64)
+    start = done = 0
+    if len(wanted) and wanted[0] >= 0:
+        for rows in unit_chunks(field):
+            stop = start + len(rows)
+            end = int(np.searchsorted(wanted, stop))
+            out[order[done:end]] = rows[wanted[done:end] - start]
+            start, done = stop, end
+            if done == len(wanted):
+                break
+    if done < len(wanted):
+        raise IndexError("no norm-one unit at position %d" % wanted[done])
+    return out
 
 
 class _PaigeBackend:
@@ -561,23 +629,6 @@ def associativity_witness(q, quotient):
     if (lhs == rhs).all() or (lhs == eng.neg(rhs)).all():
         raise AssertionError("the standard generators over %r associate" % (field,))
     return tuple(g.text() for g in gens)
-
-
-def frobenius_map(q, elem):
-    """Coordinate-wise p-th power on a Zorn matrix."""
-    return ZornMatrix.from_coords(elem.field,
-                                  tuple(elem.field.frobenius(c) for c in elem.coords()))
-
-
-def frobenius_perm(loop):
-    """The permutation induced by x -> x^p on a loop built by this module."""
-    from .permgrp import Perm
-    backend = loop.zorn
-    field = backend.field
-    out = field.vpow(backend.coords, field.p)
-    if backend.quotient:
-        out = backend.engine.canon(out)
-    return Perm(backend.lookup(backend.engine.pack(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,47 @@ def zorn_norm_oracle(x):
     return F.sub(F.mul(x.a, x.b), _dot(F, x.alpha, x.beta))
 
 
+def enumerate_unit_coords_oracle(field):
+    """All norm-one Zorn matrices over the field in ascending canonical
+    (packed) order, by the one-shot route: every (alpha, beta) from a
+    meshgrid, b solved per a, and one argsort of the packs."""
+    eng = paige.ZornEngine.of(field)
+    elems_canonical = np.array(field.elements(), dtype=np.int64)
+    grids = np.meshgrid(*([elems_canonical] * 6), indexing="ij")
+    combos = np.stack([g.ravel() for g in grids], axis=-1)  # (q^6, 6)
+    dots = eng.dot3(combos[:, 0:3], combos[:, 3:6])
+    blocks = []
+    one = field.one
+    for a in elems_canonical:
+        if a == 0:  # alpha.beta = -1, any b
+            ab = combos[dots == field.vneg(one)]
+            blocks += [np.column_stack([np.zeros(len(ab), np.int64), ab,
+                                        np.full(len(ab), b)]) for b in elems_canonical]
+        else:  # b = (1 + alpha.beta) / a
+            b = field.vmul(field.vadd(dots, one), field.inv(int(a)))
+            blocks.append(np.column_stack([np.full(len(combos), a), combos, b]))
+    coords = np.concatenate(blocks, axis=0)
+    coords = coords[np.argsort(eng.pack(coords), kind="stable")]
+    assert (eng.norm(coords) == one).all()
+    return coords
+
+
+def frobenius_map(elem):
+    """Coordinate-wise p-th power on a Zorn matrix."""
+    return ZornMatrix.from_coords(elem.field,
+                                  tuple(elem.field.frobenius(c) for c in elem.coords()))
+
+
+def frobenius_perm(loop):
+    """The permutation induced by x -> x^p on a loop built by paige."""
+    backend = loop.zorn
+    field = backend.field
+    out = field.vpow(backend.coords, field.p)
+    if backend.quotient:
+        out = backend.engine.canon(out)
+    return Perm(backend.lookup(backend.engine.pack(out)))
+
+
 @pytest.fixture(scope="session")
 def gf2():
     return field_make(2)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -101,6 +102,26 @@ def test_mul_batch_matches_cd_double(units, rng):
     assert [frac(z) for z in Z.tolist()] == [w for w, k in zip(want, ok) if k]
     assert [mul(x, y) for x, y in zip(X[:5].tolist(), Y[:5].tolist())] == \
         [tuple(z) for z in Z[:5].tolist()]
+
+
+@pytest.mark.parametrize("block", [cayley._ROW_BLOCK, 7])
+def test_blocked_mul_batch_is_one_unblocked_product(block, units, rng, monkeypatch):
+    # scaled units stay on the lattice; 2500 rows end inside a third block
+    # of 1024, and blocks of 7 cut everywhere
+    monkeypatch.setattr(cayley, "_ROW_BLOCK", block)
+    U = np.array(units)
+    X, Y = (U[rng.integers(240, size=2500)] * rng.integers(-3, 4, size=(2500, 1))
+            for _ in range(2))
+    acc = (X[:, :, None] * Y[:, None, :]).reshape(len(X), 64) @ cayley._structure_constants()
+    assert np.array_equal(cayley.mul_batch(X, Y), acc >> 1)
+    # the refusal names the first product off the lattice, whichever block
+    # holds it
+    X[1500] = Y[1500] = Y[2400] = (1, 0, 0, 0, 0, 0, 0, 0)
+    X[2400] = (0, 1, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=re.escape("(1, 0, 0, 0, 0, 0, 0, 0)/4")):
+        cayley.mul_batch(X, Y)
+    with pytest.raises(ValueError, match=re.escape("(0, 1, 0, 0, 0, 0, 0, 0)/4")):
+        cayley.mul_batch(X[2000:], Y[2000:])
 
 
 def test_mul_batch_refuses_one_row_off_the_lattice(units):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import moufang
+from conftest import enumerate_unit_coords_oracle
 from moufang import cli, fields, loops, orthogonal, paige, triality
 from moufang.cli import main, run
 from moufang.composition import ZornMatrix
@@ -59,7 +60,7 @@ def test_huge_prime_q_is_refused_before_trial_division(argv, capsys):
 
 
 def test_usage_errors(capsys):
-    assert run(["paige-order", "--q", "7"]).status == 2  # enumeration cap
+    assert run(["paige-order", "--q", "13"]).status == 2  # streamed unit limit
     assert run(["decompose", "--q", "4", "--x", "[zz]"]).status == 2
     capsys.readouterr()
     # argparse rejections and handler rejections take the same exit-2 path
@@ -72,7 +73,9 @@ def test_usage_errors(capsys):
                  ["decompose", "--q", "3", "--field", "gf(5)"],
                  ["simple-check", "--loop", "M*(2)", "--elements", "500"],
                  ["simple-check", "--loop", "M*(2)", "--elements", "ten"],
-                 ["spinor-check", "--q", "7"],
+                 ["spinor-check", "--q", "7", "--exhaustive"],
+                 ["spinor-check", "--q", "9"],
+                 ["spinor-check", "--q", "13"],
                  ["spinor-check", "--q", "4"],
                  ["moufang-check", "--loop", "M*(6)"],
                  ["mlt-order", "--loop", "Q(3)"],
@@ -350,6 +353,51 @@ def test_bol_check_peak_stays_priced():
         L = loops.direct_product(z2, L)
     _, peak = _traced(triality.all_bol_reflections, L)
     assert L.table.nbytes + peak <= fields.MEMORY_BUDGET
+
+
+# Lines that stream the norm-one units, or multiply Cayley integers in
+# blocks: none holds a whole enumeration or a whole batch of outer products.
+STREAMED = [["paige-order", "--q", "9"], ["spinor-check", "--q", "7", "--samples", "250"],
+            ["spinor-check", "--q", "5", "--samples", "250"], ["cayley-units"]]
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=[" ".join(a) for a in STREAMED])
+def test_streamed_lines_peak_within_an_eighth_of_the_budget(argv):
+    run(["spinor-check", "--q", "3", "--samples", "1"])  # module-level caches
+    rep, peak = _traced(run, argv)
+    assert rep.status == 0
+    assert peak <= fields.MEMORY_BUDGET // 8
+    d = lines_dict(rep)
+    if argv[0] == "paige-order":
+        order = str(paige.paige_order_formula(9))
+        assert d == {"q": "9", "order": order, "enumerated": order, "match": "yes",
+                     "mode": "exhaustive"}
+    elif argv[0] == "spinor-check":
+        assert d == {"q": argv[2], "mode": "sampled:250", "checked": "250",
+                     "failures": "0"}
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_paige_order_is_exhaustive_past_q5(q):
+    order = str(paige.paige_order_formula(q))
+    assert lines_dict(run(["paige-order", "--q", str(q)])) == {
+        "q": str(q), "order": order, "enumerated": order, "match": "yes",
+        "mode": "exhaustive"}
+
+
+def test_unit_limits_refuse_before_the_field_is_built(monkeypatch, capsys):
+    def boom(q):
+        raise AssertionError("built GF(%d) before refusing" % q)
+    monkeypatch.setattr(cli, "field_of_order", boom)
+    for argv, units, limit in (
+            (["paige-order", "--q", "13"], 62746320, paige.UNIT_STREAM_LIMIT),
+            (["spinor-check", "--q", "13"], 62746320, paige.UNIT_STREAM_LIMIT),
+            (["spinor-check", "--q", "7", "--exhaustive"], 823200,
+             paige.UNIT_CHECK_LIMIT)):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(
+            "over GF(%s) visits %d norm-one units, past the limit of %d\n"
+            % (argv[2], units, limit))
 
 
 # Lines whose peak is priced: a generator closure takes at most what
@@ -697,6 +745,33 @@ def test_spinor_check_exhaustive_q3():
     assert d == {"q": "3", "mode": "exhaustive", "checked": "2160", "failures": "0"}
 
 
+LISTED_PICKS = [(q, ["--samples", "250", "--seed", str(seed)]) for q in (3, 5)
+                for seed in (loops.SAMPLE_SEED, 24301, 1234)] + [(3, ["--exhaustive"])]
+
+
+@pytest.mark.parametrize("q, argv", LISTED_PICKS,
+                         ids=["q%d %s" % (q, " ".join(a)) for q, a in LISTED_PICKS])
+def test_spinor_check_checks_the_listed_units(q, argv, monkeypatch):
+    # a seed's picks index the canonical order of the whole enumeration, so
+    # the streamed fetch checks the units the listing gave; --exhaustive
+    # checks them all, in that order
+    field = field_of_order(q)
+    listed = enumerate_unit_coords_oracle(field)
+    seen = []
+
+    def spy(field, units, side="left"):
+        if side == "left":
+            seen.append(np.array(units))
+        return orthogonal.operator_matrices(field, units, side)
+    monkeypatch.setattr(cli, "operator_matrices", spy)
+    assert main(["spinor-check", "--q", str(q)] + argv) == 0
+    if argv[0] == "--exhaustive":
+        want = listed
+    else:
+        want = listed[np.random.default_rng(int(argv[3])).integers(len(listed), size=250)]
+    assert np.array_equal(np.concatenate(seen), want)
+
+
 def scalar_spinor_witness(field, coords, picks):
     """The witness the per-operator scalar loop reports, or None."""
     for i in picks:
@@ -722,7 +797,7 @@ def test_spinor_check_reports_the_scalar_witness(chunk, monkeypatch, capsys):
     picks = np.random.default_rng(loops.SAMPLE_SEED).integers(len(coords), size=20)
     assert picks[10] not in picks[:10]
     coords[picks[10]] = [2, 0, 0, 0, 0, 0, 0, 1]
-    monkeypatch.setattr(paige, "enumerate_unit_coords", lambda field: coords)
+    monkeypatch.setattr(paige, "unit_rows", lambda field, index: coords[index])
     if chunk:
         monkeypatch.setattr(fields, "MEMORY_BUDGET", chunk * UNIT_BYTES)
     assert main(["spinor-check", "--q", "3", "--samples", "20"]) == 1

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import zorn_mul_oracle, zorn_norm_oracle
+from conftest import (enumerate_unit_coords_oracle, frobenius_map, frobenius_perm,
+                      zorn_mul_oracle, zorn_norm_oracle)
 from moufang import fields, loops, paige
 from moufang.cli import main
 from moufang.composition import ZornMatrix, decompose_sum_two_units
@@ -36,8 +37,8 @@ def test_unit_loop_neutral_is_diag(u3):
 
 def test_unit_loop_rejects_large_q(monkeypatch):
     # the loops are refused by their order formula before anything is
-    # enumerated, and enumerate_unit_coords has its own q <= 5 bound; both
-    # before an engine is built
+    # enumerated, and enumerate_unit_coords has its own bound on the units
+    # it lists (q <= 5); both before an engine is built
     enumerate_unit_coords = paige.enumerate_unit_coords
 
     def no_engine(field):
@@ -52,7 +53,9 @@ def test_unit_loop_rejects_large_q(monkeypatch):
             with pytest.raises(UsageError, match="needs table mode"):
                 build(q)
     for q in (7, 9):
-        with pytest.raises(UsageError, match="limited to q <= 5"):
+        with pytest.raises(UsageError, match="a listing over GF\\(%d\\) visits "
+                           "%d norm-one units, past the limit of %d"
+                           % (q, paige.unit_loop_size_formula(q), paige.UNIT_CHECK_LIMIT)):
             enumerate_unit_coords(field_of_order(q))
 
 
@@ -74,6 +77,44 @@ def test_quotient_ratio():
         d = 2 if q % 2 else 1
         assert len(coords) == d * reps
         assert reps == paige.paige_order_formula(q) == len(paige.paige_coords(field))
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_streamed_units_are_the_meshgrid_enumeration(q, small_chunks, monkeypatch):
+    # row for row and byte for byte; small chunks (the q^3 beta of one
+    # alpha) cut every run of a, the run of a = 0 included
+    field = field_of_order(q)
+    want = enumerate_unit_coords_oracle(field)
+    if small_chunks:
+        monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 16)
+    got = paige.enumerate_unit_coords(field)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    eng = paige.ZornEngine.of(field)
+    reps = want[eng.pack(want) <= eng.pack(eng.neg(want))]
+    assert paige.paige_coords(field).tobytes() == reps.tobytes()
+    assert paige.count_paige_coords(field) == len(reps)
+    index = np.concatenate([[len(want) - 1, 0, 0],
+                            np.random.default_rng(q).integers(len(want), size=500)])
+    assert np.array_equal(paige.unit_rows(field, index), want[index])
+    assert paige.unit_rows(field, []).shape == (0, 8)
+    for bad in ([len(want)], [-1]):
+        with pytest.raises(IndexError, match="no norm-one unit at position %d" % bad[0]):
+            paige.unit_rows(field, bad)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_streamed_units_count_past_q5(q):
+    # strictly ascending packs make the rows distinct and canonically
+    # ordered; unit_chunks checks every norm; so the count is every unit
+    field = field_of_order(q)
+    eng = paige.ZornEngine.of(field)
+    count, last = 0, -1
+    for rows in paige.unit_chunks(field):
+        packs = eng.pack(rows)
+        assert packs[0] > last and (np.diff(packs) > 0).all()
+        count, last = count + len(rows), packs[-1]
+    assert count == paige.unit_loop_size_formula(q)
 
 
 def _paige_backend(q):
@@ -179,13 +220,13 @@ def test_closure_rejects_non_unit_generators(gf5):
 
 
 def test_frobenius_identity_on_prime_field(m2):
-    p = paige.frobenius_perm(m2)
+    p = frobenius_perm(m2)
     assert p.is_identity()
 
 
 def test_frobenius_q4_order_two_and_multiplicative(rng):
     M4 = _paige_backend(4)
-    f = paige.frobenius_perm(SimpleNamespace(zorn=M4))
+    f = frobenius_perm(SimpleNamespace(zorn=M4))
     assert not f.is_identity()
     assert (f * f).is_identity()
     I = rng.integers(len(M4.coords), size=10000)
@@ -197,7 +238,7 @@ def test_frobenius_q4_order_two_and_multiplicative(rng):
 
 def test_frobenius_map_elementwise(gf4):
     x = ZornMatrix(gf4, 2, (1, 0, 3), (0, 2, 1), 3)
-    y = paige.frobenius_map(4, x)
+    y = frobenius_map(x)
     assert y.coords() == tuple(gf4.frobenius(c) for c in x.coords())
 
 
