@@ -63,6 +63,22 @@ def positive_count(text):
     return int(text)
 
 
+# Bytes a command holds per seeded draw until its check ends: a bol-check
+# point, a spinor-check pick with its fetched unit row and unit_rows' sort.
+# The draws of one line get a quarter of fields.MEMORY_BUDGET.
+_POINT_BYTES = 8
+_PICK_BYTES = 128
+
+
+def _require_draws_fit(count, each, what):
+    """Refuse, with UsageError before anything is drawn, count draws of
+    each bytes past a quarter of the memory budget."""
+    if count * each > fields.MEMORY_BUDGET // 4:
+        raise UsageError("%d %s take %d bytes, past a quarter of the %d-byte "
+                         "memory budget" % (count, what, count * each,
+                                            fields.MEMORY_BUDGET))
+
+
 def all_or_positive_count(text):
     """The argparse type of simple-check --elements: None for 'all'."""
     return None if text == "all" else positive_count(text)
@@ -422,6 +438,8 @@ def _cmd_spinor_check(args, rep):
         raise UsageError("spinor checks need a prime q, not %d" % q)
     paige.require_units(q, paige.UNIT_CHECK_LIMIT if args.exhaustive
                         else paige.UNIT_STREAM_LIMIT, "spinor-check")
+    if not args.exhaustive:
+        _require_draws_fit(args.samples, _PICK_BYTES, "spinor-check samples")
     field = field_of_order(q)
     chunk = fields.MEMORY_BUDGET // UNIT_BYTES
     if args.exhaustive:
@@ -430,11 +448,12 @@ def _cmd_spinor_check(args, rep):
                    for s in range(0, len(rows), chunk))
     else:
         total, mode = args.samples, "sampled:%d" % args.samples
-        # positions in the canonical unit order, each batch fetched alone
+        # positions in the canonical unit order, all fetched in one pass of
+        # the stream and checked in pick order
         rng = np.random.default_rng(args.seed)
-        picks = rng.integers(paige.unit_loop_size_formula(q), size=total)
-        batches = (paige.unit_rows(field, picks[s:s + chunk])
-                   for s in range(0, total, chunk))
+        picked = paige.unit_rows(field, rng.integers(paige.unit_loop_size_formula(q),
+                                                     size=total))
+        batches = (picked[s:s + chunk] for s in range(0, total, chunk))
     witness, checked = None, 0
     for units in batches:
         verdicts = {}
@@ -484,6 +503,7 @@ def _cmd_net_build(args, rep):
 
 def _cmd_bol_check(args, rep):
     from . import triality
+    _require_draws_fit(args.points, _POINT_BYTES, "bol-check points")
     loop = _build_loop(*_table_spec(args.loop, triality.require_reflections_fit))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)

@@ -4,8 +4,10 @@ Moufang/autotopism checks, isomorphism search and automorphism groups.
 
 A loop is its Cayley table: FiniteLoop holds a validated table, and a loop
 whose table and two division tables would not fit fields.MEMORY_BUDGET is
-refused when it is constructed.  Element indices are the only currency here;
-labels are carried for printing and file round-trips.
+refused when it is constructed.  The division tables are built only by the
+checks that need them; construction, closures and the normal closures of
+simple loops work on the table alone.  Element indices are the only
+currency here; labels are carried for printing and file round-trips.
 """
 
 from __future__ import annotations
@@ -37,6 +39,18 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
+def _blocks(total, row_bytes, doubling=False):
+    """(start, end) of blocks of total rows of row_bytes each, at most as
+    many rows as a sixty-fourth of fields.MEMORY_BUDGET holds (at least one);
+    doubling blocks hold 1, 2, 4, ... rows up to that cap."""
+    cap = max(1, fields.MEMORY_BUDGET // 64 // row_bytes)
+    start, block = 0, 1 if doubling else cap
+    while start < total:
+        end = min(start + block, total)
+        yield start, end
+        start, block = end, min(2 * block, cap)
+
+
 class FiniteLoop:
     """A finite loop on indices 0..n-1, held as its validated Cayley table."""
 
@@ -58,12 +72,17 @@ class FiniteLoop:
     # -- construction helpers ------------------------------------------------
 
     def _validate_table(self):
-        n = self.n
+        """The Latin property, on sorted copies of row blocks, then of
+        column blocks, priced at 8 bytes a cell (the copy and the comparison
+        take 5)."""
+        T, n = self.table, self.n
         want = np.arange(n, dtype=np.int32)
-        if not (np.sort(self.table, axis=1) == want[None, :]).all():
-            raise ValueError("table rows are not permutations (Latin property fails)")
-        if not (np.sort(self.table, axis=0) == want[:, None]).all():
-            raise ValueError("table columns are not permutations (Latin property fails)")
+        for s, e in _blocks(n, 8 * n):
+            if not (np.sort(T[s:e], axis=1) == want[None, :]).all():
+                raise ValueError("table rows are not permutations (Latin property fails)")
+        for s, e in _blocks(n, 8 * n):
+            if not (np.sort(T[:, s:e], axis=0) == want[:, None]).all():
+                raise ValueError("table columns are not permutations (Latin property fails)")
 
     def _find_neutral_table(self):
         idx = np.arange(self.n, dtype=np.int32)
@@ -222,9 +241,9 @@ def closure_indices(loop, seed):
     """Subloop generated by the given indices (table mode).
 
     Each round marks the products of the members so far, gathering rows of
-    T[cur, cur] in blocks of 1, 2, 4, ... rows, and stops as soon as every
-    element is marked: a closure that covers the loop early skips the rest
-    of its round."""
+    T[cur, cur] in doubling _blocks, and stops as soon as every element is
+    marked: a closure that covers the loop early skips the rest of its
+    round."""
     T = loop.table
     n = loop.n
     member = np.zeros(n, dtype=bool)
@@ -233,12 +252,11 @@ def closure_indices(loop, seed):
     size = int(np.count_nonzero(member))
     while size < n:
         cur = np.flatnonzero(member)
-        start, block = 0, 1
-        while start < len(cur) and size < n:
-            member[T[cur[start:start + block, None], cur]] = True
+        for s, e in _blocks(len(cur), 16 * len(cur), doubling=True):
+            member[T[cur[s:e, None], cur]] = True
             size = int(np.count_nonzero(member))
-            start += block
-            block *= 2
+            if size == n:
+                break
         if size == len(cur):
             break
     return np.flatnonzero(member)
@@ -366,24 +384,48 @@ def center(loop):
 # normality and simplicity
 
 
+def _conjugation_images(loop, member, S):
+    """The images of S outside member under the maps T_x: s -> x \\ (sx),
+    from the first doubling block of x that has any, or None.  Row x of the
+    left division is scattered from row x of the table, so no division table
+    is built (a row takes at most 32 bytes per element)."""
+    T, n = loop.table, loop.n
+    for s, e in _blocks(n, 32 * n, doubling=True):
+        rows = np.arange(e - s)[:, None]
+        ld = np.empty((e - s, n), dtype=np.int32)
+        ld[rows, T[s:e]] = np.arange(n, dtype=np.int32)
+        img = ld[rows, T[S, s:e].T]
+        fresh = img[~member[img]]
+        if len(fresh):
+            return fresh
+    return None
+
+
 def _apply_inner_images(loop, sub):
-    """One sweep of all inner-map images of the index set sub; returns any
-    indices found outside it (table mode, vectorized per x)."""
-    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
+    """Some inner-map images of the index set sub outside it, or None when
+    sub is fixed setwise by every inner mapping (table mode).
+
+    The maps T_x go first, on the table alone (_conjugation_images); only
+    when none of them moves sub are the division tables built for the
+    sweep of L(x, y): s -> (yx) \\ (y(xs)) and R(x, y): s -> ((sx)y) / (xy),
+    vectorized per x."""
     n = loop.n
     member = np.zeros(n, dtype=bool)
     member[sub] = True
     S = np.asarray(sub, dtype=np.int64)
-    for x in range(n):
-        img_t = LD[x, T[S, x]]
-        xs = T[x, S]
-        phi = LD[T[:, x][:, None], T[:, xs]]
-        rho = RD[T[T[S, x]][:, :], T[x, :][None, :]]
-        pool = np.concatenate([img_t.ravel(), phi.ravel(), rho.ravel()])
-        fresh = pool[~member[pool]]
-        if len(fresh):
-            return np.flatnonzero(np.bincount(fresh, minlength=n))
-    return None
+    fresh = _conjugation_images(loop, member, S)
+    if fresh is None:
+        T, LD, RD = loop.table, loop.ldiv, loop.rdiv
+        for x in range(n):
+            phi = LD[T[:, x][:, None], T[:, T[x, S]]]
+            rho = RD[T[T[S, x]], T[x, :][None, :]]
+            pool = np.concatenate([phi.ravel(), rho.ravel()])
+            fresh = pool[~member[pool]]
+            if len(fresh):
+                break
+        else:
+            return None
+    return np.flatnonzero(np.bincount(fresh, minlength=n))
 
 
 def is_normal(loop, sub):
@@ -460,10 +502,21 @@ def associativity_violation(loop):
     return None
 
 
+def _carries_products(T1, T2, alpha, beta, gamma, sub):
+    """Whether alpha(x) * beta(y) in the table T2 is gamma(x * y in T1) for
+    all x, y in the index array sub, compared in row _blocks (the gathers,
+    the gamma images and the comparison take at most 32 bytes a cell)."""
+    A, B = alpha[sub], beta[sub]
+    for s, e in _blocks(len(sub), 32 * len(sub)):
+        if not (T2[np.ix_(A[s:e], B)] == gamma[T1[np.ix_(sub[s:e], sub)]]).all():
+            return False
+    return True
+
+
 def autotopism_check(loop, alpha, beta, gamma):
     """Whether x^alpha * y^beta = (xy)^gamma for all pairs."""
     T = loop.table
-    return bool((T[np.ix_(alpha.a, beta.a)] == gamma.a[T]).all())
+    return _carries_products(T, T, alpha.a, beta.a, gamma.a, np.arange(loop.n))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +534,8 @@ class LoopMorphismWitness:
         n = self.source.n
         if sorted(map(int, m)) != list(range(self.target.n)) or n != self.target.n:
             return False
-        T1, T2 = self.source.table, self.target.table
-        return bool((T2[np.ix_(m, m)] == m[T1]).all())
+        return _carries_products(self.source.table, self.target.table, m, m, m,
+                                 np.arange(n))
 
 
 def _invariant_vector(loop):
@@ -539,7 +592,8 @@ def _extender(L1, L2, gens, levels, candidates):
 
     def extend(level, trial, images=None):
         if level == len(gens):
-            return trial if (T2[np.ix_(trial, trial)] == trial[T1]).all() else None
+            return trial if _carries_products(T1, T2, trial, trial, trial,
+                                              np.arange(len(trial))) else None
         g = gens[level]
         steps, sub = schedules[level]
         for h in candidates[level] if images is None else images:
@@ -558,10 +612,9 @@ def _extender(L1, L2, gens, levels, candidates):
                     break
             if not ok:
                 continue
-            msub = t[sub]
-            if np.bincount(msub).max() > 1:
+            if np.bincount(t[sub]).max() > 1:
                 continue
-            if not (T2[np.ix_(msub, msub)] == t[T1[np.ix_(sub, sub)]]).all():
+            if not _carries_products(T1, T2, t, t, t, sub):
                 continue
             m = extend(level + 1, t)
             if m is not None:
@@ -654,7 +707,8 @@ def automorphisms(loop):
 def cyclic_loop(n):
     require_table_fits(n)
     idx = np.arange(n, dtype=np.int32)
-    return FiniteLoop(n, table=(idx[:, None] + idx[None, :]) % n)
+    table = np.add.outer(idx, idx)
+    return FiniteLoop(n, table=np.remainder(table, n, out=table))
 
 
 def direct_product(L1, L2):

@@ -346,8 +346,9 @@ def conjugacy_class(G, rep, limit=200000):
 # Bytes a stacked triality check allots each image of a row: words,
 # inverses, conjugates, products and index temporaries (tracemalloc peak:
 # 29-32 per image at net-paige2), rounded up to a power of two.  Chunks get
-# a sixteenth of fields.MEMORY_BUDGET.
+# a _CHECK_SHARE-th of fields.MEMORY_BUDGET, as paige.unit_chunks does.
 _CHECK_IMAGE_BYTES = 64
+_CHECK_SHARE = 64
 
 # The ordered pairs (i, j) of distinct classes, in the exhaustive order.
 _CLASS_PAIRS = np.array([(i, j) for i in range(3) for j in range(3) if i != j])
@@ -355,7 +356,7 @@ _CLASS_PAIRS = np.array([(i, j) for i in range(3) for j in range(3) if i != j])
 
 def _spans(total, degree):
     """(start, end) of the chunks of total rows of degree images."""
-    chunk = max(1, fields.MEMORY_BUDGET // 16 // (_CHECK_IMAGE_BYTES * degree))
+    chunk = max(1, fields.MEMORY_BUDGET // _CHECK_SHARE // (_CHECK_IMAGE_BYTES * degree))
     return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
 
 

@@ -99,6 +99,37 @@ def enumerate_unit_coords_oracle(field):
     return coords
 
 
+def inner_images_oracle(loop, sub):
+    """One sweep of the inner-map generators T_x: s -> x \\ (sx),
+    L(x, y): s -> (yx) \\ (y(xs)) and R(x, y): s -> ((sx)y) / (xy) on both
+    division tables, x by x: the sorted images of sub outside it under the
+    first x with any, or None when every inner mapping fixes sub."""
+    T, LD, RD = loop.table, loop.ldiv, loop.rdiv
+    member = np.zeros(loop.n, dtype=bool)
+    member[sub] = True
+    S = np.asarray(sub, dtype=np.int64)
+    for x in range(loop.n):
+        pool = np.concatenate([LD[x, T[S, x]],
+                               LD[T[:, x][:, None], T[:, T[x, S]]].ravel(),
+                               RD[T[T[S, x]], T[x, :][None, :]].ravel()])
+        fresh = pool[~member[pool]]
+        if len(fresh):
+            return np.unique(fresh)
+    return None
+
+
+def normal_closure_oracle(loop, seed):
+    """The smallest normal subloop containing seed: multiplicative closure
+    alternating with full sweeps of inner_images_oracle."""
+    sub = loops.closure_indices(loop, seed)
+    while len(sub) < loop.n:
+        fresh = inner_images_oracle(loop, sub)
+        if fresh is None:
+            break
+        sub = loops.closure_indices(loop, np.concatenate([sub, fresh]))
+    return sub
+
+
 def frobenius_map(elem):
     """Coordinate-wise p-th power on a Zorn matrix."""
     return ZornMatrix.from_coords(elem.field,

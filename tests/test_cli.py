@@ -355,6 +355,24 @@ def test_bol_check_peak_stays_priced():
     assert L.table.nbytes + peak <= fields.MEMORY_BUDGET
 
 
+def test_simple_check_m3_works_on_the_table_alone(monkeypatch):
+    # the 100 normal closures reach M*(3) on the maps T_x, with no division
+    # table, and the line peaks at its table plus a sixteenth of the budget
+    built = []
+    real = cli._build_loop
+
+    def build_loop(kind, arg):
+        built.append(real(kind, arg))
+        return built[-1]
+    monkeypatch.setattr(cli, "_build_loop", build_loop)
+    run(["simple-check", "--loop", "M*(2)", "--elements", "1"])  # module-level caches
+    rep, peak = _traced(run, ["simple-check", "--loop", "M*(3)", "--elements", "100"])
+    assert rep.status == 0 and lines_dict(rep)["simple"] == "yes"
+    loop = built[-1]
+    assert loop.n == 1080 and loop._ldiv is None and loop._rdiv is None
+    assert peak <= loop.table.nbytes + fields.MEMORY_BUDGET // 16
+
+
 # Lines that stream the norm-one units, or multiply Cayley integers in
 # blocks: none holds a whole enumeration or a whole batch of outer products.
 STREAMED = [["paige-order", "--q", "9"], ["spinor-check", "--q", "7", "--samples", "250"],
@@ -483,6 +501,8 @@ OVERSIZED = [
     ["mlt-order", "--loop", "M*(5)"],
     ["export-table", "--loop", "M*(4)", "--out", os.devnull],
     ["generators-check", "--q", "16"],
+    ["spinor-check", "--q", "3", "--samples", "10000000000"],
+    ["bol-check", "--loop", "Z(3)", "--points", "10000000000"],
 ]
 
 
@@ -818,6 +838,24 @@ def test_spinor_check_chunks_agree(monkeypatch, capsys):
     assert chunked.out == whole.out
     assert chunked.err.splitlines() == ["checked %d/40 operators" % k
                                         for k in (16, 32, 40)]
+
+
+def test_spinor_check_fetches_every_chunk_in_one_pass(monkeypatch, capsys):
+    argv = ["spinor-check", "--q", "5", "--samples", "40"]
+    assert main(argv) == 0
+    whole = capsys.readouterr()
+    calls = []
+    real = paige.unit_rows
+
+    def unit_rows(field, index):
+        calls.append(len(index))
+        return real(field, index)
+    monkeypatch.setattr(paige, "unit_rows", unit_rows)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * UNIT_BYTES)
+    assert main(argv) == 0
+    chunked = capsys.readouterr()
+    assert calls == [40] and chunked.out == whole.out
+    assert len(chunked.err.splitlines()) == 3
 
 
 def test_spinor_check_scalar_disagreement_exits_3(monkeypatch, capsys):

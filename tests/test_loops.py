@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moufang import fields, loops, paige
+from conftest import normal_closure_oracle
+from moufang import cayley, fields, loops, paige
 from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violation,
                            automorphisms, autotopism_check,
                            center, closure, closure_indices, commutant, cyclic_loop,
@@ -251,6 +252,67 @@ def test_is_simple(m2):
     assert sorted(normal_closure(cyclic_loop(4), [2])) == [0, 2]
 
 
+def octonion_units_loop():
+    """O16, the 16 units +-e_i of the octonions, multiplied by cayley."""
+    units = [tuple(2 * s * (t == i) for t in range(8)) for i in range(8) for s in (1, -1)]
+    index = {u: k for k, u in enumerate(units)}
+    prods = cayley.mul_batch(np.repeat(units, 16, axis=0), np.tile(units, (16, 1)))
+    return FiniteLoop(16, table=np.reshape([index[tuple(p)] for p in prods.tolist()],
+                                           (16, 16)))
+
+
+@pytest.mark.parametrize("name", ["m2", "S3", "Z12", "Z30", "O16", "O16xZ7", "m3", "u3"])
+def test_normal_closure_matches_the_full_sweep(name, request, s3_loop):
+    # every element, or 100 seeded ones of M*(3) and M(3)
+    if name in ("m2", "m3", "u3"):
+        L = request.getfixturevalue(name)
+    elif name == "S3":
+        L = s3_loop
+    elif name.startswith("Z"):
+        L = cyclic_loop(int(name[1:]))
+    else:
+        L = octonion_units_loop()
+        if name == "O16xZ7":
+            L = direct_product(L, cyclic_loop(7))
+    xs = range(L.n)
+    if name in ("m3", "u3"):  # and the center, {e, -e} in M(3)
+        xs = np.random.default_rng(loops.SAMPLE_SEED).choice(L.n, size=100, replace=False)
+        xs = list(xs) + center(L)
+    sizes = set()
+    for x in xs:
+        got = normal_closure(L, [int(x)])
+        assert np.array_equal(got, normal_closure_oracle(L, [int(x)])), x
+        sizes.add(len(got))
+    if name in ("S3", "Z12", "O16", "u3"):
+        assert len(sizes) > 2  # proper normal closures, not just 1 and n
+
+
+# A commutative loop of order 6, so every T_x is the identity, in which the
+# subloop {0, 1} is not normal; found by scanning symmetric 6x6 Latin
+# squares, frozen here
+COMMUTATIVE_6 = np.array([
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 4, 5, 2],
+    [2, 3, 0, 5, 1, 4],
+    [3, 4, 5, 0, 2, 1],
+    [4, 5, 1, 2, 0, 3],
+    [5, 2, 4, 1, 3, 0],
+], dtype=np.int32)
+
+
+def test_normal_closure_past_the_conjugation_maps():
+    # the maps T_x move nothing, so the sweep of L(x, y) and R(x, y) on the
+    # division tables must find what leaves {0, 1}
+    L = FiniteLoop(6, table=COMMUTATIVE_6)
+    assert np.array_equal(closure_indices(L, [1]), [0, 1])
+    assert L._ldiv is None and L._rdiv is None
+    assert not is_normal(L, [0, 1])
+    assert L._ldiv is not None and L._rdiv is not None
+    for x in range(6):
+        assert np.array_equal(normal_closure(L, [x]), normal_closure_oracle(L, [x]))
+    assert len(normal_closure(L, [1])) == 6
+
+
 def test_is_simple_m3_sampled(m3):
     others = [x for x in range(m3.n) if x != m3.neutral]
     picks = np.random.default_rng(loops.SAMPLE_SEED).choice(len(others), size=30,
@@ -341,6 +403,18 @@ def test_two_sided_inverses_match_brute_force(name, m2, s3_loop, non_moufang_loo
         assert want is None and got is None
     else:
         assert want is not None and got.tolist() == want
+
+
+def test_cyclic_loop_3344_peaks_near_its_table():
+    # the table is built in place and checked in blocks, with no sorted
+    # copy of the whole table
+    tracemalloc.start()
+    try:
+        L = cyclic_loop(3344)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= L.table.nbytes + fields.MEMORY_BUDGET // 16
 
 
 def test_memory_budget_decides_table_mode():
@@ -523,8 +597,8 @@ def test_table_roundtrip(tmp_path, s3_loop):
 
 
 def test_read_table_peak_stays_near_the_table(tmp_path):
-    # rows are parsed into the int32 table: the table, the sorted copy its
-    # Latin check makes and that check's mask, well under the 12 bytes per
+    # rows are parsed into the int32 table: the table, the sorted blocks its
+    # Latin check makes and that check's masks, well under the 12 bytes per
     # cell that require_table_fits prices (a list of rows took about 39)
     path = tmp_path / "z1024.tbl"
     write_table(cyclic_loop(1024), path)

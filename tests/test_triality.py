@@ -628,8 +628,8 @@ def test_sampled_counts_run_across_the_chunks(case, s3_loop, monkeypatch):
     G, sigma, rho = _sampled_cases(s3_loop)[case]
     monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
     ok, one = triality_check(G, sigma, rho, samples=300)
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * triality._CHECK_IMAGE_BYTES
-                        * G.degree * 7)  # 7 rows a chunk
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", triality._CHECK_SHARE
+                        * triality._CHECK_IMAGE_BYTES * G.degree * 7)  # 7 rows a chunk
     assert list(triality._spans(300, G.degree))[:2] == [(0, 7), (7, 14)]
     ok_chunked, chunked = triality_check(G, sigma, rho, samples=300)
     assert ok_chunked == ok and chunked["pairs_ok"] == one["pairs_ok"]
@@ -648,14 +648,15 @@ def _unbuilt(G):
 
 
 def test_sampled_check_peak_stays_in_its_chunks(paige2_witness, monkeypatch):
-    # 1000 samples on the net of M*(2), degree 360, in chunks of 91 rows:
+    # 1000 samples on the net of M*(2), degree 360, in chunks of 22 rows:
     # unchunked they would take about 9 MB.  The peak includes deciding the
     # mode, which must not list the group to find it too large.
     w = paige2_witness
     G = _unbuilt(w.group)
     G._gen_stack  # the group's generator stack (1 MB), not the check's
     monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 25)
-    assert len(list(triality._spans(1000, G.degree))) == 11
+    rows = 2 ** 25 // triality._CHECK_SHARE // (triality._CHECK_IMAGE_BYTES * G.degree)
+    assert len(list(triality._spans(1000, G.degree))) == -(-1000 // rows) > 1
     tracemalloc.start()
     try:
         ok, details = triality_check(G, w.sigma, w.rho, samples=1000)
