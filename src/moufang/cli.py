@@ -63,6 +63,15 @@ def positive_count(text):
     return int(text)
 
 
+def seed_value(text):
+    """The argparse type of --seed: a non-negative integer, in any base
+    int(text, 0) reads, since fields.Sampler refuses negative seeds."""
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("%r is not a non-negative seed" % (text,))
+    return seed
+
+
 # Bytes a command holds per seeded draw until its check ends: a bol-check
 # point, a spinor-check pick with its fetched unit row and unit_rows' sort.
 # The draws of one line get a quarter of fields.MEMORY_BUDGET.
@@ -170,7 +179,7 @@ def _build_parser(only=None):
         if only not in (None, name):
             return _Skipped()
         p = sub.add_parser(name, **kw)
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=SAMPLE_SEED)
+        p.add_argument("--seed", type=seed_value, default=SAMPLE_SEED)
         return p
 
     p = add("paige-order", help="order of M*(q): formula and enumeration")
@@ -306,9 +315,8 @@ def _cmd_simple_check(args, rep):
         if k > len(others):
             raise UsageError("--elements %d exceeds the %d non-neutral elements"
                              % (k, len(others)))
-        rng = np.random.default_rng(args.seed)
-        others = [others[int(i)] for i in rng.choice(len(others), size=k,
-                                                     replace=False)]
+        others = [others[int(i)] for i in
+                  fields.Sampler(args.seed).choice(len(others), size=k)]
     bad = None
     for i, x in enumerate(others):
         if len(loops.normal_closure(loop, [x])) != loop.n:
@@ -397,7 +405,7 @@ def _cmd_decompose(args, rep):
     else:
         rep.add("mode", "sampled:%d" % args.samples)
         # successive draws continue one stream: the rows of a single draw
-        rng = np.random.default_rng(args.seed)
+        rng = fields.Sampler(args.seed)
         pool = (rng.integers(q, size=(min(chunk, args.samples - s), 8))
                 for s in range(0, args.samples, chunk))
     checked, witness = 0, None
@@ -450,7 +458,7 @@ def _cmd_spinor_check(args, rep):
         total, mode = args.samples, "sampled:%d" % args.samples
         # positions in the canonical unit order, all fetched in one pass of
         # the stream and checked in pick order
-        rng = np.random.default_rng(args.seed)
+        rng = fields.Sampler(args.seed)
         picked = paige.unit_rows(field, rng.integers(paige.unit_loop_size_formula(q),
                                                      size=total))
         batches = (picked[s:s + chunk] for s in range(0, total, chunk))
@@ -523,7 +531,7 @@ def _cmd_bol_check(args, rep):
         rep.add("s3_origin", "ok")
     else:
         rep.fail("s3_origin", "fail")
-    rng = np.random.default_rng(args.seed)
+    rng = fields.Sampler(args.seed)
     pts = rng.integers(net.n_points, size=args.points)
     bad = 0
     for p in pts:

@@ -13,6 +13,7 @@ lexicographic on the coefficient vector (c0, c1, ...); it is exposed through
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -44,6 +45,40 @@ class UsageError(ValueError):
 MEMORY_BUDGET = 2 ** 27
 SAMPLE_SEED = 0x5EED
 _IDENTITY_SAMPLE_LIMIT = 512  # exhaustive identity checks up to this size
+
+
+class Sampler:
+    """The package's one seeded sampler: the standard library's Mersenne
+    Twister (random.Random; Matsumoto and Nishimura, ACM TOMACS 1998), read
+    as raw 32-bit words.  integers is exactly uniform, by rejection of the
+    words past the largest multiple of high, and refills exactly the
+    shortfall in stream order: a draw of a + b values equals a draw of a
+    and then a draw of b."""
+
+    def __init__(self, seed):
+        if seed < 0:  # random.Random would take |seed|: -5 would alias 5
+            raise ValueError("a seed must be non-negative, not %d" % seed)
+        self._mt = random.Random(seed)
+
+    def integers(self, high, size=None, dtype=np.int64):
+        """Uniform integers in range(high), high <= 2^32: an int, or an
+        array of shape size."""
+        if not 1 <= high <= 2 ** 32:
+            raise ValueError("cannot draw from range(%d)" % high)
+        limit = 2 ** 32 // high * high - 1  # in Python ints: 2^32 itself fits no uint32
+        out = np.empty(() if size is None else size, dtype=np.uint64)
+        flat, filled = out.reshape(-1), 0
+        while filled < flat.size:
+            words = np.frombuffer(self._mt.randbytes(4 * (flat.size - filled)), dtype="<u4")
+            words = words[words <= limit]
+            flat[filled:filled + len(words)] = words
+            filled += len(words)
+        flat %= high
+        return int(out) if size is None else out.astype(dtype)
+
+    def choice(self, n, size):
+        """size distinct values of range(n)."""
+        return np.array(self._mt.sample(range(n), size), dtype=np.int64)
 
 
 def moufang_mode(n, samples):

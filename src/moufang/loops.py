@@ -362,13 +362,13 @@ def nucleus(loop, candidates=None):
         candidates = np.arange(n, dtype=np.int64)
     else:
         candidates = np.asarray(sorted(candidates), dtype=np.int64)
-    rng = np.random.default_rng(SAMPLE_SEED)
+    rng = fields.Sampler(SAMPLE_SEED)
     alive = candidates
     for _ in range(64):
         if len(alive) == 0:
             return []
-        y = int(rng.integers(n))
-        z = int(rng.integers(n))
+        y = rng.integers(n)
+        z = rng.integers(n)
         alive = alive[(T[T[alive, y], z] == T[alive, T[y, z]])
                       & (T[T[y, alive], z] == T[y, T[alive, z]])
                       & (T[T[y, z], alive] == T[y, T[z, alive]])]
@@ -465,7 +465,7 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
     """First violation of ((xy)x)z = x(y(xz)) or None, in moufang_mode.
 
     Sampled triples are drawn in chunks, each drawing its X, then its Y,
-    then its Z from one seeded stream: a single chunk draws what one draw of
+    then its Z from one fields.Sampler stream: a single chunk draws what one draw of
     all samples would, several chunks draw a different stream."""
     n, T = loop.n, loop.table
     if moufang_mode(n, samples) == "exhaustive":
@@ -476,7 +476,7 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
             if bad.any():
                 return (x,) + divmod(int(bad.argmax()), n)
         return None
-    rng = np.random.default_rng(seed)
+    rng = fields.Sampler(seed)
     chunk = fields.MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)

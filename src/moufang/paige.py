@@ -482,7 +482,7 @@ class _PaigeBackend:
         pos, neg = ([reduce(np.add.outer, half).ravel() for half in
                      (weights[:, None] * (s * value % p)).reshape(2, 4, R)] for s in (1, -1))
         table = np.empty((n, n), dtype=np.int32)
-        step = max(1, fields.MEMORY_BUDGET // 32 // (32 * n))  # 32 bytes a cell (26 measured)
+        step = max(1, fields.MEMORY_BUDGET // 64 // (32 * n))  # 32 bytes a cell (26 measured)
         for start in range(0, n, step):
             keys = XM[:, start:start + step] @ Y
             k0, k1 = np.subtract(keys, off, out=keys)
@@ -650,8 +650,9 @@ def _closure_bytes(q):
 
 def _require_closure_fits(q):
     """UsageError unless q is a prime power and a closure inside M*(q) fits
-    fields.MEMORY_BUDGET: _closure_bytes gets three quarters, product batches
-    the last quarter.  Read from q alone, before any field table is built."""
+    fields.MEMORY_BUDGET: _closure_bytes gets three quarters, and the last
+    quarter holds the product batches, which closure_packed sizes at a
+    sixty-fourth.  Read from q alone, before any field table is built."""
     prime_power(q)
     need = _closure_bytes(q)
     if 4 * need > 3 * fields.MEMORY_BUDGET:
@@ -688,7 +689,7 @@ def closure_packed(q, generator_matrices):
         return P
 
     frontier = fresh(np.concatenate([gens, eng.unit_row()[None, :]]))
-    step = max(1, fields.MEMORY_BUDGET // 4 // _PRODUCT_BYTES // (2 * len(gens)))
+    step = max(1, fields.MEMORY_BUDGET // 64 // _PRODUCT_BYTES // (2 * len(gens)))
     G = gens[:, None, :]
     while len(frontier):
         found = []

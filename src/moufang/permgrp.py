@@ -316,10 +316,11 @@ class PermGroup:
     def random_element(self, rng, size=None):
         """A random word of 20 uniformly chosen generators and inverses
         (Seress, Permutation Group Algorithms, 2003), deterministic for a
-        seeded rng; for sampling checks, never for orders.  With size, as in
-        numpy, a (size, n) int32 stack of words, lettered by one draw
+        seeded fields.Sampler rng; for sampling checks, never for orders.
+        With size, a (size, n) int32 stack of words, lettered by one draw
         rng.integers(2k, size=(size, 20)) (k + i: generator i inverted) and
-        composed by one flat gather per letter; a + b words draw a, then b."""
+        composed by one flat gather per letter; a + b words draw a, then b,
+        since the sampler's draws continue one stream."""
         if size is None:
             return Perm(self.random_element(rng, 1)[0], _checked=True)
         words = np.tile(_identity_images(self.degree), (size, 1))

@@ -436,7 +436,7 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
         for s, e in _spans(len(listed), G.degree):
             yield (np.stack([g.a for g in listed[s:e]]),)
         if not exhaustive:
-            rng = np.random.default_rng(seed)
+            rng = fields.Sampler(seed)
             for s, e in _spans(samples, G.degree):
                 yield (G.random_element(rng, e - s),)
 
@@ -449,7 +449,7 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
                     t = np.arange(s, e)
                     yield A[t // len(B)], B[t % len(B)]
             return
-        rng = np.random.default_rng(seed + 1)
+        rng = fields.Sampler(seed + 1)
         S = np.stack([s.a for s in sigmas])
         for s, e in _spans(samples, G.degree):
             pair = _CLASS_PAIRS[rng.integers(6, size=e - s)].T

@@ -86,7 +86,9 @@ def test_usage_errors(capsys):
                  ["decompose", "--q", "239", "--exhaustive"],
                  ["decompose", "--q", "5", "--x", "[1|0,0,0|0,0,0|9]"],
                  ["paige-order", "--q", "6"],
-                 ["paige-order", "--q", "10", "--skip-enumeration"]):
+                 ["paige-order", "--q", "10", "--skip-enumeration"],
+                 ["bol-check", "--loop", "Z(3)", "--points", "5", "--seed=-1"],
+                 ["triality-check", "--case", "net-paige2", "--seed", "-0x5EED"]):
         assert main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
@@ -173,7 +175,7 @@ def test_sampled_decompose_runs_in_chunks(monkeypatch):
     # 1000 samples in chunks of 300 rows draw the rows of one draw, so the
     # lines match the one-chunk run, a witness included
     argv = ["decompose", "--q", "3", "--samples", "1000", "--seed", "7"]
-    target = np.random.default_rng(7).integers(3, size=(1000, 8))[699]
+    target = fields.Sampler(7).integers(3, size=(1000, 8))[699]
     batch, sizes = paige.decompose_batch, []
 
     def counted(engine, X):
@@ -432,7 +434,7 @@ def test_closure_and_certificate_peaks_stay_priced(argv):
     if argv[0] == "generators-check":
         q = int(argv[2])
         products = min(6 * paige.paige_order_formula(q),
-                       fields.MEMORY_BUDGET // 4 // paige._PRODUCT_BYTES)
+                       fields.MEMORY_BUDGET // 64 // paige._PRODUCT_BYTES)
         limit += paige._closure_bytes(q) + paige._PRODUCT_BYTES * products
     run(["generators-check", "--q", "2"])  # module-level caches
     tracemalloc.start()
@@ -730,6 +732,35 @@ print(json.dumps(seen))
     assert json.loads(out.stdout) == [[], base, base, base]
 
 
+def test_seeded_lines_load_no_numpy_random():
+    # fields.Sampler draws from the standard library's Mersenne Twister;
+    # numpy.random would load hashlib's OpenSSL module with it
+    code = """
+import sys
+import moufang.cli
+for argv in (["simple-check", "--loop", "M*(3)", "--elements", "100"],
+             ["bol-check", "--loop", "Z(3)", "--points", "50"],
+             ["decompose", "--q", "3", "--samples", "100"],
+             ["spinor-check", "--q", "3", "--samples", "10"],
+             ["triality-check", "--case", "net-paige2", "--samples", "10"]):
+    assert moufang.cli.run(argv).status == 0, argv
+print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_module_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bol-check", "--loop", "Z(1)", "--points", "5"],
+    ["bol-check", "--loop", "Z(1024)", "--points", "5"],
+    ["decompose", "--field", "gf(2,2,1.1.1)", "--samples", "20"]], ids=lambda a: a[2])
+def test_draws_from_one_and_powers_of_two_pass(argv):
+    # the bound of the accepted words is 2^32 itself: no overflow
+    assert run(argv).status == 0
+
+
 def test_reports_are_deterministic():
     a = run(["spinor-check", "--q", "3", "--samples", "20"])
     b = run(["spinor-check", "--q", "3", "--samples", "20"])
@@ -788,7 +819,7 @@ def test_spinor_check_checks_the_listed_units(q, argv, monkeypatch):
     if argv[0] == "--exhaustive":
         want = listed
     else:
-        want = listed[np.random.default_rng(int(argv[3])).integers(len(listed), size=250)]
+        want = listed[fields.Sampler(int(argv[3])).integers(len(listed), size=250)]
     assert np.array_equal(np.concatenate(seen), want)
 
 
@@ -814,7 +845,7 @@ def test_spinor_check_reports_the_scalar_witness(chunk, monkeypatch, capsys):
     # of 7 units
     field = field_of_order(3)
     coords = paige.enumerate_unit_coords(field).copy()
-    picks = np.random.default_rng(loops.SAMPLE_SEED).integers(len(coords), size=20)
+    picks = fields.Sampler(loops.SAMPLE_SEED).integers(len(coords), size=20)
     assert picks[10] not in picks[:10]
     coords[picks[10]] = [2, 0, 0, 0, 0, 0, 0, 1]
     monkeypatch.setattr(paige, "unit_rows", lambda field, index: coords[index])

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moufang.fields import (BUILTIN_MODULI, GF, UsageError, field_make, field_of_order,
-                            parse_field_spec, prime_power, primitive_element, rref)
+import moufang
+from moufang.fields import (BUILTIN_MODULI, GF, SAMPLE_SEED, Sampler, UsageError,
+                            field_make, field_of_order, parse_field_spec, prime_power,
+                            primitive_element, rref)
+from moufang.paige import unit_loop_size_formula
 
 
 def brute_irreducible(coeffs, p):
@@ -284,3 +291,69 @@ def test_array_ops_refuse_extension_fields_without_tables():
 def test_format_parse_roundtrip(gf4):
     for x in range(4):
         assert gf4.parse_element(gf4.format_element(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# the seeded sampler
+
+
+# 1 and the powers of two take every word (the bound of the accepted words
+# is 2^32 itself); a high near the 19485840 units of GF(11) rejects some
+HIGHS = [1, 4, 2 ** 20, unit_loop_size_formula(11) + 1, 3 * 2 ** 30, 2 ** 32]
+
+
+@pytest.mark.parametrize("high", HIGHS)
+def test_sampler_draws_in_range_and_in_chunks(high):
+    whole = Sampler(SAMPLE_SEED).integers(high, size=1000)
+    assert whole.dtype == np.int64
+    assert ((0 <= whole) & (whole < high)).all()
+    # a draw of a + b is a draw of a, then of b; the scalar draw is one more
+    rng = Sampler(SAMPLE_SEED)
+    parts = [rng.integers(high, size=s) for s in (1, 299, 0, 600)]
+    assert (np.concatenate(parts) == whole[:900]).all()
+    assert rng.integers(high) == whole[900]
+    # and (size, 20) draws are their rows, in order
+    rng = Sampler(SAMPLE_SEED)
+    rows = [rng.integers(high, size=(s, 20)) for s in (7, 43)]
+    assert rows[0].shape == (7, 20)
+    assert (np.concatenate(rows).ravel() == whole).all()
+
+
+@pytest.mark.parametrize("high", [1, 4, 6, 97])
+def test_sampler_reaches_every_value(high):
+    assert set(Sampler(7).integers(high, size=2000).tolist()) == set(range(high))
+
+
+def test_sampler_is_uniform_past_a_biased_modulus():
+    # 2^32 words reduced mod 3 * 2^30 would put half the draws below 2^30;
+    # rejection puts a third there
+    low = (Sampler(SAMPLE_SEED).integers(3 * 2 ** 30, size=6000) < 2 ** 30).mean()
+    assert 0.3 < low < 0.37
+
+
+def test_sampler_choice_gives_distinct_values():
+    for n, size in ((10, 10), (6560, 100), (2 ** 40, 50)):
+        picks = Sampler(SAMPLE_SEED).choice(n, size=size)
+        assert len(set(picks.tolist())) == size
+        assert ((0 <= picks) & (picks < n)).all()
+
+
+def test_sampler_refuses_negative_seeds_and_bad_ranges():
+    with pytest.raises(ValueError):
+        Sampler(-5)
+    for high in (0, -3, 2 ** 32 + 1):
+        with pytest.raises(ValueError):
+            Sampler(5).integers(high)
+
+
+def test_sampler_stream_is_the_same_in_two_processes():
+    code = ("from moufang.fields import Sampler\n"
+            "rng = Sampler(24301)\n"
+            "print(rng.integers(10 ** 6, size=8).tolist(), rng.choice(100, 5).tolist())")
+    src = str(Path(moufang.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60).stdout for _ in range(2)]
+    rng = Sampler(24301)
+    here = "%s %s\n" % (rng.integers(10 ** 6, size=8).tolist(), rng.choice(100, 5).tolist())
+    assert outs == [here, here]

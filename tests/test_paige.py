@@ -317,6 +317,33 @@ def test_table_build_peak_stays_in_the_priced_tables(build):
     assert peak <= 12 * n * n, (n, peak)
 
 
+
+def test_paige_table_build_peaks_near_its_table():
+    # M*(3)'s table (4.45 MiB), the four radix tables of R^4 int32 entries
+    # (1.27 MiB) and row blocks of a sixty-fourth of the budget
+    field = field_of_order(3)
+    S = paige.ZornEngine.of(field).structure_tensor()
+    R = (3 - 1) ** 2 * int((S * S).sum(axis=(0, 1)).max()) + 1
+    tracemalloc.start()
+    try:
+        table = paige.paige_loop(3).table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 4 * 4 * R ** 4 + fields.MEMORY_BUDGET // 64
+
+
+def test_generator_closure_peaks_near_its_bitmap_and_packs():
+    # the product batches of closure_packed take a sixty-fourth of the budget
+    paige.generator_closure_size(2)  # module-level caches
+    tracemalloc.start()
+    try:
+        assert paige.generator_closure_size(5) == 39000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= paige._closure_bytes(5) + fields.MEMORY_BUDGET // 64
+
 def test_unit_loop_q3_is_table_mode(u3):
     # 12 * 2160^2 bytes of tables fit the memory budget
     assert u3.table is not None and u3.table.shape == (2160, 2160)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moufang import loops
+from moufang import fields, loops
 from moufang.permgrp import (IncompleteChainError, Perm, PermGroup,
                              homomorphism_kernel)
 
@@ -70,28 +70,28 @@ def test_random_element_draws_the_seeded_words(name, gens, order):
     # the same (size, 20) draw, letter k + i being generator i inverted
     G = PermGroup(gens[0].degree, gens)
     k = len(G.gens)
-    letters = np.random.default_rng(7).integers(2 * k, size=(30, 20), dtype=np.int32)
+    letters = fields.Sampler(7).integers(2 * k, size=(30, 20), dtype=np.int32)
     want = []
     for word in letters:
         w = Perm.identity(G.degree)
         for i in word:
             w = w * (G.gens[i] if i < k else G.gens[i - k].inverse())
         want.append(w)
-    words = G.random_element(np.random.default_rng(7), size=30)
+    words = G.random_element(fields.Sampler(7), size=30)
     assert words.shape == (30, G.degree) and words.dtype == np.int32
     assert [Perm(w) for w in words] == want
     # one word is row 0 of a draw of one, and two draws are one
-    assert G.random_element(np.random.default_rng(7)) == \
-        Perm(G.random_element(np.random.default_rng(7), size=1)[0])
-    rng = np.random.default_rng(7)
+    assert G.random_element(fields.Sampler(7)) == \
+        Perm(G.random_element(fields.Sampler(7), size=1)[0])
+    rng = fields.Sampler(7)
     chunks = [G.random_element(rng, size=11), G.random_element(rng, size=19)]
     assert (np.concatenate(chunks) == words).all()
 
 
 def test_random_words_of_no_generators_are_the_identity():
     G = PermGroup(4, [])
-    assert G.random_element(np.random.default_rng(7)) == Perm.identity(4)
-    assert (G.random_element(np.random.default_rng(7), size=3) == np.arange(4)).all()
+    assert G.random_element(fields.Sampler(7)) == Perm.identity(4)
+    assert (G.random_element(fields.Sampler(7), size=3) == np.arange(4)).all()
 
 
 @pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)

@@ -558,14 +558,14 @@ def _sampled_check_one_perm_at_a_time(G, sigma, rho, samples, seed):
     generators and then the words of one seeded draw, route B draws the
     class pairs and then the words conjugating sigma_i and sigma_j."""
     sigmas = (sigma, sigma * rho, rho * sigma)
-    words = G.random_element(np.random.default_rng(seed), size=samples)
+    words = G.random_element(fields.Sampler(seed), size=samples)
     checked, witness = 0, None
     for g in list(G.gens) + [Perm(w) for w in words]:
         if not _triality_identity_holds(g, sigma, rho):
             witness = g
             break
         checked += 1
-    rng = np.random.default_rng(seed + 1)
+    rng = fields.Sampler(seed + 1)
     ij = triality._CLASS_PAIRS[rng.integers(6, size=samples)]
     Wi, Wj = G.random_element(rng, size=samples), G.random_element(rng, size=samples)
     pairs, pair_witness = 0, None
