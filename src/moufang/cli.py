@@ -533,17 +533,7 @@ def _cmd_bol_check(args, rep):
         rep.fail("s3_origin", "fail")
     rng = fields.Sampler(args.seed)
     pts = rng.integers(net.n_points, size=args.points)
-    bad = 0
-    for p in pts:
-        p = int(p)
-        lines = [(c, net.line_through(p, c)) for c in (1, 2, 3)]
-        for (c1, m1) in lines:
-            for (c2, m2) in lines:
-                if (c1, m1) == (c2, m2):
-                    continue
-                prod = refl[(c1, m1)] * refl[(c2, m2)]
-                if not (prod * prod * prod).is_identity():
-                    bad += 1
+    bad = triality.concurrent_pair_failures(net, refl, pts)
     rep.add("concurrent_points", args.points)
     if bad == 0:
         rep.add("concurrent_pairs", "ok")

@@ -302,10 +302,6 @@ class GF:
     def is_zero(self, a):
         return a == 0
 
-    def from_int(self, n):
-        """Embed an integer via the prime subfield."""
-        return n % self.p
-
     def is_square(self, x):
         """Whether x is a square; x = 0 has no square class and raises."""
         if x == 0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fields
 from .fields import SAMPLE_SEED, UsageError, moufang_mode
-from .permgrp import Perm, PermGroup
+from .permgrp import Perm, PermGroup, compose, invert, orbit
 
 
 def table_fits(n):
@@ -98,24 +98,21 @@ class FiniteLoop:
 
     @property
     def ldiv(self):
-        """Table of x \\ y (solution of x*c = y)."""
+        """Table of x \\ y (solution of x*c = y): the table's rows inverted."""
         if self._ldiv is None:
-            T = self.table
-            n = self.n
-            d = np.empty((n, n), dtype=np.int32)
-            d[np.arange(n)[:, None], T] = np.arange(n, dtype=np.int32)[None, :]
+            d = np.empty((self.n, self.n), dtype=np.int32)
+            for s, e in _blocks(self.n, 8 * self.n):
+                invert(self.table[s:e], out=d[s:e])
             self._ldiv = d
         return self._ldiv
 
     @property
     def rdiv(self):
-        """Table of x / y (solution of c*y = x)."""
+        """Table of x / y (solution of c*y = x): the table's columns inverted."""
         if self._rdiv is None:
-            T = self.table
-            n = self.n
-            d = np.empty((n, n), dtype=np.int32)
-            d[T, np.arange(n, dtype=np.int32)[None, :]] = \
-                np.arange(n, dtype=np.int32)[:, None]
+            d = np.empty((self.n, self.n), dtype=np.int32)
+            for s, e in _blocks(self.n, 12 * self.n):
+                d[:, s:e] = invert(self.table[:, s:e].T).T
             self._rdiv = d
         return self._rdiv
 
@@ -391,10 +388,7 @@ def _conjugation_images(loop, member, S):
     is built (a row takes at most 32 bytes per element)."""
     T, n = loop.table, loop.n
     for s, e in _blocks(n, 32 * n, doubling=True):
-        rows = np.arange(e - s)[:, None]
-        ld = np.empty((e - s, n), dtype=np.int32)
-        ld[rows, T[s:e]] = np.arange(n, dtype=np.int32)
-        img = ld[rows, T[S, s:e].T]
+        img = compose(T[S, s:e].T, invert(T[s:e]))
         fresh = img[~member[img]]
         if len(fresh):
             return fresh
@@ -646,19 +640,6 @@ def find_isomorphism(L1, L2):
     return witness
 
 
-def _orbit(point, perms):
-    orbit = {point}
-    todo = [point]
-    while todo:
-        x = todo.pop()
-        for p in perms:
-            y = int(p.a[x])
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
-
-
 def automorphisms(loop):
     """Aut(loop) as a PermGroup on the element indices (table mode).
 
@@ -676,23 +657,28 @@ def automorphisms(loop):
     candidates = _invariant_candidates(orders, sizes, orders, sizes, gens)
     extend = _extender(loop, loop, gens, levels, candidates)
     strong = []
+
+    def point_orbit(x):
+        S = np.array([p.a for p in strong], dtype=np.int32).reshape(-1, n)
+        return set(np.frombuffer(b"".join(orbit([x], S)[0]), np.int32).tolist())
+
     order = 1
     for i in reversed(range(len(gens))):
         fixed = levels[i - 1] if i else [loop.neutral]
         trial = np.full(n, -1, dtype=np.int64)
         trial[fixed] = fixed
-        orbit = _orbit(gens[i], strong)
+        basic = point_orbit(gens[i])
         dead = set()
         for h in candidates[i]:
-            if h in orbit or h in dead:
+            if h in basic or h in dead:
                 continue
             m = extend(i, trial, [h])
             if m is None:
-                dead |= _orbit(h, strong)
+                dead |= point_orbit(h)
                 continue
             strong.append(Perm(m))
-            orbit = _orbit(gens[i], strong)
-        order *= len(orbit)
+            basic = point_orbit(gens[i])
+        order *= len(basic)
     group = PermGroup(n, strong)
     if group.order() != order:
         raise AssertionError("Schreier-Sims order %d != product of basic "

@@ -7,6 +7,9 @@ probabilistic.  Generators enter the chain one at a time, and only those
 that fail to sift through the chain built so far; the construction then
 processes every Schreier generator and the verification pass re-sifts all
 of them, so a completed chain is a certificate, not a heuristic.
+
+Sets of permutations are int32 stacks, one image array per row, composed,
+inverted and walked breadth-first by compose, invert and orbit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import fields
+
 
 @lru_cache(maxsize=None)
 def _identity_images(n):
@@ -22,6 +27,65 @@ def _identity_images(n):
     a = np.arange(n, dtype=np.int32)
     a.flags.writeable = False
     return a
+
+
+def _flat_index(A, B):
+    """The images A as indices into B's raveled rows: each row of A shifted
+    by the start of its row in B, the leading axes broadcast."""
+    return A + np.arange(0, B.size, B.shape[-1], dtype=np.int32).reshape(B.shape[:-1] + (1,))
+
+
+def compose(A, B):
+    """A then B, row by row: row r is B_r[A_r], by one flat gather on B's
+    rows.  The leading axes of A and B broadcast, so a 1-D B applies to every
+    row of A, and A's rows may be narrower than B's (rows of points)."""
+    if B.ndim == 1:
+        return B.take(A)
+    return B.ravel().take(_flat_index(A, B))
+
+
+def invert(A, out=None):
+    """Row r is the inverse of A_r, by one int32 scatter; out, if given, is a
+    C-contiguous int32 array of A's shape that receives the inverses."""
+    if out is None:
+        out = np.empty(A.shape, dtype=np.int32)
+    out.ravel()[_flat_index(A, A)] = _identity_images(A.shape[-1])
+    return out
+
+
+def orbit(start, maps, limit=None):
+    """Breadth-first orbit of the int32 row start under maps: a (k, w) stack
+    acting on the right (row x goes to S_j[x]), or a function giving the
+    images of an (m, w) stack's rows under k maps as an (m, k, w) array.
+    Rows are told apart by their bytes, taken in orbit order with each row's
+    images in map order; the first occurrence wins.  Returns the rows' bytes
+    in that order (each row is held once; np.frombuffer reads it in place),
+    each row's parent row and map index (-1 for start); raises ValueError
+    past limit rows.  The maps get as many rows a call as a 64th of
+    fields.MEMORY_BUDGET holds at 8 bytes per byte of their images."""
+    images = maps if callable(maps) else lambda X: compose(X[:, None, :], maps)
+    start = np.asarray(start, dtype=np.int32).ravel()
+    width = start.nbytes
+    keys = [start.tobytes()]  # the rows found, in orbit order
+    seen = set(keys)
+    parents, gens = [-1], [-1]
+    head, step = 0, 1         # the first row whose images are not taken
+    while head < len(keys):
+        X = np.frombuffer(b"".join(keys[head:head + step]), np.int32).reshape(-1, start.size)
+        buf = np.asarray(images(X), dtype=np.int32).tobytes()
+        k = len(buf) // X.nbytes
+        step = max(1, fields.MEMORY_BUDGET // 64 // (8 * width * max(k, 1)))
+        for i in range(len(buf) // width):
+            key = buf[i * width:(i + 1) * width]
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+                parents.append(head + i // k)
+                gens.append(i % k)
+        if limit is not None and len(keys) > limit:
+            raise ValueError("orbit exceeds the enumeration limit %d" % limit)
+        head += len(X)
+    return keys, np.array(parents), np.array(gens)
 
 
 class Perm:
@@ -65,9 +129,7 @@ class Perm:
         return Perm(other.a[self.a], _checked=True)
 
     def inverse(self):
-        inv = np.empty_like(self.a)
-        inv[self.a] = _identity_images(len(self.a))
-        return Perm(inv, _checked=True)
+        return Perm(invert(self.a), _checked=True)
 
     def __pow__(self, n):
         if n < 0:
@@ -116,15 +178,15 @@ class Perm:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit_u", "orbit_uinv", "orbit_list",
+    __slots__ = ("base", "gens", "orbit_list", "pos", "U", "Uinv",
                  "stale", "processed")
 
-    def __init__(self, base):
+    def __init__(self, base, degree):
         self.base = base
         self.gens = []          # strong generators introduced at this level
-        self.orbit_u = {}       # point -> transversal perm u, u(base) = point
-        self.orbit_uinv = {}
-        self.orbit_list = []
+        self.orbit_list = []    # the basic orbit, breadth-first
+        self.pos = np.full(degree, -1, dtype=np.intp)  # point -> row, or -1
+        self.U = self.Uinv = None  # the transversal stacks (_recompute_orbit)
         self.stale = True
         self.processed = set()  # (point, gen id) pairs already handled
 
@@ -160,41 +222,46 @@ class PermGroup:
         return out
 
     def _recompute_orbit(self, idx):
+        """The basic orbit of level idx under its strong generators, and its
+        transversal as two int32 stacks: U[i] = U[parent[i]] * S[gen[i]] maps
+        the base to orbit point i, and Uinv[i] is its inverse."""
         lv = self._levels[idx]
-        gens = self._strong_gens(idx)
-        ident = Perm.identity(self.degree)
-        lv.orbit_u = {lv.base: ident}
-        lv.orbit_uinv = {lv.base: ident}
-        lv.orbit_list = [lv.base]
-        head = 0
-        while head < len(lv.orbit_list):
-            x = lv.orbit_list[head]
-            head += 1
-            ux = lv.orbit_u[x]
-            for s in gens:
-                y = int(s.a[x])
-                if y not in lv.orbit_u:
-                    uy = ux * s
-                    lv.orbit_u[y] = uy
-                    lv.orbit_uinv[y] = uy.inverse()
-                    lv.orbit_list.append(y)
+        lv.U = lv.Uinv = None  # freed before the new stacks are allocated
+        n = self.degree
+        S = np.array([s.a for s in self._strong_gens(idx)], dtype=np.int32).reshape(-1, n)
+        keys, parent, gen = orbit([lv.base], S)
+        points = np.frombuffer(b"".join(keys), np.int32)
+        lv.orbit_list = points.tolist()
+        lv.pos[:] = -1
+        lv.pos[points] = np.arange(len(points))
+        lv.U, lv.Uinv = np.empty((2, len(points), n), dtype=np.int32)
+        lv.U[0] = lv.Uinv[0] = _identity_images(n)
+        for i in range(1, len(points)):
+            lv.U[i] = S[gen[i]].take(lv.U[parent[i]])
+            invert(lv.U[i], out=lv.Uinv[i])
         lv.stale = False
 
     def _sift(self, p, start=0):
         """Reduce p through the chain; returns (residue, level reached)."""
         for idx in range(start, len(self._levels)):
             lv = self._levels[idx]
-            t = int(p.a[lv.base])
-            if t not in lv.orbit_u:
+            row = lv.pos[p.a[lv.base]]
+            if row < 0:
                 return p, idx
-            if t != lv.base:
-                p = p * lv.orbit_uinv[t]
+            p = Perm(lv.Uinv[row].take(p.a), _checked=True)
         return p, len(self._levels)
+
+    @staticmethod
+    def _schreier(lv, i, s):
+        """The Schreier generator u_t s u_{t^s}^-1 of row i (point t) of the
+        level's orbit and the strong generator s."""
+        a = s.a.take(lv.U[i])
+        return Perm(lv.Uinv[lv.pos[a[lv.base]]].take(a), _checked=True)
 
     def _insert(self, h, idx):
         if idx == len(self._levels):
             base = int(np.nonzero(h.a != _identity_images(self.degree))[0][0])
-            self._levels.append(_Level(base))
+            self._levels.append(_Level(base, self.degree))
         self._levels[idx].gens.append(h)
         for lv in self._levels[: idx + 1]:
             lv.stale = True
@@ -231,15 +298,13 @@ class PermGroup:
             gens = self._strong_gens(ptr)
             gen_ids = [id(s) for s in gens]
             descended = False
-            for t in list(lv.orbit_list):
-                ut = lv.orbit_u[t]
+            for i, t in enumerate(lv.orbit_list):
                 for s, sid in zip(gens, gen_ids):
                     key = (t, sid)
                     if key in lv.processed:
                         continue
                     lv.processed.add(key)
-                    y = int(s.a[t])
-                    schreier = ut * s * lv.orbit_uinv[y]
+                    schreier = self._schreier(lv, i, s)
                     if schreier.is_identity():
                         continue
                     r, idx = self._sift(schreier, ptr + 1)
@@ -265,9 +330,8 @@ class PermGroup:
             if lv.stale:
                 self._recompute_orbit(idx)
             for s in self._strong_gens(idx):
-                for t in lv.orbit_list:
-                    schreier = lv.orbit_u[t] * s * lv.orbit_uinv[int(s.a[t])]
-                    r, _ = self._sift(schreier, idx + 1)
+                for i in range(len(lv.orbit_list)):
+                    r, _ = self._sift(self._schreier(lv, i, s), idx + 1)
                     if not r.is_identity():
                         raise IncompleteChainError("Schreier generator fails to sift")
 
@@ -306,12 +370,8 @@ class PermGroup:
     def _gen_stack(self):
         """(2k, n) int32 image arrays of the k generators followed by their
         inverses, built on first use."""
-        k = len(self.gens)
-        S = np.empty((2 * k, self.degree), dtype=np.int32)
-        for i, g in enumerate(self.gens):
-            S[i] = g.a
-            S[k + i, g.a] = _identity_images(self.degree)
-        return S
+        S = np.array([g.a for g in self.gens], dtype=np.int32).reshape(-1, self.degree)
+        return np.concatenate([S, invert(S)])
 
     def random_element(self, rng, size=None):
         """A random word of 20 uniformly chosen generators and inverses
@@ -332,28 +392,12 @@ class PermGroup:
         return words
 
     def elements(self, limit=200000):
-        """Every group element by breadth-first closure; exact but only
-        sensible for small groups.  Each element's products with the
-        generators come from one gather on the generator stack and are told
-        apart by their image bytes, which the listed elements read in place
-        (read-only)."""
-        gens = self._gen_stack[:len(self.gens)]
-        width = self.degree * gens.itemsize
-        ident = Perm.identity(self.degree)
-        seen = {ident.a.tobytes()}
-        out = [ident]
-        head = 0
-        while head < len(out):
-            images = gens[:, out[head].a].tobytes()
-            head += 1
-            for i in range(len(gens)):
-                key = images[i * width:(i + 1) * width]
-                if key not in seen:
-                    if len(out) >= limit:
-                        raise ValueError("group exceeds enumeration limit %d" % limit)
-                    seen.add(key)
-                    out.append(Perm(np.frombuffer(key, dtype=gens.dtype), _checked=True))
-        return out
+        """Every group element, as the orbit of the identity under right
+        multiplication by the generators; exact but only sensible for small
+        groups.  Each element reads its orbit row's bytes in place (read-only)."""
+        keys = orbit(_identity_images(self.degree), self._gen_stack[:len(self.gens)],
+                     limit)[0]
+        return [Perm(np.frombuffer(key, np.int32), _checked=True) for key in keys]
 
     def __repr__(self):
         return "PermGroup(degree=%d, gens=%d)" % (self.degree, len(self.gens))

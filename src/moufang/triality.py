@@ -24,7 +24,7 @@ import numpy as np
 from . import fields
 from .fields import SAMPLE_SEED, UsageError
 from .loops import FiniteLoop
-from .permgrp import Perm, PermGroup
+from .permgrp import Perm, PermGroup, compose, invert, orbit
 
 VERTICAL, HORIZONTAL, TRANSVERSAL = 1, 2, 3
 EXHAUSTIVE_LIMIT = 10000
@@ -55,12 +55,15 @@ class LoopNet3:
         return np.arange(self.n, dtype=np.int64) * self.n + self.loop.ldiv.T
 
     def line_through(self, point, cls):
+        """The line of class cls through the point, by its index in the
+        class; for an array of points, an array of lines."""
         x, y = divmod(point, self.n)
         if cls == VERTICAL:
             return x
         if cls == HORIZONTAL:
             return y
-        return int(self.loop.table[x, y])
+        line = self.loop.table[x, y]
+        return line if np.ndim(line) else int(line)
 
     def points_of_line(self, cls, c):
         n = self.n
@@ -327,20 +330,13 @@ def _s3_relations_hold(G, sigma, rho):
 
 
 def conjugacy_class(G, rep, limit=200000):
-    """Orbit of rep under conjugation by the group generators."""
-    seen = {rep}
-    queue = [rep]
-    gen_pairs = [(g, g.inverse()) for g in G.gens]
-    while queue:
-        p = queue.pop()
-        for g, ginv in gen_pairs:
-            q = ginv * p * g
-            if q not in seen:
-                if len(seen) >= limit:
-                    raise ValueError("conjugacy class exceeds limit")
-                seen.add(q)
-                queue.append(q)
-    return sorted(seen, key=lambda p: p.a.tobytes())
+    """Orbit of rep under conjugation g^-1 p g by the group generators,
+    sorted by image bytes."""
+    gens = np.array([g.a for g in G.gens], dtype=np.int32).reshape(-1, G.degree)
+    inverses = invert(gens)
+    keys = orbit(rep.a, lambda P: compose(compose(inverses, P[:, None, :]), gens),
+                 limit)[0]
+    return [Perm(np.frombuffer(key, np.int32), _checked=True) for key in sorted(keys)]
 
 
 # Bytes a stacked triality check allots each image of a row: words,
@@ -360,38 +356,36 @@ def _spans(total, degree):
     return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
 
 
-def _flat_rows(A):
-    """Row r of the stack A shifted by r times its width: A's images as
-    indices into the raveled rows of a stack of A's shape."""
-    return A + np.arange(len(A), dtype=A.dtype)[:, None] * A.shape[1]
-
-
-def _then(A, B):
-    """Row r is A_r * B_r, for two image stacks (A_r applied first), by one
-    flat gather."""
-    return B.ravel().take(_flat_rows(A))
-
-
-def _inverses(A):
-    """Row r is the inverse of A_r, by one flat scatter."""
-    inv = np.empty(A.shape, dtype=A.dtype)
-    inv.ravel()[_flat_rows(A)] = np.arange(A.shape[1], dtype=A.dtype)
-    return inv
-
-
 def _identity_fails(X, sigma, rho):
     """Which rows g of the stack X break [g,s][g,s]^r[g,s]^r2 = 1.  With
     c = [g, s] = g^-1 s g s the product is c r^-1 c r^-1 c r^2, which is 1
     exactly when (c r^-1)^3 = r^-3."""
     rho_inv = rho.inverse()
-    D = (sigma * rho_inv).a[_then(sigma.a[_inverses(X)], X)]
-    return (_then(_then(D, D), D) != (rho_inv ** 3).a).any(axis=1)
+    D = compose(compose(compose(invert(X), sigma.a), X), (sigma * rho_inv).a)
+    return (compose(compose(D, D), D) != (rho_inv ** 3).a).any(axis=1)
 
 
 def _cube_fails(A, B):
     """Which rows (a, b) of two stacks have (a b)^3 != 1."""
-    P = _then(A, B)
-    return (_then(_then(P, P), P) != np.arange(P.shape[1])).any(axis=1)
+    P = compose(A, B)
+    return (compose(compose(P, P), P) != np.arange(P.shape[1])).any(axis=1)
+
+
+def concurrent_pair_failures(net, refl, points):
+    """How many ordered pairs of distinct lines through the points (six per
+    point, a point drawn twice counted twice) carry reflections whose product
+    does not cube to 1.  The points go in _spans chunks, each point giving
+    six rows of 3n images to the stacks that are cubed."""
+    classes, n = (VERTICAL, HORIZONTAL, TRANSVERSAL), net.n
+    rows = [refl[(cls, m)].a for cls in classes for m in range(n)]
+    bad = 0
+    for s, e in _spans(len(points), 6 * 3 * n):
+        lines = np.stack([(cls - 1) * n + net.line_through(np.asarray(points[s:e]), cls)
+                          for cls in classes], axis=1)
+        A, B = (np.stack([rows[line] for line in lines[:, k].ravel()])
+                for k in _CLASS_PAIRS.T)
+        bad += int(np.count_nonzero(_cube_fails(A, B)))
+    return bad
 
 
 def _first_failure(chunks, fails):
@@ -454,7 +448,7 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
         for s, e in _spans(samples, G.degree):
             pair = _CLASS_PAIRS[rng.integers(6, size=e - s)].T
             words = (G.random_element(rng, e - s) for _ in pair)
-            yield tuple(_then(_then(_inverses(W), S[k]), W)  # w^-1 sigma_k w
+            yield tuple(compose(compose(invert(W), S[k]), W)  # w^-1 sigma_k w
                         for k, W in zip(pair, words))
 
     checked, bad_g = _first_failure(rows_a(), lambda X: _identity_fails(X, sigma, rho))

@@ -130,6 +130,79 @@ def normal_closure_oracle(loop, seed):
     return sub
 
 
+# The stabilizer chains the stack transversals must reproduce: base, number
+# of strong generators and basic orbit lengths.
+CHAIN_SHAPES = {
+    "Mlt(M*(2))": ([0, 8, 24, 2, 10, 4], 20, [120, 63, 30, 16, 8, 6]),
+    "Mlt(M*(3))": ([0, 27, 108, 1, 3, 30, 9], 21, [1080, 351, 126, 80, 36, 12, 3]),
+    "Aut(M*(3))": ([9, 3, 0], 13, [351, 224, 54]),
+    "M0 of net-paige2": ([1, 10, 8, 24, 2, 0, 4], 15, [120, 56, 36, 15, 8, 3, 2]),
+    "Mlt(Z(3300))": ([0], 1, [3300]),
+}
+
+
+def chain_shape(G):
+    """The base, strong generator count and basic orbit lengths of G's
+    completed chain."""
+    G.order()
+    return G.base(), len(G._strong_gens(0)), [len(lv.orbit_list) for lv in G._levels]
+
+
+def point_orbit_oracle(point, perms):
+    """The orbit of point under the Perms, as a set, by a scalar walk."""
+    orbit = {point}
+    todo = [point]
+    while todo:
+        x = todo.pop()
+        for p in perms:
+            y = int(p.a[x])
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+def conjugacy_class_oracle(G, rep, limit=200000):
+    """The orbit of rep under conjugation g^-1 p g by G's generators, kept
+    as a set of Perms and sorted by image bytes."""
+    seen = {rep}
+    queue = [rep]
+    gen_pairs = [(g, g.inverse()) for g in G.gens]
+    while queue:
+        p = queue.pop()
+        for g, ginv in gen_pairs:
+            q = ginv * p * g
+            if q not in seen:
+                if len(seen) >= limit:
+                    raise ValueError("conjugacy class exceeds limit")
+                seen.add(q)
+                queue.append(q)
+    return sorted(seen, key=lambda p: p.a.tobytes())
+
+
+def concurrent_pair_failures_oracle(net, refl, points):
+    """Per point, the six ordered pairs of distinct lines through it whose
+    reflections' product does not cube to 1, by Perm products."""
+    bad = 0
+    for p in points:
+        lines = [(c, net.line_through(int(p), c)) for c in (1, 2, 3)]
+        for first in lines:
+            for second in lines:
+                if first != second:
+                    prod = refl[first] * refl[second]
+                    bad += not (prod * prod * prod).is_identity()
+    return bad
+
+
+def corrupt_one_reflection(refl, n):
+    """A copy of the reflections keyed (class, axis) in which the horizontal
+    one of axis 5 is replaced by its product with another reflection, no
+    longer an involution."""
+    out = dict(refl)
+    out[(2, 5)] = refl[(2, 5)] * refl[(1, 3 % n)]
+    return out
+
+
 def frobenius_map(elem):
     """Coordinate-wise p-th power on a Zorn matrix."""
     return ZornMatrix.from_coords(elem.field,

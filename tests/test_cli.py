@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import moufang
-from conftest import enumerate_unit_coords_oracle
+from conftest import (CHAIN_SHAPES, chain_shape, concurrent_pair_failures_oracle,
+                      corrupt_one_reflection, enumerate_unit_coords_oracle)
 from moufang import cli, fields, loops, orthogonal, paige, triality
 from moufang.cli import main, run
 from moufang.composition import ZornMatrix
@@ -652,6 +653,21 @@ def test_bol_check_non_moufang_is_falsified(tmp_path, non_moufang_loop):
     assert rep.status == 1 and d["collineations"] == "fail" and "witness" in d
 
 
+def test_bol_check_counts_the_failing_concurrent_pairs(m2, monkeypatch):
+    # one corrupted reflection: the line prints how many ordered pairs of
+    # the seeded points fail, as the scalar loop counts them
+    build = triality.all_bol_reflections
+    monkeypatch.setattr(triality, "all_bol_reflections",
+                        lambda loop, net: corrupt_one_reflection(build(loop, net=net), loop.n))
+    rep = run(["bol-check", "--loop", "M*(2)", "--points", "1000"])
+    net = triality.LoopNet3(m2)
+    points = fields.Sampler(fields.SAMPLE_SEED).integers(net.n_points, size=1000)
+    want = concurrent_pair_failures_oracle(
+        net, corrupt_one_reflection(build(m2, net=net), m2.n), points)
+    assert want > 0 and rep.status == 1
+    assert lines_dict(rep)["concurrent_pairs"] == "fail:%d" % want
+
+
 def test_iso_check_m3_against_seeded_relabelling(tmp_path, m3):
     new_of_old = np.random.default_rng(0x5EED).permutation(m3.n)
     old_of_new = np.argsort(new_of_old)
@@ -926,12 +942,17 @@ def test_simple_check_sampled():
     assert rep.status == 0 and d["simple"] == "yes"
 
 
-def test_mlt_order_m3_settles_the_bound_at_q3():
+def test_mlt_order_m3_settles_the_bound_at_q3(monkeypatch):
+    built = []
+    mlt_group = loops.mlt_group
+    monkeypatch.setattr(loops, "mlt_group",
+                        lambda loop: built.append(mlt_group(loop)) or built[-1])
     d = lines_dict(run(["mlt-order", "--loop", "M*(3)"]))
     assert d == {"loop": "M*(3)", "order": "4952179814400",
                  "expected": "4952179814400", "match": "yes",
                  "bound4n4": str(4 * 1080 ** 4), "bound_ok": "yes",
                  "mode": "certified"}
+    assert chain_shape(built[0]) == CHAIN_SHAPES["Mlt(M*(3))"]
 
 
 def test_mlt_order_and_simple_check_name_their_mode(capsys):

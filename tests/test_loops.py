@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import normal_closure_oracle
+from conftest import normal_closure_oracle, point_orbit_oracle
 from moufang import cayley, fields, loops, paige
 from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violation,
                            automorphisms, autotopism_check,
@@ -17,7 +17,7 @@ from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violati
                            normal_closure, nucleus, read_table, right_translation,
                            write_table)
 from moufang.fields import UsageError
-from moufang.permgrp import Perm, PermGroup
+from moufang.permgrp import Perm, PermGroup, orbit
 
 
 def klein_loop():
@@ -531,6 +531,23 @@ def test_automorphism_counts_small(s3_loop):
     assert automorphisms(klein_loop()).order() == 6
     auts = automorphisms(cyclic_loop(3)).elements()
     assert len(auts) == 2
+
+
+def test_automorphism_orbits_match_the_scalar_oracle(m2):
+    # level i's strong generators fix <g_0..g_{i-1}> pointwise, and the
+    # orbits of g_i under them multiply to |Aut(M*(2))| = |G2(2)|
+    group = automorphisms(m2)
+    gens, levels = generating_sequence(m2)
+    order = 1
+    for i, g in enumerate(gens):
+        fixed = levels[i - 1] if i else [m2.neutral]
+        strong = [p for p in group.gens if (p.a[fixed] == fixed).all()]
+        order *= len(point_orbit_oracle(g, strong))
+    assert order == group.order() == 12096
+    S = np.array([p.a for p in group.gens], dtype=np.int32)
+    for x in range(m2.n):
+        got = np.frombuffer(b"".join(orbit([x], S)[0]), np.int32).tolist()
+        assert set(got) == point_orbit_oracle(x, group.gens)
 
 
 def brute_force_automorphisms(loop):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import (CHAIN_SHAPES, chain_shape, conjugacy_class_oracle,
+                      point_orbit_oracle)
 from moufang import fields, loops
-from moufang.permgrp import (IncompleteChainError, Perm, PermGroup,
-                             homomorphism_kernel)
+from moufang.permgrp import (IncompleteChainError, Perm, PermGroup, compose,
+                             homomorphism_kernel, invert, orbit)
+from moufang.triality import conjugacy_class, triality_group_from_loop
 
 
 def test_perm_basics():
@@ -203,3 +208,143 @@ def test_sabotaged_chain_is_refused(complete, reason, monkeypatch):
     G = PermGroup(4, [Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])])
     with pytest.raises(IncompleteChainError, match=reason):
         G.order()
+
+
+# -- the permutation-stack kernel ---------------------------------------------
+
+def _stack(rng, rows, n):
+    return np.array([rng.permutation(n) for _ in range(rows)], dtype=np.int32)
+
+
+def test_invert_and_compose_fix_the_identity(rng):
+    A = _stack(rng, 5, 7)
+    ident = np.arange(7, dtype=np.int32)
+    assert (invert(np.tile(ident, (3, 1))) == ident).all()
+    assert (compose(A, np.tile(ident, (5, 1))) == A).all()
+    assert (compose(np.tile(ident, (5, 1)), A) == A).all()
+    assert (compose(A, invert(A)) == ident).all()
+    assert (compose(invert(A), A) == ident).all()
+
+
+def test_invert_and_compose_round_trip(rng):
+    A, B = _stack(rng, 6, 9), _stack(rng, 6, 9)
+    inv = invert(A)
+    assert inv.dtype == np.int32 and (invert(inv) == A).all()
+    assert (compose(compose(A, B), invert(B)) == A).all()
+    for a, b, ab, ai in zip(A, B, compose(A, B), inv):
+        assert Perm(ab) == Perm(a) * Perm(b)  # A_r applied first
+        assert (ai[a] == np.arange(9)).all()
+    out = np.empty_like(A)
+    assert invert(A, out=out) is out and (out == inv).all()
+
+
+def test_compose_broadcasts_its_stacks(rng):
+    A, B = _stack(rng, 4, 6), _stack(rng, 3, 6)
+    b = B[0]
+    assert (compose(A, b) == np.stack([b[a] for a in A])).all()  # a 1-D B
+    assert Perm(compose(A[0], b)) == Perm(A[0]) * Perm(b)
+    both = compose(A[:, None, :], B)  # [r, j] = B_j[A_r]
+    assert both.shape == (4, 3, 6)
+    assert all((both[r, j] == B[j][A[r]]).all() for r in range(4) for j in range(3))
+    points = np.array([[0], [5], [2]], dtype=np.int32)  # rows of one point
+    assert (compose(points[:, None, :], B)[:, :, 0] == B[:, points[:, 0]].T).all()
+
+
+def _rows(keys):
+    return np.frombuffer(b"".join(keys), np.int32).reshape(len(keys), -1)
+
+
+def test_orbit_is_breadth_first_with_parents_and_maps():
+    S = np.array([g.a for g in KNOWN_GROUPS[0][1]], dtype=np.int32)  # S4
+    keys, parent, gen = orbit(np.arange(4), S)
+    rows = _rows(keys)
+    assert len(rows) == 24 and len(set(keys)) == 24
+    assert parent[0] == gen[0] == -1
+    assert (np.diff(parent) >= 0).all()  # frontier order
+    for i in range(1, 24):
+        assert (rows[i] == S[gen[i]][rows[parent[i]]]).all()
+    by_function = orbit(rows[0], lambda X: compose(X[:, None, :], S))
+    assert by_function[0] == keys and (by_function[1] == parent).all()
+    assert len(orbit(rows[0], S, limit=24)[0]) == 24
+    with pytest.raises(ValueError, match="enumeration limit 23"):
+        orbit(rows[0], S, limit=23)
+    none = orbit(rows[0], S[:0])
+    assert [len(a) for a in none] == [1, 1, 1]
+
+
+def test_orbit_chunks_do_not_change_the_result(monkeypatch):
+    S = np.array([g.a for g in KNOWN_GROUPS[4][1]], dtype=np.int32)  # S5
+    calls = []
+
+    def images(X):
+        calls.append(len(X))
+        return compose(X[:, None, :], S)
+    start = np.arange(5, dtype=np.int32)
+    want = orbit(start, images)
+    assert max(calls) > 2
+    # 8 bytes per byte of a row's images (2 maps of 20 bytes): 2 rows a call
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * 8 * 2 * 20 * 2)
+    calls.clear()
+    got = orbit(start, images)
+    assert calls[0] == 1 and max(calls) == 2
+    assert got[0] == want[0] and all((w == g).all() for w, g in zip(want[1:], got[1:]))
+
+
+def test_elements_hold_each_row_once():
+    # the regular cyclic group of degree 2048: 2048 rows of 8 KiB (16 MiB),
+    # each element a view of its orbit row's bytes, not a second copy
+    n = 2048
+    G = PermGroup(n, [Perm(np.roll(np.arange(n), -1))])
+    tracemalloc.start()
+    try:
+        els = G.elements()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(els) == n and all(not p.a.flags.writeable for p in els[:5])
+    assert peak <= 4 * n * n + fields.MEMORY_BUDGET // 32
+
+
+def test_transversal_stacks_map_the_base_to_the_orbit(m2):
+    n = m2.n
+    G = loops.mlt_group(m2)
+    assert chain_shape(G) == CHAIN_SHAPES["Mlt(M*(2))"]
+    for lv in G._levels:
+        assert (lv.U[:, lv.base] == lv.orbit_list).all()
+        assert (compose(lv.U, lv.Uinv) == np.arange(n)).all()
+
+
+@pytest.mark.parametrize("name,gens,order", KNOWN_GROUPS)
+def test_orbits_match_the_scalar_oracles(name, gens, order):
+    G = PermGroup(gens[0].degree, gens)
+    S = np.array([g.a for g in gens], dtype=np.int32)
+    for x in range(G.degree):
+        got = _rows(orbit([x], S)[0])[:, 0].tolist()
+        assert len(set(got)) == len(got) and set(got) == point_orbit_oracle(x, gens)
+    for p in G.elements():
+        assert conjugacy_class(G, p) == conjugacy_class_oracle(G, p)
+
+
+# Mlt(M*(3))'s chain is pinned where the CLI builds it, in
+# test_mlt_order_m3_settles_the_bound_at_q3.
+@pytest.mark.parametrize("name", ["Mlt(M*(2))", "Aut(M*(3))", "M0 of net-paige2"])
+def test_chain_shapes_are_pinned(name, m2, m3):
+    G = {"Mlt(M*(2))": lambda: loops.mlt_group(m2),
+         "Aut(M*(3))": lambda: loops.automorphisms(m3),
+         "M0 of net-paige2": lambda: triality_group_from_loop(m2).group}[name]()
+    assert chain_shape(G) == CHAIN_SHAPES[name]
+
+
+def test_cyclic_mlt_chain_peak_is_the_table_and_two_stacks():
+    # Mlt(Z(3300)) is one cyclic generator: one level whose transversal is
+    # two int32 (3300, 3300) stacks, filled and inverted in bounded blocks
+    n = 3300
+    tracemalloc.start()
+    try:
+        G = loops.mlt_group(loops.cyclic_loop(n))
+        assert G.order() == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4 * n * n + fields.MEMORY_BUDGET // 32
+    assert chain_shape(G) == CHAIN_SHAPES["Mlt(Z(3300))"]

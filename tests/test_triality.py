@@ -4,6 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import (concurrent_pair_failures_oracle, conjugacy_class_oracle,
+                      corrupt_one_reflection)
 from moufang import fields, loops, paige, triality
 from moufang.fields import UsageError, field_make
 from moufang.loops import cyclic_loop, find_isomorphism
@@ -12,6 +14,7 @@ from moufang.triality import (HORIZONTAL, TRANSVERSAL, VERTICAL, LoopNet3,
                               NetAxiomError, NotACollineationError,
                               TrialityNet3, TrialityWitness, all_bol_reflections,
                               bol_reflection, collineation_from_point_map,
+                              concurrent_pair_failures, conjugacy_class,
                               coordinate_loop, diagonal_point_map,
                               example_phi, example_vector, example_wreath,
                               triality_check, triality_group_from_loop)
@@ -289,6 +292,23 @@ def test_concurrent_reflections_cube_to_identity(s3_loop, rng):
                 for prod in (refl[(c1, m1)].point_map * refl[(c2, m2)].point_map,
                              got[(c1, m1)] * got[(c2, m2)]):
                     assert (prod * prod * prod).is_identity()
+
+
+def test_concurrent_pair_failures_match_the_scalar_loop(m2, monkeypatch):
+    net = LoopNet3(m2)
+    refl = all_bol_reflections(m2, net=net)
+    # seeded points, and points of the horizontal line Y = 5
+    points = np.concatenate([fields.Sampler(7).integers(net.n_points, size=200),
+                             np.arange(0, net.n_points, 7 * net.n) + 5])
+    assert concurrent_pair_failures(net, refl, points) == 0
+    bad = corrupt_one_reflection(refl, net.n)
+    want = concurrent_pair_failures_oracle(net, bad, points)
+    assert want > 0
+    assert concurrent_pair_failures(net, bad, points) == want
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", triality._CHECK_SHARE
+                        * triality._CHECK_IMAGE_BYTES * 18 * net.n * 4)
+    assert len(list(triality._spans(len(points), 18 * net.n))) == -(-len(points) // 4)
+    assert concurrent_pair_failures(net, bad, points) == want
 
 
 @pytest.mark.parametrize("loop_name", ["z3", "s3", "m2"])
@@ -645,6 +665,22 @@ def paige2_witness(m2):
 def _unbuilt(G):
     """The same generators in a new group, with no stabilizer chain yet."""
     return PermGroup(G.degree, G.gens)
+
+
+@pytest.mark.parametrize("case", ["net-paige2", "wreath-s3"])
+def test_conjugacy_classes_match_the_scalar_oracle(case, paige2_witness, s3_group):
+    # the oracle conjugates by the strong generators of the chain, which
+    # generate the same group (15 of them, not M0's 357)
+    w = paige2_witness if case == "net-paige2" else example_wreath(s3_group)
+    G = _unbuilt(w.group)
+    G.order()
+    strong = PermGroup(G.degree, G._strong_gens(0))
+    for s in w.sigmas:
+        got = conjugacy_class(w.group, s)
+        assert got == conjugacy_class_oracle(strong, s)
+        assert len(got) == {"net-paige2": 120, "wreath-s3": 6}[case]
+    with pytest.raises(ValueError, match="enumeration limit"):
+        conjugacy_class(w.group, w.sigma, limit=len(got) - 1)
 
 
 def test_sampled_check_peak_stays_in_its_chunks(paige2_witness, monkeypatch):
