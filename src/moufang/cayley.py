@@ -9,8 +9,9 @@ batches (N, 8) int64 arrays.  The multiplication is the doubling
 construction applied three times from the integers with parameter -1
 (``cd_double`` over ``_ZZ``: every structure constant is an integer, so no
 fraction is needed); its 64 nonzero structure constants are read off the
-basis products on first use into an (8*8, 8) tensor, and every product then
-runs on arrays of ints, a whole batch per call."""
+basis products on first use into an (8*8, 8) tensor.  Each of them is one
+signed term x_i y_j of one output coordinate, so a batch of products runs
+on coordinate columns of ints, 64 in-place multiply-adds a block of rows."""
 
 from __future__ import annotations
 
@@ -34,24 +35,36 @@ _ZZ = SimpleNamespace(zero=0, one=1, add=operator.add, sub=operator.sub,
 @lru_cache(maxsize=None)
 def _structure_constants():
     """The (64, 8) tensor C with e_i e_j = sum_k C[8 i + j, k] e_k; each row
-    holds one entry +-1."""
+    holds one entry +-1.  The 64 basis products are one product of octonions
+    whose coordinates are int arrays, one entry per pair (i, j)."""
     algebra = scalar_algebra(_ZZ)
     for _ in range(3):
         algebra = cd_double(algebra, -1)
-    basis = [tuple(int(a == b) for b in range(8)) for a in range(8)]
-    products = [algebra.mul(basis[i], basis[j]) for i in range(8) for j in range(8)]
-    if any(sorted(map(abs, p)) != [0] * 7 + [1] for p in products):
+    i, j = np.divmod(np.arange(64), 8)
+    basis = np.eye(8, dtype=np.int64)
+    C = np.array(algebra.mul(tuple(basis[i].T), tuple(basis[j].T))).T
+    if not (np.sort(np.abs(C), axis=1) == basis[7]).all():
         raise AssertionError("octonion basis products are not signed basis units")
-    return np.array(products, dtype=np.int64)
+    return np.ascontiguousarray(C)
+
+
+@lru_cache(maxsize=None)
+def _terms():
+    """The 64 signed terms of the product, read off C: (k, i, j, op) with
+    e_i e_j = +-e_k, op np.add for + and np.subtract for -."""
+    C = _structure_constants()
+    return tuple((int(k), int(r) // 8, int(r) % 8,
+                  np.add if C[r, k] > 0 else np.subtract)
+                 for r, k in zip(*np.nonzero(C)))
 
 
 # Coordinates past this bound could overflow the int64 sums of products.
 _COORD_LIMIT = 2 ** 28
 
-# Rows per block of mul_batch: a block's (rows, 64) outer products take
-# 512 bytes a row, so no caller holds them for a whole batch (the 14400
-# products of the sign quotient would take 7.4 MB).
-_ROW_BLOCK = 1024
+# Rows per block of mul_batch: a block holds its operands, the sums and one
+# term as int64 columns, about 220 bytes a row, so no caller holds them for
+# a whole batch (the 14400 products of the sign quotient would take 3.2 MB).
+_ROW_BLOCK = 2048
 
 
 def _rows(X):
@@ -62,6 +75,25 @@ def _rows(X):
     return X
 
 
+def _block_products(X, Y, out):
+    """Products of a block of rows into out, on coordinate columns: acc[k]
+    gathers the signed terms x_i y_j of 4 * (xy)_k, and the doubled product
+    is acc / 2."""
+    x, y = np.ascontiguousarray(X.T), np.ascontiguousarray(Y.T)
+    acc = np.zeros_like(x)
+    term = np.empty_like(x[0])
+    xs, ys, sums = list(x), list(y), list(acc)
+    for k, i, j, op in _terms():
+        np.multiply(xs[i], ys[j], out=term)
+        op(sums[k], term, out=sums[k])
+    odd = np.bitwise_or.reduce(acc, axis=0) & 1
+    if odd.any():
+        raise ValueError("product %s/4 leaves the half-integers"
+                         % (tuple(acc[:, odd.argmax()].tolist()),))
+    np.right_shift(acc, 1, out=acc)
+    out[:] = acc.T
+
+
 def mul_batch(X, Y):
     """Row-by-row products of two (N, 8) arrays of doubled coordinates, an
     (N, 8) int64 array, formed _ROW_BLOCK rows at a time; ValueError when
@@ -69,19 +101,13 @@ def mul_batch(X, Y):
     X, Y = _rows(X), _rows(Y)
     if len(X) != len(Y):
         raise ValueError("need equal numbers of rows, got %d and %d" % (len(X), len(Y)))
-    if max(np.abs(X).max(initial=0), np.abs(Y).max(initial=0)) >= _COORD_LIMIT:
+    if any(A.max(initial=0) >= _COORD_LIMIT or A.min(initial=0) <= -_COORD_LIMIT
+           for A in (X, Y)):
         raise ValueError("coordinates past %d" % _COORD_LIMIT)
-    C = _structure_constants()
     out = np.empty((len(X), 8), dtype=np.int64)
     for start in range(0, len(X), _ROW_BLOCK):
-        x, y = X[start:start + _ROW_BLOCK], Y[start:start + _ROW_BLOCK]
-        # acc holds 4 * (xy); the doubled product is acc / 2
-        acc = (x[:, :, None] * y[:, None, :]).reshape(len(x), 64) @ C
-        odd = (acc & 1).any(axis=1)
-        if odd.any():
-            raise ValueError("product %s/4 leaves the half-integers"
-                             % (tuple(acc[odd.argmax()].tolist()),))
-        np.right_shift(acc, 1, out=out[start:start + _ROW_BLOCK])
+        block = slice(start, start + _ROW_BLOCK)
+        _block_products(X[block], Y[block], out[block])
     return out
 
 

@@ -157,28 +157,66 @@ class FiniteLoop:
 
 
 # Bytes a chunk of the generic closure allots each pair, per coordinate of
-# an element: its two operand rows, the product and mult's
-# temporaries (tracemalloc peak of the 240 unit integrals in full chunks of
-# 8192 pairs: about 47 with cayley.mul_batch).  Chunks get a sixteenth of
-# fields.MEMORY_BUDGET.
-_CLOSURE_PAIR_BYTES = 128
+# an element: its two operand rows, the product, mult's temporaries and the
+# sort keys (tracemalloc peak of the 240 unit integrals in full chunks of
+# 4096 pairs: about 42 with cayley.mul_batch), rounded up to a power of two.
+# Chunks get a sixty-fourth of fields.MEMORY_BUDGET, as _blocks do.
+_CLOSURE_PAIR_BYTES = 64
 
 
 def closure_chunk(width):
     """Pairs per mult call of closure, for elements of width coordinates."""
-    return max(1, fields.MEMORY_BUDGET // 16 // (_CLOSURE_PAIR_BYTES * width))
+    return max(1, fields.MEMORY_BUDGET // 64 // (_CLOSURE_PAIR_BYTES * width))
+
+
+# Keys stay below this bound, so key * radix + digit cannot overflow int64.
+_KEY_LIMIT = 2 ** 62
+
+
+def _ranks(v):
+    """The rank of each entry of v among its distinct values, and their
+    number."""
+    values, rank = np.unique(v, return_inverse=True)
+    return rank, len(values)
+
+
+def _row_keys(A):
+    """One int64 per row of the 2-D int array A, ordered as the rows are
+    lexicographically: the columns are the digits of a mixed radix over
+    their value spans.  When the next radix would take the keys past 2^62,
+    the keys so far are replaced by their ranks, and the column too if it
+    is still too wide."""
+    A = np.asarray(A, dtype=np.int64)
+    key = np.zeros(len(A), dtype=np.int64)
+    if not len(A):
+        return key
+    cols = A.T.copy()  # the digits are formed in place
+    size = 1  # every key is below size
+    for col, lo, hi in zip(cols, cols.min(axis=1).tolist(), cols.max(axis=1).tolist()):
+        span = hi - lo + 1
+        if size * span > _KEY_LIMIT:
+            key, size = _ranks(key)
+        if size * span > _KEY_LIMIT:
+            col, span = _ranks(col)
+        else:
+            col -= lo
+        key *= span
+        key += col
+        size *= span
+    return key
 
 
 def lex_unique(A):
     """The distinct rows of the 2-D int array A in lexicographic order, and
-    the index among them of each row of A; one np.lexsort."""
-    order = np.lexsort(A.T[::-1])
-    S = A[order]
+    the index among them of each row of A; one argsort of _row_keys(A)."""
+    key = _row_keys(A)
+    order = np.argsort(key)
+    key = key[order]
     head = np.ones(len(A), dtype=bool)
-    head[1:] = (S[1:] != S[:-1]).any(axis=1)
+    head[1:] = key[1:] != key[:-1]
     group = np.empty(len(A), dtype=np.int64)
     group[order] = np.cumsum(head) - 1
-    return S[head], group
+    return np.asarray(A).take(order[head], axis=0), group
 
 
 def positions(table, rows):
@@ -188,6 +226,20 @@ def positions(table, rows):
     where = np.full(len(table) + len(rows), -1, dtype=np.int64)
     where[group[:len(table)]] = np.arange(len(table))
     return where[group[len(table):]]
+
+
+def _level_products(mult, factors, start, end, t0, t1):
+    """mult on the pairs t0..t1 of the closure level of factors[start:end],
+    as rows: row r of the level, start <= r < end, holds the pairs (r, j)
+    for j < end, then (i, r) for i < start."""
+    t = np.arange(t0, t1)
+    r = t // (end + start)
+    t -= r * (end + start)
+    r += start
+    right = t >= end
+    X = factors.take(np.where(right, t - end, r), axis=0)
+    Y = factors.take(np.where(right, r, t), axis=0)
+    return np.asarray(mult(X, Y), dtype=np.int64).reshape(t1 - t0, -1)
 
 
 def closure(generators, mult, one, cap=100000):
@@ -213,20 +265,18 @@ def closure(generators, mult, one, cap=100000):
     start = 0
     while start < len(elements):
         end = len(elements)
-        # pairs (i, j) with i < start <= j, then those with start <= i
-        w = end - start
-        split = start * w
-        total = split + w * end
+        factors = elements[:, 0] if flat else elements
+        total = (end - start) * (end + start)
         known = elements
         for t0 in range(0, total, chunk):
-            t = np.arange(t0, min(t0 + chunk, total))
-            prior = t < split
-            u = t - split
-            X = elements[np.where(prior, t // w, start + u // end)]
-            Y = elements[np.where(prior, start + t % w, u % end)]
-            Z = mult(X[:, 0], Y[:, 0]) if flat else mult(X, Y)
-            Z = np.asarray(Z, dtype=np.int64).reshape(len(t), -1)
-            known = np.concatenate([known, lex_unique(Z[positions(known, Z) < 0])[0]])
+            # one sort of the distinct known rows and the products; the
+            # groups no known row reaches are the new elements
+            rows, group = lex_unique(np.concatenate(
+                [known, _level_products(mult, factors, start, end, t0,
+                                        min(t0 + chunk, total))]))
+            new = np.ones(len(rows), dtype=bool)
+            new[group[:len(known)]] = False
+            known = np.concatenate([known, rows[new]])
             if len(known) > cap:
                 raise ClosureCapExceeded("closure exceeded cap %d" % cap)
         elements = np.concatenate([elements, lex_unique(known[end:])[0]])

@@ -366,6 +366,12 @@ class PermGroup:
     def base(self):
         return [lv.base for lv in self._chain()]
 
+    def strong_generators(self):
+        """The strong generators of the completed chain; they generate G,
+        often with far fewer permutations than its input generators."""
+        self._chain()
+        return self._strong_gens(0)
+
     @cached_property
     def _gen_stack(self):
         """(2k, n) int32 image arrays of the k generators followed by their

@@ -330,9 +330,10 @@ def _s3_relations_hold(G, sigma, rho):
 
 
 def conjugacy_class(G, rep, limit=200000):
-    """Orbit of rep under conjugation g^-1 p g by the group generators,
-    sorted by image bytes."""
-    gens = np.array([g.a for g in G.gens], dtype=np.int32).reshape(-1, G.degree)
+    """Orbit of rep under conjugation g^-1 p g by the strong generators of
+    G's chain, sorted by image bytes."""
+    gens = np.array([g.a for g in G.strong_generators()],
+                    dtype=np.int32).reshape(-1, G.degree)
     inverses = invert(gens)
     keys = orbit(rep.a, lambda P: compose(compose(inverses, P[:, None, :]), gens),
                  limit)[0]

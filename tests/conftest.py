@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moufang import loops, paige
+from moufang import cayley, loops, paige
 from moufang.fields import field_make
 from moufang.paige import ZornMatrix
 from moufang.permgrp import Perm, PermGroup
@@ -43,6 +43,16 @@ QQ = Rationals()
 
 def _dot(F, u, v):
     return F.add(F.add(F.mul(u[0], v[0]), F.mul(u[1], v[1])), F.mul(u[2], v[2]))
+
+
+def cayley_product_oracle(X, Y):
+    """4 xy for each pair of rows of doubled coordinates, as (N, 64) outer
+    products times cayley's (64, 8) structure tensor: 512 multiply-adds a
+    product, against the 64 signed terms of mul_batch.  An even row is
+    twice the doubled product; an odd entry marks a product off the
+    half-integer lattice."""
+    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    return (X[:, :, None] * Y[:, None, :]).reshape(len(X), 64) @ cayley._structure_constants()
 
 
 def zorn_mul_oracle(x, y):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from moufang import cayley, loops
 from moufang.cayley import (E_UNIT, H_UNIT, I_UNIT, J_UNIT, K_UNIT, ONE,
                             certify_paige2_iso, conjugate, generate_unit_integrals,
                             label, mul, neg, quotient_mod_sign)
-from conftest import QQ
+from conftest import QQ, cayley_product_oracle
 from moufang.composition import cd_double, scalar_algebra
 from moufang.loops import closure, closure_indices
 
@@ -104,16 +105,47 @@ def test_mul_batch_matches_cd_double(units, rng):
         [tuple(z) for z in Z[:5].tolist()]
 
 
+def _matches_the_oracle(X, Y):
+    """mul_batch(X, Y) is the oracle's rows halved, or refuses the first
+    product the oracle puts off the lattice; which rows are off it."""
+    want = cayley_product_oracle(X, Y)
+    odd = (want & 1).any(axis=1)
+    if odd.any():
+        first = tuple(want[odd.argmax()].tolist())
+        with pytest.raises(ValueError, match=re.escape("%s/4 leaves" % (first,))):
+            cayley.mul_batch(X, Y)
+    else:
+        assert np.array_equal(cayley.mul_batch(X, Y), want >> 1)
+    return odd
+
+
 @pytest.mark.parametrize("block", [cayley._ROW_BLOCK, 7])
 def test_blocked_mul_batch_is_one_unblocked_product(block, units, rng, monkeypatch):
-    # scaled units stay on the lattice; 2500 rows end inside a third block
-    # of 1024, and blocks of 7 cut everywhere
+    # against the outer-product oracle; 2500 rows end inside a second block
+    # of 2048, and blocks of 7 cut everywhere
     monkeypatch.setattr(cayley, "_ROW_BLOCK", block)
     U = np.array(units)
+    # scaled units stay on the lattice
     X, Y = (U[rng.integers(240, size=2500)] * rng.integers(-3, 4, size=(2500, 1))
             for _ in range(2))
-    acc = (X[:, :, None] * Y[:, None, :]).reshape(len(X), 64) @ cayley._structure_constants()
-    assert np.array_equal(cayley.mul_batch(X, Y), acc >> 1)
+    assert not _matches_the_oracle(X, Y).any()
+    # random half-integer rows: the batch, the rows on the lattice, and
+    # each of the first rows off it alone
+    A, B = rng.integers(-9, 10, size=(2, 2500, 8))
+    odd = _matches_the_oracle(A, B)
+    assert 0 < odd.sum() < 2500
+    _matches_the_oracle(A[~odd], B[~odd])
+    for r in np.flatnonzero(odd)[:5]:
+        _matches_the_oracle(A[r:r + 1], B[r:r + 1])
+    # rows at the coordinate limit: any coordinates below it times even
+    # ones stay on the lattice, with sums past 2^58
+    limit = cayley._COORD_LIMIT
+    A = rng.integers(-limit + 1, limit, size=(2500, 8))
+    B = 2 * rng.integers(-limit // 2 + 1, limit // 2, size=(2500, 8))
+    A[::3], A[1::3], B[::5] = limit - 1, -limit + 1, -limit + 2
+    assert not _matches_the_oracle(A, B).any()
+    assert not _matches_the_oracle(B, A).any()
+    assert np.abs(cayley_product_oracle(A, B)).max() > 2 ** 58
     # the refusal names the first product off the lattice, whichever block
     # holds it
     X[1500] = Y[1500] = Y[2400] = (1, 0, 0, 0, 0, 0, 0, 0)
@@ -134,10 +166,16 @@ def test_mul_batch_refuses_one_row_off_the_lattice(units):
         cayley.mul_batch(X, Y)
     X[7] = Y[7] = ONE
     assert cayley.mul_batch(X, Y).shape == (10, 8)
-    # past 2^28 a coordinate could overflow the int64 sums
-    X[7, 3] = 2 ** 28
+    # past 2^28 a coordinate could overflow the int64 sums; -2^63 is its
+    # own absolute value in int64
+    for big in (2 ** 28, -2 ** 28, -2 ** 63):
+        X[7, 3] = big
+        with pytest.raises(ValueError, match="coordinates past"):
+            cayley.mul_batch(X, Y)
+        with pytest.raises(ValueError, match="coordinates past"):
+            cayley.mul_batch(Y, X)
     with pytest.raises(ValueError, match="coordinates past"):
-        cayley.mul_batch(X, Y)
+        cayley.mul_batch([[0, -2 ** 63, 0, 0, 0, 0, 0, 0]], [[2, 0, 0, 0, 0, 0, 0, 0]])
     with pytest.raises(ValueError, match="rows of doubled coordinates"):
         cayley.mul_batch(Y[:, :7], Y[:, :7])
 
@@ -174,6 +212,18 @@ def test_subtraction_stays_integral(units, rng):
         d = tuple(u - v for u, v in zip(a, b))
         assert norm(d).denominator == 1
         assert trace(d).denominator == 1
+
+
+def test_unit_closure_stays_in_its_priced_chunks(units):
+    # chunks of 4096 pairs of 8 coordinates at _CLOSURE_PAIR_BYTES each
+    # (2 MiB); the closure peaks at about 1.4 MB
+    tracemalloc.start()
+    try:
+        generate_unit_integrals()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= loops.closure_chunk(8) * 8 * loops._CLOSURE_PAIR_BYTES
 
 
 def test_closure_of_i_j_h_alone_is_240():

@@ -67,13 +67,40 @@ def test_closure_of_rows_numbers_levels_lexicographically():
     assert ints == [4 * a + b for a, b in els]
 
 
-def test_lex_unique_and_positions_match_python_sorting(rng):
+# int64 extremes and the values around +-2^62, where the mixed-radix keys
+# of lex_unique fall back on ranks
+WIDE_VALUES = [-2 ** 63, -2 ** 63 + 1, -2 ** 62 - 1, -2 ** 62, -2 ** 62 + 1, -1, 0,
+               1, 2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63 - 2, 2 ** 63 - 1]
+
+
+def test_lex_unique_and_positions_match_python_sorting(rng, monkeypatch):
     A = rng.integers(-3, 4, size=(400, 3))
     rows, group = loops.lex_unique(A)
     assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, A.tolist())))
     assert (rows[group] == A).all()
     probe = np.array([rows[5], [9, 9, 9], rows[0]])
     assert loops.positions(rows, probe).tolist() == [5, -1, 0]
+    # wide rows: two digits of 2^40 pass 2^62 and re-rank the keys, and an
+    # extreme column is ranked by itself
+    ranked = []
+    ranks = loops._ranks
+    monkeypatch.setattr(loops, "_ranks", lambda v: ranked.append(len(v)) or ranks(v))
+    for width in (1, 8):
+        for extremes in (True, False):
+            del ranked[:]
+            if extremes:
+                A = np.array(WIDE_VALUES)[rng.integers(len(WIDE_VALUES), size=(400, width))]
+                A[::7] = A[0]
+            else:
+                A = rng.integers(0, 2 ** 40, size=(400, width)) - 2 ** 39
+                A[:, 0] %= 3
+            rows, group = loops.lex_unique(A)
+            assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, A.tolist())))
+            assert (rows[group] == A).all()
+            probe = np.concatenate([rows[::-5], np.full((1, width), 5), rows[:1]])
+            assert loops.positions(rows, probe).tolist() == \
+                list(range(len(rows) - 1, -1, -5)) + [-1, 0]
+            assert bool(ranked) == (extremes or width == 8)
 
 
 def test_closure_chunks_bound_every_mult_call(monkeypatch):
@@ -81,7 +108,7 @@ def test_closure_chunks_bound_every_mult_call(monkeypatch):
                                  axis=1)
     gens = [(1, 2), (3, 3)]
     whole = closure(gens, mult, (0, 1))
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * 128 * 2 * 5)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * loops._CLOSURE_PAIR_BYTES * 2 * 5)
     assert loops.closure_chunk(2) == 5
     sizes = []
 
@@ -98,7 +125,7 @@ def test_closure_chunks_bound_every_mult_call(monkeypatch):
 def test_closure_cap_is_checked_per_chunk(monkeypatch):
     # level 1 of 1..60 and 0 in Z/100000 has 61^2 pairs and 60 new sums;
     # with 100-pair chunks the cap of 80 elements stops it in the first half
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * 128 * 100)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * loops._CLOSURE_PAIR_BYTES * 100)
     sizes = []
 
     def recording(X, Y):
