@@ -74,18 +74,9 @@ def seed_value(text):
 
 # Bytes a command holds per seeded draw until its check ends: a bol-check
 # point, a spinor-check pick with its fetched unit row and unit_rows' sort.
-# The draws of one line get a quarter of fields.MEMORY_BUDGET.
 _POINT_BYTES = 8
 _PICK_BYTES = 128
-
-
-def _require_draws_fit(count, each, what):
-    """Refuse, with UsageError before anything is drawn, count draws of
-    each bytes past a quarter of the memory budget."""
-    if count * each > fields.MEMORY_BUDGET // 4:
-        raise UsageError("%d %s take %d bytes, past a quarter of the %d-byte "
-                         "memory budget" % (count, what, count * each,
-                                            fields.MEMORY_BUDGET))
+_DRAWS_PART = 1 / 4
 
 
 def all_or_positive_count(text):
@@ -388,7 +379,8 @@ def _cmd_decompose(args, rep):
     eng = paige.ZornEngine.of(field)
     q = field.q
     rep.add("q", q)
-    chunk = fields.MEMORY_BUDGET // paige.DECOMPOSE_ROW_BYTES
+    chunks = fields.blocks(q ** 8 if args.exhaustive else args.samples,
+                           paige.DECOMPOSE_ROW_BYTES, part=1)
     if args.x:
         pool = [np.array([ZornMatrix.parse(field, args.x).coords()], dtype=np.int64)]
     elif args.exhaustive:
@@ -400,14 +392,12 @@ def _cmd_decompose(args, rep):
         # base-q digits of 0..q^8-1, coordinate a most significant: the
         # order of itertools.product, so a witness is the first failure
         digits = q ** np.arange(7, -1, -1, dtype=np.int64)
-        pool = (np.arange(s, min(s + chunk, q ** 8))[:, None] // digits % q
-                for s in range(0, q ** 8, chunk))
+        pool = (np.arange(s, e)[:, None] // digits % q for s, e in chunks)
     else:
         rep.add("mode", "sampled:%d" % args.samples)
         # successive draws continue one stream: the rows of a single draw
         rng = fields.Sampler(args.seed)
-        pool = (rng.integers(q, size=(min(chunk, args.samples - s), 8))
-                for s in range(0, args.samples, chunk))
+        pool = (rng.integers(q, size=(e - s, 8)) for s, e in chunks)
     checked, witness = 0, None
     for X in pool:
         U, V = paige.decompose_batch(eng, X)
@@ -447,13 +437,13 @@ def _cmd_spinor_check(args, rep):
     paige.require_units(q, paige.UNIT_CHECK_LIMIT if args.exhaustive
                         else paige.UNIT_STREAM_LIMIT, "spinor-check")
     if not args.exhaustive:
-        _require_draws_fit(args.samples, _PICK_BYTES, "spinor-check samples")
+        fields.require_budget(args.samples * _PICK_BYTES, "%d spinor-check samples"
+                              % args.samples, part=_DRAWS_PART)
     field = field_of_order(q)
-    chunk = fields.MEMORY_BUDGET // UNIT_BYTES
     if args.exhaustive:
         total, mode = paige.unit_loop_size_formula(q), "exhaustive"
-        batches = (rows[s:s + chunk] for rows in paige.unit_chunks(field)
-                   for s in range(0, len(rows), chunk))
+        batches = (rows[s:e] for rows in paige.unit_chunks(field)
+                   for s, e in fields.blocks(len(rows), UNIT_BYTES, part=1))
     else:
         total, mode = args.samples, "sampled:%d" % args.samples
         # positions in the canonical unit order, all fetched in one pass of
@@ -461,7 +451,7 @@ def _cmd_spinor_check(args, rep):
         rng = fields.Sampler(args.seed)
         picked = paige.unit_rows(field, rng.integers(paige.unit_loop_size_formula(q),
                                                      size=total))
-        batches = (picked[s:s + chunk] for s in range(0, total, chunk))
+        batches = (picked[s:e] for s, e in fields.blocks(total, UNIT_BYTES, part=1))
     witness, checked = None, 0
     for units in batches:
         verdicts = {}
@@ -511,7 +501,8 @@ def _cmd_net_build(args, rep):
 
 def _cmd_bol_check(args, rep):
     from . import triality
-    _require_draws_fit(args.points, _POINT_BYTES, "bol-check points")
+    fields.require_budget(args.points * _POINT_BYTES, "%d bol-check points" % args.points,
+                          part=_DRAWS_PART)
     loop = _build_loop(*_table_spec(args.loop, triality.require_reflections_fit))
     net = triality.LoopNet3(loop)
     rep.add("loop", args.loop)

@@ -40,11 +40,39 @@ class UsageError(ValueError):
 
 # Bytes a single structure may hold.  Fixed rather than read from the
 # machine, so every verdict and every refusal is the same everywhere.  It
-# lives in this base module so that every layer reads the one budget,
-# looked up at call time, without importing the loop engine.
+# lives in this base module, and is read only by budget_rows, blocks and
+# require_budget below, at call time: every layer prices its structures
+# through them, as a part of the budget (1/64 for working blocks).
 MEMORY_BUDGET = 2 ** 27
 SAMPLE_SEED = 0x5EED
 _IDENTITY_SAMPLE_LIMIT = 512  # exhaustive identity checks up to this size
+
+
+def budget_rows(row_bytes, part=1 / 64):
+    """How many rows of row_bytes each, at least one, fit part of
+    MEMORY_BUDGET; a row of no bytes is priced at one byte."""
+    return max(1, int(MEMORY_BUDGET * part) // max(row_bytes, 1))
+
+
+def blocks(total, row_bytes, part=1 / 64, doubling=False, least=1):
+    """(start, end) of successive blocks of total rows, each of at most
+    budget_rows(row_bytes, part) rows, or least; doubling blocks hold
+    1, 2, 4, ... rows up to that cap."""
+    cap = max(least, budget_rows(row_bytes, part))
+    start, block = 0, 1 if doubling else cap
+    while start < total:
+        end = min(start + block, total)
+        yield start, end
+        start, block = end, min(2 * block, cap)
+
+
+def require_budget(need, what, part=1):
+    """Refuse, with UsageError, what (a plural) when its need bytes are
+    past part of MEMORY_BUDGET."""
+    if need > MEMORY_BUDGET * part:
+        share = "" if part == 1 else "%d/%d of " % part.as_integer_ratio()
+        raise UsageError("%s take %d bytes, past %sthe %d-byte memory budget"
+                         % (what, need, share, MEMORY_BUDGET))
 
 
 class Sampler:

@@ -3,7 +3,7 @@ mapping groups, characteristic subloops, normality tests and normal closures,
 Moufang/autotopism checks, isomorphism search and automorphism groups.
 
 A loop is its Cayley table: FiniteLoop holds a validated table, and a loop
-whose table and two division tables would not fit fields.MEMORY_BUDGET is
+whose table and two division tables would not fit the memory budget is
 refused when it is constructed.  The division tables are built only by the
 checks that need them; construction, closures and the normal closures of
 simple loops work on the table alone.  Element indices are the only
@@ -17,45 +17,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fields
-from .fields import SAMPLE_SEED, UsageError, moufang_mode
+from .fields import SAMPLE_SEED, UsageError, blocks, moufang_mode
 from .permgrp import Perm, PermGroup, compose, invert, orbit
 
 
-def table_fits(n):
-    """Whether a Cayley table and its two division tables, 3 n^2 int32
-    cells, fit fields.MEMORY_BUDGET (n <= 3344)."""
-    return 12 * n * n <= fields.MEMORY_BUDGET
-
-
 def require_table_fits(n):
-    """Refuse, with UsageError, an n-element loop whose tables do not fit."""
-    if not table_fits(n):
-        raise UsageError("needs table mode: the tables of a %d-element loop "
-                         "take %d bytes, past the %d-byte memory budget"
-                         % (n, 12 * n * n, fields.MEMORY_BUDGET))
+    """Refuse, with UsageError, an n-element loop whose Cayley table and two
+    division tables, 3 n^2 int32 cells, do not fit (n <= 3344 fit)."""
+    fields.require_budget(12 * n * n, "needs table mode: the tables of a %d-element loop" % n)
+
+
+def _require_loop_size(n):
+    """ValueError for a loop of no elements, UsageError past the budget."""
+    if n < 1:
+        raise ValueError("a loop has at least one element, not %d" % n)
+    require_table_fits(n)
 
 
 class ClosureCapExceeded(RuntimeError):
     pass
 
 
-def _blocks(total, row_bytes, doubling=False):
-    """(start, end) of blocks of total rows of row_bytes each, at most as
-    many rows as a sixty-fourth of fields.MEMORY_BUDGET holds (at least one);
-    doubling blocks hold 1, 2, 4, ... rows up to that cap."""
-    cap = max(1, fields.MEMORY_BUDGET // 64 // row_bytes)
-    start, block = 0, 1 if doubling else cap
-    while start < total:
-        end = min(start + block, total)
-        yield start, end
-        start, block = end, min(2 * block, cap)
-
-
 class FiniteLoop:
     """A finite loop on indices 0..n-1, held as its validated Cayley table."""
 
     def __init__(self, n, labels=None, *, table):
-        require_table_fits(n)
+        _require_loop_size(n)
         self.n = n
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
@@ -77,10 +64,10 @@ class FiniteLoop:
         take 5)."""
         T, n = self.table, self.n
         want = np.arange(n, dtype=np.int32)
-        for s, e in _blocks(n, 8 * n):
+        for s, e in blocks(n, 8 * n):
             if not (np.sort(T[s:e], axis=1) == want[None, :]).all():
                 raise ValueError("table rows are not permutations (Latin property fails)")
-        for s, e in _blocks(n, 8 * n):
+        for s, e in blocks(n, 8 * n):
             if not (np.sort(T[:, s:e], axis=0) == want[:, None]).all():
                 raise ValueError("table columns are not permutations (Latin property fails)")
 
@@ -101,7 +88,7 @@ class FiniteLoop:
         """Table of x \\ y (solution of x*c = y): the table's rows inverted."""
         if self._ldiv is None:
             d = np.empty((self.n, self.n), dtype=np.int32)
-            for s, e in _blocks(self.n, 8 * self.n):
+            for s, e in blocks(self.n, 8 * self.n):
                 invert(self.table[s:e], out=d[s:e])
             self._ldiv = d
         return self._ldiv
@@ -111,7 +98,7 @@ class FiniteLoop:
         """Table of x / y (solution of c*y = x): the table's columns inverted."""
         if self._rdiv is None:
             d = np.empty((self.n, self.n), dtype=np.int32)
-            for s, e in _blocks(self.n, 12 * self.n):
+            for s, e in blocks(self.n, 12 * self.n):
                 d[:, s:e] = invert(self.table[:, s:e].T).T
             self._rdiv = d
         return self._rdiv
@@ -160,13 +147,7 @@ class FiniteLoop:
 # an element: its two operand rows, the product, mult's temporaries and the
 # sort keys (tracemalloc peak of the 240 unit integrals in full chunks of
 # 4096 pairs: about 42 with cayley.mul_batch), rounded up to a power of two.
-# Chunks get a sixty-fourth of fields.MEMORY_BUDGET, as _blocks do.
 _CLOSURE_PAIR_BYTES = 64
-
-
-def closure_chunk(width):
-    """Pairs per mult call of closure, for elements of width coordinates."""
-    return max(1, fields.MEMORY_BUDGET // 64 // (_CLOSURE_PAIR_BYTES * width))
 
 
 # Keys stay below this bound, so key * radix + digit cannot overflow int64.
@@ -250,7 +231,7 @@ def closure(generators, mult, one, cap=100000):
     Numbering is breadth first: level 0 is the deduplicated generators plus
     the neutral element, each later level holds the new products of pairs
     with at least one factor in the level before, in lexicographic order.
-    A level runs in chunks of closure_chunk pairs, one mult call each, and
+    A level runs in blocks of pairs, one mult call each, and
     ClosureCapExceeded is raised after the first chunk that takes the
     closure past cap elements.  Returns the element list (ints or tuples).
     """
@@ -261,19 +242,18 @@ def closure(generators, mult, one, cap=100000):
     seed = seed.reshape(len(seed), -1)
     _, first = np.unique(lex_unique(seed)[1], return_index=True)
     elements = seed[np.sort(first)]
-    chunk = closure_chunk(elements.shape[1])
+    pair_bytes = _CLOSURE_PAIR_BYTES * elements.shape[1]
     start = 0
     while start < len(elements):
         end = len(elements)
         factors = elements[:, 0] if flat else elements
         total = (end - start) * (end + start)
         known = elements
-        for t0 in range(0, total, chunk):
+        for t0, t1 in blocks(total, pair_bytes):
             # one sort of the distinct known rows and the products; the
             # groups no known row reaches are the new elements
             rows, group = lex_unique(np.concatenate(
-                [known, _level_products(mult, factors, start, end, t0,
-                                        min(t0 + chunk, total))]))
+                [known, _level_products(mult, factors, start, end, t0, t1)]))
             new = np.ones(len(rows), dtype=bool)
             new[group[:len(known)]] = False
             known = np.concatenate([known, rows[new]])
@@ -288,7 +268,7 @@ def closure_indices(loop, seed):
     """Subloop generated by the given indices (table mode).
 
     Each round marks the products of the members so far, gathering rows of
-    T[cur, cur] in doubling _blocks, and stops as soon as every element is
+    T[cur, cur] in doubling blocks, and stops as soon as every element is
     marked: a closure that covers the loop early skips the rest of its
     round."""
     T = loop.table
@@ -299,7 +279,7 @@ def closure_indices(loop, seed):
     size = int(np.count_nonzero(member))
     while size < n:
         cur = np.flatnonzero(member)
-        for s, e in _blocks(len(cur), 16 * len(cur), doubling=True):
+        for s, e in blocks(len(cur), 16 * len(cur), doubling=True):
             member[T[cur[s:e, None], cur]] = True
             size = int(np.count_nonzero(member))
             if size == n:
@@ -437,7 +417,7 @@ def _conjugation_images(loop, member, S):
     left division is scattered from row x of the table, so no division table
     is built (a row takes at most 32 bytes per element)."""
     T, n = loop.table, loop.n
-    for s, e in _blocks(n, 32 * n, doubling=True):
+    for s, e in blocks(n, 32 * n, doubling=True):
         img = compose(T[S, s:e].T, invert(T[s:e]))
         fresh = img[~member[img]]
         if len(fresh):
@@ -499,18 +479,16 @@ def normal_closure(loop, seed_elems):
 
 # Bytes a sampled Moufang check allots each triple: three int64 draws, the
 # int32 products on both sides and their comparison (tracemalloc peak: 36
-# per triple at 500000 triples of M*(3), 44 at 100000).  A chunk holds
-# fields.MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES = 524288 triples, so 100000
-# samples are one chunk.
+# per triple at 500000 triples of M*(3), 44 at 100000).  A chunk gets the
+# whole budget, 524288 triples, so 100000 samples are one chunk.
 _MOUFANG_SAMPLE_BYTES = 256
 
 
 def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
     """First violation of ((xy)x)z = x(y(xz)) or None, in moufang_mode.
 
-    Sampled triples are drawn in chunks, each drawing its X, then its Y,
-    then its Z from one fields.Sampler stream: a single chunk draws what one draw of
-    all samples would, several chunks draw a different stream."""
+    Sampled triples are drawn in chunks, each one (size, 3) draw from one
+    fields.Sampler stream: the chunks draw the triples of a single draw."""
     n, T = loop.n, loop.table
     if moufang_mode(n, samples) == "exhaustive":
         for x in range(n):
@@ -521,12 +499,8 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
                 return (x,) + divmod(int(bad.argmax()), n)
         return None
     rng = fields.Sampler(seed)
-    chunk = fields.MEMORY_BUDGET // _MOUFANG_SAMPLE_BYTES
-    for start in range(0, samples, chunk):
-        size = min(chunk, samples - start)
-        X = rng.integers(n, size=size)
-        Y = rng.integers(n, size=size)
-        Z = rng.integers(n, size=size)
+    for s, e in blocks(samples, _MOUFANG_SAMPLE_BYTES, part=1):
+        X, Y, Z = rng.integers(n, size=(e - s, 3)).T
         bad = np.flatnonzero(T[T[T[X, Y], X], Z] != T[X, T[Y, T[X, Z]]])
         if len(bad):
             i = int(bad[0])
@@ -548,10 +522,10 @@ def associativity_violation(loop):
 
 def _carries_products(T1, T2, alpha, beta, gamma, sub):
     """Whether alpha(x) * beta(y) in the table T2 is gamma(x * y in T1) for
-    all x, y in the index array sub, compared in row _blocks (the gathers,
+    all x, y in the index array sub, compared in row blocks (the gathers,
     the gamma images and the comparison take at most 32 bytes a cell)."""
     A, B = alpha[sub], beta[sub]
-    for s, e in _blocks(len(sub), 32 * len(sub)):
+    for s, e in blocks(len(sub), 32 * len(sub)):
         if not (T2[np.ix_(A[s:e], B)] == gamma[T1[np.ix_(sub[s:e], sub)]]).all():
             return False
     return True
@@ -799,7 +773,7 @@ def read_table(path):
     with _open_user_path(path) as fh:
         try:
             n = int(fh.readline())
-            require_table_fits(n)
+            _require_loop_size(n)
             labels = fh.readline().split()
             table = np.empty((n, n), dtype=np.int32)
             for row in table:

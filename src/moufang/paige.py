@@ -320,8 +320,7 @@ def mlt_paige_order_formula(q):
 
 
 # Bytes priced per (alpha, beta) of a unit_chunks chunk: its digits, its
-# row and the norm and pack temporaries (about 280 measured at q = 9).  A
-# chunk gets a sixty-fourth of fields.MEMORY_BUDGET.
+# row and the norm and pack temporaries (about 280 measured at q = 9).
 _UNIT_ROW_BYTES = 512
 
 # Norm-one units past which a command refuses up front to visit them all,
@@ -360,12 +359,10 @@ def unit_chunks(field):
     elems = np.array(field.elements(), dtype=np.int64)
     digits = q ** np.arange(5, -1, -1, dtype=np.int64)
     minus_one = field.neg(one)
-    # at least the q^3 beta of one alpha: at most q^4 chunks in all
-    step = max(q ** 3, fields.MEMORY_BUDGET // 64 // _UNIT_ROW_BYTES)
     for a in elems.tolist():
-        for start in range(0, q ** 6, step):
-            combos = elems[np.arange(start, min(start + step, q ** 6))[:, None]
-                           // digits % q]
+        # at least the q^3 beta of one alpha: at most q^4 chunks in all
+        for start, stop in fields.blocks(q ** 6, _UNIT_ROW_BYTES, least=q ** 3):
+            combos = elems[np.arange(start, stop)[:, None] // digits % q]
             dots = eng.dot3(combos[:, 0:3], combos[:, 3:6])
             if a:
                 b = field.vmul(field.vadd(dots, one), field.inv(a))
@@ -482,14 +479,13 @@ class _PaigeBackend:
         pos, neg = ([reduce(np.add.outer, half).ravel() for half in
                      (weights[:, None] * (s * value % p)).reshape(2, 4, R)] for s in (1, -1))
         table = np.empty((n, n), dtype=np.int32)
-        step = max(1, fields.MEMORY_BUDGET // 64 // (32 * n))  # 32 bytes a cell (26 measured)
-        for start in range(0, n, step):
-            keys = XM[:, start:start + step] @ Y
+        for start, stop in fields.blocks(n, 32 * n):  # 32 bytes a cell (26 measured)
+            keys = XM[:, start:stop] @ Y
             k0, k1 = np.subtract(keys, off, out=keys)
             P = pos[0][k0] + pos[1][k1]
             if self.quotient:
                 np.minimum(P, neg[0][k0] + neg[1][k1], out=P)
-            table[start:start + step] = self.lookup(P)
+            table[start:stop] = self.lookup(P)
         del pos, neg, keys, k0, k1, P  # before the validation's n^2 temporaries
         loop = FiniteLoop(n, labels=self.labels(), table=table)
         loop.zorn = self
@@ -640,6 +636,10 @@ def associativity_witness(q, quotient):
 # multiplied at a time).
 _PRODUCT_BYTES = 256
 
+# Bytes priced per bitmap byte read off at the end: its 8 unpacked bits and
+# up to 8 int64 packs.
+_READOUT_BYTES = 8 + 8 * 8
+
 
 def _closure_bytes(q):
     """What a closure inside M*(q) holds besides its product batches: the
@@ -650,15 +650,12 @@ def _closure_bytes(q):
 
 def _require_closure_fits(q):
     """UsageError unless q is a prime power and a closure inside M*(q) fits
-    fields.MEMORY_BUDGET: _closure_bytes gets three quarters, and the last
-    quarter holds the product batches, which closure_packed sizes at a
-    sixty-fourth.  Read from q alone, before any field table is built."""
+    the memory budget: _closure_bytes gets three quarters, and the last
+    quarter holds the product batches.  Read from q alone, before any field
+    table is built."""
     prime_power(q)
-    need = _closure_bytes(q)
-    if 4 * need > 3 * fields.MEMORY_BUDGET:
-        raise UsageError("a generator closure in M*(%d) needs %d bytes, past "
-                         "3/4 of the memory budget of %d bytes"
-                         % (q, need, fields.MEMORY_BUDGET))
+    fields.require_budget(_closure_bytes(q), "the bitmap and packs of a generator "
+                          "closure in M*(%d)" % q, part=3 / 4)
 
 
 def closure_packed(q, generator_matrices):
@@ -689,20 +686,19 @@ def closure_packed(q, generator_matrices):
         return P
 
     frontier = fresh(np.concatenate([gens, eng.unit_row()[None, :]]))
-    step = max(1, fields.MEMORY_BUDGET // 64 // _PRODUCT_BYTES // (2 * len(gens)))
     G = gens[:, None, :]
     while len(frontier):
         found = []
-        for start in range(0, len(frontier), step):
-            X = eng.unpack(frontier[start:start + step])[None, :, :]
+        for start, stop in fields.blocks(len(frontier), 2 * len(gens) * _PRODUCT_BYTES):
+            X = eng.unpack(frontier[start:stop])[None, :, :]
             # one side at a time, so half of the batch's products are held
             found += [fresh(eng.mul(G, X)), fresh(eng.mul(X, G))]
         frontier = np.concatenate(found)
     packs = np.empty(int(np.bitwise_count(member).sum()), dtype=np.int64)
     count = 0
-    for start in range(0, len(member), step):  # step bytes, 8 * step packs
-        P = np.flatnonzero(np.unpackbits(member[start:start + step], bitorder="little"))
-        packs[count:count + len(P)] = P + 8 * start
+    for start, stop in fields.blocks(len(member), _READOUT_BYTES):
+        P = np.flatnonzero(np.unpackbits(member[start:stop], bitorder="little"))
+        np.add(P, 8 * start, out=packs[count:count + len(P)])
         count += len(P)
     return packs
 

@@ -61,8 +61,8 @@ def orbit(start, maps, limit=None):
     images in map order; the first occurrence wins.  Returns the rows' bytes
     in that order (each row is held once; np.frombuffer reads it in place),
     each row's parent row and map index (-1 for start); raises ValueError
-    past limit rows.  The maps get as many rows a call as a 64th of
-    fields.MEMORY_BUDGET holds at 8 bytes per byte of their images."""
+    past limit rows.  The maps get as many rows a call as fields.budget_rows
+    gives at 8 bytes per byte of their images."""
     images = maps if callable(maps) else lambda X: compose(X[:, None, :], maps)
     start = np.asarray(start, dtype=np.int32).ravel()
     width = start.nbytes
@@ -74,7 +74,7 @@ def orbit(start, maps, limit=None):
         X = np.frombuffer(b"".join(keys[head:head + step]), np.int32).reshape(-1, start.size)
         buf = np.asarray(images(X), dtype=np.int32).tobytes()
         k = len(buf) // X.nbytes
-        step = max(1, fields.MEMORY_BUDGET // 64 // (8 * width * max(k, 1)))
+        step = fields.budget_rows(8 * width * max(k, 1))
         for i in range(len(buf) // width):
             key = buf[i * width:(i + 1) * width]
             if key not in seen:

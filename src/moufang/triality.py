@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fields
-from .fields import SAMPLE_SEED, UsageError
+from .fields import SAMPLE_SEED, blocks
 from .loops import FiniteLoop
 from .permgrp import Perm, PermGroup, compose, invert, orbit
 
@@ -224,12 +224,9 @@ _BOL_CHECK_BYTES = 128
 
 def require_reflections_fit(n):
     """Refuse, with UsageError, the Bol reflections of an n-element loop
-    when bol-check on it would not fit fields.MEMORY_BUDGET."""
-    need = _BOL_CHECK_BYTES * n * n
-    if need > fields.MEMORY_BUDGET:
-        raise UsageError("the Bol reflections of a %d-element loop take %d "
-                         "bytes, past the %d-byte memory budget"
-                         % (n, need, fields.MEMORY_BUDGET))
+    when bol-check on it would not fit the memory budget."""
+    fields.require_budget(_BOL_CHECK_BYTES * n * n,
+                          "the Bol reflections of a %d-element loop" % n)
 
 
 def _reflections_by_conjugation(loop, net):
@@ -282,7 +279,7 @@ def all_bol_reflections(loop, net=None):
     the rest follow by conjugation (see _reflections_by_conjugation); when a
     check fails, the reflections are checked axis by axis so that the first
     failing axis raises.  A loop whose bol-check would not fit
-    fields.MEMORY_BUDGET is refused before any reflection is built
+    the memory budget is refused before any reflection is built
     (require_reflections_fit)."""
     require_reflections_fit(loop.n)
     if net is None:
@@ -342,19 +339,11 @@ def conjugacy_class(G, rep, limit=200000):
 
 # Bytes a stacked triality check allots each image of a row: words,
 # inverses, conjugates, products and index temporaries (tracemalloc peak:
-# 29-32 per image at net-paige2), rounded up to a power of two.  Chunks get
-# a _CHECK_SHARE-th of fields.MEMORY_BUDGET, as paige.unit_chunks does.
+# 29-32 per image at net-paige2), rounded up to a power of two.
 _CHECK_IMAGE_BYTES = 64
-_CHECK_SHARE = 64
 
 # The ordered pairs (i, j) of distinct classes, in the exhaustive order.
 _CLASS_PAIRS = np.array([(i, j) for i in range(3) for j in range(3) if i != j])
-
-
-def _spans(total, degree):
-    """(start, end) of the chunks of total rows of degree images."""
-    chunk = max(1, fields.MEMORY_BUDGET // _CHECK_SHARE // (_CHECK_IMAGE_BYTES * degree))
-    return ((s, min(s + chunk, total)) for s in range(0, total, chunk))
 
 
 def _identity_fails(X, sigma, rho):
@@ -375,12 +364,12 @@ def _cube_fails(A, B):
 def concurrent_pair_failures(net, refl, points):
     """How many ordered pairs of distinct lines through the points (six per
     point, a point drawn twice counted twice) carry reflections whose product
-    does not cube to 1.  The points go in _spans chunks, each point giving
+    does not cube to 1.  The points go in blocks, each point giving
     six rows of 3n images to the stacks that are cubed."""
     classes, n = (VERTICAL, HORIZONTAL, TRANSVERSAL), net.n
     rows = [refl[(cls, m)].a for cls in classes for m in range(n)]
     bad = 0
-    for s, e in _spans(len(points), 6 * 3 * n):
+    for s, e in blocks(len(points), _CHECK_IMAGE_BYTES * 6 * 3 * n):
         lines = np.stack([(cls - 1) * n + net.line_through(np.asarray(points[s:e]), cls)
                           for cls in classes], axis=1)
         A, B = (np.stack([rows[line] for line in lines[:, k].ravel()])
@@ -413,12 +402,13 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
     listed; the listing must then have |G| elements.  Otherwise route A
     takes the generators and then seeded random words, route B sigma_i and
     sigma_j conjugated by two seeded random words for a random ordered pair
-    (i, j).  Both check image stacks in _spans chunks up to the first
+    (i, j).  Both check image stacks in blocks up to the first
     failing row, the witness.  Returns (ok, details), details["mode"]
     naming which."""
     if not _s3_relations_hold(G, sigma, rho):
         raise ValueError("sigma, rho do not satisfy the S3 relations as actions")
     sigmas = (sigma, sigma * rho, rho * sigma)
+    row_bytes = _CHECK_IMAGE_BYTES * G.degree
     exhaustive = G.degree <= 2048 and not G.order_exceeds(EXHAUSTIVE_LIMIT)
     if exhaustive:
         elements = G.elements(limit=EXHAUSTIVE_LIMIT)
@@ -428,11 +418,11 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
 
     def rows_a():
         listed = elements if exhaustive else G.gens
-        for s, e in _spans(len(listed), G.degree):
+        for s, e in blocks(len(listed), row_bytes):
             yield (np.stack([g.a for g in listed[s:e]]),)
         if not exhaustive:
             rng = fields.Sampler(seed)
-            for s, e in _spans(samples, G.degree):
+            for s, e in blocks(samples, row_bytes):
                 yield (G.random_element(rng, e - s),)
 
     def rows_b():
@@ -440,13 +430,13 @@ def triality_check(G, sigma, rho, samples=1000, seed=SAMPLE_SEED):
             classes = [np.stack([p.a for p in conjugacy_class(G, s)]) for s in sigmas]
             for i, j in _CLASS_PAIRS:
                 A, B = classes[i], classes[j]
-                for s, e in _spans(len(A) * len(B), G.degree):
+                for s, e in blocks(len(A) * len(B), row_bytes):
                     t = np.arange(s, e)
                     yield A[t // len(B)], B[t % len(B)]
             return
         rng = fields.Sampler(seed + 1)
         S = np.stack([s.a for s in sigmas])
-        for s, e in _spans(samples, G.degree):
+        for s, e in blocks(samples, row_bytes):
             pair = _CLASS_PAIRS[rng.integers(6, size=e - s)].T
             words = (G.random_element(rng, e - s) for _ in pair)
             yield tuple(compose(compose(invert(W), S[k]), W)  # w^-1 sigma_k w

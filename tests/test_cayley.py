@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import moufang
-from moufang import cayley, loops
+from moufang import cayley, fields, loops
 from moufang.cayley import (E_UNIT, H_UNIT, I_UNIT, J_UNIT, K_UNIT, ONE,
                             certify_paige2_iso, conjugate, generate_unit_integrals,
                             label, mul, neg, quotient_mod_sign)
@@ -223,7 +223,8 @@ def test_unit_closure_stays_in_its_priced_chunks(units):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= loops.closure_chunk(8) * 8 * loops._CLOSURE_PAIR_BYTES
+    pair_bytes = 8 * loops._CLOSURE_PAIR_BYTES
+    assert peak <= fields.budget_rows(pair_bytes) * pair_bytes
 
 
 def test_closure_of_i_j_h_alone_is_240():

@@ -605,14 +605,17 @@ def test_bol_check_refuses_by_name(spec, no_enumeration, capsys):
 
 
 @pytest.mark.parametrize("body", ["2\na b\n0 1\n1 x\n",   # non-integer cell
-                                  "2\na b\n0 1\n0 1\n"],  # columns not Latin
-                         ids=["non-integer", "not-latin"])
+                                  "2\na b\n0 1\n0 1\n",   # columns not Latin
+                                  "0\n\n", "-2\n\n"],
+                         ids=["non-integer", "not-latin", "no-elements", "negative-size"])
 def test_malformed_table_file_is_a_usage_error(body, tmp_path, capsys):
     path = tmp_path / "bad.tbl"
     path.write_text(body)
     assert main(["net-build", "--loop", "file:%s" % path]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: %s" % path)
+    if not body.startswith("2"):  # refused by its size, before any block
+        assert "a loop has at least one element, not %s\n" % body.split()[0] in out.err
 
 
 def test_internal_fault_exits_3(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import moufang
+from moufang import fields
 from moufang.fields import (BUILTIN_MODULI, GF, SAMPLE_SEED, Sampler, UsageError,
                             field_make, field_of_order, parse_field_spec, prime_power,
                             primitive_element, rref)
@@ -357,3 +359,75 @@ def test_sampler_stream_is_the_same_in_two_processes():
     rng = Sampler(24301)
     here = "%s %s\n" % (rng.integers(10 ** 6, size=8).tolist(), rng.choice(100, 5).tolist())
     assert outs == [here, here]
+
+
+# -- the memory policy -------------------------------------------------------
+
+PARTS = [1 / 64, 1 / 4, 3 / 4, 1]
+
+
+@pytest.mark.parametrize("part", PARTS)
+@pytest.mark.parametrize("doubling", [False, True])
+def test_blocks_cover_every_row_once(part, doubling, monkeypatch):
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 12)
+    cap = fields.budget_rows(24, part)
+    assert cap == max(1, int(2 ** 12 * part) // 24) and (part == 1 / 64) == (cap == 2)
+    for total in (0, 1, cap - 1, cap, cap + 1):
+        spans = list(fields.blocks(total, 24, part, doubling))
+        assert [r for s, e in spans for r in range(s, e)] == list(range(total))
+        sizes = [e - s for s, e in spans]
+        want = [min(2 ** i, cap) for i in range(len(sizes))] if doubling else [cap] * len(sizes)
+        assert sizes[:-1] == want[:-1] and all(0 < n <= w for n, w in zip(sizes, want))
+
+
+def test_blocks_double_up_to_their_cap():
+    cap = fields.budget_rows(1000)
+    assert cap == 2 ** 27 // 64 // 1000 == 2097
+    sizes = [e - s for s, e in fields.blocks(10 ** 5, 1000, doubling=True)]
+    assert sizes[:13] == [2 ** i for i in range(12)] + [cap]
+    assert set(sizes[12:-1]) == {cap} and sum(sizes) == 10 ** 5
+
+
+def test_blocks_of_oversized_or_empty_rows():
+    # a row past the part is a block of its own; a row of no bytes is
+    # priced at one byte
+    assert list(fields.blocks(3, 2 ** 22)) == [(0, 1), (1, 2), (2, 3)]
+    assert fields.budget_rows(2 ** 28, part=1) == 1
+    assert fields.budget_rows(0) == fields.budget_rows(1) == 2 ** 21
+    assert list(fields.blocks(0, 0)) == []
+    # least raises the cap, as unit_chunks' q^3 floor does
+    assert list(fields.blocks(7, 2 ** 22, least=3)) == [(0, 3), (3, 6), (6, 7)]
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_require_budget_refuses_past_its_part(part):
+    edge = int(fields.MEMORY_BUDGET * part)
+    fields.require_budget(edge, "the rows", part=part)  # equality is admitted
+    with pytest.raises(UsageError) as err:
+        fields.require_budget(edge + 1, "the rows", part=part)
+    share = "" if part == 1 else "%d/%d of " % part.as_integer_ratio()
+    assert str(err.value) == ("the rows take %d bytes, past %sthe 134217728-byte "
+                              "memory budget" % (edge + 1, share))
+
+
+def test_refusals_keep_their_names():
+    from moufang import loops, triality
+    with pytest.raises(UsageError, match="^needs table mode: the tables of a 3345-element "
+                                         "loop take .* memory budget$"):
+        loops.require_table_fits(3345)
+    with pytest.raises(UsageError, match="^the Bol reflections of a 1025-element loop "
+                                         "take .* memory budget$"):
+        triality.require_reflections_fit(1025)
+
+
+def test_only_fields_reads_the_memory_budget():
+    # every other module prices through budget_rows, blocks and
+    # require_budget; docstrings and comments may name the budget
+    readers = []
+    for path in sorted(Path(moufang.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "MEMORY_BUDGET" in names:
+                readers.append(path.stem)
+    assert set(readers) == {"fields"}

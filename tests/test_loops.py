@@ -109,7 +109,7 @@ def test_closure_chunks_bound_every_mult_call(monkeypatch):
     gens = [(1, 2), (3, 3)]
     whole = closure(gens, mult, (0, 1))
     monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * loops._CLOSURE_PAIR_BYTES * 2 * 5)
-    assert loops.closure_chunk(2) == 5
+    assert fields.budget_rows(2 * loops._CLOSURE_PAIR_BYTES) == 5
     sizes = []
 
     def recording(X, Y):
@@ -367,24 +367,30 @@ def test_moufang_violation_readable(non_moufang_loop):
 
 
 def test_sampled_moufang_check_runs_in_chunks(non_moufang_loop, monkeypatch):
-    # the benchmark's 100000 samples are one chunk, one draw each of X, Y, Z
-    assert fields.MEMORY_BUDGET // loops._MOUFANG_SAMPLE_BYTES >= 100000
-    # chunks of 2 triples, each drawing its X, then its Y, then its Z: the
-    # first violation of seed 3's stream is past the first chunk (at the
-    # default seed, no chunk size puts it past the first)
+    # the benchmark's 100000 samples are one chunk
+    assert fields.budget_rows(loops._MOUFANG_SAMPLE_BYTES, part=1) >= 100000
+    # 100 samples in chunks of 2 triples draw the triples of one (100, 3)
+    # draw, so the witness matches the one-chunk run; seed 5's first
+    # violation is the second triple of the third chunk
     monkeypatch.setattr(fields, "_IDENTITY_SAMPLE_LIMIT", 0)
-    monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", fields.MEMORY_BUDGET // 2)
     assert loops.moufang_mode(non_moufang_loop.n, 100) == "sampled:100"
     T = non_moufang_loop.table
-    rng = fields.Sampler(3)
-    triples = []
-    for _ in range(50):
-        X, Y, Z = (rng.integers(5, size=2).tolist() for _ in range(3))
-        triples += zip(X, Y, Z)
+    triples = [tuple(t) for t in fields.Sampler(5).integers(5, size=(100, 3)).tolist()]
     first = next(i for i, t in enumerate(triples) if _violates(T, *t))
-    assert first >= 2
-    witness = loops.moufang_violation(non_moufang_loop, samples=100, seed=3)
-    assert witness == triples[first] and _violates(T, *witness)
+    assert first == 5
+    sizes = []
+
+    class Recording(fields.Sampler):
+        def integers(self, high, size=None, dtype=np.int64):
+            sizes.append(size)
+            return super().integers(high, size, dtype)
+    monkeypatch.setattr(fields, "Sampler", Recording)
+    witnesses = []
+    for row_bytes in (loops._MOUFANG_SAMPLE_BYTES, fields.MEMORY_BUDGET // 2):
+        monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", row_bytes)
+        witnesses.append(loops.moufang_violation(non_moufang_loop, samples=100, seed=5))
+    assert witnesses == [triples[first]] * 2 and _violates(T, *witnesses[0])
+    assert sizes == [(100, 3)] + [(2, 3)] * (first // 2 + 1)
 
 
 def test_associativity_violation_in_m2(m2):
@@ -445,9 +451,17 @@ def test_cyclic_loop_3344_peaks_near_its_table():
     assert peak <= L.table.nbytes + fields.MEMORY_BUDGET // 16
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_a_loop_needs_an_element(n):
+    with pytest.raises(ValueError, match="a loop has at least one element, not %d" % n):
+        FiniteLoop(n, table=np.zeros((0, 0), dtype=np.int32))
+
+
 def test_memory_budget_decides_table_mode():
     assert fields.MEMORY_BUDGET == 2 ** 27
-    assert loops.table_fits(3344) and not loops.table_fits(3345)
+    loops.require_table_fits(3344)
+    with pytest.raises(UsageError, match="needs table mode"):
+        loops.require_table_fits(3345)
     # a table is kept while it fits, and refused before it is read past that
     assert cyclic_loop(3344).table.shape == (3344, 3344)
     with pytest.raises(UsageError, match="needs table mode"):

@@ -305,9 +305,9 @@ def test_concurrent_pair_failures_match_the_scalar_loop(m2, monkeypatch):
     want = concurrent_pair_failures_oracle(net, bad, points)
     assert want > 0
     assert concurrent_pair_failures(net, bad, points) == want
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", triality._CHECK_SHARE
-                        * triality._CHECK_IMAGE_BYTES * 18 * net.n * 4)
-    assert len(list(triality._spans(len(points), 18 * net.n))) == -(-len(points) // 4)
+    row_bytes = triality._CHECK_IMAGE_BYTES * 18 * net.n
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * row_bytes * 4)
+    assert len(list(fields.blocks(len(points), row_bytes))) == -(-len(points) // 4)
     assert concurrent_pair_failures(net, bad, points) == want
 
 
@@ -648,9 +648,9 @@ def test_sampled_counts_run_across_the_chunks(case, s3_loop, monkeypatch):
     G, sigma, rho = _sampled_cases(s3_loop)[case]
     monkeypatch.setattr(triality, "EXHAUSTIVE_LIMIT", 1)
     ok, one = triality_check(G, sigma, rho, samples=300)
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", triality._CHECK_SHARE
-                        * triality._CHECK_IMAGE_BYTES * G.degree * 7)  # 7 rows a chunk
-    assert list(triality._spans(300, G.degree))[:2] == [(0, 7), (7, 14)]
+    row_bytes = triality._CHECK_IMAGE_BYTES * G.degree
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * row_bytes * 7)  # 7 rows a chunk
+    assert list(fields.blocks(300, row_bytes))[:2] == [(0, 7), (7, 14)]
     ok_chunked, chunked = triality_check(G, sigma, rho, samples=300)
     assert ok_chunked == ok and chunked["pairs_ok"] == one["pairs_ok"]
     for key in ("identity_checked", "identity_ok"):
@@ -691,8 +691,9 @@ def test_sampled_check_peak_stays_in_its_chunks(paige2_witness, monkeypatch):
     G = _unbuilt(w.group)
     G._gen_stack  # the group's generator stack (1 MB), not the check's
     monkeypatch.setattr(fields, "MEMORY_BUDGET", 2 ** 25)
-    rows = 2 ** 25 // triality._CHECK_SHARE // (triality._CHECK_IMAGE_BYTES * G.degree)
-    assert len(list(triality._spans(1000, G.degree))) == -(-1000 // rows) > 1
+    row_bytes = triality._CHECK_IMAGE_BYTES * G.degree
+    rows = 2 ** 25 // 64 // row_bytes
+    assert len(list(fields.blocks(1000, row_bytes))) == -(-1000 // rows) > 1
     tracemalloc.start()
     try:
         ok, details = triality_check(G, w.sigma, w.rho, samples=1000)
