@@ -1,0 +1,130 @@
+"""The golden transcript: the exit status and full stdout of a fixed set of
+`moufang` command lines, each run in process through `moufang.cli.run`.
+Stderr, which holds progress and error text, is left out.
+
+The lines are every command line of the benchmark's workloads
+(perfbench/workloads.py) at two seeds, the lines on the `integral` loop, and
+the exit-2 refusals of README's memory table.  The `search` inputs are
+written by the workloads' own generators into one directory per seed and
+named by relative `file:` paths, so no stdout line carries a temporary path.
+
+    PYTHONPATH=src python3 tests/golden/transcript.py           # print the diff
+    PYTHONPATH=src python3 tests/golden/transcript.py --write   # regenerate
+
+Without --write the script exits 1 when the transcript differs from the
+committed one.  The transcript is produced by this script, never edited by
+hand.
+"""
+
+import contextlib
+import difflib
+import importlib.util
+import io
+import os
+import shlex
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+TRANSCRIPT = os.path.join(HERE, "transcript.txt")
+SEEDS = (24301, 1234)
+
+INTEGRAL_LINES = [
+    ["cayley-units"],
+    ["moufang-check", "--loop", "integral"],
+    ["iso-check", "--left", "integral", "--right", "M*(2)"],
+    ["aut-count", "--loop", "integral"],
+    ["simple-check", "--loop", "integral"],
+    ["mlt-order", "--loop", "integral"],
+]
+
+# One line per refusal of README's memory table, each just past its limit.
+REFUSAL_LINES = [
+    ["mlt-order", "--loop", "Z(3345)"],
+    ["mlt-order", "--loop", "M*(4)"],
+    ["bol-check", "--loop", "Z(1025)"],
+    ["bol-check", "--loop", "M*(3)"],
+    ["generators-check", "--q", "11"],
+    ["bol-check", "--loop", "Z(3)", "--points", "4194305"],
+    ["spinor-check", "--q", "3", "--samples", "262145"],
+]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def block(argv):
+    """One line's block: the command, its exit status and its stdout."""
+    from moufang import cli
+    with contextlib.redirect_stderr(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()) as out:
+        rep = cli.run(argv)
+    stdout = out.getvalue() + "".join(line + "\n" for line in rep.lines)
+    return "$ moufang %s\nexit %d\n%s" % (shlex.join(argv), rep.status, stdout)
+
+
+def _search_inputs(wl, work, seed):
+    """The files a `search` pass reads, in the directory work: M*(2) exported
+    by the CLI (its block is part of the transcript), its relabelling by the
+    seed, and the products of O16 with Z(m)."""
+    os.makedirs(work)
+    blocks = [block(["export-table", "--loop", "M*(2)", "--out", work + "/m2.tbl"])]
+    labels, table = wl.read_table(os.path.join(work, "m2.tbl"))
+    wl.write_table(os.path.join(work, "m2_relabelled.tbl"), *wl.relabel(labels, table, seed))
+    o16 = wl.octonion_loop()
+    for m, _ in wl.AUT_LOOPS:
+        wl.write_table(os.path.join(work, "o16_z%d.tbl" % m), *wl.cyclic_product(*o16, m))
+    return blocks
+
+
+def render():
+    """The transcript, run in a fresh temporary working directory.  A line
+    that several seeds give identically runs once."""
+    wl = _workloads()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            blocks, seen = [], set()
+            for seed in SEEDS:
+                work = "s%d" % seed
+                blocks += _search_inputs(wl, work, seed)
+                lines = [cmd.line(seed) for name in wl.NAMES for cmd in wl.commands(name, work)]
+                if seed == SEEDS[-1]:
+                    lines += INTEGRAL_LINES + REFUSAL_LINES
+                for argv in lines:
+                    if tuple(argv) not in seen:
+                        seen.add(tuple(argv))
+                        blocks.append(block(argv))
+        finally:
+            os.chdir(cwd)
+    return "\n".join(blocks)
+
+
+def diff():
+    """The unified diff from the committed transcript to a fresh one, as a
+    list of lines; empty when they agree."""
+    with open(TRANSCRIPT) as fh:
+        committed = fh.read()
+    return list(difflib.unified_diff(committed.splitlines(True), render().splitlines(True),
+                                     "committed", "fresh"))
+
+
+def main(argv):
+    if argv == ["--write"]:
+        with open(TRANSCRIPT, "w") as fh:
+            fh.write(render())
+        return 0
+    lines = diff()
+    sys.stdout.writelines(lines)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
