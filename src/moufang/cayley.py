@@ -22,8 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .composition import cd_double, scalar_algebra
-from .loops import (ClosureCapExceeded, FiniteLoop, closure, closure_indices,
-                    find_isomorphism, lex_unique, positions)
+from .loops import FiniteLoop, closure, closure_indices, find_isomorphism
 from . import paige
 
 
@@ -142,22 +141,43 @@ E_UNIT = _unit(4)
 H_UNIT = (0, 1, 1, 1, 1, 0, 0, 0)
 
 
+def _keys(X):
+    """One int per row of doubled coordinates in -2..2, the row read as base-5
+    digits shifted by 2, so the keys ascend as the rows do lexicographically;
+    AssertionError for a coordinate past -2..2, which no unit has."""
+    X = _rows(X)
+    if np.abs(X).max(initial=0) > 2:
+        raise AssertionError("a coordinate past -2..2 is no unit's")
+    return (X + 2) @ 5 ** np.arange(7, -1, -1)
+
+
+def _index(keys, X, what):
+    """Position of each row of X among the rows with the ascending keys;
+    AssertionError naming what for a row that is not among them."""
+    k = _keys(X)
+    at = np.searchsorted(keys, k).clip(max=len(keys) - 1)
+    if (keys[at] != k).any():
+        raise AssertionError("%s outside the unit integrals" % what)
+    return at
+
+
 def generate_unit_integrals():
-    """Multiplicative closure of {+-1, +-i, +-j, h}; must come out at
-    exactly 240 elements, all of norm one."""
+    """The 240 norm-one units, in ascending order: the orbit of 1 under
+    multiplication by {+-1, +-i, +-j, h} on either side, which lies in the
+    subloop they generate and, at 240 norm-one elements, is all of it."""
     gens = [ONE, neg(ONE), I_UNIT, neg(I_UNIT), J_UNIT, neg(J_UNIT), H_UNIT]
     try:
-        elements = closure(gens, mul_batch, ONE, cap=241)
-    except ClosureCapExceeded:
+        elements = closure(gens, mul_batch, ONE, limit=240)
+    except ValueError as e:
         raise AssertionError("closure of the unit integrals exceeded 240; "
-                             "arithmetic bug")
+                             "arithmetic bug") from e
     if len(elements) != 240:
         raise AssertionError("expected 240 unit integrals, found %d" % len(elements))
-    off = (np.array(elements) ** 2).sum(axis=1) != 4
+    off = (elements ** 2).sum(axis=1) != 4
     if off.any():
         raise AssertionError("element %s does not have norm one"
                              % label(elements[int(off.argmax())]))
-    return elements
+    return [tuple(e) for e in elements[np.argsort(_keys(elements))].tolist()]
 
 
 def sign_reps(X):
@@ -174,14 +194,14 @@ def quotient_mod_sign(elements=None):
     """The 120-element loop of +-classes of the unit integrals."""
     if elements is None:
         elements = generate_unit_integrals()
-    reps = lex_unique(sign_reps(elements))[0]
+    reps = sign_reps(elements)
+    keys, first = np.unique(_keys(reps), return_index=True)
+    reps = reps[first]
     n = len(reps)
     if n != 120:
         raise AssertionError("sign quotient has %d classes, expected 120" % n)
     products = sign_reps(mul_batch(np.repeat(reps, n, axis=0), np.tile(reps, (n, 1))))
-    table = positions(reps, products)
-    if (table < 0).any():
-        raise AssertionError("product of classes outside the unit integrals")
+    table = _index(keys, products, "product of classes")
     reps = [tuple(r) for r in reps.tolist()]
     loop = FiniteLoop(n, labels=[label(r) for r in reps],
                       table=table.reshape(n, n).astype(np.int32))
@@ -194,7 +214,8 @@ def certify_paige2_iso(quotient=None):
     that the classes of i, j, h generate the quotient."""
     if quotient is None:
         quotient = quotient_mod_sign()
-    gen_idx = positions(np.array(quotient.reps), sign_reps([I_UNIT, J_UNIT, H_UNIT]))
+    gen_idx = _index(_keys(quotient.reps), sign_reps([I_UNIT, J_UNIT, H_UNIT]),
+                     "class of i, j or h")
     if len(closure_indices(quotient, gen_idx)) != quotient.n:
         raise AssertionError("i, j, h do not generate the sign quotient")
     witness = find_isomorphism(quotient, paige.paige_loop(2))

@@ -34,10 +34,6 @@ def _require_loop_size(n):
     require_table_fits(n)
 
 
-class ClosureCapExceeded(RuntimeError):
-    pass
-
-
 class FiniteLoop:
     """A finite loop on indices 0..n-1, held as its validated Cayley table."""
 
@@ -143,125 +139,39 @@ class FiniteLoop:
 # generation
 
 
-# Bytes a chunk of the generic closure allots each pair, per coordinate of
-# an element: its two operand rows, the product, mult's temporaries and the
-# sort keys (tracemalloc peak of the 240 unit integrals in full chunks of
-# 4096 pairs: about 42 with cayley.mul_batch), rounded up to a power of two.
-_CLOSURE_PAIR_BYTES = 64
+_INT32 = np.iinfo(np.int32)
 
 
-# Keys stay below this bound, so key * radix + digit cannot overflow int64.
-_KEY_LIMIT = 2 ** 62
+def _int32_rows(rows):
+    """rows as an int32 array; ValueError for an entry past int32, which
+    orbit's int32 rows would wrap."""
+    A = np.asarray(rows, dtype=np.int64)
+    if A.size and (A.min() < _INT32.min or A.max() > _INT32.max):
+        raise ValueError("row entries past int32, from %d to %d" % (A.min(), A.max()))
+    return A.astype(np.int32)
 
 
-def _ranks(v):
-    """The rank of each entry of v among its distinct values, and their
-    number."""
-    values, rank = np.unique(v, return_inverse=True)
-    return rank, len(values)
+def closure(generators, mult, one, limit=None):
+    """The rows reachable from one by the maps x -> g x and x -> x g, g among
+    the generators: one permgrp.orbit call, so the rows come breadth first,
+    one's row first, each row's images in the order g_0 x, x g_0, g_1 x, ...
 
+    Elements are equal-length rows of ints, and mult(X, Y) takes two (m, w)
+    int64 arrays of them and returns the (m, w) products.  The set lies in
+    the subloop the generators and one generate; a caller that needs all of
+    it certifies it, by its count, say.  Returns the (N, w) int64 array of
+    the rows; ValueError for a row past int32 or past limit rows."""
+    one = _int32_rows(one).reshape(1, -1)
+    G = _int32_rows(generators).reshape(-1, one.shape[1]).astype(np.int64)
+    k = len(G)
 
-def _row_keys(A):
-    """One int64 per row of the 2-D int array A, ordered as the rows are
-    lexicographically: the columns are the digits of a mixed radix over
-    their value spans.  When the next radix would take the keys past 2^62,
-    the keys so far are replaced by their ranks, and the column too if it
-    is still too wide."""
-    A = np.asarray(A, dtype=np.int64)
-    key = np.zeros(len(A), dtype=np.int64)
-    if not len(A):
-        return key
-    cols = A.T.copy()  # the digits are formed in place
-    size = 1  # every key is below size
-    for col, lo, hi in zip(cols, cols.min(axis=1).tolist(), cols.max(axis=1).tolist()):
-        span = hi - lo + 1
-        if size * span > _KEY_LIMIT:
-            key, size = _ranks(key)
-        if size * span > _KEY_LIMIT:
-            col, span = _ranks(col)
-        else:
-            col -= lo
-        key *= span
-        key += col
-        size *= span
-    return key
+    def images(X):
+        Xs, Gs = np.repeat(X.astype(np.int64), k, axis=0), np.tile(G, (len(X), 1))
+        products = np.stack([mult(Gs, Xs), mult(Xs, Gs)], axis=1)
+        return _int32_rows(products).reshape(len(X), 2 * k, X.shape[1])
 
-
-def lex_unique(A):
-    """The distinct rows of the 2-D int array A in lexicographic order, and
-    the index among them of each row of A; one argsort of _row_keys(A)."""
-    key = _row_keys(A)
-    order = np.argsort(key)
-    key = key[order]
-    head = np.ones(len(A), dtype=bool)
-    head[1:] = key[1:] != key[:-1]
-    group = np.empty(len(A), dtype=np.int64)
-    group[order] = np.cumsum(head) - 1
-    return np.asarray(A).take(order[head], axis=0), group
-
-
-def positions(table, rows):
-    """Index in table, a 2-D array of distinct rows, of each of rows; -1
-    where a row is absent."""
-    _, group = lex_unique(np.concatenate([table, rows]))
-    where = np.full(len(table) + len(rows), -1, dtype=np.int64)
-    where[group[:len(table)]] = np.arange(len(table))
-    return where[group[len(table):]]
-
-
-def _level_products(mult, factors, start, end, t0, t1):
-    """mult on the pairs t0..t1 of the closure level of factors[start:end],
-    as rows: row r of the level, start <= r < end, holds the pairs (r, j)
-    for j < end, then (i, r) for i < start."""
-    t = np.arange(t0, t1)
-    r = t // (end + start)
-    t -= r * (end + start)
-    r += start
-    right = t >= end
-    X = factors.take(np.where(right, t - end, r), axis=0)
-    Y = factors.take(np.where(right, r, t), axis=0)
-    return np.asarray(mult(X, Y), dtype=np.int64).reshape(t1 - t0, -1)
-
-
-def closure(generators, mult, one, cap=100000):
-    """Smallest multiplicatively closed set containing the generators and one.
-
-    Elements are ints or equal-length rows of ints; mult(X, Y) takes two
-    equal-length arrays of them and returns the array of products.
-    Numbering is breadth first: level 0 is the deduplicated generators plus
-    the neutral element, each later level holds the new products of pairs
-    with at least one factor in the level before, in lexicographic order.
-    A level runs in blocks of pairs, one mult call each, and
-    ClosureCapExceeded is raised after the first chunk that takes the
-    closure past cap elements.  Returns the element list (ints or tuples).
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    seed = np.asarray(list(generators) + [one], dtype=np.int64)
-    flat = seed.ndim == 1
-    seed = seed.reshape(len(seed), -1)
-    _, first = np.unique(lex_unique(seed)[1], return_index=True)
-    elements = seed[np.sort(first)]
-    pair_bytes = _CLOSURE_PAIR_BYTES * elements.shape[1]
-    start = 0
-    while start < len(elements):
-        end = len(elements)
-        factors = elements[:, 0] if flat else elements
-        total = (end - start) * (end + start)
-        known = elements
-        for t0, t1 in blocks(total, pair_bytes):
-            # one sort of the distinct known rows and the products; the
-            # groups no known row reaches are the new elements
-            rows, group = lex_unique(np.concatenate(
-                [known, _level_products(mult, factors, start, end, t0, t1)]))
-            new = np.ones(len(rows), dtype=bool)
-            new[group[:len(known)]] = False
-            known = np.concatenate([known, rows[new]])
-            if len(known) > cap:
-                raise ClosureCapExceeded("closure exceeded cap %d" % cap)
-        elements = np.concatenate([elements, lex_unique(known[end:])[0]])
-        start = end
-    return elements[:, 0].tolist() if flat else [tuple(e) for e in elements.tolist()]
+    rows = orbit(one, images, limit)[0]
+    return np.frombuffer(b"".join(rows), np.int32).reshape(len(rows), -1).astype(np.int64)
 
 
 def closure_indices(loop, seed):

@@ -140,6 +140,28 @@ def normal_closure_oracle(loop, seed):
     return sub
 
 
+def closure_oracle(generators, mult, one):
+    """The smallest multiplicatively closed set of rows holding the
+    generators and one, as a set of tuples, by the level-batched closure
+    that loops.closure replaced: each level multiplies, in one mult call,
+    every pair of the rows so far with a factor in the level before."""
+    rows = list(dict.fromkeys(tuple(int(v) for v in r) for r in list(generators) + [one]))
+    start = 0
+    while start < len(rows):
+        end = len(rows)
+        i, j = np.divmod(np.arange(end * end), end)
+        fresh = np.maximum(i, j) >= start
+        E = np.array(rows, dtype=np.int64)
+        products = np.asarray(mult(E[i[fresh]], E[j[fresh]]))
+        known = set(rows)
+        for p in map(tuple, products.tolist()):
+            if p not in known:
+                known.add(p)
+                rows.append(p)
+        start = end
+    return set(rows)
+
+
 # The stabilizer chains the stack transversals must reproduce: base, number
 # of strong generators and basic orbit lengths.
 CHAIN_SHAPES = {

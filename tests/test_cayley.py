@@ -15,7 +15,7 @@ from moufang import cayley, fields, loops
 from moufang.cayley import (E_UNIT, H_UNIT, I_UNIT, J_UNIT, K_UNIT, ONE,
                             certify_paige2_iso, conjugate, generate_unit_integrals,
                             label, mul, neg, quotient_mod_sign)
-from conftest import QQ, cayley_product_oracle
+from conftest import QQ, cayley_product_oracle, closure_oracle
 from moufang.composition import cd_double, scalar_algebra
 from moufang.loops import closure, closure_indices
 
@@ -214,28 +214,59 @@ def test_subtraction_stays_integral(units, rng):
         assert trace(d).denominator == 1
 
 
-def test_unit_closure_stays_in_its_priced_chunks(units):
-    # chunks of 4096 pairs of 8 coordinates at _CLOSURE_PAIR_BYTES each
-    # (2 MiB); the closure peaks at about 1.4 MB
-    tracemalloc.start()
-    try:
-        generate_unit_integrals()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    pair_bytes = 8 * loops._CLOSURE_PAIR_BYTES
-    assert peak <= fields.budget_rows(pair_bytes) * pair_bytes
+def test_unit_closure_stays_in_its_priced_chunks(units, monkeypatch):
+    # the orbit takes the images of budget_rows(8 * 32 * 14) rows a call:
+    # 14 maps of 8 int32 coordinates at 8 bytes a byte of image (2 MiB);
+    # the closure peaks at about 0.25 MB
+    row_bytes = 8 * 32 * 14
+    bound = fields.budget_rows(row_bytes) * row_bytes
+    mul_batch, sizes = cayley.mul_batch, []
+    monkeypatch.setattr(cayley, "mul_batch",
+                        lambda X, Y: sizes.append(len(X)) or mul_batch(X, Y))
+    for budget in (fields.MEMORY_BUDGET, 64 * row_bytes * 20):
+        monkeypatch.setattr(fields, "MEMORY_BUDGET", budget)
+        del sizes[:]
+        tracemalloc.start()
+        try:
+            assert generate_unit_integrals() == units
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        # each call multiplies the rows of one block by the 7 generators
+        assert max(sizes) <= 7 * fields.budget_rows(row_bytes)
+    # at 20 rows a block, the 240 rows take at least 12 blocks of 2 calls
+    assert len(sizes) >= 24
 
 
 def test_closure_of_i_j_h_alone_is_240():
-    els = closure([I_UNIT, J_UNIT, H_UNIT], cayley.mul_batch, ONE, cap=241)
+    gens = [I_UNIT, J_UNIT, H_UNIT]
+    els = closure(gens, cayley.mul_batch, ONE, limit=240)
     assert len(els) == 240
+    assert set(map(tuple, els.tolist())) == set(generate_unit_integrals())
+
+
+def test_unit_closure_matches_the_level_batched_oracle(units):
+    gens = [ONE, neg(ONE), I_UNIT, neg(I_UNIT), J_UNIT, neg(J_UNIT), H_UNIT]
+    assert closure_oracle(gens, cayley.mul_batch, ONE) == set(units)
+    assert closure_oracle(gens[2::2], cayley.mul_batch, ONE) == set(units)
+
+
+def test_unit_closure_past_240_is_an_arithmetic_bug(monkeypatch):
+    # sums instead of products: the orbit of 1 never closes
+    monkeypatch.setattr(cayley, "mul_batch", lambda X, Y: X + Y)
+    with pytest.raises(ValueError, match="limit 240"):
+        closure([I_UNIT], cayley.mul_batch, ONE, limit=240)
+    with pytest.raises(AssertionError, match="exceeded 240; arithmetic bug"):
+        generate_unit_integrals()
 
 
 def test_unit_numbering_is_pinned(units):
+    # ascending: the order of the base-5 keys and of closure_packed's packs
+    assert units == sorted(units)
     joined = "\n".join(label(x) for x in units).encode()
     assert hashlib.sha256(joined).hexdigest() == \
-        "3d7f76f34653837c13ef91fe31ad8a898e2b98dcbab2eb5088a500643eff7632"
+        "a1ccafd7e3f0f272af797e889904a95be68f7021201517e53dab2411641e9030"
 
 
 def test_quotient_size(quotient):

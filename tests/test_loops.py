@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import normal_closure_oracle, point_orbit_oracle
+from conftest import closure_oracle, normal_closure_oracle, point_orbit_oracle
 from moufang import cayley, fields, loops, paige
-from moufang.loops import (ClosureCapExceeded, FiniteLoop, associativity_violation,
+from moufang.loops import (FiniteLoop, associativity_violation,
                            automorphisms, autotopism_check,
                            center, closure, closure_indices, commutant, cyclic_loop,
                            direct_product, find_isomorphism, generating_sequence,
@@ -39,115 +39,80 @@ def test_closure_single_neutral():
 
 def test_closure_of_generator_in_z6():
     mult = lambda a, b: (a + b) % 6
-    assert sorted(closure([2], mult, 0)) == [0, 2, 4]
-    # level 0 is the generator and the neutral element, each later level
-    # is sorted
-    assert closure([1], mult, 0) == [1, 0, 2, 3, 4, 5]
+    assert sorted(closure([(2,)], mult, (0,))[:, 0].tolist()) == [0, 2, 4]
+    # breadth first from the neutral element
+    assert closure([(1,)], mult, (0,))[:, 0].tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_closure_cap():
-    with pytest.raises(ClosureCapExceeded):
-        closure([1], lambda a, b: (a + b) % 1000, 0, cap=10)
+    mult = lambda a, b: (a + b) % 1000
+    assert len(closure([(1,)], mult, (0,), limit=1000)) == 1000
+    with pytest.raises(ValueError, match="limit 999"):
+        closure([(1,)], mult, (0,), limit=999)
 
 
-def test_closure_of_rows_numbers_levels_lexicographically():
-    # Z/3 x Z/4 on rows; the ints 4a + b close the same way
-    def mult(X, Y):
-        Z = X + Y
-        return np.stack([Z[:, 0] % 3, Z[:, 1] % 4], axis=1)
+def z3_z4(X, Y):
+    Z = X + Y
+    return np.stack([Z[:, 0] % 3, Z[:, 1] % 4], axis=1)
 
-    els = closure([(0, 1), (1, 0), (0, 1)], mult, (0, 0))
-    assert els[:3] == [(0, 1), (1, 0), (0, 0)]
-    assert len(els) == 12 and len(set(els)) == 12
-    assert all(isinstance(e, tuple) and isinstance(e[0], int) for e in els)
+
+def test_closure_of_rows_numbers_breadth_first():
+    # Z/3 x Z/4 on rows; the ints 4a + b, as rows of one entry, close the
+    # same way
+    els = closure([(0, 1), (1, 0), (0, 1)], z3_z4, (0, 0))
+    assert els.dtype == np.int64 and els.shape == (12, 2)
+    els = [tuple(e) for e in els.tolist()]
+    assert els[:3] == [(0, 0), (0, 1), (1, 0)]
+    assert len(set(els)) == 12
     level1 = [(0, 2), (1, 1), (2, 0)]
     assert els[3:6] == level1
-    assert els[6:] == sorted(els[6:])
-    ints = closure([1, 4, 1], lambda a, b: (a + b) % 4 + 4 * ((a // 4 + b // 4) % 3), 0)
-    assert ints == [4 * a + b for a, b in els]
+    ints = closure([(1,), (4,), (1,)],
+                   lambda a, b: (a + b) % 4 + 4 * ((a // 4 + b // 4) % 3), (0,))
+    assert ints[:, 0].tolist() == [4 * a + b for a, b in els]
 
 
-# int64 extremes and the values around +-2^62, where the mixed-radix keys
-# of lex_unique fall back on ranks
-WIDE_VALUES = [-2 ** 63, -2 ** 63 + 1, -2 ** 62 - 1, -2 ** 62, -2 ** 62 + 1, -1, 0,
-               1, 2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 2 ** 63 - 2, 2 ** 63 - 1]
+def test_closure_matches_the_level_batched_oracle():
+    gens = [(0, 1), (1, 0), (0, 1)]
+    els = closure(gens, z3_z4, (0, 0))
+    assert set(map(tuple, els.tolist())) == closure_oracle(gens, z3_z4, (0, 0))
+    # S3 as image rows under composition, from two transpositions
+    s3 = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
+    compose = lambda A, B: np.take_along_axis(B, A, axis=1)
+    els = closure(s3[1:], compose, s3[0])
+    assert set(map(tuple, els.tolist())) == closure_oracle(s3[1:], compose, s3[0])
+    assert len(els) == 6
 
 
-def test_lex_unique_and_positions_match_python_sorting(rng, monkeypatch):
-    A = rng.integers(-3, 4, size=(400, 3))
-    rows, group = loops.lex_unique(A)
-    assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, A.tolist())))
-    assert (rows[group] == A).all()
-    probe = np.array([rows[5], [9, 9, 9], rows[0]])
-    assert loops.positions(rows, probe).tolist() == [5, -1, 0]
-    # wide rows: two digits of 2^40 pass 2^62 and re-rank the keys, and an
-    # extreme column is ranked by itself
-    ranked = []
-    ranks = loops._ranks
-    monkeypatch.setattr(loops, "_ranks", lambda v: ranked.append(len(v)) or ranks(v))
-    for width in (1, 8):
-        for extremes in (True, False):
-            del ranked[:]
-            if extremes:
-                A = np.array(WIDE_VALUES)[rng.integers(len(WIDE_VALUES), size=(400, width))]
-                A[::7] = A[0]
-            else:
-                A = rng.integers(0, 2 ** 40, size=(400, width)) - 2 ** 39
-                A[:, 0] %= 3
-            rows, group = loops.lex_unique(A)
-            assert [tuple(r) for r in rows.tolist()] == sorted(set(map(tuple, A.tolist())))
-            assert (rows[group] == A).all()
-            probe = np.concatenate([rows[::-5], np.full((1, width), 5), rows[:1]])
-            assert loops.positions(rows, probe).tolist() == \
-                list(range(len(rows) - 1, -1, -5)) + [-1, 0]
-            assert bool(ranked) == (extremes or width == 8)
+def test_closure_without_generators_is_one():
+    els = closure([], z3_z4, (1, 2))
+    assert els.tolist() == [[1, 2]]
 
 
-def test_closure_chunks_bound_every_mult_call(monkeypatch):
-    mult = lambda X, Y: np.stack([(X[:, 0] + Y[:, 0]) % 7, (X[:, 1] * Y[:, 1]) % 5],
-                                 axis=1)
-    gens = [(1, 2), (3, 3)]
-    whole = closure(gens, mult, (0, 1))
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * loops._CLOSURE_PAIR_BYTES * 2 * 5)
-    assert fields.budget_rows(2 * loops._CLOSURE_PAIR_BYTES) == 5
-    sizes = []
-
-    def recording(X, Y):
-        assert len(X) == len(Y)
-        sizes.append(len(X))
-        return mult(X, Y)
-
-    assert closure(gens, recording, (0, 1)) == whole
-    assert len(whole) == 28 and max(sizes) == 5
-    assert sum(sizes) == len(whole) ** 2  # every pair once
-
-
-def test_closure_cap_is_checked_per_chunk(monkeypatch):
-    # level 1 of 1..60 and 0 in Z/100000 has 61^2 pairs and 60 new sums;
-    # with 100-pair chunks the cap of 80 elements stops it in the first half
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * loops._CLOSURE_PAIR_BYTES * 100)
-    sizes = []
-
-    def recording(X, Y):
-        sizes.append(len(X))
-        return (X + Y) % 100000
-
-    with pytest.raises(ClosureCapExceeded):
-        closure(list(range(1, 61)), recording, 0, cap=80)
-    assert max(sizes) == 100 and sum(sizes) < 61 ** 2 // 2
+def test_closure_refuses_rows_past_int32():
+    big = 2 ** 31
+    with pytest.raises(ValueError, match="past int32"):
+        closure([(0, big)], z3_z4, (0, 0))
+    with pytest.raises(ValueError, match="past int32"):
+        closure([(0, 1)], z3_z4, (-big - 1, 0))
+    # a product past int32 is refused too, not wrapped
+    with pytest.raises(ValueError, match="past int32"):
+        closure([(0, 1)], lambda X, Y: X + Y + big, (0, 0))
 
 
 def test_closure_paige2_generators_mod_sign(m2):
     """The q=2 triple closes to all 120 classes; generic closure agrees
-    with the packed engine as a set of packs."""
+    with the packed engine as a set of packs, and with the level-batched
+    oracle."""
     gens = paige.standard_generators(2)
     eng = m2.zorn.engine
     one = tuple(int(v) for v in eng.unit_row())
     gen_keys = [tuple(int(v) for v in g.coords()) for g in gens]
-    els = closure(gen_keys, lambda X, Y: eng.canon(eng.mul(X, Y)), one)
+    mult = lambda X, Y: eng.canon(eng.mul(X, Y))
+    els = closure(gen_keys, mult, one)
     assert len(els) == 120
     packed = paige.closure_packed(2, gens)
-    assert np.array_equal(np.sort(eng.pack(np.asarray(els))), packed)
+    assert np.array_equal(np.sort(eng.pack(els)), packed)
+    assert set(map(tuple, els.tolist())) == closure_oracle(gen_keys, mult, one)
 
 
 # ---------------------------------------------------------------------------
