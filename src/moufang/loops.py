@@ -12,6 +12,7 @@ currency here; labels are carried for printing and file round-trips.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -657,11 +658,14 @@ def loop_from_perm_group(group):
     return FiniteLoop(n, table=T)
 
 
+@contextmanager
 def _open_user_path(path, mode="r"):
     """open() for a path named on the command line: a path that cannot be
-    opened, missing or a directory, is a UsageError."""
+    opened (missing or a directory), read or written (a full device) is a
+    UsageError."""
     try:
-        return open(path, mode)
+        with open(path, mode) as fh:
+            yield fh
     except OSError as e:
         raise UsageError(str(e)) from None
 

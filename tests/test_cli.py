@@ -648,6 +648,16 @@ def test_directory_as_user_path_is_a_usage_error(argv, tmp_path, capsys):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", USER_PATHS[:2], ids=[a[0] for a in USER_PATHS[:2]])
+def test_failed_write_of_out_is_a_usage_error(argv, capsys):
+    # /dev/full opens, and every write to it fails with ENOSPC
+    assert main([a.format(dir="/dev/full") for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: [Errno 28] No space left on device\n"
+
+
 def test_bol_check_non_moufang_is_falsified(tmp_path, non_moufang_loop):
     path = os.fspath(tmp_path / "nm5.tbl")
     loops.write_table(non_moufang_loop, path)
