@@ -151,13 +151,13 @@ def _keys(X):
     return (X + 2) @ 5 ** np.arange(7, -1, -1)
 
 
-def _index(keys, X, what):
+def _index(keys, X):
     """Position of each row of X among the rows with the ascending keys;
-    AssertionError naming what for a row that is not among them."""
+    AssertionError for a row that is not among them."""
     k = _keys(X)
     at = np.searchsorted(keys, k).clip(max=len(keys) - 1)
     if (keys[at] != k).any():
-        raise AssertionError("%s outside the unit integrals" % what)
+        raise AssertionError("a row outside the unit integrals")
     return at
 
 
@@ -201,7 +201,7 @@ def quotient_mod_sign(elements=None):
     if n != 120:
         raise AssertionError("sign quotient has %d classes, expected 120" % n)
     products = sign_reps(mul_batch(np.repeat(reps, n, axis=0), np.tile(reps, (n, 1))))
-    table = _index(keys, products, "product of classes")
+    table = _index(keys, products)
     reps = [tuple(r) for r in reps.tolist()]
     loop = FiniteLoop(n, labels=[label(r) for r in reps],
                       table=table.reshape(n, n).astype(np.int32))
@@ -214,8 +214,7 @@ def certify_paige2_iso(quotient=None):
     that the classes of i, j, h generate the quotient."""
     if quotient is None:
         quotient = quotient_mod_sign()
-    gen_idx = _index(_keys(quotient.reps), sign_reps([I_UNIT, J_UNIT, H_UNIT]),
-                     "class of i, j or h")
+    gen_idx = _index(_keys(quotient.reps), sign_reps([I_UNIT, J_UNIT, H_UNIT]))
     if len(closure_indices(quotient, gen_idx)) != quotient.n:
         raise AssertionError("i, j, h do not generate the sign quotient")
     witness = find_isomorphism(quotient, paige.paige_loop(2))
