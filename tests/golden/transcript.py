@@ -3,10 +3,12 @@
 Stderr, which holds progress and error text, is left out.
 
 The lines are every command line of the benchmark's workloads
-(perfbench/workloads.py) at two seeds, the lines on the `integral` loop, and
-the exit-2 refusals of README's memory table.  The `search` inputs are
-written by the workloads' own generators into one directory per seed and
-named by relative `file:` paths, so no stdout line carries a temporary path.
+(perfbench/workloads.py) at two seeds, the lines on the `integral` loop, the
+acceptance lines outside the benchmark, the searches of SEARCH_LINES and the
+exit-2 refusals of README's memory table.  The `search` inputs are written
+by the workloads' own generators into one directory per seed, and the inputs
+of SEARCH_LINES into one more, all named by relative `file:` paths, so no
+stdout line carries a temporary path.
 
     PYTHONPATH=src python3 tests/golden/transcript.py           # print the diff
     PYTHONPATH=src python3 tests/golden/transcript.py --write   # regenerate
@@ -25,6 +27,8 @@ import shlex
 import sys
 import tempfile
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 TRANSCRIPT = os.path.join(HERE, "transcript.txt")
@@ -37,6 +41,28 @@ INTEGRAL_LINES = [
     ["aut-count", "--loop", "integral"],
     ["simple-check", "--loop", "integral"],
     ["mlt-order", "--loop", "integral"],
+]
+
+# The acceptance lines (tests/test_acceptance.py) that no workload runs.
+ACCEPTANCE_LINES = [
+    ["aut-count", "--loop", "M*(2)"],
+    ["aut-count", "--loop", "M*(3)"],
+    ["mlt-order", "--loop", "M*(3)"],
+    ["moufang-check", "--loop", "M*(3)", "--samples", "100000"],
+    ["moufang-check", "--loop", "M*(5)", "--samples", "100000"],
+]
+
+# Searches on the tables _search_extra writes: M*(3) against its relabelling
+# by the first seed, and Z4 x Z4 against Z4 x| Z4, which share the
+# invariants of the search (3 involutions, 12 elements of order 4), so
+# `isomorphic=no` comes only when the search is exhausted.
+EXTRA = "extra"
+SEARCH_LINES = [
+    ["iso-check", "--left", "M*(3)", "--right", "file:%s/m3_relabelled.tbl" % EXTRA],
+    ["iso-check", "--left", "file:%s/z4xz4.tbl" % EXTRA,
+     "--right", "file:%s/z4sdz4.tbl" % EXTRA],
+    ["aut-count", "--loop", "file:%s/z4xz4.tbl" % EXTRA],
+    ["aut-count", "--loop", "file:%s/z4sdz4.tbl" % EXTRA],
 ]
 
 # One line per refusal of README's memory table, each just past its limit.
@@ -83,6 +109,32 @@ def _search_inputs(wl, work, seed):
     return blocks
 
 
+def _order_16_pair():
+    """Z4 x Z4 and Z4 x| Z4 with b a b^-1 = a^-1, element 4i + j standing for
+    a^i b^j: (a^i b^j)(a^k b^l) = a^(i + (-1)^j k) b^(j + l)."""
+    i, j = np.divmod(np.arange(16), 4)
+    direct = (i[:, None] + i[None, :]) % 4 * 4 + (j[:, None] + j[None, :]) % 4
+    sign = 1 - 2 * (j[:, None] % 2)
+    semidirect = (i[:, None] + sign * i[None, :]) % 4 * 4 + (j[:, None] + j[None, :]) % 4
+    labels = ["a%db%d" % (a, b) for a, b in zip(i, j)]
+    return (labels, direct), (labels, semidirect)
+
+
+def _search_extra(wl):
+    """The files of SEARCH_LINES in the directory EXTRA: M*(3) exported by the
+    CLI (its block is part of the transcript) and relabelled by the first
+    seed, and the order-16 pair."""
+    os.makedirs(EXTRA)
+    blocks = [block(["export-table", "--loop", "M*(3)", "--out", EXTRA + "/m3.tbl"])]
+    labels, table = wl.read_table(os.path.join(EXTRA, "m3.tbl"))
+    wl.write_table(os.path.join(EXTRA, "m3_relabelled.tbl"),
+                   *wl.relabel(labels, table, SEEDS[0]))
+    direct, semidirect = _order_16_pair()
+    wl.write_table(os.path.join(EXTRA, "z4xz4.tbl"), *direct)
+    wl.write_table(os.path.join(EXTRA, "z4sdz4.tbl"), *semidirect)
+    return blocks
+
+
 def render():
     """The transcript, run in a fresh temporary working directory.  A line
     that several seeds give identically runs once."""
@@ -97,7 +149,8 @@ def render():
                 blocks += _search_inputs(wl, work, seed)
                 lines = [cmd.line(seed) for name in wl.NAMES for cmd in wl.commands(name, work)]
                 if seed == SEEDS[-1]:
-                    lines += INTEGRAL_LINES + REFUSAL_LINES
+                    blocks += _search_extra(wl)
+                    lines += INTEGRAL_LINES + ACCEPTANCE_LINES + SEARCH_LINES + REFUSAL_LINES
                 for argv in lines:
                     if tuple(argv) not in seen:
                         seen.add(tuple(argv))
