@@ -162,6 +162,64 @@ def closure_oracle(generators, mult, one):
     return set(rows)
 
 
+def extender_oracle(L1, L2, gens, levels, candidates):
+    """The backtracking that loops._extender replaced, with the same
+    signature: for each generator prefix a derivation schedule, products
+    (a, b -> c) found by a breadth-first walk on Python sets that reach every
+    element of the prefix's subloop; extend(level, trial, images) completes
+    the map on the level's subloop one scalar product of the schedule at a
+    time, checks that it is injective and carries every product there, and
+    at the leaf checks the whole table."""
+    T1, T2 = L1.table, L2.table
+    schedules = []
+    for gi in range(len(gens)):
+        known = set([L1.neutral] + gens[: gi + 1])
+        order = [L1.neutral] + gens[: gi + 1]
+        steps = []
+        while len(known) < len(levels[gi]):
+            grew = False
+            for a in list(order):
+                for b in list(order):
+                    c = int(T1[a, b])
+                    if c not in known:
+                        known.add(c)
+                        order.append(c)
+                        steps.append((a, b, c))
+                        grew = True
+            assert grew, "derivation schedule failed to close"
+        schedules.append((steps, np.asarray(levels[gi], dtype=np.int64)))
+
+    def extend(level, trial, images=None):
+        if level == len(gens):
+            every = np.arange(len(trial))
+            return trial if loops._carries_products(T1, T2, trial, trial, trial,
+                                                    every) else None
+        steps, sub = schedules[level]
+        for h in candidates[level] if images is None else images:
+            if (trial == h).any():
+                continue
+            t = trial.copy()
+            t[gens[level]] = h
+            ok = True
+            for a, b, c in steps:
+                v = T2[t[a], t[b]]
+                if t[c] < 0:
+                    t[c] = v
+                elif t[c] != v:
+                    ok = False
+                    break
+            if not ok or np.bincount(t[sub]).max() > 1:
+                continue
+            if not loops._carries_products(T1, T2, t, t, t, sub):
+                continue
+            m = extend(level + 1, t)
+            if m is not None:
+                return m
+        return None
+
+    return extend
+
+
 # The stabilizer chains the stack transversals must reproduce: base, number
 # of strong generators and basic orbit lengths.
 CHAIN_SHAPES = {

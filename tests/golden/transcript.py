@@ -109,7 +109,7 @@ def _search_inputs(wl, work, seed):
     return blocks
 
 
-def _order_16_pair():
+def order_16_pair():
     """Z4 x Z4 and Z4 x| Z4 with b a b^-1 = a^-1, element 4i + j standing for
     a^i b^j: (a^i b^j)(a^k b^l) = a^(i + (-1)^j k) b^(j + l)."""
     i, j = np.divmod(np.arange(16), 4)
@@ -129,7 +129,7 @@ def _search_extra(wl):
     labels, table = wl.read_table(os.path.join(EXTRA, "m3.tbl"))
     wl.write_table(os.path.join(EXTRA, "m3_relabelled.tbl"),
                    *wl.relabel(labels, table, SEEDS[0]))
-    direct, semidirect = _order_16_pair()
+    direct, semidirect = order_16_pair()
     wl.write_table(os.path.join(EXTRA, "z4xz4.tbl"), *direct)
     wl.write_table(os.path.join(EXTRA, "z4sdz4.tbl"), *semidirect)
     return blocks

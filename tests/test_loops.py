@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import closure_oracle, normal_closure_oracle, point_orbit_oracle
+from conftest import (closure_oracle, extender_oracle, normal_closure_oracle,
+                      point_orbit_oracle)
+from golden.transcript import order_16_pair
 from moufang import cayley, fields, loops, paige
 from moufang.loops import (FiniteLoop, associativity_violation,
                            automorphisms, autotopism_check,
@@ -591,6 +593,41 @@ def test_isomorphism_between_relabeled_copies(m2, rng):
     L2 = FiniteLoop(120, table=T2)
     w = find_isomorphism(m2, L2)
     assert w is not None and w.verify()
+
+
+def order_16_loops():
+    """Z4 x Z4 and Z4 x| Z4: the same invariants, not isomorphic."""
+    return [FiniteLoop(16, labels, table=T) for labels, T in order_16_pair()]
+
+
+def test_searches_match_the_schedule_oracle(m2, s3_loop, non_moufang_loop,
+                                            one_sided_loop, monkeypatch):
+    # the first-found maps, and the strong generators in the order found,
+    # of the search and of the schedule search it replaced
+    perm = np.random.default_rng(loops.SAMPLE_SEED).permutation(120)
+    inv = np.argsort(perm)
+    relabelled = FiniteLoop(120, table=perm[m2.table[np.ix_(inv, inv)]])
+    integral = cayley.quotient_mod_sign(cayley.generate_unit_integrals())
+    z4xz4, z4sdz4 = order_16_loops()
+    pairs = [(m2, relabelled), (integral, m2), (z4xz4, z4sdz4),
+             (non_moufang_loop, non_moufang_loop), (one_sided_loop, one_sided_loop)]
+    subjects = [direct_product(octonion_units_loop(), cyclic_loop(7)), s3_loop,
+                cyclic_loop(12), cyclic_loop(1), non_moufang_loop, one_sided_loop,
+                z4xz4, z4sdz4]
+
+    def searches():
+        witnesses = [find_isomorphism(a, b) for a, b in pairs]
+        groups = [automorphisms(L) for L in subjects]
+        return ([None if w is None else w.mapping.tolist() for w in witnesses],
+                [[p.a.tolist() for p in G.gens] for G in groups],
+                [G.order() for G in groups])
+
+    got = searches()
+    monkeypatch.setattr(loops, "_extender", extender_oracle)
+    assert searches() == got
+    maps, _, orders = got
+    assert [m is None for m in maps] == [False, False, True, False, False]
+    assert orders[-2:] == [96, 32]
 
 
 # ---------------------------------------------------------------------------
