@@ -77,9 +77,6 @@ class FiniteLoop:
 
     # -- multiplication and division ------------------------------------------
 
-    def mult(self, i, j):
-        return int(self.table[i, j])
-
     @property
     def ldiv(self):
         """Table of x \\ y (solution of x*c = y): the table's rows inverted."""
@@ -114,22 +111,21 @@ class FiniteLoop:
             return None
         return inv
 
-    def power_order(self, x):
-        """Least k >= 1 with the left power x^[k] = e."""
-        e = self.neutral
-        y = x
-        k = 1
-        while y != e:
-            y = self.mult(x, y)
-            k += 1
-            if k > self.n:
-                raise RuntimeError("power order exceeded loop size; not a loop?")
-        return k
-
     def element_orders(self):
+        """Per element x, the least k >= 1 with the left power x^[k] = e: all
+        left powers step at once, one gather a step, and each x leaves the
+        walk at its order.  L_x is a permutation, so the walk from e comes
+        back to e within n steps."""
         if self._orders is None:
-            self._orders = np.array([self.power_order(x) for x in range(self.n)],
-                                    dtype=np.int32)
+            orders = np.zeros(self.n, dtype=np.int32)
+            x = np.arange(self.n)
+            power, k = x, 1
+            while len(x):
+                done = power == self.neutral
+                orders[x[done]] = k
+                x, power = x[~done], power[~done]
+                power, k = self.table[x, power], k + 1
+            self._orders = orders
         return self._orders
 
     def __repr__(self):
@@ -475,75 +471,60 @@ def _invariant_vector(loop):
     return orders, sizes
 
 
-def _derivation_schedules(loop, gens, levels):
-    """For each generator prefix, products (a, b -> c) that reach every
-    element of the corresponding subloop from the prefix, in BFS order."""
-    T = loop.table
-    schedules = []
-    for gi in range(len(gens)):
-        known = set([loop.neutral] + gens[: gi + 1])
-        order = [loop.neutral] + gens[: gi + 1]
-        steps = []
-        target = len(levels[gi])
-        while len(known) < target:
-            grew = False
-            snapshot = list(order)
-            for a in snapshot:
-                for b in snapshot:
-                    c = int(T[a, b])
-                    if c not in known:
-                        known.add(c)
-                        order.append(c)
-                        steps.append((a, b, c))
-                        grew = True
-            if not grew:
-                raise AssertionError("derivation schedule failed to close")
-        schedules.append((steps, np.asarray(levels[gi], dtype=np.int64)))
-    return schedules
-
-
 def _invariant_candidates(o1, s1, o2, s2, gens):
     """For each generator, the targets whose invariants match its own."""
     return [[h for h in range(len(o2)) if o2[h] == o1[g] and s2[h] == s1[g]]
             for g in gens]
 
 
+def _propagate(T1, T2, t):
+    """Extend the partial map t (int64, -1 where unset) in place to the
+    subloop its set entries generate, by t(xy) = t(x) t(y) in the table T2;
+    False at the first product whose image disagrees with one already
+    mapped.
+
+    Semi-naive rounds: fresh holds the entries mapped in the last round and
+    old those mapped before it, so a round forms the products fresh x (old,
+    fresh) and old x fresh, and every product of the subloop is mapped or
+    checked exactly once.  Rows go in blocks at 32 bytes a cell, the price
+    of _carries_products."""
+    old = np.empty(0, dtype=np.int64)
+    fresh = np.flatnonzero(t >= 0)
+    while len(fresh):
+        known = np.concatenate([old, fresh])
+        mapped = t >= 0
+        for rows, cols in ((fresh, known), (old, fresh)):
+            for s, e in blocks(len(rows), 32 * len(cols)):
+                P = T1[rows[s:e, None], cols]
+                V = T2[t[rows[s:e, None]], t[cols]]
+                unset = t[P] < 0
+                t[P[unset]] = V[unset]
+                if (t[P] != V).any():
+                    return False
+        old, fresh = known, np.flatnonzero((t >= 0) & ~mapped)
+    return True
+
+
 def _extender(L1, L2, gens, levels, candidates):
     """First-found backtracking over generator images.
 
     extend(level, trial, images) tries each h of images (default: the
-    candidates of that level) as the image of gens[level], completes the map
-    on the level's subloop through its derivation schedule, checks that it
-    is injective and a homomorphism there, recurses, and at the leaf checks
-    the whole table.  Returns the first complete map, or None."""
+    candidates of that level) as the image of gens[level], extends the map
+    to the level's subloop by _propagate, checks that it is injective there
+    and recurses.  The last level's subloop is the whole loop, so a map that
+    reaches the leaf carries every product of the table.  Returns the first
+    complete map, or None."""
     T1, T2 = L1.table, L2.table
-    schedules = _derivation_schedules(L1, gens, levels)
 
     def extend(level, trial, images=None):
         if level == len(gens):
-            return trial if _carries_products(T1, T2, trial, trial, trial,
-                                              np.arange(len(trial))) else None
-        g = gens[level]
-        steps, sub = schedules[level]
+            return trial
         for h in candidates[level] if images is None else images:
             if (trial == h).any():
                 continue
             t = trial.copy()
-            t[g] = h
-            ok = True
-            for (a, b, c) in steps:
-                v = T2[t[a], t[b]]
-                prev = t[c]
-                if prev < 0:
-                    t[c] = v
-                elif prev != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if np.bincount(t[sub]).max() > 1:
-                continue
-            if not _carries_products(T1, T2, t, t, t, sub):
+            t[gens[level]] = h
+            if not _propagate(T1, T2, t) or np.bincount(t[levels[level]]).max() > 1:
                 continue
             m = extend(level + 1, t)
             if m is not None:

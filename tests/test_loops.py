@@ -630,6 +630,64 @@ def test_searches_match_the_schedule_oracle(m2, s3_loop, non_moufang_loop,
     assert orders[-2:] == [96, 32]
 
 
+def test_propagation_in_small_blocks_finds_the_same_maps(m2, monkeypatch):
+    subjects = [m2, direct_product(octonion_units_loop(), cyclic_loop(7))]
+
+    def searches():
+        return ([find_isomorphism(L, L).mapping.tolist() for L in subjects],
+                [[p.a.tolist() for p in automorphisms(L).gens] for L in subjects])
+
+    got = searches()
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * 32 * 120 * 3)
+    # a round on M*(2)'s last level goes in blocks of 3 rows
+    assert fields.budget_rows(32 * m2.n) == 3
+    assert searches() == got
+
+
+def test_propagate_extends_homomorphisms_and_refuses_conflicts():
+    Z12, Z8, Z6 = (cyclic_loop(n).table for n in (12, 8, 6))
+
+    def preset(pairs):
+        t = np.full(12, -1, dtype=np.int64)
+        t[[x for x, _ in pairs]] = [y for _, y in pairs]
+        return t
+
+    t = preset([(0, 0), (1, 1)])
+    assert loops._propagate(Z12, Z6, t) and t.tolist() == [x % 6 for x in range(12)]
+    t = preset([(0, 0), (5, 2)])  # 5 generates Z12, and x -> 10x mod 12 is a map
+    assert loops._propagate(Z12, Z12, t) and t.tolist() == [10 * x % 12 for x in range(12)]
+    t = preset([(0, 0), (4, 4)])  # only the subloop {0, 4, 8} is mapped
+    assert loops._propagate(Z12, Z12, t) and np.flatnonzero(t >= 0).tolist() == [0, 4, 8]
+    # 1 + 1 = 2 is preset to 3; 12 * 1 = 0 in Z12 but 12 * 1 = 4 in Z8
+    assert not loops._propagate(Z12, Z12, preset([(0, 0), (1, 1), (2, 3)]))
+    assert not loops._propagate(Z12, Z8, preset([(0, 0), (1, 1)]))
+
+
+def left_power_orders_oracle(loop):
+    """Per x, the least k with x(x(...x)) = e, k factors, one product a step."""
+    orders = []
+    for x in range(loop.n):
+        y, k = x, 1
+        while y != loop.neutral:
+            y, k = int(loop.table[x, y]), k + 1
+        orders.append(k)
+    return orders
+
+
+@pytest.mark.parametrize("name", ["m2", "m3", "u3", "s3_loop", "non_moufang_loop",
+                                  "one_sided_loop", "Z1", "Z12", "O16xZ7"])
+def test_element_orders_match_the_scalar_walk(name, request):
+    if name.startswith("Z"):
+        L = cyclic_loop(int(name[1:]))
+    elif name == "O16xZ7":
+        L = direct_product(octonion_units_loop(), cyclic_loop(7))
+    else:
+        L = request.getfixturevalue(name)
+    orders = L.element_orders()
+    assert orders.dtype == np.int32
+    assert orders.tolist() == left_power_orders_oracle(L)
+
+
 # ---------------------------------------------------------------------------
 # file format
 
