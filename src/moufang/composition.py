@@ -204,5 +204,6 @@ def decompose_sum_two_units(x):
     one, mone = F.one, F.neg(F.one)
     u = ZornMatrix(F, a, (one, F.zero, F.zero), (mone, F.zero, F.zero), F.zero)
     v = ZornMatrix(F, F.zero, (mone, F.zero, F.zero), (one, F.zero, F.zero), b)
-    assert (u + v).coords() == x.coords()
+    if (u + v).coords() != x.coords():
+        raise AssertionError("the split with e1 slots does not sum to x")
     return u, v

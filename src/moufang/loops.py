@@ -552,7 +552,8 @@ def find_isomorphism(L1, L2):
     if m is None:
         return None
     witness = LoopMorphismWitness(L1, L2, m.astype(np.int32))
-    assert witness.verify()
+    if not witness.verify():
+        raise AssertionError("the isomorphism found does not carry the products")
     return witness
 
 

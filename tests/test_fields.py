@@ -420,6 +420,15 @@ def test_refusals_keep_their_names():
         triality.require_reflections_fit(1025)
 
 
+def test_no_check_in_the_package_is_a_bare_assert():
+    # python -O strips assert statements; every check raises explicitly
+    asserts = [(path.stem, node.lineno)
+               for path in sorted(Path(moufang.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 def test_only_fields_reads_the_memory_budget():
     # every other module prices through budget_rows, blocks and
     # require_budget; docstrings and comments may name the budget
