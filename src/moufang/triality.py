@@ -682,34 +682,19 @@ def example_vector(field, seed=SAMPLE_SEED):
     if field.p == 3:
         raise ValueError("the vector example degenerates in characteristic 3")
     q = field.q
-    degree = q * q
-
-    def point(v0, v1):
-        return v0 * q + v1
-
-    V0, V1 = np.divmod(np.arange(degree, dtype=np.int64), q)
+    V0, V1 = np.divmod(np.arange(q * q, dtype=np.int64), q)
 
     def translation(b0, b1):
-        img = np.empty(degree, dtype=np.int64)
-        for pid in range(degree):
-            img[pid] = point(field.add(int(V0[pid]), b0),
-                             field.add(int(V1[pid]), b1))
-        return Perm(img)
+        return Perm(field.vadd(V0, b0) * q + field.vadd(V1, b1))
 
     basis = [field.from_coeffs([0] * i + [1] + [0] * (field.k - 1 - i))
              for i in range(field.k)]
     gens = [translation(b, 0) for b in basis] + [translation(0, b) for b in basis]
-    G = PermGroup(degree, gens)
-
-    sig = np.empty(degree, dtype=np.int64)
-    rho_img = np.empty(degree, dtype=np.int64)
-    m1 = field.neg(field.one)
-    for pid in range(degree):
-        x0, x1 = int(V0[pid]), int(V1[pid])
-        sig[pid] = point(x1, x0)
-        # row vector times [[-1,-1],[1,0]]: (x0,x1) -> (-x0 + x1, -x0)
-        rho_img[pid] = point(field.add(field.mul(m1, x0), x1), field.mul(m1, x0))
-    sigma, rho = Perm(sig), Perm(rho_img)
+    G = PermGroup(q * q, gens)
+    # sigma swaps the coordinates; rho is the row vector times
+    # [[-1,-1],[1,0]]: (x0, x1) -> (-x0 + x1, -x0)
+    sigma = Perm(V1 * q + V0)
+    rho = Perm(field.vadd(field.vneg(V0), V1) * q + field.vneg(V0))
     if not (rho * rho * rho).is_identity():
         raise AssertionError("rho does not have order 3")
     witness = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
