@@ -663,6 +663,27 @@ def test_propagate_extends_homomorphisms_and_refuses_conflicts():
     assert not loops._propagate(Z12, Z8, preset([(0, 0), (1, 1)]))
 
 
+def test_propagate_forms_each_product_of_the_subloop_once(m2, monkeypatch):
+    # the identity map from each generator prefix of M*(2): its rounds
+    # gather |subloop|^2 products in all, priced at 32 bytes a cell
+    gens, levels = generating_sequence(m2)
+    cells = []
+    real = loops.blocks
+
+    def record(total, row_bytes, *args, **kwargs):
+        cells.append(total * row_bytes // 32)
+        return real(total, row_bytes, *args, **kwargs)
+
+    monkeypatch.setattr(loops, "blocks", record)
+    for i, sub in enumerate(levels):
+        cells.clear()
+        t = np.full(m2.n, -1, dtype=np.int64)
+        t[[m2.neutral] + gens[:i + 1]] = [m2.neutral] + gens[:i + 1]
+        assert loops._propagate(m2.table, m2.table, t)
+        assert np.flatnonzero(t >= 0).tolist() == sub.tolist()
+        assert (t[sub] == sub).all() and sum(cells) == len(sub) ** 2
+
+
 def left_power_orders_oracle(loop):
     """Per x, the least k with x(x(...x)) = e, k factors, one product a step."""
     orders = []
