@@ -1,6 +1,7 @@
 """Finite loop engine: Cayley tables, translations, multiplication and inner
 mapping groups, characteristic subloops, normality tests and normal closures,
-Moufang/autotopism checks, isomorphism search and automorphism groups.
+Moufang/autotopism checks, isomorphism search by map propagation and
+automorphism groups.
 
 A loop is its Cayley table: FiniteLoop holds a validated table, and a loop
 whose table and two division tables would not fit the memory budget is
