@@ -4,11 +4,12 @@ Stderr, which holds progress and error text, is left out.
 
 The lines are every command line of the benchmark's workloads
 (perfbench/workloads.py) at two seeds, the lines on the `integral` loop, the
-acceptance lines outside the benchmark, the searches of SEARCH_LINES and the
-exit-2 refusals of README's memory table.  The `search` inputs are written
-by the workloads' own generators into one directory per seed, and the inputs
-of SEARCH_LINES into one more, all named by relative `file:` paths, so no
-stdout line carries a temporary path.
+acceptance lines outside the benchmark, the searches of SEARCH_LINES, the
+nets of NET_LINES, the exit-2 refusals of README's memory table and the
+malformed requests of EDGE_LINES.  The `search` inputs are written by the
+workloads' own generators into one directory per seed, and the inputs of
+SEARCH_LINES, NET_LINES and EDGE_LINES into one more, all named by relative
+`file:` paths, so no stdout line carries a temporary path.
 
     PYTHONPATH=src python3 tests/golden/transcript.py           # print the diff
     PYTHONPATH=src python3 tests/golden/transcript.py --write   # regenerate
@@ -31,6 +32,9 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
+sys.path.insert(0, os.path.dirname(HERE))  # the tests' conftest, for its tables
+
+from conftest import NON_MOUFANG_5  # noqa: E402
 TRANSCRIPT = os.path.join(HERE, "transcript.txt")
 SEEDS = (24301, 1234)
 
@@ -50,6 +54,12 @@ ACCEPTANCE_LINES = [
     ["mlt-order", "--loop", "M*(3)"],
     ["moufang-check", "--loop", "M*(3)", "--samples", "100000"],
     ["moufang-check", "--loop", "M*(5)", "--samples", "100000"],
+    ["simple-check", "--loop", "M*(3)", "--elements", "100"],
+    ["decompose", "--q", "3", "--samples", "10000"],
+    ["decompose", "--q", "5", "--samples", "10000"],
+    ["spinor-check", "--q", "3", "--samples", "1000"],
+    ["spinor-check", "--q", "5", "--samples", "1000"],
+    ["triality-check", "--case", "net-paige2", "--samples", "1000"],
 ]
 
 # Searches on the tables _search_extra writes: M*(3) against its relabelling
@@ -65,6 +75,20 @@ SEARCH_LINES = [
     ["aut-count", "--loop", "file:%s/z4sdz4.tbl" % EXTRA],
 ]
 
+# The nets of loops, the triality cases outside the benchmark, and the Bol
+# check and net of a loop that is not Moufang, from the table _edge_inputs
+# writes.
+NET_LINES = [
+    ["net-build", "--loop", "Z(3)"],
+    ["net-build", "--loop", "S3"],
+    ["net-build", "--loop", "M*(2)"],
+    ["net-build", "--loop", "M*(3)"],
+    ["triality-check", "--case", "vector-gf2"],
+    ["triality-check", "--case", "phi-z3z3"],
+    ["bol-check", "--loop", "file:%s/non_moufang_5.tbl" % EXTRA],
+    ["net-build", "--loop", "file:%s/non_moufang_5.tbl" % EXTRA],
+]
+
 # One line per refusal of README's memory table, each just past its limit.
 REFUSAL_LINES = [
     ["mlt-order", "--loop", "Z(3345)"],
@@ -74,6 +98,41 @@ REFUSAL_LINES = [
     ["generators-check", "--q", "11"],
     ["bol-check", "--loop", "Z(3)", "--points", "4194305"],
     ["spinor-check", "--q", "3", "--samples", "262145"],
+]
+
+# Malformed or refused requests, most of them exit 2 with no stdout: bad
+# orders, counts, seeds, specs, field specs and Zorn texts, paths that cannot
+# be opened, and the table files _edge_inputs writes.
+EDGE_LINES = [
+    ["paige-order", "--q", "0"],
+    ["paige-order", "--q", "1"],
+    ["paige-order", "--q", "-3"],
+    ["paige-order", "--q", "6"],
+    ["paige-order", "--q", "2305843009213693951", "--skip-enumeration"],
+    ["paige-order", "--q", "2", "--seed", "-1"],
+    ["generators-check", "--q", "2.5"],
+    ["generators-check", "--q", "10"],
+    ["mlt-order", "--loop", "M*(0)"],
+    ["moufang-check", "--loop", "Z(0)"],
+    ["aut-count", "--loop", "X(3)"],
+    ["moufang-check", "--loop", "M*(5)", "--samples", "0"],
+    ["simple-check", "--loop", "M*(2)", "--elements", "0"],
+    ["bol-check", "--loop", "Z(3)", "--points", "-1"],
+    ["decompose", "--field", "gf(6)"],
+    ["decompose", "--field", "gf(2,2,1.0.1)"],
+    ["decompose", "--q", "3", "--field", "gf(3)"],
+    ["decompose", "--q", "3", "--x", "[1|0,0|0,0,0|1]"],
+    ["decompose", "--q", "9", "--exhaustive"],
+    ["spinor-check", "--q", "4"],
+    ["spinor-check", "--q", "9"],
+    ["spinor-check", "--q", "3", "--exhaustive", "--samples", "5"],
+    ["triality-check", "--case", "nope"],
+    ["iso-check", "--left", "file:%s/missing.tbl" % EXTRA, "--right", "Z(3)"],
+    ["iso-check", "--left", "Z(4)", "--right", "Z(5)"],
+    ["export-table", "--loop", "Z(3)", "--out", EXTRA],
+    ["moufang-check", "--loop", "file:%s/short_row.tbl" % EXTRA],
+    ["moufang-check", "--loop", "file:%s/not_latin.tbl" % EXTRA],
+    ["moufang-check", "--loop", "file:%s/no_order.tbl" % EXTRA],
 ]
 
 
@@ -135,6 +194,19 @@ def _search_extra(wl):
     return blocks
 
 
+def _edge_inputs(wl):
+    """The table files of NET_LINES and EDGE_LINES in the directory EXTRA: the
+    5-element loop that is not Moufang, a table with a short row, one that
+    is not Latin and one with no order line."""
+    labels = [str(i) for i in range(5)]
+    wl.write_table(os.path.join(EXTRA, "non_moufang_5.tbl"), labels, NON_MOUFANG_5)
+    for name, text in (("short_row", "3\na b c\n0 1 2\n1 2\n"),
+                       ("not_latin", "3\na b c\n0 1 2\n1 2 0\n1 0 2\n"),
+                       ("no_order", "x\n")):
+        with open(os.path.join(EXTRA, name + ".tbl"), "w") as fh:
+            fh.write(text)
+
+
 def render():
     """The transcript, run in a fresh temporary working directory.  A line
     that several seeds give identically runs once."""
@@ -150,7 +222,9 @@ def render():
                 lines = [cmd.line(seed) for name in wl.NAMES for cmd in wl.commands(name, work)]
                 if seed == SEEDS[-1]:
                     blocks += _search_extra(wl)
-                    lines += INTEGRAL_LINES + ACCEPTANCE_LINES + SEARCH_LINES + REFUSAL_LINES
+                    _edge_inputs(wl)
+                    lines += (INTEGRAL_LINES + ACCEPTANCE_LINES + SEARCH_LINES
+                              + NET_LINES + REFUSAL_LINES + EDGE_LINES)
                 for argv in lines:
                     if tuple(argv) not in seen:
                         seen.add(tuple(argv))
