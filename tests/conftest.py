@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moufang import cayley, loops, paige
+from moufang import cayley, loops, paige, triality
 from moufang.fields import field_make
 from moufang.paige import ZornMatrix
 from moufang.permgrp import Perm, PermGroup
+from moufang.triality import HORIZONTAL, TRANSVERSAL, VERTICAL, NetAxiomError
 
 
 class Rationals:
@@ -282,6 +283,86 @@ def concurrent_pair_failures_oracle(net, refl, points):
                     prod = refl[first] * refl[second]
                     bad += not (prod * prod * prod).is_identity()
     return bad
+
+
+class TrialityNetOracle:
+    """The net of a group with triality by the construction that
+    triality.TrialityNet3 replaced: a Python double loop over the pairs
+    (t1, t2) of class 1 and class 2, by Perm products, that keeps the point
+    triples (i1, i2, i3) with t3 = t1 t2 t1 and a dict of the 3 m^2 line
+    pairs that meet, raising NetAxiomError as TrialityNet3 does.  Point
+    i1 * m + i2 is row i1 * m + i2 of the (m^2, 3) array points."""
+
+    def __init__(self, witness):
+        G = witness.group
+        self.classes = [triality.conjugacy_class(G, s, limit=triality.EXHAUSTIVE_LIMIT)
+                        for s in witness.sigmas]
+        c3_index = {p: i for i, p in enumerate(self.classes[2])}
+        points, pair_to_point = [], {}
+        for i1, t1 in enumerate(self.classes[0]):
+            for i2, t2 in enumerate(self.classes[1]):
+                if t1 == t2:
+                    raise NetAxiomError("line classes intersect")
+                prod = t1 * t2
+                if not (prod * prod * prod).is_identity():
+                    raise NetAxiomError("(tau1 tau2)^3 != id; not a triality group")
+                i3 = c3_index.get(t1 * t2 * t1)
+                if i3 is None:
+                    raise NetAxiomError("third reflection falls outside class 3")
+                for key in (((1, i1), (2, i2)), ((1, i1), (3, i3)), ((2, i2), (3, i3))):
+                    if key in pair_to_point:
+                        raise NetAxiomError("two lines meet twice")
+                    pair_to_point[key] = len(points)
+                points.append((i1, i2, i3))
+        s1, s2, s3 = (len(c) for c in self.classes)
+        if len(pair_to_point) != s1 * s2 + s1 * s3 + s2 * s3:
+            raise NetAxiomError("some cross-class line pair never meets")
+        self.points = np.array(points, dtype=np.int64).reshape(-1, 3)
+        self.n = s1
+
+    def line_through(self, point, cls):
+        return self.points[point, cls - 1]
+
+    def points_of_line(self, cls, c):
+        return np.flatnonzero(self.points[:, cls - 1] == c)
+
+    def point_label(self, point):
+        return "T(%d,%d,%d)" % tuple(self.points[point])
+
+
+def meet_oracle(net, cls1, c1, cls2, c2):
+    """The one point on line c1 of class cls1 and line c2 of class cls2, by
+    a scan of the points of the first line that is not transversal."""
+    if cls1 == TRANSVERSAL:
+        cls1, c1, cls2, c2 = cls2, c2, cls1, c1
+    pts = net.points_of_line(cls1, c1)
+    (point,) = pts[np.asarray(net.line_through(pts, cls2)) == c2]
+    return int(point)
+
+
+def coordinate_loop_oracle(net, origin):
+    """The coordinate loop that triality.coordinate_loop forms, by the scalar
+    projection it replaced, one product at a time: lift the right factor to
+    the vertical line through the origin along its transversal, move
+    horizontally to the left factor's vertical line, and project back to
+    the horizontal line through the origin along the transversal."""
+    ell = int(net.line_through(origin, HORIZONTAL))
+    k = int(net.line_through(origin, VERTICAL))
+    carrier = [int(p) for p in net.points_of_line(HORIZONTAL, ell)]
+    index = {p: i for i, p in enumerate(carrier)}
+
+    def mult(p, q):
+        lift = meet_oracle(net, TRANSVERSAL, net.line_through(q, TRANSVERSAL), VERTICAL, k)
+        h = net.line_through(lift, HORIZONTAL)
+        r = meet_oracle(net, HORIZONTAL, h, VERTICAL, net.line_through(p, VERTICAL))
+        return index[meet_oracle(net, TRANSVERSAL, net.line_through(r, TRANSVERSAL),
+                                 HORIZONTAL, ell)]
+
+    n = len(carrier)
+    table = np.array([[mult(p, q) for q in carrier] for p in carrier], dtype=np.int32)
+    loop = loops.FiniteLoop(n, labels=[net.point_label(p) for p in carrier], table=table)
+    assert loop.neutral == index[origin], "origin is not the neutral element"
+    return loop
 
 
 def corrupt_one_reflection(refl, n):

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (concurrent_pair_failures_oracle, conjugacy_class_oracle,
+from conftest import (TrialityNetOracle, concurrent_pair_failures_oracle,
+                      conjugacy_class_oracle, coordinate_loop_oracle,
                       corrupt_one_reflection)
 from moufang import fields, loops, paige, triality
 from moufang.fields import UsageError, field_make
@@ -560,8 +561,11 @@ def test_triality_violation_detected_and_net_fails():
     ok, details = triality_check(G, sigma, rho)
     assert not ok and details["routes_agree"] and details["mode"] == "exhaustive"
     w = TrialityWitness(G, sigma, rho, (sigma, sigma * rho, rho * sigma))
-    with pytest.raises(NetAxiomError):
+    with pytest.raises(NetAxiomError) as got:
         TrialityNet3(w)
+    with pytest.raises(NetAxiomError) as want:
+        TrialityNetOracle(w)
+    assert str(got.value) == str(want.value)
 
 
 def _triality_identity_holds(g, sigma, rho):
@@ -777,6 +781,72 @@ def test_net_round_trip_s3(s3_loop):
     net = TrialityNet3(w)
     cl = coordinate_loop(net, origin=0)
     assert find_isomorphism(cl, s3_loop) is not None
+
+
+@pytest.fixture(scope="module")
+def triality_nets(s3_loop, paige2_witness):
+    """Per case, a witness with its TrialityNet3 and its oracle net, built
+    on first use: Doro's wreath examples on Z3 and Z5, and the reflection
+    groups of the nets of Z3, S3 and M*(2)."""
+    makers = {
+        "wreath-z3": lambda: example_wreath(PermGroup(3, [Perm([1, 2, 0])])),
+        "wreath-z5": lambda: example_wreath(PermGroup(5, [Perm([1, 2, 3, 4, 0])])),
+        "net-z3": lambda: triality_group_from_loop(cyclic_loop(3)),
+        "net-s3": lambda: triality_group_from_loop(s3_loop),
+        "net-paige2": lambda: paige2_witness,
+    }
+    built = {}
+
+    def get(case):
+        if case not in built:
+            w = makers[case]()
+            built[case] = w, TrialityNet3(w), TrialityNetOracle(w)
+        return built[case]
+    return get
+
+
+TRIALITY_CASES = ["wreath-z3", "wreath-z5", "net-z3", "net-s3", "net-paige2"]
+
+
+@pytest.mark.parametrize("case", TRIALITY_CASES)
+def test_triality_net_matches_the_pair_loop_oracle(case, triality_nets):
+    # the class-3 line of every point, point i1 * m + i2 on lines i1 and i2
+    _, net, oracle = triality_nets(case)
+    assert net.classes == oracle.classes
+    m = len(oracle.classes[0])
+    i1, i2 = np.divmod(np.arange(m * m), m)
+    assert np.array_equal(oracle.points[:, :2], np.column_stack([i1, i2]))
+    for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL):
+        assert [net.line_through(p, cls) for p in range(m * m)] == \
+            oracle.points[:, cls - 1].tolist()
+    assert net.n_points == m * m and net.n_lines() == 3 * m
+    assert [net.point_label(p) for p in range(m * m)] == \
+        [oracle.point_label(p) for p in range(m * m)]
+
+
+@pytest.mark.parametrize("case,origins", [
+    ("Z3", (0, 4, 8)), ("S3", (0, 7, 17, 35)), ("M*(2)", (0, 127, 5000)),
+    ("wreath-z3", (0, 5)), ("wreath-z5", (0, 12, 24)), ("net-z3", (0, 7)),
+    ("net-s3", (0, 20, 35)), ("net-paige2", (0, 7777))])
+def test_coordinate_loops_match_the_scalar_oracle(case, origins, s3_loop, m2,
+                                                  triality_nets):
+    loop = {"Z3": lambda: cyclic_loop(3), "S3": lambda: s3_loop,
+            "M*(2)": lambda: m2}.get(case)
+    if loop is None:
+        _, net, oracle = triality_nets(case)
+    else:
+        net = oracle = LoopNet3(loop())
+    for origin in origins:
+        got, want = coordinate_loop(net, origin=origin), coordinate_loop_oracle(oracle, origin)
+        assert np.array_equal(got.table, want.table) and got.labels == want.labels
+
+
+def test_dictionary_round_trip_at_paige2(m2, triality_nets):
+    # M*(2) -> its reflection group M0 -> the net of M0 -> its coordinate
+    # loop, isomorphic to M*(2)
+    _, net, _ = triality_nets("net-paige2")
+    w = find_isomorphism(coordinate_loop(net, origin=0), m2)
+    assert w is not None and w.verify()
 
 
 # ---------------------------------------------------------------------------
