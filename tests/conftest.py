@@ -285,6 +285,15 @@ def concurrent_pair_failures_oracle(net, refl, points):
     return bad
 
 
+def loop_from_perm_group_table_oracle(group):
+    """The table loops.loop_from_perm_group builds, by the n^2 Perm products
+    and the dict it replaced: cell (i, j) is the index of p_i p_j among the
+    group's elements."""
+    elems = group.elements(limit=5000)
+    index = {p: i for i, p in enumerate(elems)}
+    return np.array([[index[p * q] for q in elems] for p in elems], dtype=np.int32)
+
+
 class TrialityNetOracle:
     """The net of a group with triality by the construction that
     triality.TrialityNet3 replaced: a Python double loop over the pairs

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (closure_oracle, extender_oracle, normal_closure_oracle,
-                      point_orbit_oracle)
+from conftest import (closure_oracle, extender_oracle, loop_from_perm_group_table_oracle,
+                      normal_closure_oracle, point_orbit_oracle)
 from golden.transcript import order_16_pair
 from moufang import cayley, fields, loops, paige
 from moufang.loops import (FiniteLoop, associativity_violation,
@@ -152,6 +152,19 @@ GROUPS_UP_TO_24 = [
     ("A4", lambda: loop_from_perm_group(
         PermGroup(4, [Perm([1, 2, 0, 3]), Perm([0, 2, 3, 1])]))),
 ]
+
+
+@pytest.mark.parametrize("name,degree,gens", [
+    ("trivial", 1, []), ("S3", 3, [[1, 0, 2], [0, 2, 1]]),
+    ("D8", 4, [[1, 2, 3, 0], [3, 2, 1, 0]]), ("A4", 4, [[1, 2, 0, 3], [0, 2, 3, 1]]),
+    ("S5", 5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])])
+def test_loop_from_perm_group_matches_the_product_oracle(name, degree, gens, monkeypatch):
+    G = PermGroup(degree, [Perm(g) for g in gens])
+    want = loop_from_perm_group_table_oracle(G)
+    assert np.array_equal(loop_from_perm_group(G).table, want)
+    # in row blocks of two rows
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * 16 * 2 * len(want) * degree)
+    assert np.array_equal(loop_from_perm_group(G).table, want)
 
 
 def test_mlt_group_order_formula_for_groups(s3_loop):
