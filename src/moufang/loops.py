@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fields
 from .fields import SAMPLE_SEED, UsageError, blocks, moufang_mode
-from .permgrp import Perm, PermGroup, compose, invert, orbit
+from .permgrp import Perm, PermGroup, compose, invert, orbit, row_lookup
 
 
 def require_table_fits(n):
@@ -34,6 +34,20 @@ def _require_loop_size(n):
     if n < 1:
         raise ValueError("a loop has at least one element, not %d" % n)
     require_table_fits(n)
+
+
+def require_latin(T):
+    """ValueError unless the n x n array T is a Latin square on 0..n-1,
+    checked on sorted copies of row blocks, then of column blocks, priced at
+    8 bytes a cell (the copy and the comparison take 5)."""
+    n = len(T)
+    want = np.arange(n, dtype=np.int32)
+    for s, e in blocks(n, 8 * n):
+        if not (np.sort(T[s:e], axis=1) == want[None, :]).all():
+            raise ValueError("table rows are not permutations (Latin property fails)")
+    for s, e in blocks(n, 8 * n):
+        if not (np.sort(T[:, s:e], axis=0) == want[:, None]).all():
+            raise ValueError("table columns are not permutations (Latin property fails)")
 
 
 class FiniteLoop:
@@ -51,23 +65,10 @@ class FiniteLoop:
         self.table = np.asarray(table, dtype=np.int32)
         if self.table.shape != (n, n):
             raise ValueError("table shape mismatch")
-        self._validate_table()
+        require_latin(self.table)
         self.neutral = self._find_neutral_table()
 
     # -- construction helpers ------------------------------------------------
-
-    def _validate_table(self):
-        """The Latin property, on sorted copies of row blocks, then of
-        column blocks, priced at 8 bytes a cell (the copy and the comparison
-        take 5)."""
-        T, n = self.table, self.n
-        want = np.arange(n, dtype=np.int32)
-        for s, e in blocks(n, 8 * n):
-            if not (np.sort(T[s:e], axis=1) == want[None, :]).all():
-                raise ValueError("table rows are not permutations (Latin property fails)")
-        for s, e in blocks(n, 8 * n):
-            if not (np.sort(T[:, s:e], axis=0) == want[:, None]).all():
-                raise ValueError("table columns are not permutations (Latin property fails)")
 
     def _find_neutral_table(self):
         idx = np.arange(self.n, dtype=np.int32)
@@ -630,14 +631,14 @@ def direct_product(L1, L2):
 
 
 def loop_from_perm_group(group):
-    """The underlying loop (group) of a permutation group, by enumeration."""
-    elems = group.elements(limit=5000)
-    index = {p: i for i, p in enumerate(elems)}
-    n = len(elems)
+    """The underlying loop (group) of a permutation group, by enumeration:
+    row i of the table looks up the products of element i with every
+    element among the elements, in row blocks at 16 bytes an image."""
+    E = np.stack([p.a for p in group.elements(limit=5000)])
+    n, find = len(E), row_lookup(E)
     T = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            T[i, j] = index[p * q]
+    for s, e in blocks(n, 16 * E.size):
+        T[s:e] = find(compose(E[s:e, None, :], E))
     return FiniteLoop(n, table=T)
 
 

@@ -88,6 +88,24 @@ def orbit(start, maps, limit=None):
     return keys, np.array(parents), np.array(gens)
 
 
+def row_lookup(stack):
+    """The function taking a stack X of rows of stack's width (any leading
+    axes) to the index in stack of each row, -1 where stack has none: one
+    np.searchsorted on the rows' bytes, viewed as one void key a row."""
+    def keys_of(X):
+        X = np.ascontiguousarray(X, dtype=np.int32)
+        return X.view(np.dtype((np.void, X.itemsize * X.shape[-1])))[..., 0]
+    keys = keys_of(stack)
+    order = np.argsort(keys)
+    keys = keys[order]
+
+    def find(X):
+        K = keys_of(X)
+        i = np.searchsorted(keys, K).clip(max=len(keys) - 1)
+        return np.where(keys[i] == K, order[i], -1)
+    return find
+
+
 class Perm:
     """A permutation stored as its image array."""
 

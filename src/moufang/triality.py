@@ -12,7 +12,8 @@ direction-preserving part by conjugation and satisfy [g,s][g,s]^r[g,s]^r2 = 1.
 
 The reverse construction takes such a group and rebuilds a net whose lines
 are the three conjugacy classes of reflections, points being the triples
-generating a copy of S3."""
+generating a copy of S3.  Both nets are one Net3 on a Latin square, and a
+coordinate loop is one gather on that square and its division tables."""
 
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import fields
 from .fields import SAMPLE_SEED, blocks
-from .loops import FiniteLoop
-from .permgrp import Perm, PermGroup, compose, invert, orbit
+from .loops import FiniteLoop, require_latin, require_table_fits
+from .permgrp import Perm, PermGroup, compose, invert, orbit, row_lookup
 
 VERTICAL, HORIZONTAL, TRANSVERSAL = 1, 2, 3
 EXHAUSTIVE_LIMIT = 10000
@@ -38,21 +39,33 @@ class NotACollineationError(RuntimeError):
     pass
 
 
-class LoopNet3:
-    """3-net of a loop, materialized as index arithmetic on n^2 points.
-    The net axioms hold by construction: FiniteLoop validates that its
-    table is Latin, and the division tables are read off that table."""
+class Net3:
+    """The 3-net of an n x n Latin square: point x*n + y lies on vertical
+    line x (class 1), horizontal line y (class 2) and transversal line
+    square[x, y] (class 3); line c of class cls has id (cls-1)*n + c.  The
+    square's row and column inverses ldiv and rdiv give the points of the
+    transversals and the meets with them."""
 
-    def __init__(self, loop):
-        self.loop = loop
-        self.n = loop.n
-        self.n_points = loop.n * loop.n
+    def __init__(self, square):
+        self.square = square
+        self.n = len(square)
+        self.n_points = self.n * self.n
+
+    @cached_property
+    def ldiv(self):
+        """ldiv[x, c] is the y with square[x, y] = c: the rows inverted."""
+        return invert(self.square)
+
+    @cached_property
+    def rdiv(self):
+        """rdiv[c, y] is the x with square[x, y] = c: the columns inverted."""
+        return invert(self.square.T).T
 
     @cached_property
     def transversal_points(self):
         """Row c lists the points of transversal line c by x, as
         points_of_line(TRANSVERSAL, c) does."""
-        return np.arange(self.n, dtype=np.int64) * self.n + self.loop.ldiv.T
+        return np.arange(self.n, dtype=np.int64) * self.n + self.ldiv.T
 
     def line_through(self, point, cls):
         """The line of class cls through the point, by its index in the
@@ -62,7 +75,7 @@ class LoopNet3:
             return x
         if cls == HORIZONTAL:
             return y
-        line = self.loop.table[x, y]
+        line = self.square[x, y]
         return line if np.ndim(line) else int(line)
 
     def points_of_line(self, cls, c):
@@ -72,20 +85,23 @@ class LoopNet3:
             return c * n + idx
         if cls == HORIZONTAL:
             return idx * n + c
-        # transversal x*y = c: y = x \ c
-        return idx * n + self.loop.ldiv[idx, c]
+        return idx * n + self.ldiv[idx, c]
 
-    def intersect(self, cls1, c1, cls2, c2):
-        if cls1 == cls2:
-            raise ValueError("parallel lines")
-        if cls1 > cls2:
-            cls1, c1, cls2, c2 = cls2, c2, cls1, c1
-        if (cls1, cls2) == (VERTICAL, HORIZONTAL):
-            return c1 * self.n + c2
-        if (cls1, cls2) == (VERTICAL, TRANSVERSAL):
-            return c1 * self.n + int(self.loop.ldiv[c1, c2])
-        # horizontal y=c1 meets transversal xy=c2 at x = c2 / c1
-        return int(self.loop.rdiv[c2, c1]) * self.n + c1
+    def n_lines(self):
+        return 3 * self.n
+
+
+class LoopNet3(Net3):
+    """3-net of a loop: its square is the loop's Cayley table, and its
+    division tables are the loop's own, built when first read.  The net
+    axioms hold by construction, since FiniteLoop validates its table."""
+
+    ldiv = property(lambda self: self.loop.ldiv)
+    rdiv = property(lambda self: self.loop.rdiv)
+
+    def __init__(self, loop):
+        super().__init__(loop.table)
+        self.loop = loop
 
     def origin(self):
         e = self.loop.neutral
@@ -94,9 +110,6 @@ class LoopNet3:
     def point_label(self, point):
         x, y = divmod(point, self.n)
         return "(%s,%s)" % (self.loop.labels[x], self.loop.labels[y])
-
-    def n_lines(self):
-        return 3 * self.n
 
 
 @dataclass
@@ -125,7 +138,7 @@ def _analyze_point_map(net, img, expect):
     in the 1-point net (points on a line are distinct and the table is
     Latin), and there class cls goes to expect[cls - 1]."""
     n = net.n
-    T = net.loop.table
+    T = net.square
     Xi = (img // n).reshape(n, n)
     Yi = (img % n).reshape(n, n)
     coords = (Xi, Yi, T[Xi, Yi])
@@ -494,75 +507,43 @@ def triality_group_from_loop(loop, samples=1000, seed=SAMPLE_SEED):
 # nets from groups with triality
 
 
-class TrialityNet3:
+class TrialityNet3(Net3):
     """Net in primal form built from a group with triality: lines are the
     three conjugacy classes of involutions, points the S3-generating
-    triples.  Point ids index the triple list."""
+    triples (t1, t2, t1 t2 t1).  Point i1*m + i2 is the triple of t1 = line
+    i1 of class 1 and t2 = line i2 of class 2, and square[i1, i2] is the
+    index of t1 t2 t1 in class 3."""
 
     def __init__(self, witness):
         G = witness.group
-        sigmas = witness.sigmas
-        self.classes = [conjugacy_class(G, s, limit=EXHAUSTIVE_LIMIT) for s in sigmas]
-        self.class_index = [
-            {p: i for i, p in enumerate(cls)} for cls in self.classes
-        ]
-        points = []
-        pair_to_point = {}
-        c3_index = self.class_index[2]
-        for i1, t1 in enumerate(self.classes[0]):
-            for i2, t2 in enumerate(self.classes[1]):
-                if t1 == t2:
-                    raise NetAxiomError("line classes intersect")
-                prod = t1 * t2
-                if not (prod * prod * prod).is_identity():
-                    raise NetAxiomError("(tau1 tau2)^3 != id; not a triality group")
-                t3 = t1 * t2 * t1
-                i3 = c3_index.get(t3)
-                if i3 is None:
-                    raise NetAxiomError("third reflection falls outside class 3")
-                pid = len(points)
-                points.append((i1, i2, i3))
-                for key in (((1, i1), (2, i2)), ((1, i1), (3, i3)),
-                            ((2, i2), (3, i3))):
-                    if key in pair_to_point:
-                        raise NetAxiomError("two lines meet twice")
-                    pair_to_point[key] = pid
-        self.points = points
-        self.pair_to_point = pair_to_point
-        self.n_points = len(points)
-        self._verify()
-
-    def _verify(self):
-        """Dual axioms: every cross-class pair of lines meets exactly once,
-        every point carries one line of each class."""
-        sizes = [len(c) for c in self.classes]
-        want_pairs = sizes[0] * sizes[1] + sizes[0] * sizes[2] + sizes[1] * sizes[2]
-        if len(self.pair_to_point) != want_pairs:
+        self.classes = [conjugacy_class(G, s, limit=EXHAUSTIVE_LIMIT) for s in witness.sigmas]
+        C1, C2, C3 = (np.stack([p.a for p in cls]) for cls in self.classes)
+        m1, m2 = len(C1), len(C2)
+        require_table_fits(max(m1, m2))
+        find = row_lookup(C3)
+        square = np.empty(m1 * m2, dtype=np.int32)
+        for s, e in blocks(m1 * m2, _CHECK_IMAGE_BYTES * G.degree):
+            A, B = C1[np.arange(s, e) // m2], C2[np.arange(s, e) % m2]
+            if (A == B).all(axis=1).any():
+                raise NetAxiomError("line classes intersect")
+            if _cube_fails(A, B).any():
+                raise NetAxiomError("(tau1 tau2)^3 != id; not a triality group")
+            square[s:e] = find(compose(compose(A, B), A))
+            if (square[s:e] < 0).any():
+                raise NetAxiomError("third reflection falls outside class 3")
+        if not m1 == m2 == len(C3):
             raise NetAxiomError("some cross-class line pair never meets")
-        if self.n_points != sizes[0] * sizes[1]:
-            raise NetAxiomError("point count inconsistent with class sizes")
-
-    def line_through(self, point, cls):
-        return self.points[point][cls - 1]
-
-    def points_of_line(self, cls, c):
-        return np.array([pid for pid, t in enumerate(self.points)
-                         if t[cls - 1] == c], dtype=np.int64)
-
-    def intersect(self, cls1, c1, cls2, c2):
-        if cls1 == cls2:
-            raise ValueError("parallel lines")
-        if cls1 > cls2:
-            cls1, c1, cls2, c2 = cls2, c2, cls1, c1
-        return self.pair_to_point[((cls1, c1), (cls2, c2))]
+        super().__init__(square.reshape(m1, m2))
+        try:
+            require_latin(self.square)
+        except ValueError:
+            raise NetAxiomError("two lines meet twice") from None
 
     def point_label(self, point):
         # points are named by their class-index triple; any relabeling is
         # an isomorphism of the incidence structure
-        return "T(%d,%d,%d)" % self.points[point]
-
-    def n_lines(self):
-        return sum(len(c) for c in self.classes)
+        i1, i2 = divmod(point, self.n)
+        return "T(%d,%d,%d)" % (i1, i2, self.square[i1, i2])
 
 
 # ---------------------------------------------------------------------------
@@ -570,35 +551,19 @@ class TrialityNet3:
 
 
 def coordinate_loop(net, origin=None):
-    """Loop on the horizontal line through the origin, by the projection
-    construction: lift the right factor to the vertical axis along its
-    transversal, move horizontally, cut with the left factor's vertical
-    line, and project back along the transversal."""
+    """Loop on the horizontal line through the origin (x0, y0), by the
+    projection construction: lift the right factor to the vertical line x0
+    along its transversal, move horizontally, cut with the left factor's
+    vertical line, and project back along the transversal.  Point (x, y0)
+    is element x, and with S the net's square the table is one gather,
+    x * y = rdiv[S[x, ldiv[x0, S[y, y0]]], y0]."""
     if origin is None:
         origin = net.origin()
-    ell = net.line_through(origin, HORIZONTAL)
-    k = net.line_through(origin, VERTICAL)
-    carrier = [int(p) for p in net.points_of_line(HORIZONTAL, ell)]
-    index = {p: i for i, p in enumerate(carrier)}
-
-    def mult(pi, qi):
-        p, qq = carrier[pi], carrier[qi]
-        lift = net.intersect(TRANSVERSAL, net.line_through(qq, TRANSVERSAL),
-                             VERTICAL, k)
-        h = net.line_through(lift, HORIZONTAL)
-        r = net.intersect(HORIZONTAL, h, VERTICAL, net.line_through(p, VERTICAL))
-        res = net.intersect(TRANSVERSAL, net.line_through(r, TRANSVERSAL),
-                            HORIZONTAL, ell)
-        return index[res]
-
-    n = len(carrier)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = mult(i, j)
-    labels = [net.point_label(p) for p in carrier]
-    loop = FiniteLoop(n, labels=labels, table=table)
-    if loop.neutral != index[origin]:
+    n, S = net.n, net.square
+    x0, y0 = divmod(int(origin), n)
+    table = net.rdiv[S[:, net.ldiv[x0, S[:, y0]]], y0]
+    loop = FiniteLoop(n, labels=[net.point_label(x * n + y0) for x in range(n)], table=table)
+    if loop.neutral != x0:
         raise AssertionError("origin is not the neutral element")
     return loop
 

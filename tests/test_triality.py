@@ -42,11 +42,14 @@ def test_net_z3_counts_and_axioms():
             for j in range(i + 1, 3):
                 assert not (lines[i] & lines[j])
         assert set().union(*lines) == set(pts)
-    for c1 in range(3):
-        for c2 in range(3):
-            p = net.intersect(1, c1, 2, c2)
-            assert net.line_through(p, 1) == c1
-            assert net.line_through(p, 2) == c2
+    # two lines of different classes meet in exactly one point
+    for cls1, cls2 in ((1, 2), (1, 3), (2, 3)):
+        for c1 in range(3):
+            for c2 in range(3):
+                (p,) = set(map(int, net.points_of_line(cls1, c1))) & \
+                    set(map(int, net.points_of_line(cls2, c2)))
+                assert net.line_through(p, cls1) == c1
+                assert net.line_through(p, cls2) == c2
 
 
 def test_net_cap(monkeypatch):
