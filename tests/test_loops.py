@@ -665,20 +665,26 @@ def test_propagate_extends_homomorphisms_and_refuses_conflicts():
         t[[x for x, _ in pairs]] = [y for _, y in pairs]
         return t
 
+    def propagate(T1, T2, t):  # every set entry fresh
+        return loops._propagate(T1, T2, t, np.empty(0, dtype=np.int64),
+                                np.flatnonzero(t >= 0))
+
     t = preset([(0, 0), (1, 1)])
-    assert loops._propagate(Z12, Z6, t) and t.tolist() == [x % 6 for x in range(12)]
+    assert propagate(Z12, Z6, t) and t.tolist() == [x % 6 for x in range(12)]
     t = preset([(0, 0), (5, 2)])  # 5 generates Z12, and x -> 10x mod 12 is a map
-    assert loops._propagate(Z12, Z12, t) and t.tolist() == [10 * x % 12 for x in range(12)]
+    assert propagate(Z12, Z12, t) and t.tolist() == [10 * x % 12 for x in range(12)]
     t = preset([(0, 0), (4, 4)])  # only the subloop {0, 4, 8} is mapped
-    assert loops._propagate(Z12, Z12, t) and np.flatnonzero(t >= 0).tolist() == [0, 4, 8]
+    assert propagate(Z12, Z12, t) and np.flatnonzero(t >= 0).tolist() == [0, 4, 8]
     # 1 + 1 = 2 is preset to 3; 12 * 1 = 0 in Z12 but 12 * 1 = 4 in Z8
-    assert not loops._propagate(Z12, Z12, preset([(0, 0), (1, 1), (2, 3)]))
-    assert not loops._propagate(Z12, Z8, preset([(0, 0), (1, 1)]))
+    assert not propagate(Z12, Z12, preset([(0, 0), (1, 1), (2, 3)]))
+    assert not propagate(Z12, Z8, preset([(0, 0), (1, 1)]))
 
 
 def test_propagate_forms_each_product_of_the_subloop_once(m2, monkeypatch):
-    # the identity map from each generator prefix of M*(2): its rounds
-    # gather |subloop|^2 products in all, priced at 32 bytes a cell
+    # the identity map from each generator prefix of M*(2), every entry
+    # fresh: its rounds gather |subloop|^2 products in all, priced at 32
+    # bytes a cell; from the level before with only the new generator
+    # fresh, as extend calls it: |subloop|^2 - |level before|^2
     gens, levels = generating_sequence(m2)
     cells = []
     real = loops.blocks
@@ -688,13 +694,17 @@ def test_propagate_forms_each_product_of_the_subloop_once(m2, monkeypatch):
         return real(total, row_bytes, *args, **kwargs)
 
     monkeypatch.setattr(loops, "blocks", record)
+    none = np.empty(0, dtype=np.int64)
     for i, sub in enumerate(levels):
-        cells.clear()
-        t = np.full(m2.n, -1, dtype=np.int64)
-        t[[m2.neutral] + gens[:i + 1]] = [m2.neutral] + gens[:i + 1]
-        assert loops._propagate(m2.table, m2.table, t)
-        assert np.flatnonzero(t >= 0).tolist() == sub.tolist()
-        assert (t[sub] == sub).all() and sum(cells) == len(sub) ** 2
+        before = levels[i - 1] if i else np.array([m2.neutral])
+        for old, fresh in ((none, np.array([m2.neutral] + gens[:i + 1])),
+                           (before, np.array([gens[i]]))):
+            cells.clear()
+            t = np.full(m2.n, -1, dtype=np.int64)
+            t[old], t[fresh] = old, fresh
+            assert loops._propagate(m2.table, m2.table, t, old, fresh)
+            assert np.flatnonzero(t >= 0).tolist() == sub.tolist()
+            assert (t[sub] == sub).all() and sum(cells) == len(sub) ** 2 - len(old) ** 2
 
 
 def left_power_orders_oracle(loop):
