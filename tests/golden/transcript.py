@@ -117,6 +117,8 @@ EDGE_LINES = [
     ["aut-count", "--loop", "X(3)"],
     ["moufang-check", "--loop", "M*(5)", "--samples", "0"],
     ["simple-check", "--loop", "M*(2)", "--elements", "0"],
+    ["simple-check", "--loop", "Z(1)"],
+    ["simple-check", "--loop", "file:%s/one_element.tbl" % EXTRA],
     ["bol-check", "--loop", "Z(3)", "--points", "-1"],
     ["decompose", "--field", "gf(6)"],
     ["decompose", "--field", "gf(2,2,1.0.1)"],
@@ -196,11 +198,12 @@ def _search_extra(wl):
 
 def _edge_inputs(wl):
     """The table files of NET_LINES and EDGE_LINES in the directory EXTRA: the
-    5-element loop that is not Moufang, a table with a short row, one that
-    is not Latin and one with no order line."""
+    5-element loop that is not Moufang, the 1-element loop, a table with a
+    short row, one that is not Latin and one with no order line."""
     labels = [str(i) for i in range(5)]
     wl.write_table(os.path.join(EXTRA, "non_moufang_5.tbl"), labels, NON_MOUFANG_5)
-    for name, text in (("short_row", "3\na b c\n0 1 2\n1 2\n"),
+    for name, text in (("one_element", "1\ne\n0\n"),
+                       ("short_row", "3\na b c\n0 1 2\n1 2\n"),
                        ("not_latin", "3\na b c\n0 1 2\n1 2 0\n1 0 2\n"),
                        ("no_order", "x\n")):
         with open(os.path.join(EXTRA, name + ".tbl"), "w") as fh:

@@ -955,6 +955,24 @@ def test_simple_check_sampled():
     assert rep.status == 0 and d["simple"] == "yes"
 
 
+@pytest.mark.parametrize("spec", ["Z(1)", "file"])
+def test_simple_check_refuses_a_one_element_loop(spec, tmp_path, monkeypatch, capsys):
+    # it would print simple=yes with no closure checked
+    if spec == "file":
+        path = tmp_path / "one.tbl"
+        path.write_text("1\ne\n0\n")
+        spec = "file:%s" % path
+
+    def closure(*args):
+        raise AssertionError("a normal closure ran")
+    monkeypatch.setattr(loops, "normal_closure", closure)
+    for extra in ([], ["--elements", "1"]):
+        assert main(["simple-check", "--loop", spec] + extra) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error: a 1-element loop has no non-neutral element" in out.err
+
+
 def test_mlt_order_m3_settles_the_bound_at_q3(monkeypatch):
     built = []
     mlt_group = loops.mlt_group
