@@ -772,6 +772,17 @@ def test_net_from_wreath_z3():
     assert find_isomorphism(cl, cyclic_loop(3)) is not None
 
 
+def test_triality_net_is_priced_before_its_square(monkeypatch):
+    # the square and its division tables of a net with classes of 3 lines
+    # take 12 * 3^2 bytes
+    w = example_wreath(PermGroup(3, [Perm([1, 2, 0])]))
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 12 * 9 - 1)
+    with pytest.raises(UsageError, match="memory budget"):
+        TrialityNet3(w)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 12 * 9)
+    assert TrialityNet3(w).n_points == 9
+
+
 def test_net_round_trip_z3():
     w = triality_group_from_loop(cyclic_loop(3))
     net = TrialityNet3(w)
