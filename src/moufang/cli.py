@@ -303,8 +303,7 @@ def _cmd_simple_check(args, rep):
     loop = _build_loop(*_table_spec(args.loop))
     others = [x for x in range(loop.n) if x != loop.neutral]
     if not others:
-        raise UsageError("a 1-element loop has no non-neutral element, so "
-                         "simple-check would check no closure")
+        raise UsageError("a 1-element loop has no non-neutral element to check")
     if k is not None:
         if k > len(others):
             raise UsageError("--elements %d exceeds the %d non-neutral elements"

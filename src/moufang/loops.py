@@ -483,14 +483,13 @@ def _propagate(T1, T2, t, old, fresh):
     """Extend the partial map t (int64, -1 where unset) in place to the
     subloop its set entries generate, by t(xy) = t(x) t(y) in the table T2;
     False at the first product whose image disagrees with one already
-    mapped.  The set entries are the index arrays old, whose products t
-    already carries, and fresh.
+    mapped.
 
     Semi-naive rounds: fresh holds the entries mapped in the last round and
-    old those mapped before it, so a round forms the products fresh x (old,
-    fresh) and old x fresh, and every product of the subloop outside old x
-    old is mapped or checked exactly once.  Rows go in blocks at 32 bytes a
-    cell, the price of _carries_products."""
+    old those mapped before it (at the start, set entries whose products t
+    already carries), so a round forms fresh x (old, fresh) and old x fresh,
+    and every product outside the first old x old is mapped or checked
+    exactly once.  Rows go in blocks at 32 bytes a cell, as _carries_products."""
     while len(fresh):
         known = np.concatenate([old, fresh])
         mapped = t >= 0
@@ -512,10 +511,10 @@ def _extender(L1, L2, gens, levels, candidates):
     extend(level, trial, images) tries each h of images (default: the
     candidates of that level) as the image of gens[level], extends the map
     to the level's subloop by _propagate, checks that it is injective there
-    and recurses.  The trial carries the products of its set entries, so
-    only those with gens[level] are formed.  The last level's subloop is
-    the whole loop, so a map that reaches the leaf carries every product of
-    the table.  Returns the first complete map, or None."""
+    and recurses; the trial carries the products of its set entries, so
+    only those with gens[level] are formed.  The last level's subloop is the
+    whole loop, so a map that reaches the leaf carries every product of the
+    table.  Returns the first complete map, or None."""
     T1, T2 = L1.table, L2.table
 
     def extend(level, trial, images=None):

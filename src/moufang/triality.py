@@ -138,10 +138,9 @@ def _analyze_point_map(net, img, expect):
     in the 1-point net (points on a line are distinct and the table is
     Latin), and there class cls goes to expect[cls - 1]."""
     n = net.n
-    T = net.square
     Xi = (img // n).reshape(n, n)
     Yi = (img % n).reshape(n, n)
-    coords = (Xi, Yi, T[Xi, Yi])
+    coords = (Xi, Yi, net.square[Xi, Yi])
     lines = np.empty(3 * n, dtype=np.int32)
     action = []
     # the points of each line, one line per row: vertical lines are the rows
