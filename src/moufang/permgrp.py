@@ -9,7 +9,7 @@ processes every Schreier generator and the verification pass re-sifts all
 of them, so a completed chain is a certificate, not a heuristic.
 
 Sets of permutations are int32 stacks, one image array per row, composed,
-inverted and walked breadth-first by compose, invert and orbit.
+inverted, walked breadth-first and searched by compose, invert, orbit and row_lookup.
 """
 
 from __future__ import annotations
