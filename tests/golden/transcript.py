@@ -4,7 +4,8 @@ Stderr, which holds progress and error text, is left out.
 
 The lines are every command line of the benchmark's workloads
 (perfbench/workloads.py) at two seeds, the lines on the `integral` loop, the
-acceptance lines outside the benchmark, the searches of SEARCH_LINES, the
+acceptance lines outside the benchmark, the many-block lines of BLOCK_LINES,
+the searches of SEARCH_LINES, the
 nets of NET_LINES, the exit-2 refusals of README's memory table and the
 malformed requests of EDGE_LINES.  The `search` inputs are written by the
 workloads' own generators into one directory per seed, and the inputs of
@@ -60,6 +61,17 @@ ACCEPTANCE_LINES = [
     ["spinor-check", "--q", "3", "--samples", "1000"],
     ["spinor-check", "--q", "5", "--samples", "1000"],
     ["triality-check", "--case", "net-paige2", "--samples", "1000"],
+]
+
+# Lines whose working batches run in many blocks: the exhaustive
+# decompositions and spinor check, a sampled Moufang check on a table past
+# 512 elements, and the collineation check of Aut(M(3)) on 2160^2 points.
+BLOCK_LINES = [
+    ["decompose", "--q", "3", "--exhaustive"],
+    ["decompose", "--q", "5", "--exhaustive"],
+    ["spinor-check", "--q", "3", "--exhaustive"],
+    ["moufang-check", "--loop", "Z(513)", "--samples", "100000"],
+    ["aut-count", "--loop", "M(3)"],
 ]
 
 # Searches on the tables _search_extra writes: M*(3) against its relabelling
@@ -226,7 +238,7 @@ def render():
                 if seed == SEEDS[-1]:
                     blocks += _search_extra(wl)
                     _edge_inputs(wl)
-                    lines += (INTEGRAL_LINES + ACCEPTANCE_LINES + SEARCH_LINES
+                    lines += (INTEGRAL_LINES + ACCEPTANCE_LINES + BLOCK_LINES + SEARCH_LINES
                               + NET_LINES + REFUSAL_LINES + EDGE_LINES)
                 for argv in lines:
                     if tuple(argv) not in seen:
