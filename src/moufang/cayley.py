@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .composition import cd_double, scalar_algebra
+from .fields import blocks
 from .loops import FiniteLoop, closure, closure_indices, find_isomorphism
 from . import paige
 
@@ -190,8 +191,17 @@ def sign_reps(X):
     return X * np.sign(lead)[:, None]
 
 
+# Bytes a product of the sign quotient's table is priced at while its row
+# block is formed: the repeated and tiled operands, mul_batch's columns, the
+# sign representatives and their keys take 215 (tracemalloc, the whole table
+# in one block) to 350 (blocks of 8 rows).  At 2048 a block is 8 rows, 960
+# products, so it is one block of mul_batch.
+_QUOTIENT_PRODUCT_BYTES = 2048
+
+
 def quotient_mod_sign(elements=None):
-    """The 120-element loop of +-classes of the unit integrals."""
+    """The 120-element loop of +-classes of the unit integrals, its table
+    formed in row blocks."""
     if elements is None:
         elements = generate_unit_integrals()
     reps = sign_reps(elements)
@@ -200,11 +210,12 @@ def quotient_mod_sign(elements=None):
     n = len(reps)
     if n != 120:
         raise AssertionError("sign quotient has %d classes, expected 120" % n)
-    products = sign_reps(mul_batch(np.repeat(reps, n, axis=0), np.tile(reps, (n, 1))))
-    table = _index(keys, products)
+    table = np.empty((n, n), dtype=np.int32)
+    for s, e in blocks(n, _QUOTIENT_PRODUCT_BYTES * n):
+        products = mul_batch(np.repeat(reps[s:e], n, axis=0), np.tile(reps, (e - s, 1)))
+        table[s:e] = _index(keys, sign_reps(products)).reshape(e - s, n)
     reps = [tuple(r) for r in reps.tolist()]
-    loop = FiniteLoop(n, labels=[label(r) for r in reps],
-                      table=table.reshape(n, n).astype(np.int32))
+    loop = FiniteLoop(n, labels=[label(r) for r in reps], table=table)
     loop.reps = reps
     return loop
 

@@ -386,11 +386,11 @@ def normal_closure(loop, seed_elems):
 # identities
 
 
-# Bytes a sampled Moufang check allots each triple: three int64 draws, the
-# int32 products on both sides and their comparison (tracemalloc peak: 36
-# per triple at 500000 triples of M*(3), 44 at 100000).  A chunk gets the
-# whole budget, 524288 triples, so 100000 samples are one chunk.
-_MOUFANG_SAMPLE_BYTES = 256
+# Bytes a sampled Moufang check allots each triple: the sampler's words,
+# three int64 draws, the int32 products on both sides and their comparison
+# (tracemalloc peak: 60 per triple in one chunk of 100000 triples of Z(513),
+# 84 in chunks of 16384).  A chunk is a working block, 16384 triples.
+_MOUFANG_SAMPLE_BYTES = 128
 
 
 def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
@@ -408,7 +408,7 @@ def moufang_violation(loop, samples=100000, seed=SAMPLE_SEED):
                 return (x,) + divmod(int(bad.argmax()), n)
         return None
     rng = fields.Sampler(seed)
-    for s, e in blocks(samples, _MOUFANG_SAMPLE_BYTES, part=1):
+    for s, e in blocks(samples, _MOUFANG_SAMPLE_BYTES):
         X, Y, Z = rng.integers(n, size=(e - s, 3)).T
         bad = np.flatnonzero(T[T[T[X, Y], X], Z] != T[X, T[Y, T[X, Z]]])
         if len(bad):

@@ -185,8 +185,8 @@ def spinor_norm(field, M):
 
 
 # Bytes per unit for operator_matrices plus spinor_verdicts on both of its
-# operators (3.3 KB peak measured at q = 5): callers size chunks from it.
-UNIT_BYTES = 8192
+# operators (3.2-3.3 KB peak measured at q = 5): callers size chunks from it.
+UNIT_BYTES = 4096
 
 
 def operator_matrices(field, coords, side="left"):

@@ -254,10 +254,9 @@ class ZornMatrix:
 
 
 # Bytes per row for decompose_batch plus the cli's verdict on its result:
-# 318-445 peak measured with tracemalloc at q = 3, 4, 5 and 65537, and about
-# 600 of peak RSS.  Callers size chunks from it; `decompose --q 5
-# --exhaustive` then peaks at 49 MB RSS.
-DECOMPOSE_ROW_BYTES = 4096
+# 318-445 peak measured with tracemalloc at q = 3, 4, 5 and 65537, and 469
+# in working blocks of 4096 rows at q = 5.  Callers size chunks from it.
+DECOMPOSE_ROW_BYTES = 512
 
 
 def decompose_batch(engine, X):

@@ -113,11 +113,13 @@ class Perm:
 
     def __init__(self, images, _checked=False):
         a = np.asarray(images, dtype=np.int32)
-        if not _checked:
-            n = len(a)
-            if n and (np.bincount(a, minlength=n).max(initial=1) != 1 or a.min(initial=0) < 0
-                      or a.max(initial=-1) >= n):
-                raise ValueError("not a permutation of 0..%d" % (n - 1,))
+        if not _checked and len(a):
+            # a bool mark of the images in range: all set when a is onto
+            hit = np.zeros(len(a), dtype=bool)
+            if a.min() >= 0 and a.max() < len(a):
+                hit[a] = True
+            if not hit.all():
+                raise ValueError("not a permutation of 0..%d" % (len(a) - 1,))
         self.a = a
         self._hash = None
 

@@ -64,8 +64,8 @@ class Net3:
     @cached_property
     def transversal_points(self):
         """Row c lists the points of transversal line c by x, as
-        points_of_line(TRANSVERSAL, c) does."""
-        return np.arange(self.n, dtype=np.int64) * self.n + self.ldiv.T
+        points_of_line(TRANSVERSAL, c) does; int32, since n^2 <= 11.2M."""
+        return np.arange(self.n, dtype=np.int32) * self.n + self.ldiv.T
 
     def line_through(self, point, cls):
         """The line of class cls through the point, by its index in the
@@ -131,31 +131,55 @@ class Collineation:
         return self.class_action == (1, 2, 3)
 
 
+# Bytes per point while a point map is checked in row blocks of n points:
+# a block's image points, one of their coordinates and its comparison with
+# the line's first point, or the involution check's gather and arange.
+_POINT_CHECK_BYTES = 16
+
+
+def _line_images(net, img, cls, s, e):
+    """The images of the points of lines s..e-1 of class cls, one line per
+    row: vertical lines are rows of the (x, y) grid, horizontal lines its
+    columns, both views; transversal lines gather their points."""
+    grid = img.reshape(net.n, net.n)
+    if cls == VERTICAL:
+        return grid[s:e]
+    if cls == HORIZONTAL:
+        return grid[:, s:e].T
+    return img[net.transversal_points[s:e]]
+
+
 def _analyze_point_map(net, img, expect):
-    """The 3n line images of a point map, as an int32 array indexed and
-    valued by line id; raise if some line image is not a line or the line
-    classes do not permute.  A line image is a line of several classes only
-    in the 1-point net (points on a line are distinct and the table is
-    Latin), and there class cls goes to expect[cls - 1]."""
+    """The 3n line images of a point map (int32, one image a point), as an
+    int32 array indexed and valued by line id; raise if some line image is
+    not a line or the line classes do not permute.  A line image is a line
+    of several classes only in the 1-point net (points on a line are
+    distinct and the table is Latin), and there class cls goes to
+    expect[cls - 1].  The lines of a class are checked in row blocks, each
+    image point read as its coordinate of class k: x, y or the square's xy."""
     n = net.n
-    Xi = (img // n).reshape(n, n)
-    Yi = (img % n).reshape(n, n)
-    coords = (Xi, Yi, net.square[Xi, Yi])
+    S = net.square.ravel()
+    coordinate = {VERTICAL: lambda P: P // n, HORIZONTAL: lambda P: P % n,
+                  TRANSVERSAL: lambda P: S[P]}
     lines = np.empty(3 * n, dtype=np.int32)
+    heads = np.empty((3, n), dtype=np.int32)  # each line's coordinates, while constant
     action = []
-    # the points of each line, one line per row: vertical lines are the rows
-    # of the (x, y) grid, horizontal lines its columns
-    for cls, name, on_lines in (
-            (VERTICAL, "vertical", lambda A: A),
-            (HORIZONTAL, "horizontal", lambda A: A.T),
-            (TRANSVERSAL, "transversal", lambda A: A.ravel()[net.transversal_points])):
-        rows = [on_lines(A) for A in coords]
-        fits = [k + 1 for k, R in enumerate(rows) if (R == R[:, :1]).all()]
-        if not fits:
-            raise NotACollineationError("a %s line maps to a non-line" % name)
+    for cls, name in ((VERTICAL, "vertical"), (HORIZONTAL, "horizontal"),
+                      (TRANSVERSAL, "transversal")):
+        fits = [1, 2, 3]  # the classes of the line images so far
+        for s, e in blocks(n, _POINT_CHECK_BYTES * n):
+            P = _line_images(net, img, cls, s, e)
+            for k in list(fits):
+                C = coordinate[k](P)
+                if (C == C[:, :1]).all():
+                    heads[k - 1, s:e] = C[:, 0]
+                else:
+                    fits.remove(k)
+            if not fits:
+                raise NotACollineationError("a %s line maps to a non-line" % name)
         to = expect[cls - 1] if expect[cls - 1] in fits else fits[0]
         action.append(to)
-        lines[(cls - 1) * n: cls * n] = (to - 1) * n + rows[to - 1][:, 0]
+        lines[(cls - 1) * n: cls * n] = (to - 1) * n + heads[to - 1]
     if sorted(action) != [1, 2, 3]:
         raise NotACollineationError("line classes do not permute")
     for cls in (1, 2, 3):
@@ -168,17 +192,18 @@ def collineation_from_point_map(net, img, expect=(VERTICAL, HORIZONTAL, TRANSVER
     """Wrap a point permutation as a verified Collineation; expect is the
     class action taken where the point map leaves it open (see
     _analyze_point_map)."""
-    img = np.asarray(img, dtype=np.int64)
     perm = Perm(img)
-    return Collineation(perm, Perm(_analyze_point_map(net, img, expect), _checked=True))
+    return Collineation(perm, Perm(_analyze_point_map(net, perm.a, expect), _checked=True))
 
 
 def diagonal_point_map(net, alpha):
-    """(x, y) -> (x a, y a) for a map alpha given as an index array."""
+    """(x, y) -> (x a, y a) for a map alpha given as an index array: the
+    int32 point images, broadcast from alpha's n values."""
     n = net.n
-    alpha = np.asarray(alpha, dtype=np.int64)
-    X, Y = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    return alpha[X] * n + alpha[Y]
+    alpha = np.asarray(alpha, dtype=np.int32)
+    img = np.empty(n * n, dtype=np.int32)
+    np.add(alpha[:, None] * n, alpha, out=img.reshape(n, n))
+    return img
 
 
 def bol_reflection(loop, cls, m, net=None):
@@ -188,7 +213,9 @@ def bol_reflection(loop, cls, m, net=None):
 
     For loops without two-sided inverses, or when the verification fails,
     NotACollineationError is raised; by the Bol criterion that identifies
-    exactly the non-Moufang inputs."""
+    exactly the non-Moufang inputs.  The int32 point images are built with
+    the terms that depend on x or y alone broadcast from n values, and the
+    others read through one row or column of the table."""
     if net is None:
         net = LoopNet3(loop)
     n = loop.n
@@ -197,24 +224,24 @@ def bol_reflection(loop, cls, m, net=None):
     if inv is None:
         raise NotACollineationError("loop has one-sided inverses only; "
                                     "reflection formulas need x^-1")
-    X, Y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    # the images in point order, img[x * n + y] for the point (x, y)
     if cls == VERTICAL:
         # (x, y) -> (m (x^-1 m), m^-1 (x y))
-        nx = T[m, T[inv[X], m]]
-        ny = T[inv[m], T[X, Y]]
+        img = T[inv[m]][T.ravel()]
+        img.reshape(n, n)[:] += T[m, T[inv, m]][:, None] * n
     elif cls == HORIZONTAL:
         # (x, y) -> ((x y) m^-1, (m y^-1) m)
-        nx = T[T[X, Y], inv[m]]
-        ny = T[T[m, inv[Y]], m]
+        img = (T[:, inv[m]] * n)[T.ravel()]
+        img.reshape(n, n)[:] += T[T[m, inv], m]
     elif cls == TRANSVERSAL:
         # (x, y) -> (m y^-1, x^-1 m)
-        nx = T[m, inv[Y]]
-        ny = T[inv[X], m]
+        img = np.empty(n * n, dtype=np.int32)
+        np.add(T[m, inv] * n, T[inv, m][:, None], out=img.reshape(n, n))
     else:
         raise ValueError("class must be 1, 2 or 3")
-    img = nx * n + ny
-    if not (img[img] == np.arange(n * n, dtype=np.int64)).all():
-        raise NotACollineationError("reflection formula is not an involution")
+    for s, e in blocks(n, _POINT_CHECK_BYTES * n):
+        if (img[img[s * n:e * n]] != np.arange(s * n, e * n)).any():
+            raise NotACollineationError("reflection formula is not an involution")
     want = tuple(c if c == cls else 6 - cls - c for c in (1, 2, 3))
     coll = collineation_from_point_map(net, img, expect=want)
     if coll.class_action != want:
@@ -226,11 +253,11 @@ def bol_reflection(loop, cls, m, net=None):
 
 
 # Bytes per n^2 priced for bol-check on an n-element loop: the tables (12),
-# the transversal points (8), the 3n line permutations (36) and, during a
-# check on points, that reflection's arrays (about 80).  tracemalloc peaks:
-# 101-106 at Z(200)-Z(1024) and M*(3), 120 at Z2^10 (whose last check runs
-# with half of the reflections held), 117-122 at M*(2); rounded up to a
-# power of two, it admits Z(1024) and refuses M*(3).
+# the transversal points (4), the 3n line permutations (36) and, during a
+# check on points, that reflection's int32 images and their mark (5).
+# tracemalloc peaks: 53-54 at Z(1024), at Z2^10 (whose last check runs with
+# half of the reflections held) and at M*(3) with the price lifted, 82 at
+# Z(200).  The price is kept at 128, which admits Z(1024) and refuses M*(3).
 _BOL_CHECK_BYTES = 128
 
 

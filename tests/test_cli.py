@@ -165,7 +165,7 @@ def test_decompose_reports_the_first_failure(monkeypatch):
             V[5] = 0
         return U, V
     monkeypatch.setattr(paige, "decompose_batch", broken)
-    monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", fields.MEMORY_BUDGET // 100)
+    monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", fields.MEMORY_BUDGET // 64 // 100)
     rep = run(["decompose", "--q", "2", "--exhaustive"])
     assert rep.status == 1
     assert rep.lines == ["q=2", "mode=exhaustive", "checked=-1", "failures=1",
@@ -188,7 +188,7 @@ def test_sampled_decompose_runs_in_chunks(monkeypatch):
         V[(X == target).all(axis=1)] = 0
         return U, V
     lines = {}
-    for row_bytes in (paige.DECOMPOSE_ROW_BYTES, fields.MEMORY_BUDGET // 300):
+    for row_bytes in (paige.DECOMPOSE_ROW_BYTES, fields.MEMORY_BUDGET // 64 // 300):
         monkeypatch.setattr(paige, "DECOMPOSE_ROW_BYTES", row_bytes)
         monkeypatch.setattr(paige, "decompose_batch", counted)
         passing = run(argv)
@@ -879,7 +879,7 @@ def test_spinor_check_reports_the_scalar_witness(chunk, monkeypatch, capsys):
     coords[picks[10]] = [2, 0, 0, 0, 0, 0, 0, 1]
     monkeypatch.setattr(paige, "unit_rows", lambda field, index: coords[index])
     if chunk:
-        monkeypatch.setattr(fields, "MEMORY_BUDGET", chunk * UNIT_BYTES)
+        monkeypatch.setattr(fields, "MEMORY_BUDGET", int(chunk * UNIT_BYTES / cli._UNITS_PART))
     assert main(["spinor-check", "--q", "3", "--samples", "20"]) == 1
     out = capsys.readouterr()
     witness = scalar_spinor_witness(field, coords, picks)
@@ -892,7 +892,7 @@ def test_spinor_check_chunks_agree(monkeypatch, capsys):
     argv = ["spinor-check", "--q", "5", "--samples", "40"]
     assert main(argv) == 0
     whole = capsys.readouterr()
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * UNIT_BYTES)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", int(16 * UNIT_BYTES / cli._UNITS_PART))
     assert main(argv) == 0
     chunked = capsys.readouterr()
     assert chunked.out == whole.out
@@ -911,7 +911,7 @@ def test_spinor_check_fetches_every_chunk_in_one_pass(monkeypatch, capsys):
         calls.append(len(index))
         return real(field, index)
     monkeypatch.setattr(paige, "unit_rows", unit_rows)
-    monkeypatch.setattr(fields, "MEMORY_BUDGET", 16 * UNIT_BYTES)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", int(16 * UNIT_BYTES / cli._UNITS_PART))
     assert main(argv) == 0
     chunked = capsys.readouterr()
     assert calls == [40] and chunked.out == whole.out

@@ -336,8 +336,8 @@ def test_moufang_violation_readable(non_moufang_loop):
 
 
 def test_sampled_moufang_check_runs_in_chunks(non_moufang_loop, monkeypatch):
-    # the benchmark's 100000 samples are one chunk
-    assert fields.budget_rows(loops._MOUFANG_SAMPLE_BYTES, part=1) >= 100000
+    # the 100000 samples of the acceptance lines run in working blocks
+    assert len(list(fields.blocks(100000, loops._MOUFANG_SAMPLE_BYTES))) == 7
     # 100 samples in chunks of 2 triples draw the triples of one (100, 3)
     # draw, so the witness matches the one-chunk run; seed 5's first
     # violation is the second triple of the third chunk
@@ -355,7 +355,7 @@ def test_sampled_moufang_check_runs_in_chunks(non_moufang_loop, monkeypatch):
             return super().integers(high, size, dtype)
     monkeypatch.setattr(fields, "Sampler", Recording)
     witnesses = []
-    for row_bytes in (loops._MOUFANG_SAMPLE_BYTES, fields.MEMORY_BUDGET // 2):
+    for row_bytes in (loops._MOUFANG_SAMPLE_BYTES, fields.MEMORY_BUDGET // 64 // 2):
         monkeypatch.setattr(loops, "_MOUFANG_SAMPLE_BYTES", row_bytes)
         witnesses.append(loops.moufang_violation(non_moufang_loop, samples=100, seed=5))
     assert witnesses == [triples[first]] * 2 and _violates(T, *witnesses[0])
