@@ -114,24 +114,33 @@ class FiniteLoop:
         return inv
 
     def element_orders(self):
-        """Per element x, the least k >= 1 with the left power x^[k] = e: all
-        left powers step at once, one gather a step, and each x leaves the
-        walk at its order.  L_x is a permutation, so the walk from e comes
-        back to e within n steps."""
+        """Per element x, the least k >= 1 with the left power x^[k] = e
+        (_left_power_walk)."""
         if self._orders is None:
-            orders = np.zeros(self.n, dtype=np.int32)
-            x = np.arange(self.n)
-            power, k = x, 1
-            while len(x):
-                done = power == self.neutral
-                orders[x[done]] = k
-                x, power = x[~done], power[~done]
-                power, k = self.table[x, power], k + 1
-            self._orders = orders
+            self._orders = _left_power_walk(self, np.arange(self.n))
         return self._orders
 
     def __repr__(self):
         return "FiniteLoop(n=%d)" % self.n
+
+
+def _left_power_walk(loop, x, marks=None):
+    """The order of each element of the index array x, the least k >= 1
+    with the left power x^[k] = x(x^[k-1]) equal to e: all left powers step
+    at once, one gather a step, and each element leaves the walk at its
+    order.  L_x is a permutation, so the walk from e comes back to e within
+    n steps.  With marks, a bool array of one row per element, row i is set
+    at every left power of x[i], e included."""
+    orders = np.zeros(len(x), dtype=np.int32)
+    rows, power, k = np.arange(len(x)), x, 1
+    while len(rows):
+        if marks is not None:
+            marks[rows, power] = True
+        done = power == loop.neutral
+        orders[rows[done]] = k
+        rows, power = rows[~done], power[~done]
+        power, k = loop.table[x[rows], power], k + 1
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +475,24 @@ class LoopMorphismWitness:
 
 
 def _invariant_vector(loop):
-    """Per-element isomorphism invariant: (power order, size of <x>)."""
-    orders = loop.element_orders()
-    sizes = np.array([len(closure_indices(loop, [x])) for x in range(loop.n)],
+    """Per-element isomorphism invariant: (power order, size of <x>).
+
+    Elements with the same set of left powers generate the same subloop,
+    since each lies in the other's powers, so one closure runs per distinct
+    set.  The sets are marked by the order walk, a block of elements at a
+    time, and kept packed eight elements a byte (a bool row and its packed
+    copy take 2 bytes an element)."""
+    n = loop.n
+    orders = np.empty(n, dtype=np.int32)
+    packed = np.empty((n, -(-n // 8)), dtype=np.uint8)
+    for s, e in blocks(n, 2 * n):
+        marks = np.zeros((e - s, n), dtype=bool)
+        orders[s:e] = _left_power_walk(loop, np.arange(s, e), marks)
+        packed[s:e] = np.packbits(marks, axis=1)
+    _, first, kind = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    sizes = np.array([len(closure_indices(loop, [x])) for x in first.tolist()],
                      dtype=np.int32)
-    return orders, sizes
+    return orders, sizes[kind.ravel()]
 
 
 def _invariant_candidates(o1, s1, o2, s2, gens):

@@ -141,6 +141,11 @@ def normal_closure_oracle(loop, seed):
     return sub
 
 
+def subloop_sizes_oracle(loop):
+    """Per element x, the size of <x>: one closure per element."""
+    return [len(loops.closure_indices(loop, [x])) for x in range(loop.n)]
+
+
 def closure_oracle(generators, mult, one):
     """The smallest multiplicatively closed set of rows holding the
     generators and one, as a set of tuples, by the level-batched closure

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (closure_oracle, extender_oracle, loop_from_perm_group_table_oracle,
-                      normal_closure_oracle, point_orbit_oracle)
+                      normal_closure_oracle, point_orbit_oracle, subloop_sizes_oracle)
 from golden.transcript import order_16_pair
 from moufang import cayley, fields, loops, paige
 from moufang.loops import (FiniteLoop, associativity_violation,
@@ -730,6 +730,41 @@ def test_element_orders_match_the_scalar_walk(name, request):
     orders = L.element_orders()
     assert orders.dtype == np.int32
     assert orders.tolist() == left_power_orders_oracle(L)
+
+
+def power_set_oracle(loop, x):
+    """The left powers x, x x, x (x x), ... of x up to e, one product a step."""
+    y, powers = x, [x]
+    while y != loop.neutral:
+        y = int(loop.table[x, y])
+        powers.append(y)
+    return powers
+
+
+@pytest.mark.parametrize("name", ["Z12", "s3_loop", "m2", "O16xZ7", "non_moufang_loop",
+                                  "one_sided_loop"])
+def test_invariant_vector_matches_one_closure_per_element(name, request, monkeypatch):
+    if name == "Z12":
+        L = cyclic_loop(12)
+    elif name == "O16xZ7":
+        L = direct_product(octonion_units_loop(), cyclic_loop(7))
+    else:
+        L = request.getfixturevalue(name)
+    orders, sizes = loops._invariant_vector(L)
+    assert orders.tolist() == left_power_orders_oracle(L)
+    assert sizes.dtype == np.int32 and sizes.tolist() == subloop_sizes_oracle(L)
+    # the same in blocks of 5 elements, and one closure per left-power set
+    seeds = []
+    closure = loops.closure_indices
+
+    def counted(loop, seed):
+        seeds.append(list(seed))
+        return closure(loop, seed)
+    monkeypatch.setattr(loops, "closure_indices", counted)
+    monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * 5 * 2 * L.n)
+    assert loops._invariant_vector(L)[1].tolist() == sizes.tolist()
+    powers = {frozenset(power_set_oracle(L, x)) for x in range(L.n)}
+    assert len(seeds) == len(powers) <= L.n
 
 
 # ---------------------------------------------------------------------------
