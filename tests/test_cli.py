@@ -358,6 +358,33 @@ def test_bol_check_peak_stays_priced():
     assert L.table.nbytes + peak <= fields.MEMORY_BUDGET
 
 
+# The accepted lines that hold the most, and two small lines whose batches
+# run in working blocks, each with its stdout and the most it may hold:
+# the budget, 1.5 MB, or one working block (a sixty-fourth of the budget)
+# for decompose, whose 4096-row blocks peak at 1.9 MB.  `mlt-order
+# Z(3300)` still peaks past the budget, in its two transversal stacks.
+HELD = [
+    (["aut-count", "--loop", "M(3)"], fields.MEMORY_BUDGET,
+     ["loop=M(3)", "aut=4245696", "collineation_check=pass", "mode=certified"]),
+    (["iso-check", "--left", "M(3)", "--right", "M(3)"], fields.MEMORY_BUDGET,
+     ["left=M(3)", "right=M(3)", "isomorphic=yes", "verified=yes"]),
+    (["cayley-units"], 1.5e6,
+     ["units=240", "quotient=120", "iso_with_paige2=yes", "gens_ijh=yes",
+      "mode=exhaustive"]),
+    (["decompose", "--q", "3", "--samples", "10000"], fields.MEMORY_BUDGET // 64,
+     ["q=3", "mode=sampled:10000", "checked=10000", "failures=0"]),
+]
+
+
+@pytest.mark.parametrize("argv,limit,lines", HELD, ids=[" ".join(a) for a, _, _ in HELD])
+def test_accepted_lines_peak_within_their_limits(argv, limit, lines):
+    if limit < fields.MEMORY_BUDGET:
+        run(argv)  # module-level caches
+    rep, peak = _traced(run, argv)
+    assert (rep.status, rep.lines) == (0, lines)
+    assert peak <= limit
+
+
 def test_simple_check_m3_works_on_the_table_alone(monkeypatch):
     # the 100 normal closures reach M*(3) on the maps T_x, with no division
     # table, and the line peaks at its table plus a sixteenth of the budget
