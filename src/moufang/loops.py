@@ -125,12 +125,10 @@ class FiniteLoop:
 
 
 def _left_power_walk(loop, x, marks=None):
-    """The order of each element of the index array x, the least k >= 1
-    with the left power x^[k] = x(x^[k-1]) equal to e: all left powers step
-    at once, one gather a step, and each element leaves the walk at its
-    order.  L_x is a permutation, so the walk from e comes back to e within
-    n steps.  With marks, a bool array of one row per element, row i is set
-    at every left power of x[i], e included."""
+    """The orders of the elements x: their left powers x^[k] = x x^[k-1]
+    step at once, one gather a step, until each meets e.  With marks, row i
+    is set at every left power of x[i]."""
+    # L_x is a permutation, so the walk from e comes back to e within n steps
     orders = np.zeros(len(x), dtype=np.int32)
     rows, power, k = np.arange(len(x)), x, 1
     while len(rows):
@@ -475,13 +473,12 @@ class LoopMorphismWitness:
 
 
 def _invariant_vector(loop):
-    """Per-element isomorphism invariant: (power order, size of <x>).
-
-    Elements with the same set of left powers generate the same subloop,
-    since each lies in the other's powers, so one closure runs per distinct
-    set.  The sets are marked by the order walk, a block of elements at a
-    time, and kept packed eight elements a byte (a bool row and its packed
-    copy take 2 bytes an element)."""
+    """Per-element isomorphism invariant: (power order, size of <x>).  x and
+    y with the same left powers generate the same subloop, so one closure
+    runs per distinct set, marked by the order walk in priced blocks."""
+    # each of x and y lies in the other's powers; the sets are kept packed
+    # eight elements a byte, and a block's bool rows and their packed copy
+    # take 2 bytes an element
     n = loop.n
     orders = np.empty(n, dtype=np.int32)
     packed = np.empty((n, -(-n // 8)), dtype=np.uint8)
