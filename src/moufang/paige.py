@@ -481,11 +481,16 @@ class _PaigeBackend:
         for start, stop in fields.blocks(n, 32 * n):  # 32 bytes a cell (26 measured)
             keys = XM[:, start:stop] @ Y
             k0, k1 = np.subtract(keys, off, out=keys)
-            P = pos[0][k0] + pos[1][k1]
+            P = pos[0][k0]
+            P += pos[1][k1]
             if self.quotient:
-                np.minimum(P, neg[0][k0] + neg[1][k1], out=P)
+                N = neg[0][k0]
+                N += neg[1][k1]
+                np.minimum(P, N, out=P)
+                del N
+            del keys, k0, k1  # before the lookup's temporaries
             table[start:stop] = self.lookup(P)
-        del pos, neg, keys, k0, k1, P  # before the validation's n^2 temporaries
+        del pos, neg, P  # before the validation's n^2 temporaries
         loop = FiniteLoop(n, labels=self.labels(), table=table)
         loop.zorn = self
         return loop
