@@ -195,10 +195,18 @@ class GF:
     """
 
     def __init__(self, p, k=1, modulus=None):
-        if not is_prime(p):
-            raise ValueError("characteristic %r is not prime" % (p,))
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        # sizes come before the trial divisions, which take up to sqrt(p)
+        # steps for p and p^(k/2) for the modulus; as 2^20 > 10^6, a degree
+        # past 19 is refused without forming p^k
+        if p > 1 and (k >= 20 or p ** k > 10 ** 6):
+            raise ValueError("field GF(%d^%d) is beyond the intended desk scale" % (p, k))
+        if k > 1 and p ** k > _TABLE_LIMIT:
+            raise ValueError("extension field of order %d is past the table limit "
+                             "of %d elements" % (p ** k, _TABLE_LIMIT))
+        if not is_prime(p):
+            raise ValueError("characteristic %r is not prime" % (p,))
         if modulus is None:
             if k == 1:
                 modulus = (0, 1)
@@ -213,11 +221,6 @@ class GF:
             raise ValueError("modulus must be monic")
         if not _is_irreducible(modulus, p):
             raise ValueError("modulus %r is reducible over GF(%d)" % (modulus, p))
-        if p ** k > 10 ** 6:
-            raise ValueError("field of order %d is beyond the intended desk scale" % (p ** k,))
-        if k > 1 and p ** k > _TABLE_LIMIT:
-            raise ValueError("extension field of order %d is past the table limit "
-                             "of %d elements" % (p ** k, _TABLE_LIMIT))
         self.p = p
         self.k = k
         self.q = p ** k

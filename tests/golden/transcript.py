@@ -134,6 +134,8 @@ EDGE_LINES = [
     ["bol-check", "--loop", "Z(3)", "--points", "-1"],
     ["decompose", "--field", "gf(6)"],
     ["decompose", "--field", "gf(2,2,1.0.1)"],
+    ["decompose", "--field", "gf(2305843009213693951,1,0.1)"],
+    ["decompose", "--field", "gf(2,39,1.0.0.0.1%s.1)" % (".0" * 34)],
     ["decompose", "--q", "3", "--field", "gf(3)"],
     ["decompose", "--q", "3", "--x", "[1|0,0|0,0,0|1]"],
     ["decompose", "--q", "9", "--exhaustive"],

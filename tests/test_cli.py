@@ -60,6 +60,10 @@ def test_huge_prime_q_is_refused_before_trial_division(argv, capsys):
                       "limit of 1099511627776\n"
 
 
+# x^39 + x^4 + 1, irreducible over GF(2), constant term first
+X39_X4_1 = ["1" if i in (0, 4, 39) else "0" for i in range(40)]
+
+
 def test_usage_errors(capsys):
     assert run(["paige-order", "--q", "13"]).status == 2  # streamed unit limit
     assert run(["decompose", "--q", "4", "--x", "[zz]"]).status == 2
@@ -84,6 +88,8 @@ def test_usage_errors(capsys):
                  ["triality-check", "--case", "net-z5"],
                  ["decompose", "--field", "gf(2,2,1.0.1)"],
                  ["decompose", "--field", "gf(2,11,1.0.1.0.0.0.0.0.0.0.0.1)"],
+                 ["decompose", "--field", "gf(2305843009213693951,1,0.1)"],
+                 ["decompose", "--field", "gf(2,39,%s)" % ".".join(X39_X4_1)],
                  ["decompose", "--q", "239", "--exhaustive"],
                  ["decompose", "--q", "5", "--x", "[1|0,0,0|0,0,0|9]"],
                  ["paige-order", "--q", "6"],

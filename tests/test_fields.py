@@ -275,6 +275,24 @@ def test_tables_match_the_polynomial_reference(p, k, modulus, rng):
     assert f.MUL.dtype == f.ADD.dtype == f.NEG.dtype == f.INV.dtype == np.int32
 
 
+def test_sizes_are_refused_before_any_trial_division(monkeypatch):
+    # the primality test of 2^61 - 1 and the irreducibility test of
+    # x^39 + x^4 + 1 over GF(2) would take minutes; neither runs
+    def trial_division(*args):
+        raise AssertionError("a trial division ran")
+    monkeypatch.setattr(fields, "is_prime", trial_division)
+    monkeypatch.setattr(fields, "_is_irreducible", trial_division)
+    x39 = (1, 0, 0, 0, 1) + (0,) * 34 + (1,)
+    for p, k, modulus in ((2 ** 61 - 1, 1, None), (1000003, 1, None), (2, 39, x39),
+                          (2, 10 ** 9, x39)):
+        with pytest.raises(ValueError, match="desk scale"):
+            field_make(p, k, modulus)
+    with pytest.raises(ValueError, match="table limit"):
+        field_make(2, 11, (1, 0, 1) + (0,) * 8 + (1,))
+    with pytest.raises(UsageError, match="desk scale"):
+        parse_field_spec("gf(2305843009213693951,1,0.1)")
+
+
 def test_array_ops_refuse_extension_fields_without_tables():
     # x^11 + x^2 + 1 is irreducible over GF(2), but GF(2048) would need
     # 2048 x 2048 lookup tables: it is refused when built, so no extension
