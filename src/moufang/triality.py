@@ -13,12 +13,12 @@ direction-preserving part by conjugation and satisfy [g,s][g,s]^r[g,s]^r2 = 1.
 The reverse construction takes such a group and rebuilds a net whose lines
 are the three conjugacy classes of reflections, points being the triples
 generating a copy of S3.  Both nets are one Net3 on a Latin square, and a
-coordinate loop is one gather on that square and its division tables."""
+coordinate loop is one gather on that square, with one of its rows and one
+of its columns inverted."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 
@@ -43,29 +43,13 @@ class Net3:
     """The 3-net of an n x n Latin square: point x*n + y lies on vertical
     line x (class 1), horizontal line y (class 2) and transversal line
     square[x, y] (class 3); line c of class cls has id (cls-1)*n + c.  The
-    square's row and column inverses ldiv and rdiv give the points of the
-    transversals and the meets with them."""
+    square is the net's only incidence structure: every line and every meet
+    is read off it."""
 
     def __init__(self, square):
         self.square = square
         self.n = len(square)
         self.n_points = self.n * self.n
-
-    @cached_property
-    def ldiv(self):
-        """ldiv[x, c] is the y with square[x, y] = c: the rows inverted."""
-        return invert(self.square)
-
-    @cached_property
-    def rdiv(self):
-        """rdiv[c, y] is the x with square[x, y] = c: the columns inverted."""
-        return invert(self.square.T).T
-
-    @cached_property
-    def transversal_points(self):
-        """Row c lists the points of transversal line c by x, as
-        points_of_line(TRANSVERSAL, c) does; int32, since n^2 <= 11.2M."""
-        return np.arange(self.n, dtype=np.int32) * self.n + self.ldiv.T
 
     def line_through(self, point, cls):
         """The line of class cls through the point, by its index in the
@@ -79,25 +63,28 @@ class Net3:
         return line if np.ndim(line) else int(line)
 
     def points_of_line(self, cls, c):
+        """The points of line c of class cls, by x and then y."""
         n = self.n
         idx = np.arange(n, dtype=np.int64)
         if cls == VERTICAL:
             return c * n + idx
         if cls == HORIZONTAL:
             return idx * n + c
-        return idx * n + self.ldiv[idx, c]
+        return np.flatnonzero(self.square == c)
+
+    def first_points(self):
+        """Row cls - 1 lists the first point of each line of class cls:
+        (c, 0), (0, c) and the (0, y) with square[0, y] = c."""
+        idx = np.arange(self.n, dtype=np.int32)
+        return np.stack([idx * self.n, idx, invert(self.square[0])])
 
     def n_lines(self):
         return 3 * self.n
 
 
 class LoopNet3(Net3):
-    """3-net of a loop: its square is the loop's Cayley table, and its
-    division tables are the loop's own, built when first read.  The net
+    """3-net of a loop: its square is the loop's Cayley table.  The net
     axioms hold by construction, since FiniteLoop validates its table."""
-
-    ldiv = property(lambda self: self.loop.ldiv)
-    rdiv = property(lambda self: self.loop.rdiv)
 
     def __init__(self, loop):
         super().__init__(loop.table)
@@ -132,21 +119,11 @@ class Collineation:
 
 
 # Bytes per point while a point map is checked in row blocks of n points:
-# a block's image points, one of their coordinates and its comparison with
-# the line's first point, or the involution check's gather and arange.
+# one coordinate of a block's image points, the heads of their lines
+# gathered to them and the comparison, or the involution check's gather
+# and arange.  tracemalloc peaks: 9.6-10.2 in the line check and 13.5 in
+# the involution check, at M*(3), M(3) and Z(1024).
 _POINT_CHECK_BYTES = 16
-
-
-def _line_images(net, img, cls, s, e):
-    """The images of the points of lines s..e-1 of class cls, one line per
-    row: vertical lines are rows of the (x, y) grid, horizontal lines its
-    columns, both views; transversal lines gather their points."""
-    grid = img.reshape(net.n, net.n)
-    if cls == VERTICAL:
-        return grid[s:e]
-    if cls == HORIZONTAL:
-        return grid[:, s:e].T
-    return img[net.transversal_points[s:e]]
 
 
 def _analyze_point_map(net, img, expect):
@@ -155,31 +132,35 @@ def _analyze_point_map(net, img, expect):
     not a line or the line classes do not permute.  A line image is a line
     of several classes only in the 1-point net (points on a line are
     distinct and the table is Latin), and there class cls goes to
-    expect[cls - 1].  The lines of a class are checked in row blocks, each
-    image point read as its coordinate of class k: x, y or the square's xy."""
-    n = net.n
-    S = net.square.ravel()
-    coordinate = {VERTICAL: lambda P: P // n, HORIZONTAL: lambda P: P % n,
-                  TRANSVERSAL: lambda P: S[P]}
+    expect[cls - 1].  Each line's image is read at its first point, as its
+    coordinate of each class k: x, y or the square's xy; the image points
+    are then compared, in row blocks, with the heads of their lines."""
+    n, T = net.n, net.square
+    S = T.ravel()
+    coordinate = (lambda P: P // n, lambda P: P % n, lambda P: S[P])
+    heads = [[coordinate[k](img[f]) for k in range(3)] for f in net.first_points()]
+    fits = [[1, 2, 3] for _ in range(3)]  # per class, the classes its line images fit
+    for s, e in blocks(n, _POINT_CHECK_BYTES * n):
+        P = img[s * n:e * n].reshape(e - s, n)
+        line = (np.arange(s, e)[:, None], np.arange(n)[None, :], T[s:e])
+        for k in (1, 2, 3):
+            if any(k in f for f in fits):
+                C = coordinate[k - 1](P)
+                for cls, f in enumerate(fits):
+                    if k in f and not (C == heads[cls][k - 1][line[cls]]).all():
+                        f.remove(k)
+        if not fits[0]:
+            break
     lines = np.empty(3 * n, dtype=np.int32)
-    heads = np.empty((3, n), dtype=np.int32)  # each line's coordinates, while constant
     action = []
     for cls, name in ((VERTICAL, "vertical"), (HORIZONTAL, "horizontal"),
                       (TRANSVERSAL, "transversal")):
-        fits = [1, 2, 3]  # the classes of the line images so far
-        for s, e in blocks(n, _POINT_CHECK_BYTES * n):
-            P = _line_images(net, img, cls, s, e)
-            for k in list(fits):
-                C = coordinate[k](P)
-                if (C == C[:, :1]).all():
-                    heads[k - 1, s:e] = C[:, 0]
-                else:
-                    fits.remove(k)
-            if not fits:
-                raise NotACollineationError("a %s line maps to a non-line" % name)
-        to = expect[cls - 1] if expect[cls - 1] in fits else fits[0]
+        f = fits[cls - 1]
+        if not f:
+            raise NotACollineationError("a %s line maps to a non-line" % name)
+        to = expect[cls - 1] if expect[cls - 1] in f else f[0]
         action.append(to)
-        lines[(cls - 1) * n: cls * n] = (to - 1) * n + heads[to - 1]
+        lines[(cls - 1) * n: cls * n] = (to - 1) * n + heads[cls - 1][to - 1]
     if sorted(action) != [1, 2, 3]:
         raise NotACollineationError("line classes do not permute")
     for cls in (1, 2, 3):
@@ -582,12 +563,14 @@ def coordinate_loop(net, origin=None):
     along its transversal, move horizontally, cut with the left factor's
     vertical line, and project back along the transversal.  Point (x, y0)
     is element x, and with S the net's square the table is one gather,
-    x * y = rdiv[S[x, ldiv[x0, S[y, y0]]], y0]."""
+    x * y = S[x, x0 \\ S[y, y0]] / y0, where x0 \\ c and c / y0 solve
+    S[x0, .] = c and S[., y0] = c: one row and one column of S inverted."""
     if origin is None:
         origin = net.origin()
     n, S = net.n, net.square
     x0, y0 = divmod(int(origin), n)
-    table = net.rdiv[S[:, net.ldiv[x0, S[:, y0]]], y0]
+    row, column = invert(S[x0]), invert(S[:, y0])  # x0 \ c and c / y0, by c
+    table = column[S[:, row[S[:, y0]]]]
     loop = FiniteLoop(n, labels=[net.point_label(x * n + y0) for x in range(n)], table=table)
     if loop.neutral != x0:
         raise AssertionError("origin is not the neutral element")

@@ -354,6 +354,30 @@ def meet_oracle(net, cls1, c1, cls2, c2):
     return int(point)
 
 
+def analyze_point_map_oracle(net, img, expect):
+    """What triality._analyze_point_map returns on a point map, by a scan of
+    every line's image points, one class after another: the line map as a
+    list, or the message of the first check that fails."""
+    n = net.n
+    lines, action = [], []
+    for cls, name in ((VERTICAL, "vertical"), (HORIZONTAL, "horizontal"),
+                      (TRANSVERSAL, "transversal")):
+        images = [[int(img[p]) for p in net.points_of_line(cls, c)] for c in range(n)]
+        fits = [k for k in (1, 2, 3)
+                if all(len({int(net.line_through(P, k)) for P in pts}) == 1 for pts in images)]
+        if not fits:
+            return "a %s line maps to a non-line" % name
+        to = expect[cls - 1] if expect[cls - 1] in fits else fits[0]
+        action.append(to)
+        lines += [(to - 1) * n + int(net.line_through(pts[0], to)) for pts in images]
+    if sorted(action) != [1, 2, 3]:
+        return "line classes do not permute"
+    for cls in (1, 2, 3):
+        if len(set(lines[(cls - 1) * n: cls * n])) < n:
+            return "line map of class %d not bijective" % cls
+    return lines
+
+
 def coordinate_loop_oracle(net, origin):
     """The coordinate loop that triality.coordinate_loop forms, by the scalar
     projection it replaced, one product at a time: lift the right factor to

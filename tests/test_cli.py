@@ -366,11 +366,12 @@ def test_bol_check_peak_stays_priced():
 
 # The accepted lines that hold the most, and two small lines whose batches
 # run in working blocks, each with its stdout and the most it may hold:
-# the budget, 1.5 MB, or one working block (a sixty-fourth of the budget)
-# for decompose, whose 4096-row blocks peak at 1.9 MB.  `mlt-order
+# the budget, half of it for aut-count, whose net reads every line off the
+# Cayley table, 1.5 MB, or one working block (a sixty-fourth of the
+# budget) for decompose, whose 4096-row blocks peak at 1.9 MB.  `mlt-order
 # Z(3300)` still peaks past the budget, in its two transversal stacks.
 HELD = [
-    (["aut-count", "--loop", "M(3)"], fields.MEMORY_BUDGET,
+    (["aut-count", "--loop", "M(3)"], fields.MEMORY_BUDGET // 2,
      ["loop=M(3)", "aut=4245696", "collineation_check=pass", "mode=certified"]),
     (["iso-check", "--left", "M(3)", "--right", "M(3)"], fields.MEMORY_BUDGET,
      ["left=M(3)", "right=M(3)", "isomorphic=yes", "verified=yes"]),
@@ -391,9 +392,9 @@ def test_accepted_lines_peak_within_their_limits(argv, limit, lines):
     assert peak <= limit
 
 
-def test_simple_check_m3_works_on_the_table_alone(monkeypatch):
-    # the 100 normal closures reach M*(3) on the maps T_x, with no division
-    # table, and the line peaks at its table plus a sixteenth of the budget
+@pytest.fixture
+def built_loops(monkeypatch):
+    """The loops the command lines build, in order."""
     built = []
     real = cli._build_loop
 
@@ -401,12 +402,27 @@ def test_simple_check_m3_works_on_the_table_alone(monkeypatch):
         built.append(real(kind, arg))
         return built[-1]
     monkeypatch.setattr(cli, "_build_loop", build_loop)
+    return built
+
+
+def test_simple_check_m3_works_on_the_table_alone(built_loops):
+    # the 100 normal closures reach M*(3) on the maps T_x, with no division
+    # table, and the line peaks at its table plus a sixteenth of the budget
     run(["simple-check", "--loop", "M*(2)", "--elements", "1"])  # module-level caches
     rep, peak = _traced(run, ["simple-check", "--loop", "M*(3)", "--elements", "100"])
     assert rep.status == 0 and lines_dict(rep)["simple"] == "yes"
-    loop = built[-1]
+    loop = built_loops[-1]
     assert loop.n == 1080 and loop._ldiv is None and loop._rdiv is None
     assert peak <= loop.table.nbytes + fields.MEMORY_BUDGET // 16
+
+
+@pytest.mark.parametrize("spec", ["S3", "M*(2)", "M*(3)"])
+def test_aut_count_works_on_the_table_alone(spec, built_loops):
+    # the diagonal maps of the automorphisms are checked on the net, whose
+    # every line is read off the Cayley table: no division table is built
+    rep = run(["aut-count", "--loop", spec])
+    assert (rep.status, lines_dict(rep)["collineation_check"]) == (0, "pass")
+    assert built_loops[-1]._ldiv is None and built_loops[-1]._rdiv is None
 
 
 # Lines that stream the norm-one units, or multiply Cayley integers in

@@ -4,9 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import (TrialityNetOracle, concurrent_pair_failures_oracle,
-                      conjugacy_class_oracle, coordinate_loop_oracle,
-                      corrupt_one_reflection)
+from conftest import (TrialityNetOracle, analyze_point_map_oracle,
+                      concurrent_pair_failures_oracle, conjugacy_class_oracle,
+                      coordinate_loop_oracle, corrupt_one_reflection)
 from moufang import fields, loops, paige, triality
 from moufang.fields import UsageError, field_make
 from moufang.loops import cyclic_loop, find_isomorphism
@@ -69,13 +69,28 @@ def test_net_cap(monkeypatch):
 
 @pytest.mark.parametrize("loop_name", ["z1", "z3", "s3", "m2"])
 def test_transversal_points_are_the_table_sorted(loop_name, s3_loop, m2):
+    # the lines and their first points, read off the square, against the
+    # points of each transversal in x order: the table's stable argsort
     L = {"z1": cyclic_loop(1), "z3": cyclic_loop(3), "s3": s3_loop, "m2": m2}[loop_name]
     net = LoopNet3(L)
     want = np.argsort(L.table.ravel(), kind="stable").reshape(L.n, L.n)
-    assert np.array_equal(net.transversal_points, want)
+    first = net.first_points()
+    assert np.array_equal(first[TRANSVERSAL - 1], want[:, 0])
     for c in range(L.n):
-        assert np.array_equal(net.transversal_points[c],
-                              net.points_of_line(TRANSVERSAL, c))
+        assert np.array_equal(net.points_of_line(TRANSVERSAL, c), want[c])
+        for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL):
+            assert first[cls - 1, c] == net.points_of_line(cls, c)[0]
+
+
+def test_coordinate_loop_matches_the_division_tables(s3_loop, m2, rng):
+    # one row and one column of the square inverted give the gather on the
+    # loop's division tables, at every origin of S3 and at seeded ones of M*(2)
+    for L, origins in ((s3_loop, range(36)), (m2, rng.integers(m2.n ** 2, size=10))):
+        S, net = L.table, LoopNet3(L)
+        for origin in origins:
+            x0, y0 = divmod(int(origin), L.n)
+            want = L.rdiv[S[:, L.ldiv[x0, S[:, y0]]], y0]
+            assert np.array_equal(coordinate_loop(net, origin=origin).table, want)
 
 
 def test_coordinate_loop_round_trip_is_identity_on_labels():
@@ -453,6 +468,36 @@ def test_line_map_that_merges_parallel_lines_is_refused(s3_loop):
     net = LoopNet3(s3_loop)
     with pytest.raises(NotACollineationError, match="class 1 not bijective"):
         triality._analyze_point_map(net, np.zeros(net.n_points, dtype=np.int64), (1, 2, 3))
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+def test_point_map_analysis_matches_the_line_scan(one_row_blocks, s3_loop, non_moufang_loop,
+                                                  rng, monkeypatch):
+    # line images read at the first points and checked in row blocks, one
+    # row or all rows a block, against a scan of every line, one class
+    # after another: the same line map, or the same first message
+    seen = set()
+    for L in (cyclic_loop(1), cyclic_loop(5), s3_loop, non_moufang_loop):
+        net, n = LoopNet3(L), L.n
+        if one_row_blocks:
+            monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * triality._POINT_CHECK_BYTES * n)
+        x, y = np.divmod(np.arange(n * n), n)
+        shuffled = np.argsort(rng.random((n, n)), axis=1).ravel()  # a permutation per row
+        maps = [x * n + y, y * n + x, x * n, np.zeros(n * n, dtype=np.int64),
+                x * n + shuffled, shuffled * n + y, rng.permutation(n * n)]
+        maps += [diagonal_point_map(net, rng.permutation(n)) for _ in range(10)]
+        for img in maps:
+            for expect in ((1, 2, 3), (1, 3, 2)):
+                try:
+                    got = triality._analyze_point_map(net, img.astype(np.int32), expect).tolist()
+                except NotACollineationError as e:
+                    got = str(e)
+                assert got == analyze_point_map_oracle(net, img, expect)
+                seen.add(got if isinstance(got, str) else "line map")
+    assert seen == {"line map", "a vertical line maps to a non-line",
+                    "a horizontal line maps to a non-line",
+                    "a transversal line maps to a non-line", "line classes do not permute",
+                    "line map of class 1 not bijective"}
 
 
 def test_direction_preserving_origin_fixers_are_automorphisms(s3_loop):
