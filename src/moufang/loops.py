@@ -99,12 +99,6 @@ class FiniteLoop:
             self._rdiv = d
         return self._rdiv
 
-    def left_div(self, i, j):
-        return int(self.ldiv[i, j])
-
-    def right_div(self, i, j):
-        return int(self.rdiv[i, j])
-
     def two_sided_inverses(self):
         """Array inv with x*inv[x] = inv[x]*x = e, or None if some element
         has distinct one-sided inverses."""

@@ -354,8 +354,8 @@ def test_division_hooks(m3, rng):
     for _ in range(200):
         i, j = int(rng.integers(m3.n)), int(rng.integers(m3.n))
         k = int(m3.table[i, j])
-        assert m3.left_div(i, k) == j
-        assert m3.right_div(k, j) == i
+        assert m3.ldiv[i, k] == j
+        assert m3.rdiv[k, j] == i
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 65537])
