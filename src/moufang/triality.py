@@ -63,7 +63,7 @@ class Net3:
         return line if np.ndim(line) else int(line)
 
     def points_of_line(self, cls, c):
-        """The points of line c of class cls, by x and then y."""
+        """The points of line c of class cls, in increasing order."""
         n = self.n
         idx = np.arange(n, dtype=np.int64)
         if cls == VERTICAL:
@@ -150,7 +150,7 @@ def _analyze_point_map(net, img, expect):
                     if k in f and not (C == heads[cls][k - 1][line[cls]]).all():
                         f.remove(k)
         if not fits[0]:
-            break
+            break  # the vertical lines raise first, whatever the others fit
     lines = np.empty(3 * n, dtype=np.int32)
     action = []
     for cls, name in ((VERTICAL, "vertical"), (HORIZONTAL, "horizontal"),

@@ -67,16 +67,20 @@ def test_net_cap(monkeypatch):
         all_bol_reflections(cyclic_loop(1025))
 
 
-@pytest.mark.parametrize("loop_name", ["z1", "z3", "s3", "m2"])
+@pytest.mark.parametrize("loop_name", ["z1", "z3", "s3", "m2", "z5-rows-rolled"])
 def test_transversal_points_are_the_table_sorted(loop_name, s3_loop, m2):
     # the lines and their first points, read off the square, against the
-    # points of each transversal in x order: the table's stable argsort
-    L = {"z1": cyclic_loop(1), "z3": cyclic_loop(3), "s3": s3_loop, "m2": m2}[loop_name]
-    net = LoopNet3(L)
-    want = np.argsort(L.table.ravel(), kind="stable").reshape(L.n, L.n)
+    # points of each transversal in x order: the square's stable argsort;
+    # with its rows rolled, row 0 of the square is not an involution
+    squares = {"z1": lambda: cyclic_loop(1).table, "z3": lambda: cyclic_loop(3).table,
+               "s3": lambda: s3_loop.table, "m2": lambda: m2.table,
+               "z5-rows-rolled": lambda: np.roll(cyclic_loop(5).table, 1, axis=0)}
+    square = squares[loop_name]()
+    net, n = triality.Net3(square), len(square)
+    want = np.argsort(square.ravel(), kind="stable").reshape(n, n)
     first = net.first_points()
     assert np.array_equal(first[TRANSVERSAL - 1], want[:, 0])
-    for c in range(L.n):
+    for c in range(n):
         assert np.array_equal(net.points_of_line(TRANSVERSAL, c), want[c])
         for cls in (VERTICAL, HORIZONTAL, TRANSVERSAL):
             assert first[cls - 1, c] == net.points_of_line(cls, c)[0]
@@ -477,8 +481,10 @@ def test_point_map_analysis_matches_the_line_scan(one_row_blocks, s3_loop, non_m
     # row or all rows a block, against a scan of every line, one class
     # after another: the same line map, or the same first message
     seen = set()
-    for L in (cyclic_loop(1), cyclic_loop(5), s3_loop, non_moufang_loop):
-        net, n = LoopNet3(L), L.n
+    nets = [LoopNet3(L) for L in (cyclic_loop(1), cyclic_loop(5), s3_loop, non_moufang_loop)]
+    # and a net whose row 0 is not an involution
+    for net in nets + [triality.Net3(np.roll(cyclic_loop(5).table, 1, axis=0))]:
+        n = net.n
         if one_row_blocks:
             monkeypatch.setattr(fields, "MEMORY_BUDGET", 64 * triality._POINT_CHECK_BYTES * n)
         x, y = np.divmod(np.arange(n * n), n)
