@@ -72,10 +72,9 @@ def test_transversal_points_are_the_table_sorted(loop_name, s3_loop, m2):
     # the lines and their first points, read off the square, against the
     # points of each transversal in x order: the square's stable argsort;
     # with its rows rolled, row 0 of the square is not an involution
-    squares = {"z1": lambda: cyclic_loop(1).table, "z3": lambda: cyclic_loop(3).table,
-               "s3": lambda: s3_loop.table, "m2": lambda: m2.table,
-               "z5-rows-rolled": lambda: np.roll(cyclic_loop(5).table, 1, axis=0)}
-    square = squares[loop_name]()
+    square = {"z1": cyclic_loop(1).table, "z3": cyclic_loop(3).table, "s3": s3_loop.table,
+              "m2": m2.table, "z5-rows-rolled": np.roll(cyclic_loop(5).table, 1, axis=0),
+              }[loop_name]
     net, n = triality.Net3(square), len(square)
     want = np.argsort(square.ravel(), kind="stable").reshape(n, n)
     first = net.first_points()
